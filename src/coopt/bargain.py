@@ -83,11 +83,15 @@ def cone_bound_holds(u: float, v: float, w: float) -> bool:
     return math.hypot(u, (v - w) / 2.0) <= (v + w) / 2.0 + 1e-12
 
 
+class BudgetExhaustedError(RuntimeError):
+    """A MILP the bargaining needs did not reach its gap within the node budget."""
+
+
 def _require_solved(sol: MilpSolution, what: str) -> MilpSolution:
     if sol.status == INFEASIBLE:
         raise ValueError(f"{what}: model is infeasible")
     if sol.status == BUDGET_EXHAUSTED:
-        raise RuntimeError(f"{what}: node budget exhausted before reaching the gap target")
+        raise BudgetExhaustedError(f"{what}: node budget exhausted before reaching the gap target")
     return sol
 
 

@@ -19,12 +19,21 @@ from typing import TextIO
 import numpy as np
 
 from .linear import LE, MAX, MIN, LinearModel
-from .simplex import INFEASIBLE, OPTIMAL, SINGULAR, UNBOUNDED, SimplexSolver, WarmStart
+from .simplex import (
+    INFEASIBLE,
+    ITERATION_LIMIT,
+    OPTIMAL,
+    SINGULAR,
+    UNBOUNDED,
+    SimplexSolver,
+    WarmStart,
+)
 
 OPTIMAL_WITHIN_GAP = "optimal-within-gap"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 INT_TOL = 1e-6
+_LP_FAILED = (SINGULAR, ITERATION_LIMIT)  # the LP stopped without an answer; retried cold
 
 
 @dataclass
@@ -108,15 +117,15 @@ def solve_milp(
         return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, 1)
     if root.status == UNBOUNDED:
         raise SolverError("relaxation is unbounded; binary models must be bounded")
-    if root.status == SINGULAR:
-        raise SolverError("simplex reported a singular basis on the root relaxation")
+    if root.status in _LP_FAILED:
+        raise SolverError(f"simplex stopped on the root relaxation: {root.status}")
     if not binaries:
         return MilpSolution(OPTIMAL_WITHIN_GAP, root.primal, root.objective, root.objective, 0.0, 1)
 
     incumbent_x = None
     incumbent_z = math.inf  # internal minimization orientation
     best_bound = sign * root.objective
-    pruned_floor = math.inf  # least bound discarded by tolerance pruning
+    pruned_floor = math.inf  # least bound of nodes pruned by tolerance or left unsolved
     tried_roundings: set[bytes] = set()
 
     def completion(values, warm):
@@ -163,9 +172,12 @@ def solve_milp(
         nodes += 1
 
         sol = solver.solve(lb=node.lb, ub=node.ub, warm=node.warm)
-        if sol.status == SINGULAR:
+        if sol.status in _LP_FAILED:
             sol = solver.solve(lb=node.lb, ub=node.ub)
-        if sol.status == OPTIMAL:
+        if sol.status in _LP_FAILED:
+            # the subtree is unexplored; its parent's bound keeps the bound valid
+            pruned_floor = min(pruned_floor, node.key)
+        elif sol.status == OPTIMAL:
             z = sign * sol.objective
             if z >= incumbent_z - slack():
                 pruned_floor = min(pruned_floor, z)
@@ -213,7 +225,8 @@ def solve_milp(
         log(best_bound, incumbent_z, _relative_gap(incumbent_z, best_bound))
 
     if incumbent_x is None:
-        if nodes >= node_budget and (stack or heap):
+        # without an incumbent, a finite floor can only come from an unsolved node
+        if (nodes >= node_budget and (stack or heap)) or pruned_floor < math.inf:
             return MilpSolution(BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes)
         return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes)
 
@@ -291,11 +304,13 @@ def enumerate_binaries(model: LinearModel, limit: int = 20) -> MilpSolution:
             clb[j] = v
             cub[j] = v
         sol = solver.solve(lb=clb, ub=cub, warm=warm)
-        if sol.status == SINGULAR:
+        if sol.status in _LP_FAILED:
             sol = solver.solve(lb=clb, ub=cub)
         count += 1
         if sol.status == UNBOUNDED:
             raise SolverError("relaxation is unbounded; binary models must be bounded")
+        if sol.status in _LP_FAILED:
+            raise SolverError(f"simplex stopped on assignment {mask}: {sol.status}")
         if sol.status != OPTIMAL:
             continue
         warm = sol.warm

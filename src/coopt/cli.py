@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bargain import disagreement_points, pareto_frontier, solve_nbs, solve_tcm
+from .bargain import (
+    BudgetExhaustedError,
+    DisagreementPoints,
+    pareto_frontier,
+    solve_nbs,
+    solve_tcm,
+)
 from .bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
 from .io import (
     EXIT_BUDGET_EXHAUSTED,
@@ -184,7 +190,7 @@ def _run_solve(cfg: RunConfig) -> int:
         bundle.p1_model, bundle.p1_x = p1, sol1.incumbent
         bundle.p2_model, bundle.p2_x = p2, sol2.incumbent
         bundle.p3 = p3
-        d = disagreement_points(p1, p2, cfg.gap_target, cfg.node_budget)
+        d = DisagreementPoints(sol1.objective, sol2.objective)
         bundle.d = d
         if cfg.command == "solve-p3-tcm":
             bundle.tcm = solve_tcm(p3, cfg.gap_target, d=d, node_budget=cfg.node_budget)
@@ -360,6 +366,9 @@ def main(argv=None) -> int:
         if cfg.command == "sweep":
             return _run_sweep(cfg)
         return _run_anova(cfg)
+    except BudgetExhaustedError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_BUDGET_EXHAUSTED
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

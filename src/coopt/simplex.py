@@ -1,11 +1,22 @@
-"""Bounded-variable revised simplex with a dense, periodically refactorized basis.
+"""Bounded-variable revised simplex over a column-sparse standard form.
 
 The solver works on the equality form ``A x + s = b`` where every row gets a
-slack whose bounds encode the row sense.  Cold starts run a phase-1 with
-artificial columns (sum of infeasibilities) followed by phase-2; warm starts
-reuse a caller-supplied basis, running plain phase-2 when it is primal
-feasible and a bounded dual simplex when it is only dual feasible (the common
-case after branch-and-bound bound changes).
+slack whose bounds encode the row sense.  :func:`standard_form` stores ``[A I]``
+column by column as index arrays (no dense copy of the matrix exists), so
+pricing ``y A``, the pivot row ``rho A``, ``A x`` and the entering column
+``B^-1 a_q`` all run over the nonzeros only.
+
+The basis inverse is kept explicitly.  A refactorization eliminates the
+basic slack and artificial columns, which are signed unit vectors, and
+inverts only the block of basic structural columns on the rows no unit
+column covers.  Between refactorizations each pivot updates only the rows
+of the inverse where the entering column is nonzero, which gives the same
+numbers as the dense rank-one update.
+
+Cold starts run a phase-1 with artificial columns (sum of infeasibilities)
+followed by phase-2; warm starts reuse a caller-supplied basis, running plain
+phase-2 when it is primal feasible and a bounded dual simplex when it is only
+dual feasible (the common case after branch-and-bound bound changes).
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties) with an
 automatic switch to Bland's lowest-index rule after a degeneracy stall, which
@@ -19,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import EQ, GE, LE, MAX, MIN, LinearModel
+from .linear import GE, LE, MAX, MIN, LinearModel
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 SINGULAR = "singular"
+ITERATION_LIMIT = "iteration-limit"
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-8
@@ -76,6 +88,77 @@ class CertificateReport:
         )
 
 
+@dataclass
+class StandardForm:
+    """``[A I] (x, s) = b`` stored column by column.
+
+    Columns ``0..n-1`` are the model's variables and ``n..n+m-1`` the row
+    slacks.  Nonzeros are sorted by column, then row; column ``j`` owns the
+    entries ``ptr[j]:ptr[j+1]`` of ``row`` and ``val`` (``col`` repeats ``j``
+    for each of them).  ``lb``/``ub`` hold the variable bounds followed by
+    the slack bounds that encode the row senses.
+    """
+
+    col: np.ndarray
+    row: np.ndarray
+    val: np.ndarray
+    ptr: np.ndarray
+    b: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``[A I] x`` for a vector over all ``n + m`` columns."""
+        return np.bincount(self.row, weights=self.val * x[self.col], minlength=len(self.b))
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """``y [A I]`` for a vector over the ``m`` rows."""
+        return np.bincount(self.col, weights=y[self.row] * self.val, minlength=len(self.ptr) - 1)
+
+
+def standard_form(model: LinearModel) -> StandardForm:
+    """The column-sparse equality form of ``model``; exact zero coefficients are dropped."""
+    ns, m = model.n, model.m
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for i, con in enumerate(model.constraints):
+        for j, cval in con.coeffs.items():
+            if cval != 0.0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(cval)
+    slacks = list(range(m))
+    row = np.array(rows + slacks, dtype=np.intp)
+    col = np.array(cols + [ns + i for i in slacks], dtype=np.intp)
+    val = np.array(vals + [1.0] * m, dtype=float)
+    order = np.lexsort((row, col))
+    row, col, val = row[order], col[order], val[order]
+    ptr = np.zeros(ns + m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(col, minlength=ns + m), out=ptr[1:])
+
+    b = np.array([con.rhs for con in model.constraints], dtype=float)
+    slack_lb = np.array([-math.inf if con.sense == GE else 0.0 for con in model.constraints])
+    slack_ub = np.array([math.inf if con.sense == LE else 0.0 for con in model.constraints])
+    lb = np.concatenate([np.array([v.lb for v in model.variables], dtype=float), slack_lb])
+    ub = np.concatenate([np.array([v.ub for v in model.variables], dtype=float), slack_ub])
+    return StandardForm(col, row, val, ptr, b, lb, ub)
+
+
+def _repair_status(stat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Move nonbasic statuses that point at an infinite bound onto a finite one
+    (or to free), and free statuses onto a finite bound when one exists."""
+    lo_inf, hi_inf = np.isinf(lb), np.isinf(ub)
+    out = stat.copy()
+    fix_lo = (stat == _AT_LB) & lo_inf
+    fix_hi = (stat == _AT_UB) & hi_inf
+    fix_free = (stat == _FREE) & ~(lo_inf & hi_inf)
+    out[fix_lo] = np.where(hi_inf[fix_lo], _FREE, _AT_UB)
+    out[fix_hi] = np.where(lo_inf[fix_hi], _FREE, _AT_LB)
+    out[fix_free] = np.where(lo_inf[fix_free], _AT_UB, _AT_LB)
+    return out
+
+
 class SimplexSolver:
     """Reusable solver bound to one model structure.
 
@@ -93,25 +176,7 @@ class SimplexSolver:
         self.ncols = ns + 2 * m
         self._binv_cache: dict[bytes, np.ndarray] = {}
 
-        A = np.zeros((m, ns + m))
-        b = np.zeros(m)
-        slack_lb = np.zeros(m)
-        slack_ub = np.zeros(m)
-        for i, con in enumerate(model.constraints):
-            for j, cval in con.coeffs.items():
-                A[i, j] += cval
-            A[i, ns + i] = 1.0
-            b[i] = con.rhs
-            if con.sense == LE:
-                slack_lb[i], slack_ub[i] = 0.0, math.inf
-            elif con.sense == GE:
-                slack_lb[i], slack_ub[i] = -math.inf, 0.0
-            else:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
-        self.A = A
-        self.base_b = b
-        self.base_lb = np.array([v.lb for v in model.variables] + list(slack_lb))
-        self.base_ub = np.array([v.ub for v in model.variables] + list(slack_ub))
+        self.sf = standard_form(model)
 
         sign = 1.0 if model.sense == MIN else -1.0
         cost = np.zeros(self.ncols)
@@ -126,13 +191,13 @@ class SimplexSolver:
         m, nsm, ncols = self.m, self.nsm, self.ncols
         self.lb = np.full(ncols, 0.0)
         self.ub = np.full(ncols, 0.0)
-        self.lb[:nsm] = self.base_lb
-        self.ub[:nsm] = self.base_ub
+        self.lb[:nsm] = self.sf.lb
+        self.ub[:nsm] = self.sf.ub
         if lb is not None:
             self.lb[: self.ns] = lb
         if ub is not None:
             self.ub[: self.ns] = ub
-        self.b = self.base_b.copy() if rhs is None else np.asarray(rhs, dtype=float).copy()
+        self.b = self.sf.b.copy() if rhs is None else np.asarray(rhs, dtype=float).copy()
         if np.any(self.lb[: nsm] > self.ub[: nsm] + 1e-12):
             return self._finish(INFEASIBLE)
 
@@ -140,7 +205,6 @@ class SimplexSolver:
         self.x = np.zeros(ncols)
         self.stat = np.full(ncols, _AT_LB, dtype=np.int8)
         self.basis = np.arange(m) + nsm
-        self.Binv = np.eye(m)
         self.iterations = 0
         self.pivots_since_refactor = 0
 
@@ -158,7 +222,7 @@ class SimplexSolver:
             obj = math.inf if status == INFEASIBLE else -math.inf
             if self.model.sense == MAX:
                 obj = -obj
-            if status == SINGULAR:
+            if status in (SINGULAR, ITERATION_LIMIT):
                 obj = math.nan
             return LpSolution(status, None, None, obj, getattr(self, "iterations", 0))
         if self.m and np.all(self.basis < self.nsm):
@@ -169,7 +233,7 @@ class SimplexSolver:
         xb = self.x[self.basis]
         snapped = np.clip(xb, np.maximum(bl, xb - FEAS_TOL * 10), np.minimum(bu, xb + FEAS_TOL * 10))
         self.x[self.basis] = snapped
-        y = self.cost[self.basis] @ self.Binv
+        y = self._duals(self.cost)
         dual = y if self.model.sense == MIN else -y
         z_internal = float(self.cost @ self.x)
         objective = z_internal * (1.0 if self.model.sense == MIN else -1.0)
@@ -178,30 +242,29 @@ class SimplexSolver:
 
     # -- linear algebra helpers --------------------------------------------
 
-    def _column(self, j: int) -> np.ndarray:
-        if j < self.nsm:
-            return self.A[:, j]
-        col = np.zeros(self.m)
-        col[j - self.nsm] = self.art_sign[j - self.nsm]
-        return col
-
     def _ftran(self, j: int) -> np.ndarray:
         if j < self.nsm:
-            return self.Binv @ self.A[:, j]
+            lo, hi = self.sf.ptr[j], self.sf.ptr[j + 1]
+            return self.Binv[:, self.sf.row[lo:hi]] @ self.sf.val[lo:hi]
         i = j - self.nsm
         return self.art_sign[i] * self.Binv[:, i]
 
+    def _duals(self, c: np.ndarray) -> np.ndarray:
+        cb = c[self.basis]
+        nz = np.flatnonzero(cb)
+        return cb[nz] @ self.Binv[nz]
+
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        y = c[self.basis] @ self.Binv
+        y = self._duals(c)
         d = np.empty(self.ncols)
-        d[: self.nsm] = c[: self.nsm] - y @ self.A
+        d[: self.nsm] = c[: self.nsm] - self.sf.rmatvec(y)
         d[self.nsm :] = c[self.nsm :] - y * self.art_sign
         return d
 
     def _alpha_row(self, r: int) -> np.ndarray:
         rho = self.Binv[r]
         alpha = np.empty(self.ncols)
-        alpha[: self.nsm] = rho @ self.A
+        alpha[: self.nsm] = self.sf.rmatvec(rho)
         alpha[self.nsm :] = rho * self.art_sign
         return alpha
 
@@ -228,17 +291,58 @@ class SimplexSolver:
             self.Binv = binv.copy()
             self.pivots_since_refactor = age
             return True
-        B = np.zeros((m, m))
-        for r, j in enumerate(self.basis):
-            B[:, r] = self._column(j)
-        try:
-            self.Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
+        binv = self._block_inverse()
+        if binv is None:
             return False
+        self.Binv = binv
         self.pivots_since_refactor = 0
         if cacheable:
             self._cache_binv(key)
         return True
+
+    def _block_inverse(self) -> np.ndarray | None:
+        """Inverse of the basis with its unit columns eliminated.
+
+        Basis positions U hold slack/artificial columns ``s_k e_{R_k}``; the
+        positions S hold structural columns, and N are the rows no unit column
+        covers.  With ``K = B[N, S]`` the inverse is ``Binv[S, N] = K^-1``,
+        ``Binv[U, R] = diag(1/s)`` and ``Binv[U, N] = -diag(1/s) B[R, S] K^-1``;
+        every other entry is zero.  Returns None for a singular basis.
+        """
+        m, ns, nsm = self.m, self.ns, self.nsm
+        unit = self.basis >= ns
+        U = np.flatnonzero(unit)
+        S = np.flatnonzero(~unit)
+        uj = self.basis[U]
+        R = np.where(uj < nsm, uj - ns, uj - nsm)
+        s = np.where(uj < nsm, 1.0, self.art_sign[R])
+        covered = np.zeros(m, dtype=bool)
+        covered[R] = True
+        if np.count_nonzero(covered) != U.size:
+            return None  # two unit columns on one row
+        N = np.flatnonzero(~covered)
+
+        binv = np.zeros((m, m))  # allocated before the temporaries below: lower peak memory
+        binv[U, R] = 1.0 / s
+
+        # dense copy of the basic structural columns, gathered from the nonzeros
+        js = self.basis[S]
+        starts = self.sf.ptr[js]
+        counts = self.sf.ptr[js + 1] - starts
+        owner = np.repeat(np.arange(S.size), counts)
+        first = np.cumsum(counts) - counts  # where each column starts in the gathered list
+        nz = starts[owner] + np.arange(owner.size) - first[owner]
+        BS = np.zeros((m, S.size))
+        BS[self.sf.row[nz], owner] = self.sf.val[nz]
+        try:
+            Kinv = np.linalg.inv(BS[N])
+        except np.linalg.LinAlgError:
+            return None
+        binv[np.ix_(S, N)] = Kinv
+        BR = BS[R]
+        used = np.flatnonzero(BR.any(axis=0))  # B[R, S] is mostly zero columns
+        binv[np.ix_(U, N)] = -(BR[:, used] @ Kinv[used]) / s[:, None]
+        return binv
 
     def _cache_binv(self, key: bytes) -> None:
         if len(self._binv_cache) > 32:
@@ -250,8 +354,8 @@ class SimplexSolver:
         at_ub = self.stat == _AT_UB
         self.x[nonbasic] = np.where(at_ub[nonbasic], self.ub[nonbasic], self.lb[nonbasic])
         self.x[self.stat == _FREE] = 0.0
-        nb_struct = np.flatnonzero(nonbasic[: self.nsm])
-        rhs_eff = self.b - self.A[:, nb_struct] @ self.x[nb_struct]
+        x_nonbasic = np.where(nonbasic[: self.nsm], self.x[: self.nsm], 0.0)
+        rhs_eff = self.b - self.sf.matvec(x_nonbasic)
         self.x[self.basis] = self.Binv @ rhs_eff
 
     def _nonbasic_value(self, j: int) -> float:
@@ -263,29 +367,24 @@ class SimplexSolver:
         return 0.0
 
     def _eta_update(self, w: np.ndarray, r: int) -> None:
-        pivot = w[r]
-        self.Binv[r] /= pivot
-        others = w.copy()
-        others[r] = 0.0
-        self.Binv -= np.outer(others, self.Binv[r])
+        # rows where w is zero would change by +-0, so only the others are touched
+        self.Binv[r] /= w[r]
+        rows = np.flatnonzero(w)
+        rows = rows[rows != r]
+        self.Binv[rows] -= np.outer(w[rows], self.Binv[r])
         self.pivots_since_refactor += 1
 
     # -- cold start ----------------------------------------------------------
 
     def _cold_start(self) -> str:
         nsm = self.nsm
-        for j in range(nsm):
-            lo, hi = self.lb[j], self.ub[j]
-            if math.isinf(lo) and math.isinf(hi):
-                self.stat[j] = _FREE
-                self.x[j] = 0.0
-            elif math.isinf(hi) or (not math.isinf(lo) and abs(lo) <= abs(hi)):
-                self.stat[j] = _AT_LB
-                self.x[j] = lo
-            else:
-                self.stat[j] = _AT_UB
-                self.x[j] = hi
-        resid = self.b - self.A @ self.x[:nsm]
+        lo, hi = self.lb[:nsm], self.ub[:nsm]
+        lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
+        free = lo_inf & hi_inf
+        at_lb = ~free & (hi_inf | (~lo_inf & (np.abs(lo) <= np.abs(hi))))
+        self.stat[:nsm] = np.where(free, _FREE, np.where(at_lb, _AT_LB, _AT_UB))
+        self.x[:nsm] = np.where(free, 0.0, np.where(at_lb, lo, hi))
+        resid = self.b - self.sf.matvec(self.x[:nsm])
         self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
         self.lb[nsm:] = 0.0
         self.ub[nsm:] = math.inf
@@ -299,7 +398,7 @@ class SimplexSolver:
         c1[nsm:] = 1.0
         status = self._primal(c1)
         if status != OPTIMAL:
-            return status if status == SINGULAR else INFEASIBLE
+            return status if status in (SINGULAR, ITERATION_LIMIT) else INFEASIBLE
         feas_gap = float(c1 @ self.x)
         if feas_gap > FEAS_TOL * (1.0 + float(np.max(np.abs(self.b), initial=0.0))):
             return INFEASIBLE
@@ -337,24 +436,13 @@ class SimplexSolver:
     def _try_warm(self, warm: WarmStart) -> str | None:
         if len(warm.basis) != self.m or len(warm.vstat) != self.ncols:
             return None
-        self.basis = warm.basis.copy()
-        self.stat = warm.vstat.copy()
-        if np.count_nonzero(self.stat == _BASIC) != self.m:
+        if np.count_nonzero(warm.vstat == _BASIC) != self.m:
             return None
+        self.basis = warm.basis.copy()
         self.lb[self.nsm :] = 0.0
         self.ub[self.nsm :] = 0.0
-        for j in range(self.ncols):
-            if self.stat[j] == _BASIC:
-                continue
-            lo, hi = self.lb[j], self.ub[j]
-            if self.stat[j] == _AT_LB and math.isinf(lo):
-                self.stat[j] = _FREE if math.isinf(hi) else _AT_UB
-            elif self.stat[j] == _AT_UB and math.isinf(hi):
-                self.stat[j] = _FREE if math.isinf(lo) else _AT_LB
-            elif self.stat[j] == _FREE and not (math.isinf(lo) and math.isinf(hi)):
-                self.stat[j] = _AT_LB if not math.isinf(lo) else _AT_UB
-            self.x[j] = self._nonbasic_value(j)
-        if not self._refactor():
+        self.stat = _repair_status(warm.vstat, self.lb, self.ub)
+        if not self._refactor():  # also places the nonbasic columns on their bounds
             return None
 
         xb = self.x[self.basis]
@@ -443,7 +531,7 @@ class SimplexSolver:
                 self.basis[r] = q
                 self.stat[q] = _BASIC
                 self._eta_update(w, r)
-        return SINGULAR
+        return ITERATION_LIMIT
 
     def _primal_ratio(self, q: int, delta: np.ndarray):
         """Smallest step blocked by a basic bound or by the entering bound flip."""
@@ -546,36 +634,21 @@ def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport
         raise ValueError(f"certificates need an optimal solution, got {sol.status!r}")
     ns, m = model.n, model.m
     sign = 1.0 if model.sense == MIN else -1.0
-    c = np.zeros(ns)
+    sf = standard_form(model)
+    c = np.zeros(ns + m)
     for j, cval in model.objective.items():
         c[j] = sign * cval
     y = sign * np.asarray(sol.dual, dtype=float)
-    x = np.asarray(sol.primal, dtype=float)
 
-    A = np.zeros((m, ns))
-    b = np.zeros(m)
-    slack_lb = np.zeros(m)
-    slack_ub = np.zeros(m)
-    for i, con in enumerate(model.constraints):
-        for j, cval in con.coeffs.items():
-            A[i, j] += cval
-        b[i] = con.rhs
-        if con.sense == LE:
-            slack_lb[i], slack_ub[i] = 0.0, math.inf
-        elif con.sense == GE:
-            slack_lb[i], slack_ub[i] = -math.inf, 0.0
-        else:
-            slack_lb[i], slack_ub[i] = 0.0, 0.0
-
-    slack = b - A @ x if m else np.zeros(0)
-    values = np.concatenate([x, slack])
-    lo = np.concatenate([[v.lb for v in model.variables], slack_lb])
-    hi = np.concatenate([[v.ub for v in model.variables], slack_ub])
+    values = np.zeros(ns + m)
+    values[:ns] = sol.primal
+    values[ns:] = sf.b - sf.matvec(values)  # slack of each row
+    lo, hi = sf.lb, sf.ub
 
     viol = np.maximum(lo - values, values - hi)
     primal_residual = float(np.max(viol[ns:], initial=0.0))
     bound_residual = float(np.max(viol[:ns], initial=0.0))
-    d = np.concatenate([c - y @ A, -y]) if m else c - np.zeros(0)
+    d = c - sf.rmatvec(y)
 
     interior = (values > lo + 1e-7) & (values < hi - 1e-7)
     dual_residual = float(np.max(np.abs(d[interior]), initial=0.0))
@@ -588,7 +661,7 @@ def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport
             cs = max(cs, -d[j] * (hi[j] - values[j]))
 
     d_eff = np.where(np.abs(d) <= 1e-7, 0.0, d)
-    dual_obj = float(b @ y) if m else 0.0
+    dual_obj = float(sf.b @ y) if m else 0.0
     for j in range(len(values)):
         if d_eff[j] > 0:
             dual_obj += d_eff[j] * lo[j]

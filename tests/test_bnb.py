@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from coopt import bnb
 from coopt.bnb import (
     BUDGET_EXHAUSTED,
     OPTIMAL_WITHIN_GAP,
@@ -12,7 +13,14 @@ from coopt.bnb import (
     solve_milp,
 )
 from coopt.linear import GE, LE, MAX, MIN, Constraint, LinearModel, Variable
-from coopt.simplex import INFEASIBLE, solve_lp
+from coopt.simplex import (
+    INFEASIBLE,
+    ITERATION_LIMIT,
+    SINGULAR,
+    LpSolution,
+    SimplexSolver,
+    solve_lp,
+)
 
 
 def test_no_binaries_equals_lp():
@@ -167,3 +175,32 @@ def test_budget_exhaustion_reports_valid_bound():
         if milp.status == BUDGET_EXHAUSTED:
             found = True
     assert found
+
+
+@pytest.mark.parametrize("failure", [SINGULAR, ITERATION_LIMIT])
+def test_failed_node_lp_keeps_bound_valid(monkeypatch, failure):
+    # min -3 x0 - 2 x1 s.t. 2 x0 + 2 x1 <= 3: root LP -4, optimum -3 at x1 = 0
+    model = LinearModel(
+        [Variable("x0", 0.0, 1.0, binary=True), Variable("x1", 0.0, 1.0, binary=True)],
+        [Constraint({0: 2.0, 1: 2.0}, LE, 3.0)],
+        {0: -3.0, 1: -2.0},
+        MIN,
+    )
+
+    class FailsWithX1Fixed(SimplexSolver):
+        def solve(self, *, lb=None, ub=None, rhs=None, warm=None):
+            if ub is not None and ub[1] == 0.0:  # the subtree holding the optimum
+                return LpSolution(failure, None, None, math.nan, 0)
+            return super().solve(lb=lb, ub=ub, rhs=rhs, warm=warm)
+
+    monkeypatch.setattr(bnb, "SimplexSolver", FailsWithX1Fixed)
+    milp = solve_milp(model, gap_target=1e-9)
+    assert milp.objective == pytest.approx(-2.0)  # the only solvable pattern
+    assert milp.bound <= -3.0 + 1e-9  # the unsolved subtree stays in the bound
+    assert milp.status == BUDGET_EXHAUSTED
+
+    # with x1 <= 0.5 every feasible pattern is in the unsolved subtree
+    model.constraints.append(Constraint({1: 1.0}, LE, 0.5))
+    milp = solve_milp(model, gap_target=1e-9)
+    assert milp.status == BUDGET_EXHAUSTED  # not a claim of infeasibility
+    assert milp.bound <= -3.0 + 1e-9

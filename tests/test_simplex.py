@@ -5,12 +5,18 @@ import pytest
 
 from coopt.linear import EQ, GE, LE, MAX, MIN, Constraint, LinearModel, Variable
 from coopt.simplex import (
+    _AT_LB,
+    _AT_UB,
+    _BASIC,
+    _FREE,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     SimplexSolver,
+    _repair_status,
     check_certificates,
     solve_lp,
+    standard_form,
 )
 
 from oracles import best_vertex_objective
@@ -230,3 +236,173 @@ def test_warm_start_infeasible_child():
     ub = np.array([0.0, 0.0])
     child = solver.solve(ub=ub, warm=first.warm)
     assert child.status == INFEASIBLE
+
+
+# -- sparse kernels against dense references ---------------------------------
+
+
+def random_sparse_model(rng, n, m, density=0.3):
+    variables = [Variable(f"v{j}", -1.0, 4.0) for j in range(n)]
+    constraints = []
+    for i in range(m):
+        coeffs = {j: float(rng.integers(-4, 5)) for j in range(n) if rng.random() < density}
+        coeffs = {j: c for j, c in coeffs.items() if c} or {int(rng.integers(0, n)): 1.0}
+        sense = (LE, GE, EQ)[int(rng.integers(0, 3))]
+        constraints.append(Constraint(coeffs, sense, float(rng.integers(-5, 6))))
+    objective = {j: float(rng.integers(-3, 4)) for j in range(n)}
+    return lp(variables, constraints, objective)
+
+
+def dense_columns(solver):
+    """``[A I]`` as a dense array, assembled from the sparse standard form."""
+    sf = solver.sf
+    A = np.zeros((solver.m, solver.nsm))
+    A[sf.row, sf.col] = sf.val
+    return A
+
+
+def basis_matrix(solver):
+    A = dense_columns(solver)
+    B = np.zeros((solver.m, solver.m))
+    for r, j in enumerate(solver.basis):
+        if j < solver.nsm:
+            B[:, r] = A[:, j]
+        else:
+            B[j - solver.nsm, r] = solver.art_sign[j - solver.nsm]
+    return B
+
+
+def mixed_basis(rng, solver):
+    """Random basis: unit columns (slack or artificial) on some rows, structural elsewhere."""
+    m, ns, nsm = solver.m, solver.ns, solver.nsm
+    rows = rng.permutation(m)[: int(rng.integers(0, m + 1))]
+    units = [ns + i if rng.random() < 0.5 else nsm + i for i in rows]
+    structural = list(rng.permutation(ns)[: m - len(units)])
+    basis = np.array(units + structural, dtype=np.intp)
+    solver.basis = rng.permutation(basis)
+    solver.art_sign = rng.choice([-1.0, 1.0], size=m)
+
+
+def test_standard_form_layout():
+    model = lp(
+        [Variable("x"), Variable("y"), Variable("z")],
+        [Constraint({2: 2.0, 0: 1.0}, LE, 4.0), Constraint({1: -1.0, 0: 0.0}, GE, 1.0)],
+        {},
+    )
+    sf = standard_form(model)
+    assert sf.col.tolist() == [0, 1, 2, 3, 4]  # the explicit zero is dropped
+    assert sf.row.tolist() == [0, 1, 0, 0, 1]
+    assert sf.val.tolist() == [1.0, -1.0, 2.0, 1.0, 1.0]
+    assert sf.ptr.tolist() == [0, 1, 2, 3, 4, 5]
+    assert sf.b.tolist() == [4.0, 1.0]
+    assert sf.lb[3:].tolist() == [0.0, -math.inf]
+    assert sf.ub[3:].tolist() == [math.inf, 0.0]
+
+
+def test_block_factorization_matches_dense_inverse():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(60):
+        m = int(rng.integers(1, 9))
+        model = random_sparse_model(rng, m + int(rng.integers(0, 6)), m, density=0.6)
+        solver = SimplexSolver(model)
+        mixed_basis(rng, solver)
+        B = basis_matrix(solver)
+        if np.linalg.matrix_rank(B) < m:
+            continue
+        binv = solver._block_inverse()
+        ref = np.linalg.inv(B)
+        assert np.max(np.abs(binv - ref)) <= 1e-10 * np.max(np.abs(ref))
+        checked += 1
+    assert checked > 30
+
+
+def test_block_factorization_rejects_singular_bases():
+    model = lp(
+        [Variable("x"), Variable("y")],
+        [Constraint({0: 1.0, 1: 1.0}, LE, 4.0), Constraint({0: 2.0, 1: 2.0}, LE, 8.0)],
+        {},
+    )
+    solver = SimplexSolver(model)
+    solver.art_sign = np.ones(2)
+    solver.basis = np.array([2, 4])  # slack and artificial of row 0
+    assert not solver._factor_basis()
+    solver.basis = np.array([0, 1])  # structural block [[1, 1], [2, 2]]
+    assert not solver._factor_basis()
+    solver.basis = np.array([0, 3])  # x on row 0, slack on row 1
+    assert solver._factor_basis()
+
+
+def test_row_restricted_update_equals_dense_update():
+    rng = np.random.default_rng(8)
+    solver = SimplexSolver(random_sparse_model(rng, 6, 12))
+    for _ in range(40):
+        binv = rng.standard_normal((12, 12))
+        w = np.where(rng.random(12) < 0.6, 0.0, rng.standard_normal(12))
+        r = int(rng.integers(0, 12))
+        w[r] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
+        expect = binv.copy()
+        expect[r] /= w[r]
+        others = w.copy()
+        others[r] = 0.0
+        expect -= np.outer(others, expect[r])
+        solver.Binv = binv
+        solver.pivots_since_refactor = 0
+        solver._eta_update(w, r)
+        assert np.array_equal(solver.Binv, expect)
+
+
+def test_sparse_products_equal_dense_products():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        m = int(rng.integers(1, 10))
+        model = random_sparse_model(rng, m + int(rng.integers(0, 6)), m)
+        solver = SimplexSolver(model)
+        mixed_basis(rng, solver)
+        nsm = solver.nsm
+        A = dense_columns(solver)
+        solver.Binv = rng.standard_normal((m, m))
+        c = np.where(rng.random(solver.ncols) < 0.5, 0.0, rng.standard_normal(solver.ncols))
+
+        y = c[solver.basis] @ solver.Binv
+        d = solver._reduced_costs(c)
+        np.testing.assert_allclose(d[:nsm], c[:nsm] - y @ A, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d[nsm:], c[nsm:] - y * solver.art_sign, rtol=1e-12, atol=1e-12)
+
+        r = int(rng.integers(0, m))
+        alpha = solver._alpha_row(r)
+        np.testing.assert_allclose(alpha[:nsm], solver.Binv[r] @ A, rtol=1e-12, atol=1e-12)
+
+        x = rng.standard_normal(nsm)
+        np.testing.assert_allclose(solver.sf.matvec(x), A @ x, rtol=1e-12, atol=1e-12)
+
+        q = int(rng.integers(0, nsm))
+        np.testing.assert_allclose(solver._ftran(q), solver.Binv @ A[:, q], rtol=1e-12, atol=1e-12)
+
+
+def repair_status_loop(stat, lb, ub):
+    """Per-column status repair as warm starts did it before vectorization."""
+    stat = stat.copy()
+    for j in range(len(stat)):
+        if stat[j] == _BASIC:
+            continue
+        lo, hi = lb[j], ub[j]
+        if stat[j] == _AT_LB and math.isinf(lo):
+            stat[j] = _FREE if math.isinf(hi) else _AT_UB
+        elif stat[j] == _AT_UB and math.isinf(hi):
+            stat[j] = _FREE if math.isinf(lo) else _AT_LB
+        elif stat[j] == _FREE and not (math.isinf(lo) and math.isinf(hi)):
+            stat[j] = _AT_LB if not math.isinf(lo) else _AT_UB
+    return stat
+
+
+def test_vectorized_status_repair_equals_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        stat = rng.choice([_BASIC, _AT_LB, _AT_UB, _FREE], size=n).astype(np.int8)
+        lb = rng.choice([-math.inf, -1.0, 0.0], size=n)
+        ub = rng.choice([math.inf, 0.0, 2.0], size=n)
+        got = _repair_status(stat, lb, ub)
+        assert got.dtype == stat.dtype
+        assert np.array_equal(got, repair_status_loop(stat, lb, ub))
