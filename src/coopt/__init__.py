@@ -8,16 +8,19 @@ __version__ = "0.1.0"
 
 from .bargain import (
     BargainResult,
+    BudgetExhaustedError,
     DisagreementPoints,
+    InfeasibleError,
     ParetoPoint,
-    disagreement_points,
+    ResultsBundle,
     pareto_frontier,
     solve_nbs,
+    solve_study,
     solve_tcm,
     verify_axioms,
 )
 from .bnb import MilpSolution, enumerate_binaries, solve_milp
-from .io import ResultsBundle, ScenarioError, emit_report, load_scenario, save_scenario
+from .io import ScenarioError, emit_report, load_scenario, save_scenario
 from .linear import BiObjectiveModel, Constraint, LinearModel, Variable
 from .models import (
     ObjectiveBreakdown,
@@ -36,7 +39,6 @@ from .scenario import (
     PriceProfiles,
     ReserveProbabilities,
     ScenarioInputs,
-    TimeGrid,
 )
 from .sensitivity import AnovaTable, FactorSpec, anova, f_critical, fractional_factorial_design, sweep_grid
 from .simplex import LpSolution, check_certificates, solve_lp
@@ -57,6 +59,7 @@ __all__ = [
     "BidStack",
     "BiObjectiveModel",
     "BssSpec",
+    "BudgetExhaustedError",
     "ClearingOutcome",
     "CompartmentSpec",
     "Constraint",
@@ -65,6 +68,7 @@ __all__ = [
     "DisagreementPoints",
     "FactorSpec",
     "HubSpec",
+    "InfeasibleError",
     "JointTerms",
     "LinearModel",
     "LpSolution",
@@ -77,7 +81,6 @@ __all__ = [
     "ResultsBundle",
     "ScenarioError",
     "ScenarioInputs",
-    "TimeGrid",
     "Variable",
     "anova",
     "build_p1",
@@ -86,7 +89,6 @@ __all__ = [
     "check_certificates",
     "clear_reserve_market",
     "degradation_cost",
-    "disagreement_points",
     "emit_report",
     "enumerate_binaries",
     "estimate_probabilities",
@@ -101,6 +103,7 @@ __all__ = [
     "solve_lp",
     "solve_milp",
     "solve_nbs",
+    "solve_study",
     "solve_tcm",
     "sweep_grid",
     "verify_axioms",

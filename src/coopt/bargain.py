@@ -1,4 +1,5 @@
-"""Disagreement points, Pareto frontier, total-cost-minimum, and Nash bargain.
+"""Disagreement points, Pareto frontier, total-cost-minimum, and Nash bargain,
+chained by :func:`solve_study`, which the CLI and both sensitivity studies call.
 
 The Nash product is maximized in two stages: a bound-sweep over the frontier
 (each sweep point is one MILP that minimizes the hub objective subject to a
@@ -6,8 +7,7 @@ floor on the storage objective) picks the best integer mode pattern, then a
 golden-section search over the floor refines the product with the mode
 binaries pinned, where the product of the linear gain and the concave LP value
 function is unimodal.  This replaces a cone-programming pass with exact
-LP/MILP machinery; the scalar identity behind the cone formulation is kept in
-:func:`cone_bound_holds` and exercised by the tests.
+LP/MILP machinery.
 """
 
 from __future__ import annotations
@@ -20,11 +20,15 @@ import numpy as np
 
 from .bnb import BUDGET_EXHAUSTED, INFEASIBLE, OPTIMAL_WITHIN_GAP, MilpSolution, solve_milp
 from .linear import GE, LE, MAX, MIN, BiObjectiveModel, LinearModel, add_constraint, clone, with_objective
+from .models import AS_WRITTEN, build_p1, build_p2, build_p3
+from .scenario import ScenarioInputs
 from .simplex import OPTIMAL, SimplexSolver
 
 DEFAULT_GAP = 5e-4
 DEFAULT_GRID_POINTS = 41
 DEFAULT_REFINE_TOL = 1e-6
+CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point
+GOALS = ("p1", "p2", "tcm", "nbs", "frontier")
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,34 @@ class AxiomReport:
         return all(checks)
 
 
-def cone_bound_holds(u: float, v: float, w: float) -> bool:
-    """Rotated-cone membership: for u, v, w >= 0 this is exactly u <= sqrt(v w)."""
-    if min(u, v, w) < 0:
-        raise ValueError("cone check expects nonnegative scalars")
-    return math.hypot(u, (v - w) / 2.0) <= (v + w) / 2.0 + 1e-12
+@dataclass
+class ResultsBundle:
+    """Everything a report can draw on; unset pieces skip their files."""
+
+    scenario: ScenarioInputs
+    p1_model: LinearModel | None = None
+    p1: MilpSolution | None = None
+    p2_model: LinearModel | None = None
+    p2: MilpSolution | None = None
+    p3: BiObjectiveModel | None = None
+    d: DisagreementPoints | None = None
+    tcm: ParetoPoint | None = None
+    bargain: BargainResult | None = None
+    frontier: list[ParetoPoint] | None = None
+
+    def joint_points(self):
+        points = {}
+        if self.tcm is not None:
+            points["tcm"] = self.tcm
+        elif self.bargain is not None:
+            points["tcm"] = self.bargain.tcm
+        if self.bargain is not None:
+            points["nbs"] = self.bargain.nbs
+        return points
+
+
+class InfeasibleError(ValueError):
+    """A model the study needs has no feasible point."""
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -89,19 +116,10 @@ class BudgetExhaustedError(RuntimeError):
 
 def _require_solved(sol: MilpSolution, what: str) -> MilpSolution:
     if sol.status == INFEASIBLE:
-        raise ValueError(f"{what}: model is infeasible")
+        raise InfeasibleError(f"{what}: model is infeasible")
     if sol.status == BUDGET_EXHAUSTED:
         raise BudgetExhaustedError(f"{what}: node budget exhausted before reaching the gap target")
     return sol
-
-
-def disagreement_points(
-    p1: LinearModel, p2: LinearModel, gap: float = DEFAULT_GAP, node_budget: int = 200_000
-) -> DisagreementPoints:
-    """Solve both independent models at the stated gap."""
-    d1 = _require_solved(solve_milp(p1, gap, node_budget), "hub model").objective
-    d2 = _require_solved(solve_milp(p2, gap, node_budget), "storage model").objective
-    return DisagreementPoints(d1, d2)
 
 
 def _point_from(p3: BiObjectiveModel, x: np.ndarray, d: DisagreementPoints | None, theta=None) -> ParetoPoint:
@@ -126,10 +144,9 @@ def solve_tcm(
 
 
 def _epsilon_model(p3: BiObjectiveModel, d: DisagreementPoints) -> LinearModel:
-    """min f_a subject to f_b >= theta and the admissibility cuts."""
+    """min f_a subject to f_a <= d1 and a floor f_b >= theta, which starts at d2."""
     model = with_objective(p3.base, p3.obj_a, MIN)
     add_constraint(model, p3.obj_a, LE, d.d1, "hub_gain_cut")
-    add_constraint(model, p3.obj_b, GE, d.d2, "storage_gain_cut")
     add_constraint(model, p3.obj_b, GE, d.d2, "storage_floor")  # rhs swept over the grid
     return model
 
@@ -156,13 +173,12 @@ def pareto_frontier(
     gap: float = DEFAULT_GAP,
     *,
     node_budget: int = 200_000,
-    cell_node_budget: int = 1500,
     workers: int = 1,
 ) -> list[ParetoPoint]:
     """Sweep a uniform floor on the storage objective across the admissible
     range and keep the nondominated outcomes, sorted by rising storage profit.
 
-    Each sweep point gets ``cell_node_budget`` nodes; points that cannot
+    Each sweep point gets ``CELL_NODE_BUDGET`` nodes; points that cannot
     certify the gap within it are dropped from the frontier, which only
     thins the sampled set (every returned point is solved at ``gap``).
     """
@@ -188,7 +204,7 @@ def pareto_frontier(
     if fb_max < d.d2 - 1e-9 * max(1.0, abs(d.d2)):
         return []
 
-    budget = min(node_budget, cell_node_budget)
+    budget = min(node_budget, CELL_NODE_BUDGET)
     thetas = np.linspace(d.d2, fb_max, grid_points)
     model = _epsilon_model(p3, d)
     if workers > 1:
@@ -234,11 +250,6 @@ def _nondominated(points: list[ParetoPoint], tol: float = 1e-6) -> list[ParetoPo
     return kept
 
 
-def _disagreement_result(d: DisagreementPoints, frontier, tcm) -> BargainResult:
-    nbs = ParetoPoint(d.d1, d.d2, None, 0.0, 0.0, 0.0)
-    return BargainResult(nbs, 0.0, frontier, tcm, d)
-
-
 def solve_nbs(
     p3: BiObjectiveModel,
     d: DisagreementPoints,
@@ -247,15 +258,13 @@ def solve_nbs(
     gap: float = DEFAULT_GAP,
     *,
     node_budget: int = 200_000,
-    cell_node_budget: int = 1500,
     workers: int = 1,
 ) -> BargainResult:
     """Maximize the product of cooperation gains over the joint feasible set."""
     if refine_tol <= 0:
         raise ValueError(f"refine_tol must be > 0, got {refine_tol}")
     frontier = pareto_frontier(
-        p3, d, grid_points=grid_points, gap=gap, node_budget=node_budget,
-        cell_node_budget=cell_node_budget, workers=workers,
+        p3, d, grid_points=grid_points, gap=gap, node_budget=node_budget, workers=workers
     )
     tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget)
 
@@ -264,7 +273,8 @@ def solve_nbs(
         candidates.append(tcm)
     candidates = [p for p in candidates if p.product > 0.0]
     if not candidates:
-        return _disagreement_result(d, frontier, tcm)
+        nbs = ParetoPoint(d.d1, d.d2, None, 0.0, 0.0, 0.0)  # no point gains for both
+        return BargainResult(nbs, 0.0, frontier, tcm, d)
 
     best = max(candidates, key=lambda p: (p.product, -p.f_a))
     refined = _refine_with_fixed_modes(p3, d, best, refine_tol, tie_break_fa=best.f_a)
@@ -293,15 +303,9 @@ def _refine_with_fixed_modes(
 
     sweep = _epsilon_model(p3, d)
     solver = SimplexSolver(sweep)
-    extra = np.zeros(sweep.m - base.m)  # appended admissibility rows keep base rhs
-    rhs = np.concatenate([np.array([c.rhs for c in base.constraints]), extra])
-    rhs[base.m] = d.d1
-    rhs[base.m + 1] = d.d2
+    rhs = np.array([c.rhs for c in sweep.constraints])  # the floor row is last
 
-    top_solver = SimplexSolver(_max_fb_model(p3, d))
-    top_rhs = np.concatenate([np.array([c.rhs for c in base.constraints]), np.zeros(1)])
-    top_rhs[base.m] = d.d1
-    top = top_solver.solve(lb=lb, ub=ub, rhs=top_rhs)
+    top = SimplexSolver(_max_fb_model(p3, d)).solve(lb=lb, ub=ub)
     if top.status != OPTIMAL:
         return None
     hi = p3.value_b(np.asarray(top.primal))
@@ -313,7 +317,7 @@ def _refine_with_fixed_modes(
 
     def product_at(theta: float):
         nonlocal warm
-        rhs[base.m + 2] = theta
+        rhs[-1] = theta
         sol = solver.solve(lb=lb, ub=ub, rhs=rhs, warm=warm)
         if sol.status != OPTIMAL:
             return None
@@ -358,12 +362,8 @@ def verify_axioms(
     *,
     gap: float = DEFAULT_GAP,
     grid_points: int = DEFAULT_GRID_POINTS,
-    refine_tol: float = DEFAULT_REFINE_TOL,
     rescale: float = 3.0,
     symmetric: bool | None = None,
-    node_budget: int = 200_000,
-    workers: int = 1,
-    tol: float | None = None,
 ) -> AxiomReport:
     """Check the bargaining axioms on a computed result; report-only.
 
@@ -371,8 +371,7 @@ def verify_axioms(
     problems built to be symmetric in the two players.
     """
     nbs = result.nbs
-    if tol is None:
-        tol = max(1e-6, gap * max(1.0, abs(nbs.f_a), abs(nbs.f_b)))
+    tol = max(1e-6, gap * max(1.0, abs(nbs.f_a), abs(nbs.f_b)))
     details: dict = {"tol": tol}
 
     rational = nbs.f_a <= d.d1 + tol and nbs.f_b >= d.d2 - tol
@@ -381,7 +380,7 @@ def verify_axioms(
     if nbs.assignment is not None:
         probe = with_objective(p3.base, p3.obj_a, MIN)
         add_constraint(probe, p3.obj_b, GE, nbs.f_b - tol, "hold_storage_profit")
-        probe_sol = solve_milp(probe, gap, node_budget, incumbent_hint=nbs.assignment)
+        probe_sol = solve_milp(probe, gap, incumbent_hint=nbs.assignment)
         if probe_sol.status == OPTIMAL_WITHIN_GAP:
             details["pareto_probe_f_a"] = probe_sol.objective
             pareto = probe_sol.objective >= nbs.f_a - tol
@@ -390,9 +389,7 @@ def verify_axioms(
         clone(p3.base), dict(p3.obj_a), {j: rescale * c for j, c in p3.obj_b.items()}
     )
     scaled_d = DisagreementPoints(d.d1, rescale * d.d2)
-    scaled_result = solve_nbs(
-        scaled, scaled_d, grid_points, refine_tol, gap, node_budget=node_budget, workers=workers
-    )
+    scaled_result = solve_nbs(scaled, scaled_d, grid_points, gap=gap)
     back_fb = scaled_result.nbs.f_b / rescale
     details["rescaled_point"] = (scaled_result.nbs.f_a, back_fb)
     affine = (
@@ -405,3 +402,53 @@ def verify_axioms(
         details["taus"] = (nbs.tau1, nbs.tau2)
 
     return AxiomReport(rational, pareto, affine, symmetry, tol, details)
+
+
+def solve_study(
+    scn: ScenarioInputs,
+    goal: str,
+    *,
+    deployment_revenue: str = AS_WRITTEN,
+    gap: float = DEFAULT_GAP,
+    node_budget: int = 200_000,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    workers: int = 1,
+) -> ResultsBundle:
+    """Solve one of :data:`GOALS` on a scenario.
+
+    ``"p1"`` and ``"p2"`` solve one independent model.  The joint goals
+    ``"tcm"``, ``"nbs"`` and ``"frontier"`` solve P1 and P2 once, take their
+    optima as the disagreement point, then solve P3.  A model the goal needs
+    raises :class:`InfeasibleError` when infeasible and
+    :class:`BudgetExhaustedError` when it misses ``gap`` within ``node_budget``.
+    """
+    if goal not in GOALS:
+        raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
+    joint = goal not in ("p1", "p2")
+    if joint:
+        scn.require_joint()
+    bundle = ResultsBundle(scn)
+    if goal != "p2":
+        bundle.p1_model = build_p1(scn.hub, scn.prices, scn.demand)
+        bundle.p1 = _require_solved(solve_milp(bundle.p1_model, gap, node_budget), "hub model")
+    if goal != "p1":
+        bundle.p2_model = build_p2(scn.bss, scn.prices, scn.probabilities, deployment_revenue)
+        bundle.p2 = _require_solved(solve_milp(bundle.p2_model, gap, node_budget), "storage model")
+    if not joint:
+        return bundle
+
+    p3 = bundle.p3 = build_p3(
+        scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint, deployment_revenue
+    )
+    d = bundle.d = DisagreementPoints(bundle.p1.objective, bundle.p2.objective)
+    if goal == "tcm":
+        bundle.tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget)
+    elif goal == "nbs":
+        bundle.bargain = solve_nbs(
+            p3, d, grid_points, gap=gap, node_budget=node_budget, workers=workers
+        )
+    else:
+        bundle.frontier = pareto_frontier(
+            p3, d, grid_points, gap, node_budget=node_budget, workers=workers
+        )
+    return bundle

@@ -1,12 +1,13 @@
 """Branch-and-bound for models with binary variables, on top of the simplex.
 
 Node selection is best-bound with depth-first plunging; branching picks the
-most fractional binary (lowest index on ties).  Fixing a charge/discharge mode
-binary to one immediately fixes its exclusivity partner to zero, which the
-search discovers from rows of the form ``x + y <= 1`` over two binaries.
-A rounding heuristic fixes the relaxation's binaries to their nearest integer
-and re-solves, which on storage models yields a feasible incumbent at almost
-every node.
+fractional binary of lowest index, so storage state propagates forward in
+time.  Fixing a charge/discharge mode binary to one immediately fixes its
+exclusivity partner to zero, which the search discovers from rows of the form
+``x + y <= 1`` over two binaries.  A rounding heuristic, run at shallow nodes
+and on every sixteenth node, fixes the relaxation's binaries to their nearest
+integer and re-solves, which on storage models yields a feasible incumbent at
+almost every node.
 """
 
 from __future__ import annotations
@@ -88,11 +89,8 @@ def solve_milp(
     gap_target: float = 5e-4,
     node_budget: int = 200_000,
     *,
-    propagate: bool = True,
-    rounding: bool = True,
     progress: TextIO | None = None,
     incumbent_hint: np.ndarray | None = None,
-    branch_rule: str = "earliest-fractional",
 ) -> MilpSolution:
     """Best-bound branch-and-bound; returns when the relative gap closes or the
     node budget runs out, in which case the reported bound is still globally
@@ -107,7 +105,7 @@ def solve_milp(
     sign = 1.0 if model.sense == MIN else -1.0
     binaries = model.binary_indices()
     solver = SimplexSolver(model)
-    partners = exclusivity_pairs(model) if propagate else {}
+    partners = exclusivity_pairs(model)
 
     lb0 = np.array([v.lb for v in model.variables])
     ub0 = np.array([v.ub for v in model.variables])
@@ -195,12 +193,9 @@ def solve_milp(
                 else:
                     # completions pay one LP each; shallow nodes and a periodic
                     # sample keep incumbents fresh without doubling the work
-                    if rounding and (node.depth <= 3 or nodes % 16 == 0):
+                    if node.depth <= 3 or nodes % 16 == 0:
                         completion(sol.primal, sol.warm)
-                    if branch_rule == "most-fractional":
-                        jbr = binaries[int(np.argmax(frac))]
-                    else:  # earliest fractional: storage state propagates forward
-                        jbr = binaries[int(np.argmax(frac > INT_TOL))]
+                    jbr = binaries[int(np.argmax(frac > INT_TOL))]
                     for fix_to in (1.0, 0.0):
                         clb, cub = node.lb.copy(), node.ub.copy()
                         if fix_to == 1.0:

@@ -4,7 +4,9 @@ Every command reads a scenario (where applicable), solves, and writes CSV
 reports into ``--out``.  Flag defaults may be overridden by ``COOPT_*``
 environment variables (flag > environment > built-in default).  Exit codes:
 0 success, 2 input error, 3 infeasible model, 4 node budget exhausted before
-reaching the gap target.
+reaching the gap target; each failure prints one line on stderr.  ``anova``
+stops at its first failed run with 3 or 4 and names the run, while ``sweep``
+records a failed cell as NaN.
 """
 
 from __future__ import annotations
@@ -15,30 +17,21 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .bargain import (
-    BudgetExhaustedError,
-    DisagreementPoints,
-    pareto_frontier,
-    solve_nbs,
-    solve_tcm,
-)
-from .bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
+from .bargain import BudgetExhaustedError, InfeasibleError, solve_study
 from .io import (
     EXIT_BUDGET_EXHAUSTED,
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
     EXIT_OK,
-    ResultsBundle,
     ScenarioError,
     emit_report,
     load_scenario,
     write_bid_history,
     write_csv,
+    write_frontier,
     write_price_history,
 )
-from .models import AS_WRITTEN, DEPLOYMENT_REVENUE_MODES, build_p1, build_p2, build_p3
+from .models import AS_WRITTEN, DEPLOYMENT_REVENUE_MODES
 from .presets import (
     MarketSimConfig,
     daily_probability_profiles,
@@ -84,8 +77,6 @@ class RunConfig:
     node_budget: int = 200_000
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ScenarioError(f"unknown command {self.command!r}")
         if not 0.0 < self.gap_target <= 0.1:
             raise ScenarioError(f"gap must be in (0, 0.1], got {self.gap_target}")
         if self.grid_points < 2:
@@ -154,68 +145,42 @@ def config_from_args(args) -> RunConfig:
     )
 
 
-def _solved(sol, what: str):
-    if sol.status == OPTIMAL_WITHIN_GAP:
-        return sol
-    if sol.status == BUDGET_EXHAUSTED:
-        print(f"{what}: node budget exhausted (gap {sol.gap!r})", file=sys.stderr)
-        raise SystemExit(EXIT_BUDGET_EXHAUSTED)
-    print(f"{what}: infeasible", file=sys.stderr)
-    raise SystemExit(EXIT_INFEASIBLE)
+_SOLVE_GOALS = {
+    "solve-p1": "p1",
+    "solve-p2": "p2",
+    "solve-p3-tcm": "tcm",
+    "solve-p3-nbs": "nbs",
+    "frontier": "frontier",
+}
 
 
 def _run_solve(cfg: RunConfig) -> int:
-    scn = load_scenario(cfg.scenario)
-    bundle = ResultsBundle(scn)
-
-    p1 = build_p1(scn.hub, scn.prices, scn.demand)
-    p2 = build_p2(scn.bss, scn.prices, scn.probabilities, cfg.deployment_revenue)
-
+    bundle = solve_study(
+        load_scenario(cfg.scenario),
+        _SOLVE_GOALS[cfg.command],
+        deployment_revenue=cfg.deployment_revenue,
+        gap=cfg.gap_target,
+        node_budget=cfg.node_budget,
+        grid_points=cfg.grid_points,
+        workers=cfg.workers,
+    )
     if cfg.command == "solve-p1":
-        sol = _solved(solve_milp(p1, cfg.gap_target, cfg.node_budget), "hub model")
-        bundle.p1_model, bundle.p1_x = p1, sol.incumbent
-        print(f"hub cost: {sol.objective!r}")
+        print(f"hub cost: {bundle.p1.objective!r}")
     elif cfg.command == "solve-p2":
-        sol = _solved(solve_milp(p2, cfg.gap_target, cfg.node_budget), "storage model")
-        bundle.p2_model, bundle.p2_x = p2, sol.incumbent
-        print(f"bss profit: {sol.objective!r}")
-    else:
-        scn.require_joint()
-        p3 = build_p3(
-            scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint,
-            cfg.deployment_revenue,
-        )
-        sol1 = _solved(solve_milp(p1, cfg.gap_target, cfg.node_budget), "hub model")
-        sol2 = _solved(solve_milp(p2, cfg.gap_target, cfg.node_budget), "storage model")
-        bundle.p1_model, bundle.p1_x = p1, sol1.incumbent
-        bundle.p2_model, bundle.p2_x = p2, sol2.incumbent
-        bundle.p3 = p3
-        d = DisagreementPoints(sol1.objective, sol2.objective)
-        bundle.d = d
-        if cfg.command == "solve-p3-tcm":
-            bundle.tcm = solve_tcm(p3, cfg.gap_target, d=d, node_budget=cfg.node_budget)
-            print(f"tcm hub cost: {bundle.tcm.f_a!r}")
-            print(f"tcm bss profit: {bundle.tcm.f_b!r}")
-        elif cfg.command == "solve-p3-nbs":
-            result = solve_nbs(
-                p3, d, cfg.grid_points, gap=cfg.gap_target,
-                node_budget=cfg.node_budget, workers=cfg.workers,
-            )
-            bundle.bargain = result
-            print(f"nbs hub cost: {result.nbs.f_a!r}")
-            print(f"nbs bss profit: {result.nbs.f_b!r}")
-            print(f"nash product: {result.nbs.product!r}")
-        else:  # frontier
-            frontier = pareto_frontier(
-                p3, d, cfg.grid_points, cfg.gap_target,
-                node_budget=cfg.node_budget, workers=cfg.workers,
-            )
-            rows = [(p.theta, p.f_a, p.f_b, p.tau1, p.tau2, p.product) for p in frontier]
-            cfg.out.mkdir(parents=True, exist_ok=True)
-            write_csv(cfg.out / "frontier.csv",
-                      ("theta", "f_a", "f_b", "tau1", "tau2", "product"), rows)
-            print(f"frontier points: {len(rows)}")
-            return EXIT_OK
+        print(f"bss profit: {bundle.p2.objective!r}")
+    elif cfg.command == "solve-p3-tcm":
+        print(f"tcm hub cost: {bundle.tcm.f_a!r}")
+        print(f"tcm bss profit: {bundle.tcm.f_b!r}")
+    elif cfg.command == "solve-p3-nbs":
+        nbs = bundle.bargain.nbs
+        print(f"nbs hub cost: {nbs.f_a!r}")
+        print(f"nbs bss profit: {nbs.f_b!r}")
+        print(f"nash product: {nbs.product!r}")
+    else:  # frontier
+        cfg.out.mkdir(parents=True, exist_ok=True)
+        write_frontier(cfg.out / "frontier.csv", bundle.frontier)
+        print(f"frontier points: {len(bundle.frontier)}")
+        return EXIT_OK
 
     emit_report(bundle, cfg.out)
     return EXIT_OK
@@ -279,8 +244,8 @@ def _run_sweep(cfg: RunConfig) -> int:
     demand_levels = [tuple(percentile_profiles(dem_hist, p)) for p in (10.0, 50.0, 90.0)]
     result = sweep_grid(
         scn, da_levels, rt_levels, demand_levels,
-        gap=cfg.gap_target, grid_points=cfg.grid_points,
-        node_budget=cfg.node_budget, workers=cfg.workers,
+        deployment_revenue=cfg.deployment_revenue, gap=cfg.gap_target,
+        grid_points=cfg.grid_points, node_budget=cfg.node_budget, workers=cfg.workers,
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
     labels = result.labels
@@ -328,8 +293,8 @@ def _run_anova(cfg: RunConfig) -> int:
     }
     factors = [FactorSpec(name, tuple(levels[name])) for name in levels]
     design, responses = factorial_profit_study(
-        scn, factors, gap=cfg.gap_target, grid_points=cfg.grid_points,
-        node_budget=cfg.node_budget, workers=cfg.workers,
+        scn, factors, deployment_revenue=cfg.deployment_revenue, gap=cfg.gap_target,
+        grid_points=cfg.grid_points, node_budget=cfg.node_budget, workers=cfg.workers,
     )
     table = anova(design, responses, default_model_terms(design.factors), cfg.alpha)
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -357,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if cfg.command in ("solve-p1", "solve-p2", "solve-p3-tcm", "solve-p3-nbs", "frontier"):
+        if cfg.command in _SOLVE_GOALS:
             return _run_solve(cfg)
         if cfg.command == "generate-demand":
             return _run_generate_demand(cfg)
@@ -369,16 +334,12 @@ def main(argv=None) -> int:
     except BudgetExhaustedError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET_EXHAUSTED
-    except ScenarioError as exc:
+    except InfeasibleError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except ValueError as exc:  # ScenarioError included
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        raise
 
 
 if __name__ == "__main__":

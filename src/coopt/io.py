@@ -1,7 +1,7 @@
-"""Scenario persistence, CSV ingestion/emission, and report writing.
+"""Scenario persistence, CSV emission, and report writing.
 
-One JSON document holds a full scenario; CSV is used for time-series history
-ingestion and for every emitted table.  All numbers are written with
+One JSON document holds a full scenario; CSV is used for the simulated
+histories and for every emitted table.  All numbers are written with
 ``repr``-precision (shortest round-trip decimal), which makes outputs
 bytewise reproducible for a fixed seed.
 """
@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bargain import BargainResult, DisagreementPoints, ParetoPoint
-from .linear import BiObjectiveModel, LinearModel
+from .bargain import ResultsBundle
+from .linear import LinearModel
 from .scenario import (
     BssSpec,
     CompartmentSpec,
@@ -197,7 +196,7 @@ def save_scenario(scn: ScenarioInputs, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# time-series CSV ingestion and emission
+# CSV emission
 
 
 def write_csv(path, header, rows) -> None:
@@ -216,18 +215,6 @@ def _fmt(v):
     return v
 
 
-def read_price_history(path):
-    """CSV ``day, hour, lambda_da, lambda_rt`` -> two (days, 24) arrays."""
-    cells_da: dict[tuple[int, int], float] = {}
-    cells_rt: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (int(row["day"]), int(row["hour"]))
-            cells_da[key] = float(row["lambda_da"])
-            cells_rt[key] = float(row["lambda_rt"])
-    return _to_matrix(cells_da), _to_matrix(cells_rt)
-
-
 def write_price_history(path, da, rt) -> None:
     rows = []
     da = np.asarray(da)
@@ -236,34 +223,6 @@ def write_price_history(path, da, rt) -> None:
         for hour in range(da.shape[1]):
             rows.append((day, hour, float(da[day, hour]), float(rt[day, hour])))
     write_csv(path, ("day", "hour", "lambda_da", "lambda_rt"), rows)
-
-
-def _to_matrix(cells):
-    days = 1 + max(d for d, _ in cells)
-    hours = 1 + max(h for _, h in cells)
-    out = np.full((days, hours), np.nan)
-    for (d, h), v in cells.items():
-        out[d, h] = v
-    if np.isnan(out).any():
-        raise ScenarioError("history CSV has missing (day, hour) cells")
-    return out
-
-
-def read_traffic(path):
-    """CSV ``hour, mean_flow`` -> 24-tuple."""
-    values: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            values[int(row["hour"])] = float(row["mean_flow"])
-    hours = 1 + max(values)
-    missing = [h for h in range(hours) if h not in values]
-    if missing:
-        raise ScenarioError(f"traffic CSV is missing hours {missing}")
-    return tuple(values[h] for h in range(hours))
-
-
-def write_traffic(path, traffic) -> None:
-    write_csv(path, ("hour", "mean_flow"), list(enumerate(traffic)))
 
 
 def write_bid_history(path, records) -> None:
@@ -286,73 +245,14 @@ def write_bid_history(path, records) -> None:
     write_csv(path, ("day", "hour", "price", "qty", "accepted", "deployed"), rows)
 
 
-def read_bid_history(path, side: str):
-    """Rebuild one side's records from a bid-history CSV."""
-    from .simulate import BidStack, ClearingOutcome, MarketRecord
-
-    grouped: dict[tuple[int, int], list[tuple[float, float, float, float]]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (int(row["day"]), int(row["hour"]))
-            grouped.setdefault(key, []).append(
-                (
-                    float(row["price"]),
-                    float(row["qty"]),
-                    float(row["accepted"]),
-                    float(row["deployed"]),
-                )
-            )
-    records = []
-    for (day, hour) in sorted(grouped):
-        offers = grouped[(day, hour)]
-        stack = BidStack(
-            tuple((p, q) for p, q, _, _ in offers),
-            sum(a for _, _, a, _ in offers),
-        )
-        accepted = tuple(a for _, _, a, _ in offers)
-        total_acc = sum(accepted)
-        deployed = sum(d for _, _, _, d in offers)
-        prices = [p for p, _, a, _ in offers if a > 0]
-        outcome = ClearingOutcome(
-            max(prices) if prices else None, accepted, total_acc, deployed, False
-        )
-        records.append(MarketRecord(hour, side, stack, outcome))
-    return records
-
-
 # ---------------------------------------------------------------------------
 # result reporting
-
-
-@dataclass
-class ResultsBundle:
-    """Everything a report can draw on; unset pieces skip their files."""
-
-    scenario: ScenarioInputs
-    p1_model: LinearModel | None = None
-    p1_x: np.ndarray | None = None
-    p2_model: LinearModel | None = None
-    p2_x: np.ndarray | None = None
-    p3: BiObjectiveModel | None = None
-    d: DisagreementPoints | None = None
-    tcm: ParetoPoint | None = None
-    bargain: BargainResult | None = None
-
-    def joint_points(self):
-        points = {}
-        if self.tcm is not None:
-            points["tcm"] = self.tcm
-        elif self.bargain is not None:
-            points["tcm"] = self.bargain.tcm
-        if self.bargain is not None:
-            points["nbs"] = self.bargain.nbs
-        return points
 
 
 def emit_report(bundle: ResultsBundle, outdir) -> list[Path]:
     """Write the study tables and hourly series for whatever was solved."""
     points = bundle.joint_points()
-    if bundle.p1_x is None and bundle.p2_x is None and not points:
+    if bundle.p1 is None and bundle.p2 is None and not points:
         raise ValueError("nothing to report: no solve results in the bundle")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -360,12 +260,14 @@ def emit_report(bundle: ResultsBundle, outdir) -> list[Path]:
 
     written.append(_write_summary(bundle, points, outdir / "summary.csv"))
 
-    hourly_sources = []
-    if bundle.p1_model is not None and bundle.p1_x is not None:
-        hourly_sources.append(("p1", bundle.p1_model, bundle.p1_x))
-    for label, point in points.items():
-        if point.assignment is not None and bundle.p3 is not None:
-            hourly_sources.append((label, bundle.p3.base, point.assignment))
+    joint_sources = [
+        (label, bundle.p3.base, point.assignment)
+        for label, point in points.items()
+        if point.assignment is not None and bundle.p3 is not None
+    ]
+    hourly_sources = list(joint_sources)
+    if bundle.p1 is not None:
+        hourly_sources.insert(0, ("p1", bundle.p1_model, bundle.p1.incumbent))
     if hourly_sources:
         label, model, x = hourly_sources[-1]
         written.append(_write_da_commitment(bundle.scenario, model, x, outdir / "da_commitment.csv"))
@@ -373,19 +275,19 @@ def emit_report(bundle: ResultsBundle, outdir) -> list[Path]:
             _write_charging_sources(bundle.scenario, model, x, outdir / "charging_sources.csv")
         )
 
-    bss_sources = []
-    if bundle.p2_model is not None and bundle.p2_x is not None:
-        bss_sources.append(("p2", bundle.p2_model, bundle.p2_x))
-    for label, point in points.items():
-        if point.assignment is not None and bundle.p3 is not None:
-            bss_sources.append((label, bundle.p3.base, point.assignment))
+    bss_sources = list(joint_sources)
+    if bundle.p2 is not None:
+        bss_sources.insert(0, ("p2", bundle.p2_model, bundle.p2.incumbent))
     if bss_sources:
         written.append(_write_reserve_bids(bundle.scenario, bss_sources, outdir / "reserve_bids.csv"))
         written.append(_write_bss_levels(bundle.scenario, bss_sources, outdir / "bss_levels.csv"))
 
     if bundle.bargain is not None:
-        written.append(_write_frontier(bundle.bargain, outdir / "frontier.csv"))
-    return [p for p in written if p is not None]
+        result = bundle.bargain
+        written.append(write_frontier(
+            outdir / "frontier.csv", result.frontier, [("nbs", result.nbs), ("tcm", result.tcm)]
+        ))
+    return written
 
 
 def _value(model: LinearModel, x, name: str) -> float:
@@ -399,10 +301,10 @@ def _write_summary(bundle: ResultsBundle, points, path: Path):
     rows = []
     d1 = bundle.d.d1 if bundle.d is not None else None
     d2 = bundle.d.d2 if bundle.d is not None else None
-    if d1 is None and bundle.p1_model is not None and bundle.p1_x is not None:
-        d1 = objective_value(bundle.p1_model.objective, bundle.p1_x)
-    if d2 is None and bundle.p2_model is not None and bundle.p2_x is not None:
-        d2 = objective_value(bundle.p2_model.objective, bundle.p2_x)
+    if d1 is None and bundle.p1 is not None:
+        d1 = objective_value(bundle.p1_model.objective, bundle.p1.incumbent)
+    if d2 is None and bundle.p2 is not None:
+        d2 = objective_value(bundle.p2_model.objective, bundle.p2.incumbent)
 
     def delta(new, base):
         if new is None or base in (None, 0.0):
@@ -508,22 +410,10 @@ def _write_bss_levels(scn: ScenarioInputs, sources, path: Path):
     return path
 
 
-def _write_frontier(result: BargainResult, path: Path):
-    rows = []
-    for p in result.frontier:
-        rows.append(
-            (
-                "" if p.theta is None else p.theta,
-                p.f_a,
-                p.f_b,
-                p.tau1,
-                p.tau2,
-                p.product,
-            )
-        )
-    rows.append(("nbs", result.nbs.f_a, result.nbs.f_b, result.nbs.tau1, result.nbs.tau2,
-                 result.nbs.product))
-    rows.append(("tcm", result.tcm.f_a, result.tcm.f_b, result.tcm.tau1, result.tcm.tau2,
-                 result.tcm.product))
+def write_frontier(path, frontier, named=()) -> Path:
+    """One row per frontier point, keyed by its storage floor, then one per
+    ``(label, point)`` in ``named``."""
+    keyed = [("" if p.theta is None else p.theta, p) for p in frontier] + list(named)
+    rows = [(key, p.f_a, p.f_b, p.tau1, p.tau2, p.product) for key, p in keyed]
     write_csv(path, ("theta", "f_a", "f_b", "tau1", "tau2", "product"), rows)
-    return path
+    return Path(path)

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
+import numpy as np
+
 LE = "<="
 EQ = "="
 GE = ">="
@@ -129,22 +131,11 @@ def objective_value(coeffs: Mapping[int, float], x) -> float:
 
 def constraint_violation(model: LinearModel, x) -> float:
     """Largest row/bound violation of an assignment (0 when feasible)."""
-    worst = 0.0
-    for con in model.constraints:
-        lhs = sum(c * x[j] for j, c in con.coeffs.items())
-        if con.sense == LE:
-            worst = max(worst, lhs - con.rhs)
-        elif con.sense == GE:
-            worst = max(worst, con.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - con.rhs))
-    for j, var in enumerate(model.variables):
-        worst = max(worst, var.lb - x[j], x[j] - var.ub)
-    return float(worst)
+    from .simplex import standard_form  # simplex builds on this module
 
-
-def assignment_map(model: LinearModel, x) -> dict[str, float]:
-    return {v.name: float(x[j]) for j, v in enumerate(model.variables)}
+    sf = standard_form(model)
+    values = sf.with_slacks(x)
+    return float(np.max(np.maximum(sf.lb - values, values - sf.ub), initial=0.0))
 
 
 @dataclass
@@ -173,46 +164,3 @@ class BiObjectiveModel:
 
     def value_b(self, x) -> float:
         return objective_value(self.obj_b, x)
-
-    def copy(self) -> "BiObjectiveModel":
-        return BiObjectiveModel(clone(self.base), dict(self.obj_a), dict(self.obj_b))
-
-
-def write_lp_format(model: LinearModel, path) -> None:
-    """Dump a model as CPLEX-style LP text for cross-checks with other solvers."""
-    lines = []
-    lines.append("Minimize" if model.sense == MIN else "Maximize")
-    lines.append(" obj: " + _lp_expr(model.objective, model))
-    lines.append("Subject To")
-    for i, con in enumerate(model.constraints):
-        name = con.name or f"c{i}"
-        op = {LE: "<=", EQ: "=", GE: ">="}[con.sense]
-        lines.append(f" {_lp_name(name)}: {_lp_expr(con.coeffs, model)} {op} {con.rhs!r}")
-    lines.append("Bounds")
-    for var in model.variables:
-        lb = "-inf" if var.lb == -INF else repr(var.lb)
-        ub = "+inf" if var.ub == INF else repr(var.ub)
-        lines.append(f" {lb} <= {_lp_name(var.name)} <= {ub}")
-    binaries = [v.name for v in model.variables if v.binary]
-    if binaries:
-        lines.append("Binary")
-        lines.extend(f" {_lp_name(name)}" for name in binaries)
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _lp_name(name: str) -> str:
-    return name.replace("[", "(").replace("]", ")").replace(",", "_").replace(" ", "")
-
-
-def _lp_expr(coeffs: Mapping[int, float], model: LinearModel) -> str:
-    if not coeffs:
-        return "0 " + _lp_name(model.variables[0].name) if model.variables else "0"
-    parts = []
-    for j in sorted(coeffs):
-        c = coeffs[j]
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {abs(c)!r} {_lp_name(model.variables[j].name)}")
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else text

@@ -27,21 +27,6 @@ def _check_prob_series(values: tuple[float, ...], name: str) -> None:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Hourly planning horizon; period -1 refers to a given initial state."""
-
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-
-    @property
-    def hours(self) -> range:
-        return range(self.horizon)
-
-
-@dataclass(frozen=True)
 class PriceProfiles:
     """Hourly day-ahead / real-time energy prices and reserve capacity prices."""
 
@@ -240,10 +225,6 @@ class ScenarioInputs:
     @property
     def horizon(self) -> int:
         return self.prices.horizon
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.horizon)
 
     def require_joint(self) -> JointTerms:
         if self.joint is None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bargain import DisagreementPoints, disagreement_points, solve_nbs
-from .models import build_p1, build_p2, build_p3
+from .bargain import BudgetExhaustedError, InfeasibleError, solve_study
+from .models import AS_WRITTEN
 from .scenario import DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities, ScenarioInputs
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,47 @@ def anova(design: DesignMatrix, responses, model_terms, alpha: float = 0.05) -> 
 # scenario-level studies
 
 
+SWEEP_LABELS = ("low", "median", "high")
+COMMIT_CAP_FACTOR = 2.0  # a sweep cell's day-ahead commitment cap per unit of demand
+
+
+def _percent(gain: float, base: float) -> float:
+    return math.nan if abs(base) < 1e-9 else 100.0 * gain / base
+
+
+def _hub_cost_reduction(bundle) -> float:
+    return _percent(bundle.bargain.nbs.tau1, bundle.d.d1)
+
+
+def _storage_profit_increase(bundle) -> float:
+    return _percent(bundle.bargain.nbs.tau2, bundle.d.d2)
+
+
+def _run_cell(job):
+    """One study cell: the Nash bargain on a scenario, reduced to a response.
+
+    Returns ``(response, None)``, or ``(nan, error)`` when a model the cell
+    needs is infeasible or exhausts its node budget; other errors propagate.
+    """
+    scn, response, settings = job
+    try:
+        bundle = solve_study(scn, "nbs", **settings)
+    except (InfeasibleError, BudgetExhaustedError) as exc:
+        return math.nan, exc
+    return response(bundle), None
+
+
+def _map_cells(jobs, workers: int):
+    """``(response, error)`` per job in job order, from a process pool when
+    ``workers > 1``.  Lazy, so a caller that stops at a failed cell runs no
+    further cells in the serial case."""
+    if workers <= 1:
+        yield from map(_run_cell, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_cell, jobs)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Hub cost-reduction percentage per (DA, RT, demand) level combination."""
@@ -267,31 +308,14 @@ def _apply_price_levels(scn: ScenarioInputs, lam_da, lam_rt) -> ScenarioInputs:
     return replace(scn, prices=prices)
 
 
-def _apply_demand_level(scn: ScenarioInputs, demand, commit_cap_factor: float) -> ScenarioInputs:
+def _apply_demand_level(scn: ScenarioInputs, demand) -> ScenarioInputs:
     dem = DemandProfile(tuple(demand))
     hub = HubSpec(
-        tuple(commit_cap_factor * v for v in dem.ev_load),
+        tuple(COMMIT_CAP_FACTOR * v for v in dem.ev_load),
         scn.hub.station_count,
         scn.hub.station_rate,
     )
     return replace(scn, demand=dem, hub=hub)
-
-
-def _cell_reduction(args):
-    scn, gap, grid_points, refine_tol, node_budget = args
-    try:
-        p1 = build_p1(scn.hub, scn.prices, scn.demand)
-        p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
-        p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
-        d = disagreement_points(p1, p2, gap, node_budget)
-        result = solve_nbs(
-            p3, d, grid_points=grid_points, refine_tol=refine_tol, gap=gap, node_budget=node_budget
-        )
-        if abs(d.d1) < 1e-9:
-            return math.nan
-        return 100.0 * (d.d1 - result.nbs.f_a) / d.d1
-    except (ValueError, RuntimeError):
-        return math.nan
 
 
 def sweep_grid(
@@ -300,40 +324,37 @@ def sweep_grid(
     rt_levels,
     demand_levels,
     *,
+    deployment_revenue: str = AS_WRITTEN,
     gap: float = 5e-4,
     grid_points: int = 9,
-    refine_tol: float = 1e-6,
     node_budget: int = 200_000,
     workers: int = 1,
-    commit_cap_factor: float = 2.0,
-    labels: tuple[str, str, str] = ("low", "median", "high"),
 ) -> SweepResult:
     """27-cell sensitivity of the bargain's hub cost reduction to price and
-    demand levels, with reserve-side inputs pinned at the template's values."""
+    demand levels, with reserve-side inputs pinned at the template's values.
+
+    A cell whose models are infeasible or exhaust the node budget is NaN and
+    flagged."""
     for name, levels in (("da", da_levels), ("rt", rt_levels), ("demand", demand_levels)):
         if len(levels) != 3:
             raise ValueError(f"{name}_levels must have exactly 3 entries")
     template.require_joint()
 
-    cells = []
+    settings = dict(
+        deployment_revenue=deployment_revenue, gap=gap, grid_points=grid_points,
+        node_budget=node_budget,
+    )
+    jobs = []
     for lam_da in da_levels:
         for lam_rt in rt_levels:
             for demand in demand_levels:
                 scn = _apply_price_levels(template, lam_da, lam_rt)
-                scn = _apply_demand_level(scn, demand, commit_cap_factor)
-                cells.append((scn, gap, grid_points, refine_tol, node_budget))
+                scn = _apply_demand_level(scn, demand)
+                jobs.append((scn, _hub_cost_reduction, settings))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_cell_reduction, cells))
-    else:
-        values = [_cell_reduction(cell) for cell in cells]
-
+    values = [value for value, _ in _map_cells(jobs, workers)]
     grid = np.array(values).reshape(3, 3, 3)
-    return SweepResult(grid, np.isnan(grid), labels)
-
-
-RESERVE_FACTOR_NAMES = ("lambda_up", "lambda_dn", "acc_up", "acc_dn", "dep_up", "dep_dn")
+    return SweepResult(grid, np.isnan(grid), SWEEP_LABELS)
 
 
 def apply_reserve_levels(scn: ScenarioInputs, assignment: dict) -> ScenarioInputs:
@@ -353,40 +374,32 @@ def apply_reserve_levels(scn: ScenarioInputs, assignment: dict) -> ScenarioInput
     return replace(scn, prices=prices, probabilities=probs)
 
 
-def _factorial_response(args):
-    scn, gap, grid_points, refine_tol, node_budget = args
-    p1 = build_p1(scn.hub, scn.prices, scn.demand)
-    p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
-    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
-    d = disagreement_points(p1, p2, gap, node_budget)
-    result = solve_nbs(
-        p3, d, grid_points=grid_points, refine_tol=refine_tol, gap=gap, node_budget=node_budget
-    )
-    if abs(d.d2) < 1e-9:
-        return math.nan
-    return 100.0 * (result.nbs.f_b - d.d2) / d.d2
-
-
 def factorial_profit_study(
     template: ScenarioInputs,
     factors,
     *,
+    deployment_revenue: str = AS_WRITTEN,
     gap: float = 5e-4,
     grid_points: int = 9,
-    refine_tol: float = 1e-6,
     node_budget: int = 200_000,
     workers: int = 1,
 ):
-    """Run the 32 design cells and return (design, profit-increase responses)."""
+    """Run the 32 design cells and return (design, profit-increase responses).
+
+    A run whose models are infeasible or exhaust the node budget stops the
+    study with the same error, naming the run."""
     design = fractional_factorial_design(factors)
-    jobs = []
-    for assignment in design.runs():
-        jobs.append(
-            (apply_reserve_levels(template, assignment), gap, grid_points, refine_tol, node_budget)
-        )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            responses = list(pool.map(_factorial_response, jobs))
-    else:
-        responses = [_factorial_response(job) for job in jobs]
+    settings = dict(
+        deployment_revenue=deployment_revenue, gap=gap, grid_points=grid_points,
+        node_budget=node_budget,
+    )
+    jobs = [
+        (apply_reserve_levels(template, assignment), _storage_profit_increase, settings)
+        for assignment in design.runs()
+    ]
+    responses = []
+    for run, (value, error) in enumerate(_map_cells(jobs, workers)):
+        if error is not None:
+            raise type(error)(f"anova run {run}: {error}") from error
+        responses.append(value)
     return design, np.array(responses)

@@ -115,6 +115,14 @@ class StandardForm:
         """``y [A I]`` for a vector over the ``m`` rows."""
         return np.bincount(self.col, weights=y[self.row] * self.val, minlength=len(self.ptr) - 1)
 
+    def with_slacks(self, x) -> np.ndarray:
+        """The model's variable values ``x`` followed by the slack of each row."""
+        ns = len(self.lb) - len(self.b)
+        values = np.zeros(len(self.lb))
+        values[:ns] = x
+        values[ns:] = self.b - self.matvec(values)
+        return values
+
 
 def standard_form(model: LinearModel) -> StandardForm:
     """The column-sparse equality form of ``model``; exact zero coefficients are dropped."""
@@ -640,9 +648,7 @@ def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport
         c[j] = sign * cval
     y = sign * np.asarray(sol.dual, dtype=float)
 
-    values = np.zeros(ns + m)
-    values[:ns] = sol.primal
-    values[ns:] = sf.b - sf.matvec(values)  # slack of each row
+    values = sf.with_slacks(sol.primal)
     lo, hi = sf.lb, sf.ub
 
     viol = np.maximum(lo - values, values - hi)

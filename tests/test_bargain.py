@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from coopt.bargain import (
     BargainResult,
     DisagreementPoints,
-    cone_bound_holds,
-    disagreement_points,
     pareto_frontier,
     solve_nbs,
+    solve_study,
     solve_tcm,
     verify_axioms,
 )
@@ -25,7 +25,7 @@ from coopt.linear import (
     Variable,
     with_objective,
 )
-from coopt.models import build_p1, build_p2, build_p3
+from coopt.models import build_p3
 from coopt.scenario import DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities
 
 from conftest import tiny_scenario
@@ -51,20 +51,6 @@ def linear_frontier_toy():
         MIN,
     )
     return BiObjectiveModel(base, {0: 1.0}, {0: -1.0, 1: 10.0}), DisagreementPoints(10.0, 0.0)
-
-
-def test_cone_identity_matches_direct_product():
-    grid = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
-    for u in grid:
-        for v in grid:
-            for w in grid:
-                direct = u * u <= v * w + 1e-9
-                assert cone_bound_holds(u, v, w) == direct
-
-
-def test_cone_identity_rejects_negative():
-    with pytest.raises(ValueError):
-        cone_bound_holds(-1.0, 1.0, 1.0)
 
 
 def test_symmetric_toy_splits_gains_evenly():
@@ -128,11 +114,7 @@ def test_gamma_identity():
 
 def test_product_dominates_frontier_and_tcm():
     scn = tiny_scenario(T=2, K=1, seed=12)
-    p1 = build_p1(scn.hub, scn.prices, scn.demand)
-    p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
-    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
-    d = disagreement_points(p1, p2, gap=1e-9)
-    result = solve_nbs(p3, d, grid_points=9, gap=1e-9)
+    result = solve_study(scn, "nbs", grid_points=9, gap=1e-9).bargain
     for p in result.frontier:
         assert result.nbs.product >= p.product - 1e-6
     assert result.nbs.product >= result.tcm.product - 1e-6
@@ -150,14 +132,13 @@ def test_separable_scenario_collapses_to_disagreement():
     probs = ReserveProbabilities((0.0,), (0.0,), (0.0,), (0.0,))
     demand = DemandProfile((0.0,))
     hub = HubSpec((0.0,), 1, 100.0)
-    scn = tiny_scenario(T=1, K=1)
-    p1 = build_p1(hub, prices, demand)
-    p2 = build_p2(scn.bss, prices, probs)
-    p3 = build_p3(hub, scn.bss, prices, probs, demand, scn.joint)
-    d = disagreement_points(p1, p2, gap=1e-9)
+    scn = replace(
+        tiny_scenario(T=1, K=1), prices=prices, probabilities=probs, demand=demand, hub=hub
+    )
+    study = solve_study(scn, "tcm", gap=1e-9)
+    p3, d, tcm = study.p3, study.d, study.tcm
     assert d.d1 == pytest.approx(0.0, abs=1e-9)
     assert d.d2 == pytest.approx(0.0, abs=1e-9)
-    tcm = solve_tcm(p3, 1e-9, d=d)
     assert tcm.f_a == pytest.approx(d.d1, abs=1e-7)
     assert tcm.f_b == pytest.approx(d.d2, abs=1e-7)
     result = solve_nbs(p3, d, grid_points=5, gap=1e-9)
@@ -182,10 +163,10 @@ def test_disagreement_points_zero_scenario():
     probs = ReserveProbabilities((0.0,) * 2, (0.0,) * 2, (0.0,) * 2, (0.0,) * 2)
     demand = DemandProfile((0.0, 0.0))
     hub = HubSpec((10.0, 10.0), 1, 100.0)
-    scn = tiny_scenario(T=2, K=1)
-    d = disagreement_points(
-        build_p1(hub, prices, demand), build_p2(scn.bss, prices, probs), gap=1e-9
+    scn = replace(
+        tiny_scenario(T=2, K=1), prices=prices, probabilities=probs, demand=demand, hub=hub
     )
+    d = solve_study(scn, "tcm", gap=1e-9).d
     assert d.d1 == pytest.approx(0.0, abs=1e-9)
     assert d.d2 == pytest.approx(0.0, abs=1e-9)
 
@@ -218,10 +199,7 @@ def test_axioms_when_cooperation_cannot_help():
 
 def test_rescaling_keeps_selected_point():
     scn = tiny_scenario(T=2, K=1, seed=30)
-    p1 = build_p1(scn.hub, scn.prices, scn.demand)
-    p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
-    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
-    d = disagreement_points(p1, p2, gap=1e-9)
-    result = solve_nbs(p3, d, grid_points=9, gap=1e-9)
+    study = solve_study(scn, "nbs", grid_points=9, gap=1e-9)
+    p3, d, result = study.p3, study.d, study.bargain
     report = verify_axioms(result, p3, d, gap=1e-9, grid_points=9, rescale=3.0)
     assert report.affine_invariance, report.details

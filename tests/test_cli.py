@@ -1,7 +1,17 @@
+import math
 from pathlib import Path
 
+import pytest
+
+from coopt import bargain
+from coopt.bargain import solve_study
+from coopt.bnb import BUDGET_EXHAUSTED, INFEASIBLE, MilpSolution
 from coopt.cli import main
-from coopt.io import EXIT_BUDGET_EXHAUSTED
+from coopt.io import EXIT_BUDGET_EXHAUSTED, EXIT_INFEASIBLE, EXIT_OK, load_scenario, save_scenario
+from coopt.linear import MAX
+from coopt.models import SINGLE_SCALED
+
+from conftest import tiny_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -16,3 +26,80 @@ def test_exhausted_node_budget_in_p3_command_exits_4(tmp_path, capsys):
     assert code == EXIT_BUDGET_EXHAUSTED
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["total-cost model: node budget exhausted before reaching the gap target"]
+
+
+def test_infeasible_model_in_p3_command_exits_3(tmp_path, capsys, monkeypatch):
+    real_solve = bargain.solve_milp
+    calls = []
+
+    def third_solve_infeasible(model, *args, **kwargs):
+        calls.append(model)
+        if len(calls) <= 2:  # P1 and P2 solve as usual
+            return real_solve(model, *args, **kwargs)
+        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, 1)
+
+    monkeypatch.setattr(bargain, "solve_milp", third_solve_infeasible)
+    path = tmp_path / "tiny.scenario"
+    save_scenario(tiny_scenario(), path)
+    code = main(["solve-p3-tcm", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.strip().splitlines() == ["total-cost model: model is infeasible"]
+
+
+def test_anova_run_out_of_nodes_exits_4_and_names_the_run(tmp_path, capsys, monkeypatch):
+    real_solve = bargain.solve_milp
+
+    def storage_model_exhausted(model, *args, **kwargs):
+        if model.sense == MAX:
+            return MilpSolution(BUDGET_EXHAUSTED, None, math.nan, 1e6, math.inf, 40)
+        return real_solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(bargain, "solve_milp", storage_model_exhausted)
+    code = main([
+        "anova",
+        "--scenario", str(SCENARIOS / "median_k2.scenario"),
+        "--days", "3",
+        "--out", str(tmp_path),
+    ])
+    assert code == EXIT_BUDGET_EXHAUSTED
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "anova run 0: storage model: node budget exhausted before reaching the gap target"
+    ]
+
+
+def test_nbs_command_prints_the_solve_study_result(tmp_path, capsys):
+    path = tmp_path / "tiny.scenario"
+    save_scenario(tiny_scenario(T=2, K=1, seed=12), path)
+    code = main([
+        "solve-p3-nbs", "--scenario", str(path), "--grid-points", "2",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    nbs = solve_study(load_scenario(path), "nbs", grid_points=2).bargain.nbs
+    assert f"nbs hub cost: {nbs.f_a!r}" in printed
+    assert f"nash product: {nbs.product!r}" in printed
+
+
+class StorageModelBuilt(Exception):
+    """Stops a command once the storage model's build has been seen."""
+
+
+@pytest.mark.parametrize("command", ["sweep", "anova"])
+def test_study_commands_honour_deployment_revenue(tmp_path, monkeypatch, command):
+    seen = []
+
+    def record_mode(bss, prices, probs, deployment_revenue):
+        seen.append(deployment_revenue)
+        raise StorageModelBuilt
+
+    monkeypatch.setattr(bargain, "build_p2", record_mode)
+    with pytest.raises(StorageModelBuilt):
+        main([
+            command,
+            "--scenario", str(SCENARIOS / "median_k2.scenario"),
+            "--deployment-revenue", SINGLE_SCALED,
+            "--days", "3",
+            "--out", str(tmp_path),
+        ])
+    assert seen == [SINGLE_SCALED]

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from coopt import bargain
+from coopt.bnb import BUDGET_EXHAUSTED, MilpSolution, SolverError
+from coopt.models import AS_WRITTEN, SINGLE_SCALED
 from coopt.sensitivity import (
     AnovaTable,
     FactorSpec,
     anova,
     default_model_terms,
     f_cdf,
+    factorial_profit_study,
     f_critical,
     f_survival,
     fractional_factorial_design,
@@ -223,3 +227,54 @@ def test_sweep_requires_three_levels():
     with pytest.raises(ValueError):
         sweep_grid(scn, [scn.prices.lambda_da], [scn.prices.lambda_rt] * 3,
                    [scn.demand.ev_load] * 3)
+
+
+def same_levels(scn):
+    return (
+        [scn.prices.lambda_da] * 3, [scn.prices.lambda_rt] * 3, [scn.demand.ev_load] * 3
+    )
+
+
+def test_sweep_flags_failed_cells_and_propagates_solver_errors(monkeypatch):
+    scn = tiny_scenario(T=2, K=1)
+    exhausted = MilpSolution(BUDGET_EXHAUSTED, None, math.nan, math.nan, math.inf, 1)
+    monkeypatch.setattr(bargain, "solve_milp", lambda *args, **kwargs: exhausted)
+    result = sweep_grid(scn, *same_levels(scn))
+    assert result.flags.all()
+    assert np.isnan(result.reductions).all()
+
+    def stopped(*args, **kwargs):
+        raise SolverError("simplex stopped on the root relaxation: singular")
+
+    monkeypatch.setattr(bargain, "solve_milp", stopped)
+    with pytest.raises(SolverError):
+        sweep_grid(scn, *same_levels(scn))
+
+
+class StorageModelBuilt(Exception):
+    """Stops a study once the storage model's build has been seen."""
+
+
+def test_studies_pass_deployment_revenue_to_the_storage_model(monkeypatch):
+    seen = []
+
+    def record_mode(bss, prices, probs, deployment_revenue=AS_WRITTEN):
+        seen.append(deployment_revenue)
+        raise StorageModelBuilt
+
+    monkeypatch.setattr(bargain, "build_p2", record_mode)
+    scn = tiny_scenario(T=2, K=1)
+    with pytest.raises(StorageModelBuilt):
+        sweep_grid(scn, *same_levels(scn), deployment_revenue=SINGLE_SCALED)
+    series = {
+        "lambda_up": scn.prices.lambda_up,
+        "lambda_dn": scn.prices.lambda_dn,
+        "acc_up": scn.probabilities.acc_up,
+        "acc_dn": scn.probabilities.acc_dn,
+        "dep_up": scn.probabilities.dep_up,
+        "dep_dn": scn.probabilities.dep_dn,
+    }
+    factors = [FactorSpec(name, (values, values)) for name, values in series.items()]
+    with pytest.raises(StorageModelBuilt):
+        factorial_profit_study(scn, factors, deployment_revenue=SINGLE_SCALED)
+    assert seen == [SINGLE_SCALED, SINGLE_SCALED]
