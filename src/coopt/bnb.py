@@ -60,6 +60,11 @@ def _relative_gap(objective: float, bound: float) -> float:
     return abs(objective - bound) / max(1.0, abs(objective))
 
 
+def fractionality(x: np.ndarray) -> np.ndarray:
+    """Distance of each value to its nearest integer."""
+    return np.minimum(x - np.floor(x), np.ceil(x) - x)
+
+
 def exclusivity_pairs(model: LinearModel) -> dict[int, list[int]]:
     """Partner map from rows ``x + y <= 1`` over exactly two binaries."""
     binaries = set(model.binary_indices())
@@ -180,13 +185,7 @@ def solve_milp(
             if z >= incumbent_z - slack():
                 pruned_floor = min(pruned_floor, z)
             else:
-                frac = np.array(
-                    [
-                        min(sol.primal[j] - math.floor(sol.primal[j]),
-                            math.ceil(sol.primal[j]) - sol.primal[j])
-                        for j in binaries
-                    ]
-                )
+                frac = fractionality(sol.primal[binaries])
                 if float(frac.max(initial=0.0)) <= INT_TOL:
                     incumbent_z = z
                     incumbent_x = sol.primal.copy()
@@ -244,15 +243,12 @@ def _fix_binaries_and_solve(solver, binaries, partners, lb0, ub0, values, warm, 
     lb = lb0.copy()
     ub = ub0.copy()
     done = set()
-
-    def frac(j):
-        return min(values[j] - math.floor(values[j]), math.ceil(values[j]) - values[j])
-
+    frac = fractionality(np.asarray(values, dtype=float))
     for j in binaries:
         if j in done:
             continue
         pals = [p for p in partners.get(j, ()) if p not in done]
-        if pals and (frac(j) > INT_TOL or frac(pals[0]) > INT_TOL):
+        if pals and (frac[j] > INT_TOL or frac[pals[0]] > INT_TOL):
             p = pals[0]
             pick = j if values[j] >= values[p] else p
             other = p if pick == j else j

@@ -296,15 +296,10 @@ def _value(model: LinearModel, x, name: str) -> float:
 
 
 def _write_summary(bundle: ResultsBundle, points, path: Path):
-    from .linear import objective_value
-
     rows = []
-    d1 = bundle.d.d1 if bundle.d is not None else None
-    d2 = bundle.d.d2 if bundle.d is not None else None
-    if d1 is None and bundle.p1 is not None:
-        d1 = objective_value(bundle.p1_model.objective, bundle.p1.incumbent)
-    if d2 is None and bundle.p2 is not None:
-        d2 = objective_value(bundle.p2_model.objective, bundle.p2.incumbent)
+    # the solver's objectives, which are also what the command prints and the disagreement point
+    d1 = bundle.p1.objective if bundle.p1 is not None else None
+    d2 = bundle.p2.objective if bundle.p2 is not None else None
 
     def delta(new, base):
         if new is None or base in (None, 0.0):

@@ -11,7 +11,20 @@ basic slack and artificial columns, which are signed unit vectors, and
 inverts only the block of basic structural columns on the rows no unit
 column covers.  Between refactorizations each pivot updates only the rows
 of the inverse where the entering column is nonzero, which gives the same
-numbers as the dense rank-one update.
+numbers as the dense rank-one update.  Every ``REFACTOR_EVERY`` updates
+(the inverse's age) the simplex loops build a fresh inverse.
+
+The solver keeps the factorizations of its last ``KEPT_FACTORIZATIONS``
+optimal bases, each with its age, and drops the least recently used.  A
+warm start whose basis is kept reuses that inverse.  Otherwise it repairs
+the kept factorization that needs the fewest updates, its age plus the
+number of warm-basis columns it lacks: each lacking column is swapped in
+by one update, leaving at the dropped position where the entering column
+is largest.  A repair that would use more than half of ``REFACTOR_EVERY``,
+so leaving the node less than half its update budget, or that meets a
+pivot below ``REPAIR_PIVOT_TOL`` of the column's largest entry builds a
+fresh inverse instead.  Bases holding artificial columns, whose signs
+change from solve to solve, are never kept or repaired.
 
 Cold starts run a phase-1 with artificial columns (sum of infeasibilities)
 followed by phase-2; warm starts reuse a caller-supplied basis, running plain
@@ -26,6 +39,7 @@ keeps the pivot sequence deterministic and cycle-free.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +56,8 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-8
 PIV_TOL = 1e-9
 REFACTOR_EVERY = 50
+KEPT_FACTORIZATIONS = 4
+REPAIR_PIVOT_TOL = 1e-7
 STALL_LIMIT = 500
 
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
@@ -182,7 +198,10 @@ class SimplexSolver:
         self.m = m
         self.nsm = ns + m
         self.ncols = ns + 2 * m
-        self._binv_cache: dict[bytes, np.ndarray] = {}
+        # basis bytes -> (basis, inverse, age), least recently used first
+        self._kept: OrderedDict[bytes, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
+        self.refactors = 0  # block inverses computed, over every solve
+        self.repairs = 0  # warm starts served by repairing a kept factorization
 
         self.sf = standard_form(model)
 
@@ -234,7 +253,7 @@ class SimplexSolver:
                 obj = math.nan
             return LpSolution(status, None, None, obj, getattr(self, "iterations", 0))
         if self.m and np.all(self.basis < self.nsm):
-            self._cache_binv(self.basis.tobytes())  # children warm-start from here
+            self._keep()  # children warm-start from here
         self._recompute_x()
         bl = self.lb[self.basis]
         bu = self.ub[self.basis]
@@ -283,29 +302,68 @@ class SimplexSolver:
         return True
 
     def _factor_basis(self) -> bool:
-        m = self.m
-        if m == 0:
+        """Fresh inverse of the current basis; False when it is singular."""
+        if self.m == 0:
             self.Binv = np.zeros((0, 0))
             self.pivots_since_refactor = 0
             return True
-        # bases repeat heavily across warm-started solves; cache their inverses
-        # with their update age so accumulated eta error stays bounded
-        # (artificial columns change sign per solve, so those bases are exempt)
-        cacheable = bool(np.all(self.basis < self.nsm))
-        key = self.basis.tobytes() if cacheable else b""
-        cached = self._binv_cache.get(key) if cacheable else None
-        if cached is not None:
-            binv, age = cached
-            self.Binv = binv.copy()
-            self.pivots_since_refactor = age
-            return True
         binv = self._block_inverse()
+        self.refactors += 1
         if binv is None:
             return False
         self.Binv = binv
         self.pivots_since_refactor = 0
-        if cacheable:
-            self._cache_binv(key)
+        return True
+
+    def _factor_warm_basis(self) -> bool:
+        """Inverse of a warm basis: kept, repaired from a kept one, or fresh."""
+        if np.any(self.basis >= self.nsm):
+            return self._factor_basis()
+        key = self.basis.tobytes()
+        kept = self._kept.get(key)
+        if kept is not None:
+            self._kept.move_to_end(key)
+            self.Binv = kept[1].copy()
+            self.pivots_since_refactor = kept[2]
+            return True
+        return self._repair() or self._factor_basis()
+
+    def _repair(self) -> bool:
+        """Swap the current basis's columns into its nearest kept factorization.
+
+        Returns False, leaving ``Binv`` to be rebuilt, when no kept basis is
+        within half the update budget or a swap's pivot is too small.
+        """
+        target = self.basis
+        wanted = np.zeros(self.ncols, dtype=bool)
+        wanted[target] = True
+        best, best_cost = None, REFACTOR_EVERY // 2 + 1
+        for key, (basis, _, age) in reversed(self._kept.items()):
+            cost = age + int(np.count_nonzero(~wanted[basis]))
+            if cost < best_cost:
+                best, best_cost = key, cost
+        if best is None:
+            return False
+        self._kept.move_to_end(best)
+        basis, binv, age = self._kept[best]
+        basis = basis.copy()
+        self.Binv = binv.copy()
+        self.pivots_since_refactor = age
+        present = np.zeros(self.ncols, dtype=bool)
+        present[basis] = True
+        open_rows = np.flatnonzero(~wanted[basis])
+        for q in target[~present[target]]:
+            w = self._ftran(q)
+            size = np.abs(w[open_rows])
+            i = int(np.argmax(size))
+            if size[i] <= REPAIR_PIVOT_TOL * np.max(np.abs(w)):
+                return False
+            r = open_rows[i]
+            self._eta_update(w, r)
+            basis[r] = q
+            open_rows = np.delete(open_rows, i)
+        self.basis = basis  # the warm basis's columns, in the kept basis's row order
+        self.repairs += 1
         return True
 
     def _block_inverse(self) -> np.ndarray | None:
@@ -352,10 +410,15 @@ class SimplexSolver:
         binv[np.ix_(U, N)] = -(BR[:, used] @ Kinv[used]) / s[:, None]
         return binv
 
-    def _cache_binv(self, key: bytes) -> None:
-        if len(self._binv_cache) > 32:
-            self._binv_cache.clear()
-        self._binv_cache[key] = (self.Binv.copy(), self.pivots_since_refactor)
+    def _keep(self) -> None:
+        key = self.basis.tobytes()
+        self._kept.pop(key, None)
+        if len(self._kept) >= KEPT_FACTORIZATIONS:
+            self._kept.popitem(last=False)
+        # kept without a copy: every solve starts from a new inverse, and read-only
+        # makes an update in place of a kept one raise instead of corrupting it
+        self.Binv.flags.writeable = False
+        self._kept[key] = (self.basis.copy(), self.Binv, self.pivots_since_refactor)
 
     def _recompute_x(self) -> None:
         nonbasic = self.stat != _BASIC
@@ -450,8 +513,9 @@ class SimplexSolver:
         self.lb[self.nsm :] = 0.0
         self.ub[self.nsm :] = 0.0
         self.stat = _repair_status(warm.vstat, self.lb, self.ub)
-        if not self._refactor():  # also places the nonbasic columns on their bounds
+        if not self._factor_warm_basis():
             return None
+        self._recompute_x()  # places the nonbasic columns on their bounds
 
         xb = self.x[self.basis]
         primal_viol = float(

@@ -10,6 +10,7 @@ from coopt.bnb import (
     OPTIMAL_WITHIN_GAP,
     enumerate_binaries,
     exclusivity_pairs,
+    fractionality,
     solve_milp,
 )
 from coopt.linear import GE, LE, MAX, MIN, Constraint, LinearModel, Variable
@@ -143,6 +144,24 @@ def test_bound_monotone_in_progress_log():
         sign = 1.0 if model.sense == MIN else -1.0
         seq = [sign * b for b in bounds]
         assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(seq, seq[1:]))
+
+
+def fractionality_loop(values):
+    """Per-value distance to the nearest integer, as branch-and-bound computed it before."""
+    return np.array([min(v - math.floor(v), math.ceil(v) - v) for v in values])
+
+
+def test_vectorized_fractionality_equals_loop():
+    rng = np.random.default_rng(13)
+    values = np.concatenate([
+        rng.uniform(-3.0, 3.0, 200),
+        rng.integers(-3, 4, 50).astype(float),  # exact integers
+        0.5 + rng.uniform(-1e-12, 1e-12, 50),  # near a tie between floor and ceil
+        np.array([0.5, -0.5, 1.5, 1e-7, 1.0 - 1e-7, -0.0, 0.0, 1.0]),
+        rng.integers(0, 2, 50) + rng.uniform(-1e-6, 1e-6, 50),  # binaries within INT_TOL
+    ])
+    # equal as numbers; only the sign of zero can differ (the loop gives -0.0 for x = -0.0)
+    assert np.array_equal(fractionality(values), fractionality_loop(values))
 
 
 def test_exclusivity_pairs_detected():

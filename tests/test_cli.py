@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -103,3 +104,17 @@ def test_study_commands_honour_deployment_revenue(tmp_path, monkeypatch, command
             "--out", str(tmp_path),
         ])
     assert seen == [SINGLE_SCALED]
+
+
+@pytest.mark.parametrize(
+    "command, label, quantity",
+    [("solve-p1", "hub cost", "hub_cost"), ("solve-p2", "bss profit", "bss_profit")],
+)
+def test_independent_objective_in_summary_is_the_printed_one(tmp_path, capsys, command, label, quantity):
+    path = tmp_path / "tiny.scenario"
+    save_scenario(tiny_scenario(T=3, K=2, seed=4), path)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines() if ": " in line)
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = {row["quantity"]: row for row in csv.DictReader(fh)}
+    assert float(rows[quantity]["independent"]) == float(printed[label])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coopt import simplex
 from coopt.linear import EQ, GE, LE, MAX, MIN, Constraint, LinearModel, Variable
 from coopt.simplex import (
     _AT_LB,
@@ -10,7 +11,9 @@ from coopt.simplex import (
     _BASIC,
     _FREE,
     INFEASIBLE,
+    KEPT_FACTORIZATIONS,
     OPTIMAL,
+    REFACTOR_EVERY,
     UNBOUNDED,
     SimplexSolver,
     _repair_status,
@@ -406,3 +409,166 @@ def test_vectorized_status_repair_equals_loop():
         got = _repair_status(stat, lb, ub)
         assert got.dtype == stat.dtype
         assert np.array_equal(got, repair_status_loop(stat, lb, ub))
+
+
+# -- kept factorizations and their repair ---------------------------------------
+
+
+def structural_and_slack_basis(rng, solver):
+    """Random basis of slack columns on some rows and structural columns elsewhere."""
+    m, ns = solver.m, solver.ns
+    rows = rng.permutation(m)[: int(rng.integers(0, m + 1))]
+    structural = rng.permutation(ns)[: m - len(rows)]
+    return rng.permutation(np.concatenate([ns + rows, structural]).astype(np.intp))
+
+
+def test_repaired_inverse_matches_dense_inverse():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(200):
+        m = int(rng.integers(2, 10))
+        solver = SimplexSolver(random_sparse_model(rng, m + int(rng.integers(2, 8)), m, density=0.6))
+        solver.art_sign = np.ones(m)
+        solver.basis = structural_and_slack_basis(rng, solver)
+        if not solver._factor_basis():
+            continue
+        solver._keep()
+        # swap k random columns of the kept basis for columns outside it, in a new order
+        k = int(rng.integers(1, min(m, 5) + 1))
+        outside = np.setdiff1d(np.arange(solver.nsm), solver.basis)
+        if outside.size < k:
+            continue
+        target = solver.basis.copy()
+        target[rng.permutation(m)[:k]] = rng.permutation(outside)[:k]
+        solver.basis = rng.permutation(target)
+        if np.linalg.cond(basis_matrix(solver)) > 1e6:
+            continue
+        if not solver._repair():
+            continue
+        assert sorted(solver.basis) == sorted(target)
+        ref = np.linalg.inv(basis_matrix(solver))
+        assert np.max(np.abs(solver.Binv - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert solver.pivots_since_refactor == k
+        checked += 1
+    assert checked > 60
+
+
+def test_kept_factorizations_are_bounded():
+    rng = np.random.default_rng(3)
+    model = random_sparse_model(rng, 30, 20, density=0.2)
+    solver = SimplexSolver(model)
+    root = solver.solve()
+    lb0 = np.array([v.lb for v in model.variables])
+    ub0 = np.array([v.ub for v in model.variables])
+    distinct = set()
+    for _ in range(40):
+        lb, ub = lb0.copy(), ub0.copy()
+        j = int(rng.integers(0, model.n))
+        lb[j] = ub[j] = float(rng.integers(-1, 5))
+        sol = solver.solve(lb=lb, ub=ub, warm=root.warm if rng.random() < 0.5 else None)
+        if sol.status == OPTIMAL:
+            distinct.add(sol.warm.basis.tobytes())
+        assert len(solver._kept) <= KEPT_FACTORIZATIONS
+    assert len(distinct) > KEPT_FACTORIZATIONS
+    assert len(solver._kept) == KEPT_FACTORIZATIONS
+
+
+def plunge(solver, model, warm):
+    """Pin one more variable per level, each level warm-started from the one above,
+    as a depth-first branch-and-bound dive does; returns each level's bounds and warm start."""
+    lb = np.array([v.lb for v in model.variables])
+    ub = np.array([v.ub for v in model.variables])
+    levels = []
+    for j in range(model.n):
+        pinned = ub.copy()
+        pinned[j] = lb[j]
+        sol = solver.solve(ub=pinned, warm=warm)
+        if sol.status == OPTIMAL:
+            levels.append((ub, warm))
+            ub, warm = pinned, sol.warm
+    return levels
+
+
+def test_evicted_warm_basis_is_repaired():
+    rng = np.random.default_rng(3)
+    model = random_sparse_model(rng, 30, 20, density=0.2)
+    solver = SimplexSolver(model)
+    root = solver.solve()
+    plunge(solver, model, root.warm)
+    assert root.warm.basis.tobytes() not in solver._kept
+    root_set = set(root.warm.basis.tolist())
+    assert all(set(basis.tolist()) != root_set for basis, _, _ in solver._kept.values())
+
+    sibling = np.array([v.ub for v in model.variables])
+    sibling[-1] = 0.0
+    refactors, repairs = solver.refactors, solver.repairs
+    warm_sol = solver.solve(ub=sibling, warm=root.warm)
+    assert (solver.refactors, solver.repairs) == (refactors, repairs + 1)
+    cold_sol = SimplexSolver(model).solve(ub=sibling)
+    assert warm_sol.status == cold_sol.status == OPTIMAL
+    assert warm_sol.objective == pytest.approx(cold_sol.objective, rel=1e-12, abs=1e-9)
+
+
+def one_swap_from_kept(row0, age):
+    """A solver that keeps the slack basis at ``age`` and is asked for x in place
+    of the first slack; x has ``row0`` on row 0 and 1 on row 1."""
+    model = lp(
+        [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)],
+        [Constraint({0: row0}, LE, 1.0), Constraint({0: 1.0, 1: 1.0}, LE, 4.0)],
+        {},
+    )
+    solver = SimplexSolver(model)
+    solver.art_sign = np.ones(2)
+    solver.basis = np.array([2, 3])
+    assert solver._factor_basis()
+    solver.pivots_since_refactor = age
+    solver._keep()
+    solver.basis = np.array([0, 3])
+    return solver
+
+
+@pytest.mark.parametrize("age, repaired", [(REFACTOR_EVERY // 2 - 1, True), (REFACTOR_EVERY // 2, False)])
+def test_repair_leaves_half_the_update_budget(age, repaired):
+    solver = one_swap_from_kept(1.0, age)  # age + 1 updates
+    assert solver._factor_warm_basis()
+    assert (solver.repairs, solver.refactors) == ((1, 1) if repaired else (0, 2))
+    assert solver.pivots_since_refactor == (age + 1 if repaired else 0)
+
+
+def test_tiny_repair_pivot_falls_back_to_fresh_inverse():
+    solver = one_swap_from_kept(1e-9, 0)  # pivot 1e-9 against 1 on row 1
+    assert not solver._repair()
+    assert solver._factor_warm_basis()
+    assert (solver.refactors, solver.repairs) == (2, 0)
+    ref = np.linalg.inv(basis_matrix(solver))
+    assert np.max(np.abs(solver.Binv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_age_triggered_refactor_builds_a_fresh_inverse(monkeypatch):
+    # a short budget makes the simplex loops refactor by age while warm starts still repair
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", 8)
+    real_refactor = SimplexSolver._refactor
+    seen = []
+
+    def refactor(self):
+        wanted = np.zeros(self.ncols, dtype=bool)
+        wanted[self.basis] = True
+        costs = [age + np.count_nonzero(~wanted[basis]) for basis, _, age in self._kept.values()]
+        before = (self.refactors, self.repairs)
+        done = real_refactor(self)
+        reachable = min(costs, default=math.inf) <= simplex.REFACTOR_EVERY // 2
+        seen.append((self.refactors - before[0], self.repairs - before[1], reachable))
+        return done
+
+    monkeypatch.setattr(SimplexSolver, "_refactor", refactor)
+    rng = np.random.default_rng(5)
+    model = random_sparse_model(rng, 30, 20, density=0.2)
+    solver = SimplexSolver(model)
+    levels = plunge(solver, model, solver.solve().warm)
+    for ub, warm in levels:  # each level's sibling, from a warm start that may be evicted
+        sibling = ub.copy()
+        sibling[-1] = 0.0
+        solver.solve(ub=sibling, warm=warm)
+    assert solver.repairs > 0
+    assert any(reachable for _, _, reachable in seen)  # a repair was possible there
+    assert all((fresh, repaired) == (1, 0) for fresh, repaired, _ in seen)
