@@ -19,7 +19,7 @@ from .bargain import (
     solve_tcm,
     verify_axioms,
 )
-from .bnb import MilpSolution, enumerate_binaries, solve_milp
+from .bnb import MilpSolution, solve_milp
 from .io import ScenarioError, emit_report, load_scenario, save_scenario
 from .linear import BiObjectiveModel, Constraint, LinearModel, Variable
 from .models import (
@@ -41,7 +41,7 @@ from .scenario import (
     ScenarioInputs,
 )
 from .sensitivity import AnovaTable, FactorSpec, anova, f_critical, fractional_factorial_design, sweep_grid
-from .simplex import LpSolution, check_certificates, solve_lp
+from .simplex import LpSolution, solve_lp
 from .simulate import (
     BidStack,
     ClearingOutcome,
@@ -86,11 +86,9 @@ __all__ = [
     "build_p1",
     "build_p2",
     "build_p3",
-    "check_certificates",
     "clear_reserve_market",
     "degradation_cost",
     "emit_report",
-    "enumerate_binaries",
     "estimate_probabilities",
     "f_critical",
     "fractional_factorial_design",

@@ -268,49 +268,3 @@ def _fix_binaries_and_solve(solver, binaries, partners, lb0, ub0, values, warm, 
     if fixed.status != OPTIMAL:
         return None
     return fixed.objective, fixed.primal.copy()
-
-
-def enumerate_binaries(model: LinearModel, limit: int = 20) -> MilpSolution:
-    """Exact optimum by solving the LP for every assignment of the binaries.
-
-    Test oracle; refuses more than ``limit`` binaries.
-    """
-    binaries = model.binary_indices()
-    free = [j for j in binaries if model.variables[j].ub - model.variables[j].lb > 0]
-    if len(free) > limit:
-        raise ValueError(f"{len(free)} free binaries exceed the enumeration limit {limit}")
-    sign = 1.0 if model.sense == MIN else -1.0
-    solver = SimplexSolver(model)
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
-
-    best_z = math.inf
-    best_x = None
-    warm = None
-    count = 0
-    for mask in range(1 << len(free)):
-        clb, cub = lb.copy(), ub.copy()
-        for pos, j in enumerate(free):
-            v = float((mask >> pos) & 1)
-            clb[j] = v
-            cub[j] = v
-        sol = solver.solve(lb=clb, ub=cub, warm=warm)
-        if sol.status in _LP_FAILED:
-            sol = solver.solve(lb=clb, ub=cub)
-        count += 1
-        if sol.status == UNBOUNDED:
-            raise SolverError("relaxation is unbounded; binary models must be bounded")
-        if sol.status in _LP_FAILED:
-            raise SolverError(f"simplex stopped on assignment {mask}: {sol.status}")
-        if sol.status != OPTIMAL:
-            continue
-        warm = sol.warm
-        z = sign * sol.objective
-        if z < best_z - 1e-12:
-            best_z = z
-            best_x = sol.primal.copy()
-    if best_x is None:
-        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, count)
-    for j in binaries:
-        best_x[j] = round(best_x[j])
-    return MilpSolution(OPTIMAL_WITHIN_GAP, best_x, sign * best_z, sign * best_z, 0.0, count)

@@ -8,11 +8,15 @@ pricing ``y A``, the pivot row ``rho A``, ``A x`` and the entering column
 
 The basis inverse is kept explicitly.  A refactorization eliminates the
 basic slack and artificial columns, which are signed unit vectors, and
-inverts only the block of basic structural columns on the rows no unit
-column covers.  Between refactorizations each pivot updates only the rows
-of the inverse where the entering column is nonzero, which gives the same
-numbers as the dense rank-one update.  Every ``REFACTOR_EVERY`` updates
-(the inverse's age) the simplex loops build a fresh inverse.
+inverts only the block ``K`` of basic structural columns on the rows no unit
+column covers.  ``K`` is read from the nonzeros and its singletons are
+peeled (Hellerman & Rarick 1971): rounds of column singletons and of row
+singletons make it block triangular around a small dense bump, the only part
+that goes to LAPACK, and ``K^-1`` follows by substitution over the nonzeros.
+Between refactorizations each pivot updates only the rows of the inverse
+where the entering column is nonzero, which gives the same numbers as the
+dense rank-one update.  Every ``REFACTOR_EVERY`` updates (the inverse's age)
+the simplex loops build a fresh inverse.
 
 The solver keeps the factorizations of its last ``KEPT_FACTORIZATIONS``
 optimal bases, each with its age, and drops the least recently used.  A
@@ -33,7 +37,10 @@ dual feasible (the common case after branch-and-bound bound changes).
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties) with an
 automatic switch to Bland's lowest-index rule after a degeneracy stall, which
-keeps the pivot sequence deterministic and cycle-free.
+keeps the pivot sequence deterministic and cycle-free.  The primal simplex
+carries the duals ``y = c_B B^-1`` through its pivots, adding ``d_q`` times
+the updated pivot row of the inverse, and recomputes them only at a
+refactorization; the reduced costs are priced from ``y`` over the nonzeros.
 """
 
 from __future__ import annotations
@@ -82,26 +89,6 @@ class LpSolution:
 
     def value(self, model: LinearModel, name: str) -> float:
         return float(self.primal[model.index(name)])
-
-
-@dataclass
-class CertificateReport:
-    """Residuals of an optimal solution; report-only, never raises."""
-
-    primal_residual: float
-    bound_residual: float
-    dual_residual: float
-    complementary_slackness: float
-    duality_gap: float
-
-    def within(self, tol: float = 1e-6) -> bool:
-        return (
-            self.primal_residual <= tol
-            and self.bound_residual <= tol
-            and self.dual_residual <= tol
-            and self.complementary_slackness <= tol
-            and self.duality_gap <= tol
-        )
 
 
 @dataclass
@@ -183,6 +170,112 @@ def _repair_status(stat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarr
     return out
 
 
+def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> np.ndarray | None:
+    """``K^-1`` of the ``n x n`` matrix whose nonzeros are ``K[kr, kc] = kv``.
+
+    Singletons are peeled from the active part of ``K`` one vectorized round
+    at a time: every column with one active nonzero left, or, when there is
+    none, every row with one.  A row singleton's row has no other nonzero on
+    a column still active, nor on an earlier column singleton; a column
+    singleton's row has none on an earlier column singleton.  So ``K X = I``
+    is solved by substitution over the nonzeros, in this order: the
+    row-singleton rounds as peeled, then the bump no round peels (the only
+    part that goes to ``np.linalg.solve``), then the column-singleton rounds
+    in reverse.  Returns None for a singular ``K``: two singletons of one
+    round on one row or column, or a bump that LAPACK finds singular or whose
+    inverse is beyond the resolution of double precision.
+    """
+    row_on = np.ones(n, dtype=bool)
+    col_on = np.ones(n, dtype=bool)
+    piv_col = np.empty(n, dtype=np.intp)  # a singleton row's pivot column
+    piv_val = np.empty(n)
+    row_rounds: list[np.ndarray] = []
+    col_rounds: list[np.ndarray] = []
+    r, c, v = kr, kc, kv
+    while r.size:
+        alone = np.bincount(c, minlength=n)[c] == 1
+        rounds, clash = col_rounds, r  # two column singletons on one row
+        if not alone.any():
+            alone = np.bincount(r, minlength=n)[r] == 1
+            rounds, clash = row_rounds, c  # two row singletons on one column
+            if not alone.any():
+                break
+        if np.bincount(clash[alone]).max() > 1:
+            return None
+        pr, pc = r[alone], c[alone]
+        rounds.append(pr)
+        piv_col[pr] = pc
+        piv_val[pr] = v[alone]
+        row_on[pr] = False
+        col_on[pc] = False
+        live = row_on[r] & col_on[c]
+        r, c, v = r[live], c[live], v[live]
+
+    # stage of each row and of each column in the solve order
+    bump_rows, bump_cols = np.flatnonzero(row_on), np.flatnonzero(col_on)
+    stages = row_rounds + [bump_rows] + col_rounds[::-1]
+    at_bump = len(row_rounds)
+    row_stage = np.empty(n, dtype=np.intp)
+    row_stage[np.concatenate(stages)] = np.repeat(np.arange(len(stages)), [r.size for r in stages])
+    col_stage = np.empty(n, dtype=np.intp)
+    peeled = ~row_on
+    col_stage[piv_col[peeled]] = row_stage[peeled]
+    col_stage[bump_cols] = at_bump
+
+    # nonzeros on columns of earlier stages, by stage and row: the substitution's terms
+    earlier = col_stage[kc] < row_stage[kr]
+    order = np.lexsort((kr[earlier], row_stage[kr[earlier]]))
+    er, ec, ev = kr[earlier][order], kc[earlier][order], kv[earlier][order]
+    starts = np.flatnonzero(np.r_[True, er[1:] != er[:-1]]) if er.size else np.zeros(0, np.intp)
+    seg = np.searchsorted(row_stage[er[starts]], np.arange(len(stages) + 1))  # segments by stage
+    bounds = np.r_[starts, er.size]
+
+    X = np.zeros((n, n))  # X[j] becomes the row of K^-1 for column j of K
+    X[piv_col[peeled], peeled] = 1.0
+
+    def terms(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of stage ``k`` that have terms, and ``K[row, earlier] X[earlier]``."""
+        s0, s1 = seg[k], seg[k + 1]
+        a, b = bounds[s0], bounds[s1]
+        products = X[ec[a:b]]
+        products *= ev[a:b, None]
+        return er[starts[s0:s1]], np.add.reduceat(products, starts[s0:s1] - a)
+
+    def settle(k: int) -> None:
+        """``X[pivot column] = (I[row] - K[row, earlier] X[earlier]) / pivot``, for
+        each row of singleton stage ``k``."""
+        if seg[k + 1] > seg[k]:
+            rows, sums = terms(k)
+            X[piv_col[rows]] -= sums
+        rows = stages[k]
+        X[piv_col[rows]] /= piv_val[rows, None]
+
+    for k in range(at_bump):
+        settle(k)
+    if bump_rows.size:
+        inside = (row_stage[kr] == at_bump) & (col_stage[kc] == at_bump)
+        bump = np.zeros((bump_rows.size, bump_rows.size))
+        bump[np.searchsorted(bump_rows, kr[inside]),
+             np.searchsorted(bump_cols, kc[inside])] = kv[inside]
+        rhs = np.zeros((bump_rows.size, n))
+        rhs[np.arange(bump_rows.size), bump_rows] = 1.0
+        if seg[at_bump + 1] > seg[at_bump]:
+            rows, sums = terms(at_bump)
+            rhs[np.searchsorted(bump_rows, rows)] -= sums
+        used = np.flatnonzero(rhs.any(axis=0))
+        try:
+            xb = np.linalg.solve(bump, rhs[:, used])
+        except np.linalg.LinAlgError:
+            return None
+        inverse = xb[:, np.searchsorted(used, bump_rows)]  # the bump rows' columns
+        if not np.max(np.abs(bump)) * np.max(np.abs(inverse)) * np.finfo(float).eps < 1.0:
+            return None
+        X[np.ix_(bump_cols, used)] = xb
+    for k in range(at_bump + 1, len(stages)):
+        settle(k)
+    return X
+
+
 class SimplexSolver:
     """Reusable solver bound to one model structure.
 
@@ -216,6 +309,7 @@ class SimplexSolver:
 
     def solve(self, *, lb=None, ub=None, rhs=None, warm: WarmStart | None = None) -> LpSolution:
         m, nsm, ncols = self.m, self.nsm, self.ncols
+        self.iterations = 0
         self.lb = np.full(ncols, 0.0)
         self.ub = np.full(ncols, 0.0)
         self.lb[:nsm] = self.sf.lb
@@ -232,7 +326,6 @@ class SimplexSolver:
         self.x = np.zeros(ncols)
         self.stat = np.full(ncols, _AT_LB, dtype=np.int8)
         self.basis = np.arange(m) + nsm
-        self.iterations = 0
         self.pivots_since_refactor = 0
 
         state = None
@@ -251,7 +344,7 @@ class SimplexSolver:
                 obj = -obj
             if status in (SINGULAR, ITERATION_LIMIT):
                 obj = math.nan
-            return LpSolution(status, None, None, obj, getattr(self, "iterations", 0))
+            return LpSolution(status, None, None, obj, self.iterations)
         if self.m and np.all(self.basis < self.nsm):
             self._keep()  # children warm-start from here
         self._recompute_x()
@@ -281,8 +374,10 @@ class SimplexSolver:
         nz = np.flatnonzero(cb)
         return cb[nz] @ self.Binv[nz]
 
-    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        y = self._duals(c)
+    def _reduced_costs(self, c: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """``c - y [A I art]``, with ``y = c_B B^-1`` unless the caller carries it."""
+        if y is None:
+            y = self._duals(c)
         d = np.empty(self.ncols)
         d[: self.nsm] = c[: self.nsm] - self.sf.rmatvec(y)
         d[self.nsm :] = c[self.nsm :] - y * self.art_sign
@@ -373,7 +468,9 @@ class SimplexSolver:
         positions S hold structural columns, and N are the rows no unit column
         covers.  With ``K = B[N, S]`` the inverse is ``Binv[S, N] = K^-1``,
         ``Binv[U, R] = diag(1/s)`` and ``Binv[U, N] = -diag(1/s) B[R, S] K^-1``;
-        every other entry is zero.  Returns None for a singular basis.
+        every other entry is zero.  ``K^-1`` comes from :func:`_peeled_inverse`,
+        and both ``K`` and ``B[R, S]`` are read from the nonzeros.  Returns None
+        for a singular basis.
         """
         m, ns, nsm = self.m, self.ns, self.nsm
         unit = self.basis >= ns
@@ -391,23 +488,33 @@ class SimplexSolver:
         binv = np.zeros((m, m))  # allocated before the temporaries below: lower peak memory
         binv[U, R] = 1.0 / s
 
-        # dense copy of the basic structural columns, gathered from the nonzeros
+        # nonzeros of the basic structural columns; ``owner`` is their position in S
         js = self.basis[S]
         starts = self.sf.ptr[js]
         counts = self.sf.ptr[js + 1] - starts
         owner = np.repeat(np.arange(S.size), counts)
         first = np.cumsum(counts) - counts  # where each column starts in the gathered list
         nz = starts[owner] + np.arange(owner.size) - first[owner]
-        BS = np.zeros((m, S.size))
-        BS[self.sf.row[nz], owner] = self.sf.val[nz]
-        try:
-            Kinv = np.linalg.inv(BS[N])
-        except np.linalg.LinAlgError:
+        rows, vals = self.sf.row[nz], self.sf.val[nz]
+        local = np.full(m, -1, dtype=np.intp)  # a row's position in N, then in R
+        local[N] = np.arange(N.size)
+        in_k = local[rows] >= 0
+        Kinv = _peeled_inverse(local[rows[in_k]], owner[in_k], vals[in_k], N.size)
+        if Kinv is None:
             return None
         binv[np.ix_(S, N)] = Kinv
-        BR = BS[R]
-        used = np.flatnonzero(BR.any(axis=0))  # B[R, S] is mostly zero columns
-        binv[np.ix_(U, N)] = -(BR[:, used] @ Kinv[used]) / s[:, None]
+
+        # B[R, S] K^-1 row by row, for the unit positions B[R, S] has a nonzero on
+        local[R] = np.arange(U.size)
+        at = np.flatnonzero(~in_k)
+        at = at[np.argsort(local[rows[at]], kind="stable")]
+        u = local[rows[at]]
+        if u.size:
+            firsts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
+            terms = Kinv[owner[at]]
+            terms *= vals[at, None]
+            hit = u[firsts]
+            binv[np.ix_(U[hit], N)] = np.add.reduceat(terms, firsts) / -s[hit, None]
         return binv
 
     def _keep(self) -> None:
@@ -547,11 +654,13 @@ class SimplexSolver:
         max_iter = 20000 + 50 * (self.m + self.ns)
         stall = 0
         bland = False
+        y = self._duals(c)  # carried through the pivots, recomputed at each refactorization
         for _ in range(max_iter):
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 if not self._refactor():
                     return SINGULAR
-            d = self._reduced_costs(c)
+                y = self._duals(c)
+            d = self._reduced_costs(c, y)
             movable = (self.ub - self.lb) > 0
             can_inc = ((self.stat == _AT_LB) | (self.stat == _FREE)) & movable & (d < -OPT_TOL)
             can_dec = ((self.stat == _AT_UB) | (self.stat == _FREE)) & movable & (d > OPT_TOL)
@@ -599,10 +708,12 @@ class SimplexSolver:
                 if abs(w[r]) < PIV_TOL:
                     if not self._refactor():
                         return SINGULAR
+                    y = self._duals(c)
                     continue
                 self.basis[r] = q
                 self.stat[q] = _BASIC
                 self._eta_update(w, r)
+                y += d[q] * self.Binv[r]  # the dual step: Binv[r] is now rho_r / w_r
         return ITERATION_LIMIT
 
     def _primal_ratio(self, q: int, delta: np.ndarray):
@@ -699,45 +810,3 @@ def solve_lp(model: LinearModel, warm: WarmStart | None = None) -> LpSolution:
     """
     return SimplexSolver(model).solve(warm=warm)
 
-
-def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport:
-    """Recompute optimality residuals of a solution from first principles."""
-    if sol.status != OPTIMAL:
-        raise ValueError(f"certificates need an optimal solution, got {sol.status!r}")
-    ns, m = model.n, model.m
-    sign = 1.0 if model.sense == MIN else -1.0
-    sf = standard_form(model)
-    c = np.zeros(ns + m)
-    for j, cval in model.objective.items():
-        c[j] = sign * cval
-    y = sign * np.asarray(sol.dual, dtype=float)
-
-    values = sf.with_slacks(sol.primal)
-    lo, hi = sf.lb, sf.ub
-
-    viol = np.maximum(lo - values, values - hi)
-    primal_residual = float(np.max(viol[ns:], initial=0.0))
-    bound_residual = float(np.max(viol[:ns], initial=0.0))
-    d = c - sf.rmatvec(y)
-
-    interior = (values > lo + 1e-7) & (values < hi - 1e-7)
-    dual_residual = float(np.max(np.abs(d[interior]), initial=0.0))
-
-    cs = 0.0
-    for j in range(len(values)):
-        if d[j] > OPT_TOL and not math.isinf(lo[j]):
-            cs = max(cs, d[j] * (values[j] - lo[j]))
-        elif d[j] < -OPT_TOL and not math.isinf(hi[j]):
-            cs = max(cs, -d[j] * (hi[j] - values[j]))
-
-    d_eff = np.where(np.abs(d) <= 1e-7, 0.0, d)
-    dual_obj = float(sf.b @ y) if m else 0.0
-    for j in range(len(values)):
-        if d_eff[j] > 0:
-            dual_obj += d_eff[j] * lo[j]
-        elif d_eff[j] < 0:
-            dual_obj += d_eff[j] * hi[j]
-    z = sign * sol.objective
-    duality_gap = abs(z - dual_obj) / (1.0 + abs(z))
-
-    return CertificateReport(primal_residual, bound_residual, dual_residual, cs, duality_gap)

@@ -1,18 +1,30 @@
 """Independent brute-force oracles the solver tests are checked against.
 
 These deliberately avoid the production code paths: the LP oracle enumerates
-candidate vertices from active-set linear systems, and the hub-commitment
-oracle scans a 1-kWh grid.
+candidate vertices from active-set linear systems, the hub-commitment oracle
+scans a 1-kWh grid, the MILP oracle solves the LP of every binary assignment,
+and the certificate check recomputes optimality residuals from the model.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from coopt.bnb import _LP_FAILED, OPTIMAL_WITHIN_GAP, MilpSolution, SolverError
 from coopt.linear import EQ, GE, LE, MIN, LinearModel
+from coopt.simplex import (
+    INFEASIBLE,
+    OPT_TOL,
+    OPTIMAL,
+    UNBOUNDED,
+    LpSolution,
+    SimplexSolver,
+    standard_form,
+)
 
 
 def enumerate_vertices(model: LinearModel):
@@ -146,3 +158,112 @@ def single_hour_bss_profit(
                     c_deg = deg_rate * (p_up + p_dn)
                     best = max(best, r_cap + r_dep - c_phi - c_deg)
     return best
+
+
+@dataclass
+class CertificateReport:
+    """Residuals of an optimal solution; report-only, never raises."""
+
+    primal_residual: float
+    bound_residual: float
+    dual_residual: float
+    complementary_slackness: float
+    duality_gap: float
+
+    def within(self, tol: float = 1e-6) -> bool:
+        return (
+            self.primal_residual <= tol
+            and self.bound_residual <= tol
+            and self.dual_residual <= tol
+            and self.complementary_slackness <= tol
+            and self.duality_gap <= tol
+        )
+
+
+def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport:
+    """Recompute optimality residuals of a solution from first principles."""
+    if sol.status != OPTIMAL:
+        raise ValueError(f"certificates need an optimal solution, got {sol.status!r}")
+    ns, m = model.n, model.m
+    sign = 1.0 if model.sense == MIN else -1.0
+    sf = standard_form(model)
+    c = np.zeros(ns + m)
+    for j, cval in model.objective.items():
+        c[j] = sign * cval
+    y = sign * np.asarray(sol.dual, dtype=float)
+
+    values = sf.with_slacks(sol.primal)
+    lo, hi = sf.lb, sf.ub
+
+    viol = np.maximum(lo - values, values - hi)
+    primal_residual = float(np.max(viol[ns:], initial=0.0))
+    bound_residual = float(np.max(viol[:ns], initial=0.0))
+    d = c - sf.rmatvec(y)
+
+    interior = (values > lo + 1e-7) & (values < hi - 1e-7)
+    dual_residual = float(np.max(np.abs(d[interior]), initial=0.0))
+
+    cs = 0.0
+    for j in range(len(values)):
+        if d[j] > OPT_TOL and not math.isinf(lo[j]):
+            cs = max(cs, d[j] * (values[j] - lo[j]))
+        elif d[j] < -OPT_TOL and not math.isinf(hi[j]):
+            cs = max(cs, -d[j] * (hi[j] - values[j]))
+
+    d_eff = np.where(np.abs(d) <= 1e-7, 0.0, d)
+    dual_obj = float(sf.b @ y) if m else 0.0
+    for j in range(len(values)):
+        if d_eff[j] > 0:
+            dual_obj += d_eff[j] * lo[j]
+        elif d_eff[j] < 0:
+            dual_obj += d_eff[j] * hi[j]
+    z = sign * sol.objective
+    duality_gap = abs(z - dual_obj) / (1.0 + abs(z))
+
+    return CertificateReport(primal_residual, bound_residual, dual_residual, cs, duality_gap)
+
+
+def enumerate_binaries(model: LinearModel, limit: int = 20) -> MilpSolution:
+    """Exact optimum by solving the LP for every assignment of the binaries.
+
+    Test oracle; refuses more than ``limit`` binaries.
+    """
+    binaries = model.binary_indices()
+    free = [j for j in binaries if model.variables[j].ub - model.variables[j].lb > 0]
+    if len(free) > limit:
+        raise ValueError(f"{len(free)} free binaries exceed the enumeration limit {limit}")
+    sign = 1.0 if model.sense == MIN else -1.0
+    solver = SimplexSolver(model)
+    lb = np.array([v.lb for v in model.variables])
+    ub = np.array([v.ub for v in model.variables])
+
+    best_z = math.inf
+    best_x = None
+    warm = None
+    count = 0
+    for mask in range(1 << len(free)):
+        clb, cub = lb.copy(), ub.copy()
+        for pos, j in enumerate(free):
+            v = float((mask >> pos) & 1)
+            clb[j] = v
+            cub[j] = v
+        sol = solver.solve(lb=clb, ub=cub, warm=warm)
+        if sol.status in _LP_FAILED:
+            sol = solver.solve(lb=clb, ub=cub)
+        count += 1
+        if sol.status == UNBOUNDED:
+            raise SolverError("relaxation is unbounded; binary models must be bounded")
+        if sol.status in _LP_FAILED:
+            raise SolverError(f"simplex stopped on assignment {mask}: {sol.status}")
+        if sol.status != OPTIMAL:
+            continue
+        warm = sol.warm
+        z = sign * sol.objective
+        if z < best_z - 1e-12:
+            best_z = z
+            best_x = sol.primal.copy()
+    if best_x is None:
+        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, count)
+    for j in binaries:
+        best_x[j] = round(best_x[j])
+    return MilpSolution(OPTIMAL_WITHIN_GAP, best_x, sign * best_z, sign * best_z, 0.0, count)

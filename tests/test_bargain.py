@@ -13,7 +13,7 @@ from coopt.bargain import (
     solve_tcm,
     verify_axioms,
 )
-from coopt.bnb import enumerate_binaries, solve_milp
+from coopt.bnb import solve_milp
 from coopt.linear import (
     GE,
     LE,
@@ -29,6 +29,7 @@ from coopt.models import build_p3
 from coopt.scenario import DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities
 
 from conftest import tiny_scenario
+from oracles import enumerate_binaries
 
 
 def symmetric_toy():

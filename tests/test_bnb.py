@@ -8,7 +8,6 @@ from coopt import bnb
 from coopt.bnb import (
     BUDGET_EXHAUSTED,
     OPTIMAL_WITHIN_GAP,
-    enumerate_binaries,
     exclusivity_pairs,
     fractionality,
     solve_milp,
@@ -22,6 +21,8 @@ from coopt.simplex import (
     SimplexSolver,
     solve_lp,
 )
+
+from oracles import enumerate_binaries
 
 
 def test_no_binaries_equals_lp():

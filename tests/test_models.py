@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopt.bnb import enumerate_binaries, solve_milp
+from coopt.bnb import solve_milp
 from coopt.linear import (
     LE,
     MAX,
@@ -37,7 +37,7 @@ from coopt.scenario import (
 from coopt.simplex import solve_lp
 
 from conftest import compartment, tiny_scenario
-from oracles import hub_commitment_grid_cost, single_hour_bss_profit
+from oracles import enumerate_binaries, hub_commitment_grid_cost, single_hour_bss_profit
 
 
 def one_hour_prices(lam_da, lam_rt, lam_up=0.0, lam_dn=0.0):

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coopt import simplex
+from coopt.io import load_scenario
 from coopt.linear import EQ, GE, LE, MAX, MIN, Constraint, LinearModel, Variable
+from coopt.models import build_p2
 from coopt.simplex import (
     _AT_LB,
     _AT_UB,
@@ -17,12 +20,11 @@ from coopt.simplex import (
     UNBOUNDED,
     SimplexSolver,
     _repair_status,
-    check_certificates,
     solve_lp,
     standard_form,
 )
 
-from oracles import best_vertex_objective
+from oracles import best_vertex_objective, check_certificates
 
 
 def lp(variables, constraints, objective, sense=MIN):
@@ -227,6 +229,24 @@ def test_warm_start_after_bound_change():
     assert cold.objective == pytest.approx(second.objective, abs=1e-9)
 
 
+def test_crossed_bounds_report_no_iterations_of_an_earlier_solve():
+    model = lp(
+        [Variable("x", 0.0, 4.0), Variable("y", 0.0, 4.0)],
+        [
+            Constraint({0: 1.0, 1: 1.0}, GE, 3.0),
+            Constraint({0: 1.0, 1: -1.0}, LE, 2.0),
+        ],
+        {0: 2.0, 1: 1.0},
+    )
+    solver = SimplexSolver(model)
+    first = solver.solve()
+    assert first.status == OPTIMAL
+    assert first.iterations > 0
+    crossed = solver.solve(lb=np.array([3.0, 0.0]), ub=np.array([1.0, 4.0]))
+    assert crossed.status == INFEASIBLE
+    assert crossed.iterations == 0
+
+
 def test_warm_start_infeasible_child():
     model = lp(
         [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)],
@@ -334,6 +354,137 @@ def test_block_factorization_rejects_singular_bases():
     assert not solver._factor_basis()
     solver.basis = np.array([0, 3])  # x on row 0, slack on row 1
     assert solver._factor_basis()
+
+
+def record_bumps(monkeypatch):
+    """Sizes of the bumps the peel hands to ``np.linalg.solve``, as they come."""
+    sizes = []
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        sizes.append(a.shape[0])
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def full_size_p2():
+    """The LP of P2 at T=24 on the bundled two-compartment scenario."""
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "median_k2.scenario")
+    return build_p2(scn.bss, scn.prices, scn.probabilities)
+
+
+def test_peeled_factorization_of_a_full_size_optimal_basis(full_size_p2, monkeypatch):
+    solver = SimplexSolver(full_size_p2)
+    sol = solver.solve()
+    assert sol.status == OPTIMAL
+    bumps = record_bumps(monkeypatch)
+    binv = solver._block_inverse()
+    ref = np.linalg.inv(basis_matrix(solver))
+    assert np.max(np.abs(binv - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert sum(bumps) <= 16  # the singleton rounds do nearly all of the work
+
+
+def block_triangular_model(rng, bump, extra):
+    """A model whose first ``n`` rows and ``n`` columns form a matrix that is block
+    triangular up to permutations: singleton pivots around a dense ``bump x bump``
+    block.  ``extra`` further rows carry random nonzeros of the same columns."""
+    before, after = (int(k) for k in rng.integers(0, 6, size=2))
+    n = before + bump + after
+    K = np.zeros((n, n))
+    for i in range(n):
+        K[i, :i] = np.where(rng.random(i) < 0.25, rng.uniform(-2.0, 2.0, i), 0.0)
+        K[i, i] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    K[before : before + bump, before : before + bump] = rng.uniform(-2.0, 2.0, (bump, bump))
+    K = K[rng.permutation(n)][:, rng.permutation(n)]
+    E = np.where(rng.random((extra, n)) < 0.3, rng.uniform(-2.0, 2.0, (extra, n)), 0.0)
+    rows = np.vstack([K, E])
+    constraints = [
+        Constraint({j: float(a) for j, a in enumerate(row) if a}, LE, 1.0) for row in rows
+    ]
+    return lp([Variable(f"v{j}", 0.0, 1.0) for j in range(n)], constraints, {}), n
+
+
+def test_peeled_factorization_with_a_dense_bump_matches_dense_inverse(monkeypatch):
+    rng = np.random.default_rng(11)
+    bumps = record_bumps(monkeypatch)
+    checked = 0
+    for _ in range(60):
+        bump = int(rng.integers(2, 7))
+        extra = int(rng.integers(0, 4))
+        model, n = block_triangular_model(rng, bump, extra)
+        solver = SimplexSolver(model)
+        # the extra rows are covered by their slack or artificial columns
+        units = [(solver.ns if rng.random() < 0.5 else solver.nsm) + n + i for i in range(extra)]
+        solver.basis = rng.permutation(np.array(list(range(n)) + units, dtype=np.intp))
+        solver.art_sign = rng.choice([-1.0, 1.0], size=solver.m)
+        B = basis_matrix(solver)
+        if np.linalg.cond(B) > 1e8:
+            continue
+        bumps.clear()
+        binv = solver._block_inverse()
+        ref = np.linalg.inv(B)
+        assert np.max(np.abs(binv - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert bumps and bumps[0] >= bump  # the dense block is left to LAPACK
+        checked += 1
+    assert checked > 40
+
+
+def square_model(columns):
+    """A model whose constraint matrix has the given columns, all rows ``<= 1``."""
+    A = np.array(columns, dtype=float).T
+    constraints = [Constraint({j: float(a) for j, a in enumerate(row) if a}, LE, 1.0) for row in A]
+    model = lp([Variable(f"v{j}") for j in range(A.shape[1])], constraints, {})
+    solver = SimplexSolver(model)
+    solver.art_sign = np.ones(solver.m)
+    solver.basis = np.arange(A.shape[1])
+    return solver
+
+
+def test_peeled_factorization_rejects_structurally_singular_blocks():
+    # columns 0 and 1 are singletons on rows 0 and 1; column 2 has no nonzero
+    # left after they are peeled, so the bump of rows 2-4 has a zero column
+    zero_after_peel = square_model(
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 1, 1], [0, 0, 1, 2, 3]]
+    )
+    assert not zero_after_peel._factor_basis()
+    # columns 0 and 1 are both singletons on row 0
+    two_on_one_row = square_model([[1, 0, 0], [2, 0, 0], [1, 1, 1]])
+    assert not two_on_one_row._factor_basis()
+    # the same with columns 0 and 1 apart is a triangular, regular block
+    assert square_model([[1, 0, 0], [2, 1, 0], [1, 1, 1]])._factor_basis()
+
+
+def test_peeled_factorization_rejects_a_numerically_singular_bump():
+    # 0.3 is not 3 * 0.1 in floating point, so LAPACK does not see the singularity
+    solver = square_model([[0.1, 0.7], [0.3, 2.1]])
+    assert np.all(np.isfinite(np.linalg.inv(basis_matrix(solver))))
+    assert not solver._factor_basis()
+
+
+def test_carried_duals_equal_fresh_duals_at_every_pivot(full_size_p2, monkeypatch):
+    real_reduced_costs = SimplexSolver._reduced_costs
+    checked = []
+
+    def reduced_costs(self, c, y=None):
+        if y is not None:
+            fresh = self._duals(c)
+            assert np.max(np.abs(y - fresh)) <= 1e-9 * max(1.0, np.max(np.abs(fresh)))
+            checked.append(self.iterations)
+        return real_reduced_costs(self, c, y)
+
+    monkeypatch.setattr(SimplexSolver, "_reduced_costs", reduced_costs)
+    solver = SimplexSolver(full_size_p2)
+    sol = solver.solve()
+    assert sol.status == OPTIMAL
+    assert len(set(checked)) == sol.iterations + 1  # every iteration priced from the carried y
+
+    # the reported duals are c_B B^-1 of the final basis, solved densely here
+    B = basis_matrix(solver)
+    y = np.linalg.solve(B.T, solver.cost[solver.basis]) * solver.obj_sign
+    assert np.max(np.abs(sol.dual - y)) <= 1e-9 * np.max(np.abs(y))
 
 
 def test_row_restricted_update_equals_dense_update():
