@@ -17,7 +17,6 @@ from .bargain import (
     solve_nbs,
     solve_study,
     solve_tcm,
-    verify_axioms,
 )
 from .bnb import MilpSolution, solve_milp
 from .io import ScenarioError, emit_report, load_scenario, save_scenario
@@ -104,6 +103,5 @@ __all__ = [
     "solve_study",
     "solve_tcm",
     "sweep_grid",
-    "verify_axioms",
     "__version__",
 ]

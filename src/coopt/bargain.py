@@ -1,33 +1,74 @@
 """Disagreement points, Pareto frontier, total-cost-minimum, and Nash bargain,
 chained by :func:`solve_study`, which the CLI and both sensitivity studies call.
 
-The Nash product is maximized in two stages: a bound-sweep over the frontier
-(each sweep point is one MILP that minimizes the hub objective subject to a
-floor on the storage objective) picks the best integer mode pattern, then a
-golden-section search over the floor refines the product with the mode
-binaries pinned, where the product of the linear gain and the concave LP value
-function is unimodal.  This replaces a cone-programming pass with exact
-LP/MILP machinery.
+The Nash bargain is the paper's second-order cone problem: maximize gamma
+subject to gamma^2 <= tau1 tau2, where tau1 = d1 - f_a and tau2 = f_b - d2
+are the two gains.  The geometric mean is concave and positively homogeneous,
+so for every slope t > 0 the tangent gamma <= (t tau1 + tau2 / t) / 2 holds at
+every point, and it is tight where tau2 / tau1 = t^2 (Kelley 1960; Ben-Tal &
+Nemirovski 2001).  :func:`solve_nbs` solves "max gamma" as one MILP over the
+joint set plus one gamma column, the rows f_a <= d1 and f_b >= d2 and one
+tangent row per slope, starting from the slopes 1/2, 1 and 2:
+
+- each MILP runs to a quarter of the gap within ``CELL_NODE_BUDGET`` nodes and
+  is seeded with the previous point's mode pattern;
+- its incumbent is polished with its binaries pinned, to the exact bargain of
+  that mode pattern (:func:`_polish`), and the tangent at the polished
+  point's slope t = sqrt(tau2 / tau1) becomes the next cut; a point at a
+  corner, where one gain is zero, has no such slope, and the next cut there
+  doubles the steepest slope (tau1 = 0) or halves the flattest (tau2 = 0), so
+  bargains whose gain ratio lies outside the starting bracket are reached;
+- every MILP's bound on gamma is valid for the true bargain, so the least of
+  them, squared, bounds the Nash product.
+
+The loop stops when that bound is within ``1 + gap`` of the best product, when
+a point repeats the slope of an existing cut, when a MILP finds no point, or
+after ``MAX_CUT_MILPS`` MILPs.  A bound below the best product by more than
+rounding raises :class:`~coopt.bnb.SolverError`.
+The epsilon-constraint sweep :func:`pareto_frontier` serves the ``frontier``
+command only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bnb import BUDGET_EXHAUSTED, INFEASIBLE, OPTIMAL_WITHIN_GAP, MilpSolution, solve_milp
-from .linear import GE, LE, MAX, MIN, BiObjectiveModel, LinearModel, add_constraint, clone, with_objective
+from .bnb import (
+    BUDGET_EXHAUSTED,
+    INFEASIBLE,
+    OPTIMAL_WITHIN_GAP,
+    MilpSolution,
+    SolverError,
+    solve_milp,
+)
+from .linear import (
+    GE,
+    LE,
+    MAX,
+    MIN,
+    BiObjectiveModel,
+    Constraint,
+    LinearModel,
+    Variable,
+    add_constraint,
+    with_objective,
+)
 from .models import AS_WRITTEN, build_p1, build_p2, build_p3
 from .scenario import ScenarioInputs
 from .simplex import OPTIMAL, SimplexSolver
 
 DEFAULT_GAP = 5e-4
 DEFAULT_GRID_POINTS = 41
-DEFAULT_REFINE_TOL = 1e-6
-CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point
+CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point and per Nash cut MILP
+START_SLOPES = (0.5, 1.0, 2.0)  # tau2 / tau1 = t^2: both gains are money, so t has no unit
+MAX_CUT_MILPS = 16  # a guard; the K=1 and K=2 presets stop after 3 and 4
+SLOPE_TOL = 1e-6  # a slope this close to a cut's is that cut
+POLISH_ROUNDS = 12  # a guard; a polish usually ends after one or two LPs
+POLISH_TOL = 1e-12  # relative gain on the weighted sum that counts as none
+BOUND_ROUNDING = 1e-9  # relative shortfall of the bound below a found product put down to rounding
 GOALS = ("p1", "p2", "tcm", "nbs", "frontier")
 
 
@@ -57,27 +98,17 @@ class ParetoPoint:
 
 @dataclass
 class BargainResult:
+    """The Nash bargain ``nbs`` with ``gamma`` = sqrt(product) and ``bound``, an
+    upper bound on the Nash product over the joint set; ``frontier`` holds the
+    points the cut MILPs returned and ``cuts`` the slopes of the tangent cuts."""
+
     nbs: ParetoPoint
     gamma: float
     frontier: list[ParetoPoint]
     tcm: ParetoPoint
     d: DisagreementPoints
-
-
-@dataclass
-class AxiomReport:
-    individual_rationality: bool
-    pareto_optimality: bool
-    affine_invariance: bool
-    symmetry: bool | None
-    tol: float
-    details: dict = field(default_factory=dict)
-
-    def all_hold(self) -> bool:
-        checks = [self.individual_rationality, self.pareto_optimality, self.affine_invariance]
-        if self.symmetry is not None:
-            checks.append(self.symmetry)
-        return all(checks)
+    bound: float
+    cuts: tuple[float, ...]
 
 
 @dataclass
@@ -143,11 +174,12 @@ def solve_tcm(
     return _point_from(p3, sol.incumbent, d)
 
 
-def _epsilon_model(p3: BiObjectiveModel, d: DisagreementPoints) -> LinearModel:
-    """min f_a subject to f_a <= d1 and a floor f_b >= theta, which starts at d2."""
-    model = with_objective(p3.base, p3.obj_a, MIN)
+def _gain_model(p3: BiObjectiveModel, d: DisagreementPoints, objective, sense) -> LinearModel:
+    """``objective`` over the joint set where both sides gain: f_a <= d1 and
+    f_b >= d2, the last row, whose floor the frontier sweeps."""
+    model = with_objective(p3.base, objective, sense)
     add_constraint(model, p3.obj_a, LE, d.d1, "hub_gain_cut")
-    add_constraint(model, p3.obj_b, GE, d.d2, "storage_floor")  # rhs swept over the grid
+    add_constraint(model, p3.obj_b, GE, d.d2, "storage_floor")
     return model
 
 
@@ -173,7 +205,6 @@ def pareto_frontier(
     gap: float = DEFAULT_GAP,
     *,
     node_budget: int = 200_000,
-    workers: int = 1,
 ) -> list[ParetoPoint]:
     """Sweep a uniform floor on the storage objective across the admissible
     range and keep the nondominated outcomes, sorted by rising storage profit.
@@ -206,25 +237,14 @@ def pareto_frontier(
 
     budget = min(node_budget, CELL_NODE_BUDGET)
     thetas = np.linspace(d.d2, fb_max, grid_points)
-    model = _epsilon_model(p3, d)
-    if workers > 1:
-        # the top point satisfies every floor, so it seeds all cells
-        jobs = [(clone(model), float(theta), gap, budget, top.incumbent) for theta in thetas]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_sweep_cell, jobs))
-    else:
-        # chain each point's mode pattern into the next solve as a seed
-        results = []
-        hint = top.incumbent
-        for theta in thetas:
-            theta, x = _solve_sweep_cell((model, float(theta), gap, budget, hint))
-            if x is not None:
-                hint = x
-            results.append((theta, x))
-
+    model = _gain_model(p3, d, p3.obj_a, MIN)
+    # chain each point's mode pattern into the next solve as a seed
     points = []
-    for theta, x in results:
+    hint = top.incumbent
+    for theta in thetas:
+        theta, x = _solve_sweep_cell((model, float(theta), gap, budget, hint))
         if x is not None:
+            hint = x
             points.append(_point_from(p3, x, d, theta=theta))
     return _nondominated(points)
 
@@ -250,158 +270,137 @@ def _nondominated(points: list[ParetoPoint], tol: float = 1e-6) -> list[ParetoPo
     return kept
 
 
-def solve_nbs(
-    p3: BiObjectiveModel,
-    d: DisagreementPoints,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-    gap: float = DEFAULT_GAP,
-    *,
-    node_budget: int = 200_000,
-    workers: int = 1,
-) -> BargainResult:
-    """Maximize the product of cooperation gains over the joint feasible set."""
-    if refine_tol <= 0:
-        raise ValueError(f"refine_tol must be > 0, got {refine_tol}")
-    frontier = pareto_frontier(
-        p3, d, grid_points=grid_points, gap=gap, node_budget=node_budget, workers=workers
-    )
-    tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget)
-
-    candidates = [p for p in frontier]
-    if tcm.tau1 >= -1e-9 and tcm.tau2 >= -1e-9:
-        candidates.append(tcm)
-    candidates = [p for p in candidates if p.product > 0.0]
-    if not candidates:
-        nbs = ParetoPoint(d.d1, d.d2, None, 0.0, 0.0, 0.0)  # no point gains for both
-        return BargainResult(nbs, 0.0, frontier, tcm, d)
-
-    best = max(candidates, key=lambda p: (p.product, -p.f_a))
-    refined = _refine_with_fixed_modes(p3, d, best, refine_tol, tie_break_fa=best.f_a)
-    if refined is not None and refined.product > best.product + 1e-15:
-        best = refined
-    gamma = math.sqrt(max(best.product, 0.0))
-    return BargainResult(best, gamma, frontier, tcm, d)
+def _weighted(p3: BiObjectiveModel, beta: float) -> dict[int, float]:
+    """Coefficients of beta * tau1 + tau2 up to a constant: f_b - beta * f_a."""
+    coeffs = {j: -beta * c for j, c in p3.obj_a.items()}
+    for j, c in p3.obj_b.items():
+        coeffs[j] = coeffs.get(j, 0.0) + c
+    return coeffs
 
 
-def _refine_with_fixed_modes(
-    p3: BiObjectiveModel,
-    d: DisagreementPoints,
-    start: ParetoPoint,
-    refine_tol: float,
-    tie_break_fa: float,
-) -> ParetoPoint | None:
-    """Golden-section search on the storage floor with mode binaries pinned."""
-    base = p3.base
-    binaries = base.binary_indices()
-    lb = np.array([v.lb for v in base.variables])
-    ub = np.array([v.ub for v in base.variables])
-    for j in binaries:
-        v = round(float(start.assignment[j]))
-        lb[j] = v
-        ub[j] = v
+def _tangent_cut(p3: BiObjectiveModel, d: DisagreementPoints, gamma: int, t: float) -> Constraint:
+    """gamma <= (t tau1 + tau2 / t) / 2, tight where tau2 / tau1 = t^2."""
+    coeffs = {j: -c / t for j, c in _weighted(p3, t * t).items()}
+    coeffs[gamma] = 2.0
+    return Constraint(coeffs, LE, t * d.d1 - d.d2 / t, f"nash_tangent[{t!r}]")
 
-    sweep = _epsilon_model(p3, d)
-    solver = SimplexSolver(sweep)
-    rhs = np.array([c.rhs for c in sweep.constraints])  # the floor row is last
 
-    top = SimplexSolver(_max_fb_model(p3, d)).solve(lb=lb, ub=ub)
-    if top.status != OPTIMAL:
-        return None
-    hi = p3.value_b(np.asarray(top.primal))
-    lo = d.d2
-    if hi <= lo:
-        return None
+def _chord_best(p3, d, a: ParetoPoint, b: ParetoPoint) -> ParetoPoint:
+    """The point of largest Nash product on the segment from ``a`` to ``b``."""
+    d1, d2 = b.tau1 - a.tau1, b.tau2 - a.tau2
+    s = 1.0 if b.product > a.product else 0.0
+    if d1 * d2 < 0.0:  # the product is a concave quadratic along the segment
+        s = min(1.0, max(0.0, -(a.tau1 * d2 + a.tau2 * d1) / (2.0 * d1 * d2)))
+    if s in (0.0, 1.0):
+        return b if s else a
+    return _point_from(p3, (1.0 - s) * a.assignment + s * b.assignment, d)
 
-    warm = None
 
-    def product_at(theta: float):
-        nonlocal warm
-        rhs[-1] = theta
-        sol = solver.solve(lb=lb, ub=ub, rhs=rhs, warm=warm)
-        if sol.status != OPTIMAL:
-            return None
-        warm = sol.warm
-        return _point_from(p3, np.asarray(sol.primal), d, theta=theta)
+def _polish(p3, d, start: ParetoPoint) -> ParetoPoint:
+    """The Nash bargain over the joint set with the binaries of ``start`` pinned.
 
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    p1 = product_at(c1)
-    p2 = product_at(c2)
-    best = start
-    span = hi - lo
-    for _ in range(200):
-        if (b - a) <= refine_tol * max(1.0, span):
+    Each round maximizes beta * tau1 + tau2 at the best point's own ratio
+    beta = tau2 / tau1, the normal of the product's level curve there.  No
+    gain on that weighted sum proves the point optimal for its mode pattern;
+    otherwise the best point moves to the product's maximum on the segment to
+    the new vertex, or on the edge between the last two vertices.  A corner
+    start, where one gain is zero, is returned as it is: the cut MILP's
+    point is a vertex optimal for its pinned binaries, and at a corner only
+    one cut binds, so the weighted sum at that cut's t^2 cannot gain.
+    """
+    lb = np.array([v.lb for v in p3.base.variables])
+    ub = np.array([v.ub for v in p3.base.variables])
+    binaries = p3.base.binary_indices()
+    lb[binaries] = ub[binaries] = start.assignment[binaries]
+    best, last, warm = start, None, None
+    for _ in range(POLISH_ROUNDS):
+        if best.tau1 <= 0.0 or best.tau2 <= 0.0:
             break
-        v1 = p1.product if p1 is not None else -math.inf
-        v2 = p2.product if p2 is not None else -math.inf
-        if v1 >= v2:
-            b, c2, p2 = c2, c1, p1
-            c1 = b - phi * (b - a)
-            p1 = product_at(c1)
-        else:
-            a, c1, p1 = c1, c2, p2
-            c2 = a + phi * (b - a)
-            p2 = product_at(c2)
-    for candidate in (p1, p2):
-        if candidate is None:
-            continue
-        if candidate.product > best.product or (
-            abs(candidate.product - best.product) <= 1e-12 and candidate.f_a < tie_break_fa
-        ):
-            best = candidate
+        beta = best.tau2 / best.tau1
+        lp = SimplexSolver(_gain_model(p3, d, _weighted(p3, beta), MAX))
+        sol = lp.solve(lb=lb, ub=ub, warm=warm)
+        if sol.status != OPTIMAL:
+            break
+        warm = sol.warm
+        vertex = _point_from(p3, sol.primal, d)
+        at_best = beta * best.tau1 + best.tau2
+        if beta * vertex.tau1 + vertex.tau2 <= at_best + POLISH_TOL * max(1.0, abs(at_best)):
+            break
+        moved = max(
+            (_chord_best(p3, d, a, vertex) for a in (best, last) if a is not None),
+            key=lambda p: p.product,
+        )
+        last = vertex
+        if moved.product <= best.product:
+            break
+        best = moved
     return best
 
 
-def verify_axioms(
-    result: BargainResult,
+def solve_nbs(
     p3: BiObjectiveModel,
     d: DisagreementPoints,
-    *,
     gap: float = DEFAULT_GAP,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    rescale: float = 3.0,
-    symmetric: bool | None = None,
-) -> AxiomReport:
-    """Check the bargaining axioms on a computed result; report-only.
+    *,
+    node_budget: int = 200_000,
+) -> BargainResult:
+    """Maximize the Nash product (d1 - f_a)(f_b - d2) over the joint set by
+    tangent cuts on gamma^2 <= tau1 tau2, with a bound on the product."""
+    tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget)
+    model = _gain_model(p3, d, {}, MAX)
+    gamma = model.n
+    model.variables.append(Variable("nash_gamma", 0.0, math.inf))
+    model.objective[gamma] = 1.0
+    slopes = list(START_SLOPES)
+    model.constraints += [_tangent_cut(p3, d, gamma, t) for t in slopes]
 
-    ``symmetric`` enables the symmetry check and should only be set on
-    problems built to be symmetric in the two players.
-    """
-    nbs = result.nbs
-    tol = max(1e-6, gap * max(1.0, abs(nbs.f_a), abs(nbs.f_b)))
-    details: dict = {"tol": tol}
+    best = tcm if tcm.tau1 >= 0.0 and tcm.tau2 >= 0.0 else None
+    visited: list[ParetoPoint] = []
+    bound = math.inf
+    hint = None
+    budget = min(node_budget, CELL_NODE_BUDGET)
+    for _ in range(MAX_CUT_MILPS):
+        sol = solve_milp(model, gap / 4, budget, incumbent_hint=hint)
+        if sol.incumbent is None:
+            if sol.status == BUDGET_EXHAUSTED and not visited:
+                raise BudgetExhaustedError(
+                    "Nash bargaining model: node budget exhausted before finding a point"
+                )
+            # an infeasible model: no point gains for both sides
+            bound = min(bound, sol.bound if sol.status == BUDGET_EXHAUSTED else 0.0)
+            break
+        bound = min(bound, sol.bound)
+        point = _polish(p3, d, _point_from(p3, sol.incumbent[:gamma], d))
+        visited.append(point)
+        hint = point.assignment
+        if best is None or point.product > best.product:
+            best = point
+        if bound * bound <= (1.0 + gap) * best.product:
+            break
+        if point.tau1 <= 0.0 and point.tau2 <= 0.0:
+            break
+        if point.tau1 <= 0.0:  # the steepest cut still favours the storage side's corner
+            t = 2.0 * max(slopes)
+        elif point.tau2 <= 0.0:  # and the flattest the hub's
+            t = min(slopes) / 2.0
+        else:
+            t = math.sqrt(point.tau2 / point.tau1)
+        if any(math.isclose(t, s, rel_tol=SLOPE_TOL) for s in slopes):
+            break
+        slopes.append(t)
+        model.constraints.append(_tangent_cut(p3, d, gamma, t))
 
-    rational = nbs.f_a <= d.d1 + tol and nbs.f_b >= d.d2 - tol
-
-    pareto = True
-    if nbs.assignment is not None:
-        probe = with_objective(p3.base, p3.obj_a, MIN)
-        add_constraint(probe, p3.obj_b, GE, nbs.f_b - tol, "hold_storage_profit")
-        probe_sol = solve_milp(probe, gap, incumbent_hint=nbs.assignment)
-        if probe_sol.status == OPTIMAL_WITHIN_GAP:
-            details["pareto_probe_f_a"] = probe_sol.objective
-            pareto = probe_sol.objective >= nbs.f_a - tol
-
-    scaled = BiObjectiveModel(
-        clone(p3.base), dict(p3.obj_a), {j: rescale * c for j, c in p3.obj_b.items()}
+    nbs = best
+    if best is None or best.product <= 0.0:
+        nbs = ParetoPoint(d.d1, d.d2, None, 0.0, 0.0, 0.0)  # no point gains for both
+    bound = max(bound, 0.0) ** 2
+    if bound < nbs.product:  # every found point is feasible in every cut model
+        if nbs.product - bound > BOUND_ROUNDING * max(1.0, nbs.product):
+            raise SolverError(f"Nash bound {bound!r} is below the found product {nbs.product!r}")
+        bound = nbs.product
+    return BargainResult(
+        nbs, math.sqrt(nbs.product), _nondominated(visited), tcm, d, bound, tuple(slopes)
     )
-    scaled_d = DisagreementPoints(d.d1, rescale * d.d2)
-    scaled_result = solve_nbs(scaled, scaled_d, grid_points, gap=gap)
-    back_fb = scaled_result.nbs.f_b / rescale
-    details["rescaled_point"] = (scaled_result.nbs.f_a, back_fb)
-    affine = (
-        abs(scaled_result.nbs.f_a - nbs.f_a) <= tol and abs(back_fb - nbs.f_b) <= tol
-    )
-
-    symmetry = None
-    if symmetric:
-        symmetry = abs(nbs.tau1 - nbs.tau2) <= tol
-        details["taus"] = (nbs.tau1, nbs.tau2)
-
-    return AxiomReport(rational, pareto, affine, symmetry, tol, details)
 
 
 def solve_study(
@@ -412,7 +411,6 @@ def solve_study(
     gap: float = DEFAULT_GAP,
     node_budget: int = 200_000,
     grid_points: int = DEFAULT_GRID_POINTS,
-    workers: int = 1,
 ) -> ResultsBundle:
     """Solve one of :data:`GOALS` on a scenario.
 
@@ -444,11 +442,7 @@ def solve_study(
     if goal == "tcm":
         bundle.tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget)
     elif goal == "nbs":
-        bundle.bargain = solve_nbs(
-            p3, d, grid_points, gap=gap, node_budget=node_budget, workers=workers
-        )
+        bundle.bargain = solve_nbs(p3, d, gap, node_budget=node_budget)
     else:
-        bundle.frontier = pareto_frontier(
-            p3, d, grid_points, gap, node_budget=node_budget, workers=workers
-        )
+        bundle.frontier = pareto_frontier(p3, d, grid_points, gap, node_budget=node_budget)
     return bundle

@@ -111,9 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", type=Path, required=True)
         p.add_argument("--out", type=Path, default=None)
         p.add_argument("--gap", type=float, default=None)
-        p.add_argument("--grid-points", type=int, default=None)
+        p.add_argument(
+            "--grid-points", type=int, default=None,
+            help="storage floors sampled by the frontier command; other commands ignore it",
+        )
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes for the sweep and anova commands; other commands ignore it",
+        )
         p.add_argument("--deployment-revenue", choices=DEPLOYMENT_REVENUE_MODES, default=None)
         p.add_argument("--days", type=int, default=None)
         p.add_argument("--node-budget", type=int, default=None)
@@ -162,7 +168,6 @@ def _run_solve(cfg: RunConfig) -> int:
         gap=cfg.gap_target,
         node_budget=cfg.node_budget,
         grid_points=cfg.grid_points,
-        workers=cfg.workers,
     )
     if cfg.command == "solve-p1":
         print(f"hub cost: {bundle.p1.objective!r}")
@@ -176,6 +181,7 @@ def _run_solve(cfg: RunConfig) -> int:
         print(f"nbs hub cost: {nbs.f_a!r}")
         print(f"nbs bss profit: {nbs.f_b!r}")
         print(f"nash product: {nbs.product!r}")
+        print(f"nash bound: {bundle.bargain.bound!r}")
     else:  # frontier
         cfg.out.mkdir(parents=True, exist_ok=True)
         write_frontier(cfg.out / "frontier.csv", bundle.frontier)
@@ -245,7 +251,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     result = sweep_grid(
         scn, da_levels, rt_levels, demand_levels,
         deployment_revenue=cfg.deployment_revenue, gap=cfg.gap_target,
-        grid_points=cfg.grid_points, node_budget=cfg.node_budget, workers=cfg.workers,
+        node_budget=cfg.node_budget, workers=cfg.workers,
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
     labels = result.labels
@@ -294,7 +300,7 @@ def _run_anova(cfg: RunConfig) -> int:
     factors = [FactorSpec(name, tuple(levels[name])) for name in levels]
     design, responses = factorial_profit_study(
         scn, factors, deployment_revenue=cfg.deployment_revenue, gap=cfg.gap_target,
-        grid_points=cfg.grid_points, node_budget=cfg.node_budget, workers=cfg.workers,
+        node_budget=cfg.node_budget, workers=cfg.workers,
     )
     table = anova(design, responses, default_model_terms(design.factors), cfg.alpha)
     cfg.out.mkdir(parents=True, exist_ok=True)

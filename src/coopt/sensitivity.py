@@ -326,7 +326,6 @@ def sweep_grid(
     *,
     deployment_revenue: str = AS_WRITTEN,
     gap: float = 5e-4,
-    grid_points: int = 9,
     node_budget: int = 200_000,
     workers: int = 1,
 ) -> SweepResult:
@@ -340,10 +339,7 @@ def sweep_grid(
             raise ValueError(f"{name}_levels must have exactly 3 entries")
     template.require_joint()
 
-    settings = dict(
-        deployment_revenue=deployment_revenue, gap=gap, grid_points=grid_points,
-        node_budget=node_budget,
-    )
+    settings = dict(deployment_revenue=deployment_revenue, gap=gap, node_budget=node_budget)
     jobs = []
     for lam_da in da_levels:
         for lam_rt in rt_levels:
@@ -380,7 +376,6 @@ def factorial_profit_study(
     *,
     deployment_revenue: str = AS_WRITTEN,
     gap: float = 5e-4,
-    grid_points: int = 9,
     node_budget: int = 200_000,
     workers: int = 1,
 ):
@@ -389,10 +384,7 @@ def factorial_profit_study(
     A run whose models are infeasible or exhaust the node budget stops the
     study with the same error, naming the run."""
     design = fractional_factorial_design(factors)
-    settings = dict(
-        deployment_revenue=deployment_revenue, gap=gap, grid_points=grid_points,
-        node_budget=node_budget,
-    )
+    settings = dict(deployment_revenue=deployment_revenue, gap=gap, node_budget=node_budget)
     jobs = [
         (apply_reserve_levels(template, assignment), _storage_profit_increase, settings)
         for assignment in design.runs()

@@ -3,19 +3,32 @@
 These deliberately avoid the production code paths: the LP oracle enumerates
 candidate vertices from active-set linear systems, the hub-commitment oracle
 scans a 1-kWh grid, the MILP oracle solves the LP of every binary assignment,
-and the certificate check recomputes optimality residuals from the model.
+the certificate check recomputes optimality residuals from the model, and
+the axiom check probes a bargain for rationality, Pareto optimality, affine
+invariance and symmetry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from coopt.bnb import _LP_FAILED, OPTIMAL_WITHIN_GAP, MilpSolution, SolverError
-from coopt.linear import EQ, GE, LE, MIN, LinearModel
+from coopt.bargain import DEFAULT_GAP, BargainResult, DisagreementPoints, solve_nbs
+from coopt.bnb import _LP_FAILED, OPTIMAL_WITHIN_GAP, MilpSolution, SolverError, solve_milp
+from coopt.linear import (
+    EQ,
+    GE,
+    LE,
+    MIN,
+    BiObjectiveModel,
+    LinearModel,
+    add_constraint,
+    clone,
+    with_objective,
+)
 from coopt.simplex import (
     INFEASIBLE,
     OPT_TOL,
@@ -267,3 +280,67 @@ def enumerate_binaries(model: LinearModel, limit: int = 20) -> MilpSolution:
     for j in binaries:
         best_x[j] = round(best_x[j])
     return MilpSolution(OPTIMAL_WITHIN_GAP, best_x, sign * best_z, sign * best_z, 0.0, count)
+
+
+@dataclass
+class AxiomReport:
+    individual_rationality: bool
+    pareto_optimality: bool
+    affine_invariance: bool
+    symmetry: bool | None
+    tol: float
+    details: dict = field(default_factory=dict)
+
+    def all_hold(self) -> bool:
+        checks = [self.individual_rationality, self.pareto_optimality, self.affine_invariance]
+        if self.symmetry is not None:
+            checks.append(self.symmetry)
+        return all(checks)
+
+
+def verify_axioms(
+    result: BargainResult,
+    p3: BiObjectiveModel,
+    d: DisagreementPoints,
+    *,
+    gap: float = DEFAULT_GAP,
+    rescale: float = 3.0,
+    symmetric: bool | None = None,
+) -> AxiomReport:
+    """Check the bargaining axioms on a computed result; report-only.
+
+    ``symmetric`` enables the symmetry check and should only be set on
+    problems built to be symmetric in the two players.
+    """
+    nbs = result.nbs
+    tol = max(1e-6, gap * max(1.0, abs(nbs.f_a), abs(nbs.f_b)))
+    details: dict = {"tol": tol}
+
+    rational = nbs.f_a <= d.d1 + tol and nbs.f_b >= d.d2 - tol
+
+    pareto = True
+    if nbs.assignment is not None:
+        probe = with_objective(p3.base, p3.obj_a, MIN)
+        add_constraint(probe, p3.obj_b, GE, nbs.f_b - tol, "hold_storage_profit")
+        probe_sol = solve_milp(probe, gap, incumbent_hint=nbs.assignment)
+        if probe_sol.status == OPTIMAL_WITHIN_GAP:
+            details["pareto_probe_f_a"] = probe_sol.objective
+            pareto = probe_sol.objective >= nbs.f_a - tol
+
+    scaled = BiObjectiveModel(
+        clone(p3.base), dict(p3.obj_a), {j: rescale * c for j, c in p3.obj_b.items()}
+    )
+    scaled_d = DisagreementPoints(d.d1, rescale * d.d2)
+    scaled_result = solve_nbs(scaled, scaled_d, gap=gap)
+    back_fb = scaled_result.nbs.f_b / rescale
+    details["rescaled_point"] = (scaled_result.nbs.f_a, back_fb)
+    affine = (
+        abs(scaled_result.nbs.f_a - nbs.f_a) <= tol and abs(back_fb - nbs.f_b) <= tol
+    )
+
+    symmetry = None
+    if symmetric:
+        symmetry = abs(nbs.tau1 - nbs.tau2) <= tol
+        details["taus"] = (nbs.tau1, nbs.tau2)
+
+    return AxiomReport(rational, pareto, affine, symmetry, tol, details)

@@ -4,16 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopt import bargain
 from coopt.bargain import (
     BargainResult,
+    BudgetExhaustedError,
     DisagreementPoints,
     pareto_frontier,
     solve_nbs,
     solve_study,
     solve_tcm,
-    verify_axioms,
 )
-from coopt.bnb import solve_milp
+from coopt.bnb import BUDGET_EXHAUSTED, MilpSolution, SolverError, solve_milp
 from coopt.linear import (
     GE,
     LE,
@@ -29,7 +30,7 @@ from coopt.models import build_p3
 from coopt.scenario import DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities
 
 from conftest import tiny_scenario
-from oracles import enumerate_binaries
+from oracles import enumerate_binaries, verify_axioms
 
 
 def symmetric_toy():
@@ -56,7 +57,7 @@ def linear_frontier_toy():
 
 def test_symmetric_toy_splits_gains_evenly():
     p3, d = symmetric_toy()
-    result = solve_nbs(p3, d, grid_points=41, gap=1e-9)
+    result = solve_nbs(p3, d, gap=1e-9)
     assert result.nbs.tau1 == pytest.approx(5.0, abs=1e-6)
     assert result.nbs.tau2 == pytest.approx(5.0, abs=1e-6)
     assert result.nbs.product == pytest.approx(25.0, abs=1e-6)
@@ -65,7 +66,7 @@ def test_symmetric_toy_splits_gains_evenly():
 
 def test_linear_frontier_toy_closed_form():
     p3, d = linear_frontier_toy()
-    result = solve_nbs(p3, d, grid_points=11, gap=1e-9)
+    result = solve_nbs(p3, d, gap=1e-9)
     assert result.nbs.f_a == pytest.approx(0.0, abs=1e-6)
     assert result.nbs.f_b == pytest.approx(10.0, abs=1e-6)
     assert result.nbs.product == pytest.approx(100.0, abs=1e-4)
@@ -76,6 +77,29 @@ def trade_off_toy():
     # genuine trade-off: raising profit f_b = u requires paying cost f_a = u
     base = LinearModel([Variable("u", 0.0, 10.0)], [], {}, MIN)
     return BiObjectiveModel(base, {0: 1.0}, {0: 1.0}), DisagreementPoints(10.0, 0.0)
+
+
+def steep_toy(ratio):
+    """f_a = u, f_b = ratio * u on u in [0, 10] against d = (10, 0): the bargain
+    is u = 5 with gains 5 and 5 * ratio, so its tangent slope is sqrt(ratio)."""
+
+    def toy():
+        base = LinearModel([Variable("u", 0.0, 10.0)], [], {}, MIN)
+        return BiObjectiveModel(base, {0: 1.0}, {0: ratio}), DisagreementPoints(10.0, 0.0)
+
+    return toy
+
+
+@pytest.mark.parametrize("ratio", [10.0, 0.1, 100.0, 0.01])
+def test_gain_ratio_outside_the_starting_bracket(ratio):
+    # the starting cuts are tight at ratios 1/4, 1 and 4, so the first MILP ends
+    # at a corner where one side gains nothing
+    p3, d = steep_toy(ratio)()
+    result = solve_nbs(p3, d, gap=1e-9)
+    assert result.nbs.tau1 == pytest.approx(5.0, abs=1e-6)
+    assert result.nbs.tau2 == pytest.approx(5.0 * ratio, rel=1e-6)
+    assert result.nbs.product == pytest.approx(25.0 * ratio, rel=1e-6)
+    assert result.cuts[-1] == pytest.approx(math.sqrt(ratio), rel=1e-6)
 
 
 def test_dominated_line_collapses_to_its_best_point():
@@ -102,7 +126,7 @@ def test_frontier_recovers_line_and_is_sorted():
 
 def test_trade_off_toy_nbs_balances_gains():
     p3, d = trade_off_toy()
-    result = solve_nbs(p3, d, grid_points=11, gap=1e-9)
+    result = solve_nbs(p3, d, gap=1e-9)
     assert result.nbs.tau1 == pytest.approx(5.0, abs=1e-6)
     assert result.nbs.tau2 == pytest.approx(5.0, abs=1e-6)
 
@@ -121,11 +145,12 @@ def test_product_dominates_frontier_and_tcm():
     assert result.nbs.product >= result.tcm.product - 1e-6
 
 
-def test_grid_refinement_consistency():
+def test_two_solves_give_the_same_point():
     p3, d = symmetric_toy()
-    coarse = solve_nbs(p3, d, grid_points=5, gap=1e-9, refine_tol=1e-8)
-    fine = solve_nbs(p3, d, grid_points=10, gap=1e-9, refine_tol=1e-8)
+    coarse = solve_nbs(p3, d, gap=1e-9)
+    fine = solve_nbs(p3, d, gap=1e-9)
     assert fine.nbs.product >= coarse.nbs.product - 1e-6
+    assert (fine.nbs.f_a, fine.nbs.f_b) == (coarse.nbs.f_a, coarse.nbs.f_b)
 
 
 def test_separable_scenario_collapses_to_disagreement():
@@ -142,7 +167,7 @@ def test_separable_scenario_collapses_to_disagreement():
     assert d.d2 == pytest.approx(0.0, abs=1e-9)
     assert tcm.f_a == pytest.approx(d.d1, abs=1e-7)
     assert tcm.f_b == pytest.approx(d.d2, abs=1e-7)
-    result = solve_nbs(p3, d, grid_points=5, gap=1e-9)
+    result = solve_nbs(p3, d, gap=1e-9)
     assert result.nbs.product == pytest.approx(0.0, abs=1e-9)
     assert result.nbs.f_a == pytest.approx(d.d1, abs=1e-7)
 
@@ -174,8 +199,8 @@ def test_disagreement_points_zero_scenario():
 
 def test_axioms_on_symmetric_toy():
     p3, d = symmetric_toy()
-    result = solve_nbs(p3, d, grid_points=21, gap=1e-9)
-    report = verify_axioms(result, p3, d, gap=1e-9, grid_points=21, symmetric=True)
+    result = solve_nbs(p3, d, gap=1e-9)
+    report = verify_axioms(result, p3, d, gap=1e-9, symmetric=True)
     assert report.individual_rationality
     assert report.pareto_optimality
     assert report.affine_invariance
@@ -188,12 +213,12 @@ def test_axioms_when_cooperation_cannot_help():
     base = LinearModel([Variable("u", 0.0, 10.0)], [], {}, MIN)
     p3 = BiObjectiveModel(base, {0: 1.0}, {0: 1.0})
     d = DisagreementPoints(-5.0, 5.0)
-    result = solve_nbs(p3, d, grid_points=5, gap=1e-9)
+    result = solve_nbs(p3, d, gap=1e-9)
     assert result.frontier == []
     assert result.nbs.product == 0.0
     assert result.nbs.f_a == d.d1
     assert result.nbs.f_b == d.d2
-    report = verify_axioms(result, p3, d, gap=1e-9, grid_points=5)
+    report = verify_axioms(result, p3, d, gap=1e-9)
     assert report.individual_rationality
     assert report.all_hold()
 
@@ -202,5 +227,114 @@ def test_rescaling_keeps_selected_point():
     scn = tiny_scenario(T=2, K=1, seed=30)
     study = solve_study(scn, "nbs", grid_points=9, gap=1e-9)
     p3, d, result = study.p3, study.d, study.bargain
-    report = verify_axioms(result, p3, d, gap=1e-9, grid_points=9, rescale=3.0)
+    report = verify_axioms(result, p3, d, gap=1e-9, rescale=3.0)
     assert report.affine_invariance, report.details
+
+
+def gains_toy():
+    # 4 binaries; leasing pays both sides, so the bargain has a positive product
+    study = solve_study(tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0), "tcm", gap=1e-9)
+    return study.p3, study.d
+
+
+def cannot_help_toy():
+    base = LinearModel([Variable("u", 0.0, 10.0)], [], {}, MIN)
+    return BiObjectiveModel(base, {0: 1.0}, {0: 1.0}), DisagreementPoints(-5.0, 5.0)
+
+
+def scenario_toy(seed):
+    def toy():
+        study = solve_study(tiny_scenario(T=2, K=1, seed=seed), "tcm", gap=1e-9)
+        return study.p3, study.d
+
+    return toy
+
+
+@pytest.mark.parametrize(
+    "toy",
+    [symmetric_toy, linear_frontier_toy, trade_off_toy, gains_toy, cannot_help_toy,
+     scenario_toy(12), scenario_toy(30), steep_toy(10.0), steep_toy(0.1)],
+    ids=["symmetric", "linear-frontier", "trade-off", "gains", "cannot-help", "seed-12", "seed-30",
+         "steep", "flat"],
+)
+def test_bound_certifies_the_product(toy):
+    p3, d = toy()
+    gap = 1e-9
+    result = solve_nbs(p3, d, gap=gap)
+    assert result.bound >= result.nbs.product
+    if result.nbs.product > 0.0:
+        assert result.bound <= (1 + gap) * result.nbs.product
+    else:  # no point gains for both sides
+        assert result.bound <= 1e-12
+
+
+def best_enumerated_product(p3, d, floors):
+    """Largest Nash product over epsilon-constraint points whose MILPs are
+    solved by enumerating the binaries; a lower bound on the bargain."""
+    top_model = with_objective(p3.base, p3.obj_b, MAX)
+    top_model.constraints.append(Constraint(dict(p3.obj_a), LE, d.d1))
+    top = enumerate_binaries(top_model).objective
+    best = 0.0
+    for theta in np.linspace(d.d2, top, floors):
+        model = with_objective(p3.base, p3.obj_a, MIN)
+        model.constraints.append(Constraint(dict(p3.obj_a), LE, d.d1))
+        model.constraints.append(Constraint(dict(p3.obj_b), GE, float(theta)))
+        sol = enumerate_binaries(model)
+        if sol.incumbent is not None:
+            best = max(best, (d.d1 - sol.objective) * (p3.value_b(sol.incumbent) - d.d2))
+    return best
+
+
+def test_bound_stays_valid_when_cut_milps_run_out_of_nodes(monkeypatch):
+    p3, d = gains_toy()
+    cut_milps = []
+    real_solve = bargain.solve_milp
+
+    def recording(model, *args, **kwargs):
+        sol = real_solve(model, *args, **kwargs)
+        if model.variables[-1].name == "nash_gamma":
+            cut_milps.append(sol)
+        return sol
+
+    monkeypatch.setattr(bargain, "solve_milp", recording)
+    monkeypatch.setattr(bargain, "CELL_NODE_BUDGET", 1)
+    result = solve_nbs(p3, d, gap=1e-9)
+    assert BUDGET_EXHAUSTED in [sol.status for sol in cut_milps]
+    optimum = best_enumerated_product(p3, d, 21)
+    assert optimum > 0.0
+    assert result.bound >= optimum * (1 - 1e-9)
+    assert result.bound >= result.nbs.product
+    # the bound is what the MILPs proved, not what their incumbents reached
+    assert result.bound == pytest.approx(min(sol.bound for sol in cut_milps) ** 2, rel=1e-12)
+
+
+def test_no_point_from_the_first_cut_milp_raises(monkeypatch):
+    p3, d = gains_toy()
+    exhausted = MilpSolution(BUDGET_EXHAUSTED, None, math.nan, 1e6, math.inf, 1)
+    real_solve = bargain.solve_milp
+
+    def nash_model_exhausted(model, *args, **kwargs):
+        if model.variables[-1].name == "nash_gamma":
+            return exhausted
+        return real_solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(bargain, "solve_milp", nash_model_exhausted)
+    with pytest.raises(BudgetExhaustedError):
+        solve_nbs(p3, d, gap=1e-9)
+
+
+def test_bound_below_a_found_product_raises(monkeypatch):
+    # the polished point is feasible in every cut model, so a MILP bound below
+    # its product beyond rounding is a broken bound, not a certificate
+    p3, d = symmetric_toy()
+    real_solve = bargain.solve_milp
+
+    def understated(model, *args, **kwargs):
+        sol = real_solve(model, *args, **kwargs)
+        if model.variables[-1].name == "nash_gamma":
+            return replace(sol, bound=0.9 * sol.objective)
+        return sol
+
+    monkeypatch.setattr(bargain, "solve_milp", understated)
+    with pytest.raises(SolverError):
+        solve_nbs(p3, d, gap=1e-9)

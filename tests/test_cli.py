@@ -1,11 +1,12 @@
 import csv
+import inspect
 import math
 from pathlib import Path
 
 import pytest
 
 from coopt import bargain
-from coopt.bargain import solve_study
+from coopt.bargain import pareto_frontier, solve_study
 from coopt.bnb import BUDGET_EXHAUSTED, INFEASIBLE, MilpSolution
 from coopt.cli import main
 from coopt.io import EXIT_BUDGET_EXHAUSTED, EXIT_INFEASIBLE, EXIT_OK, load_scenario, save_scenario
@@ -118,3 +119,32 @@ def test_independent_objective_in_summary_is_the_printed_one(tmp_path, capsys, c
     with open(tmp_path / "out" / "summary.csv", newline="") as fh:
         rows = {row["quantity"]: row for row in csv.DictReader(fh)}
     assert float(rows[quantity]["independent"]) == float(printed[label])
+
+
+def test_nbs_command_prints_a_bound_at_least_the_product(tmp_path, capsys):
+    path = tmp_path / "gains.scenario"
+    save_scenario(tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0), path)
+    code = main(["solve-p3-nbs", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert list(printed) == ["nbs hub cost", "nbs bss profit", "nash product", "nash bound"]
+    assert float(printed["nash product"]) > 0.0
+    assert float(printed["nash bound"]) >= float(printed["nash product"])
+
+
+def test_frontier_does_not_depend_on_the_worker_count(tmp_path):
+    # the sweep is serial: no worker count reaches it, and the command
+    # accepts --workers and writes the same points either way
+    assert "workers" not in inspect.signature(pareto_frontier).parameters
+    path = tmp_path / "gains.scenario"
+    save_scenario(tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0), path)
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out-{workers}"
+        code = main([
+            "frontier", "--scenario", str(path), "--grid-points", "5",
+            "--workers", workers, "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        written.append((out / "frontier.csv").read_bytes())
+    assert written[0] == written[1]

@@ -1,0 +1,85 @@
+import json
+from pathlib import Path
+
+import pytest
+
+from coopt.cli import main
+from coopt.io import EXIT_INPUT_ERROR, ScenarioError, load_scenario, save_scenario
+
+from conftest import tiny_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["median.scenario", "median_k2.scenario"])
+def test_bundled_scenario_round_trips_byte_for_byte(tmp_path, name):
+    saved = tmp_path / name
+    save_scenario(load_scenario(SCENARIOS / name), saved)
+    assert saved.read_bytes() == (SCENARIOS / name).read_bytes()
+
+
+def test_saved_scenario_loads_to_the_same_inputs(tmp_path):
+    scn = tiny_scenario(T=3, K=2, seed=4)
+    first, second = tmp_path / "first.scenario", tmp_path / "second.scenario"
+    save_scenario(scn, first)
+    assert load_scenario(first) == scn
+    save_scenario(load_scenario(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def write_with(tmp_path, edit) -> Path:
+    path = tmp_path / "edited.scenario"
+    save_scenario(tiny_scenario(T=4, K=2), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def set_series_entry(doc):
+    doc["prices"]["lambda_da"][3] = "cheap"
+
+
+def set_compartment_field(doc):
+    doc["bss"]["compartments"][1]["cap"] = None
+
+
+def drop_series(doc):
+    del doc["probabilities"]["dep_dn"]
+
+
+def shorten_series(doc):
+    doc["demand"]["ev_load"].pop()
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (set_series_entry, "prices.lambda_da[3]"),
+        (set_compartment_field, "bss.compartments[1].cap"),
+        (drop_series, "probabilities.dep_dn"),
+        (shorten_series, "demand.ev_load"),
+    ],
+)
+def test_bad_value_error_names_its_field(tmp_path, edit, field):
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(write_with(tmp_path, edit))
+    assert str(caught.value).startswith(f"{field}:")
+
+
+@pytest.mark.parametrize("edit", [set_series_entry, set_compartment_field])
+def test_malformed_scenario_exits_2(tmp_path, capsys, edit):
+    path = write_with(tmp_path, edit)
+    assert main(["solve-p1", "--scenario", str(path), "--out", str(tmp_path / "out")]) == (
+        EXIT_INPUT_ERROR
+    )
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_invalid_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.scenario"
+    path.write_text('{"horizon": 2,')
+    assert main(["solve-p2", "--scenario", str(path), "--out", str(tmp_path / "out")]) == (
+        EXIT_INPUT_ERROR
+    )
+    assert "invalid JSON" in capsys.readouterr().err

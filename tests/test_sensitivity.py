@@ -199,7 +199,6 @@ def test_sweep_grid_shape_and_rationality():
         [scaled(rt, 0.6), rt, scaled(rt, 1.4)],
         [scaled(dem, 0.5), dem, scaled(dem, 1.5)],
         gap=1e-6,
-        grid_points=5,
     )
     assert result.reductions.shape == (3, 3, 3)
     assert not result.flags.any()
@@ -217,7 +216,6 @@ def test_sweep_flat_identical_prices_yield_no_gain():
         [flat, flat, flat],
         [scaled(dem, 0.5), dem, scaled(dem, 1.5)],
         gap=1e-6,
-        grid_points=4,
     )
     assert result.reductions == pytest.approx(np.zeros((3, 3, 3)), abs=1e-4)
 
