@@ -18,9 +18,9 @@ OUT = Path(__file__).resolve().parents[1] / "scenarios"
 
 def main() -> None:
     OUT.mkdir(exist_ok=True)
-    median = build_scenario(K=6, seed=7, days=30, percentile=50.0)
+    median = build_scenario(K=6, seed=7, days=30)
     save_scenario(median, OUT / "median.scenario")
-    small = build_scenario(K=2, seed=7, days=30, percentile=50.0, compartment_spread=0.05)
+    small = build_scenario(K=2, seed=7, days=30, compartment_spread=0.05)
     save_scenario(small, OUT / "median_k2.scenario")
     print(f"wrote {OUT / 'median.scenario'} and {OUT / 'median_k2.scenario'}")
 

@@ -21,14 +21,7 @@ from .bargain import (
 from .bnb import MilpSolution, solve_milp
 from .io import ScenarioError, emit_report, load_scenario, save_scenario
 from .linear import BiObjectiveModel, Constraint, LinearModel, Variable
-from .models import (
-    ObjectiveBreakdown,
-    build_p1,
-    build_p2,
-    build_p3,
-    degradation_cost,
-    objective_breakdown,
-)
+from .models import build_p1, build_p2, build_p3, degradation_cost
 from .scenario import (
     BssSpec,
     CompartmentSpec,
@@ -73,7 +66,6 @@ __all__ = [
     "LpSolution",
     "MarketRecord",
     "MilpSolution",
-    "ObjectiveBreakdown",
     "ParetoPoint",
     "PriceProfiles",
     "ReserveProbabilities",
@@ -93,7 +85,6 @@ __all__ = [
     "fractional_factorial_design",
     "generate_demand",
     "load_scenario",
-    "objective_breakdown",
     "pareto_frontier",
     "percentile_profiles",
     "save_scenario",

@@ -38,6 +38,8 @@ import numpy as np
 
 from .bnb import (
     BUDGET_EXHAUSTED,
+    DEFAULT_GAP,
+    DEFAULT_NODE_BUDGET,
     INFEASIBLE,
     OPTIMAL_WITHIN_GAP,
     MilpSolution,
@@ -60,7 +62,6 @@ from .models import AS_WRITTEN, build_p1, build_p2, build_p3
 from .scenario import ScenarioInputs
 from .simplex import OPTIMAL, SimplexSolver
 
-DEFAULT_GAP = 5e-4
 DEFAULT_GRID_POINTS = 41
 CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point and per Nash cut MILP
 START_SLOPES = (0.5, 1.0, 2.0)  # tau2 / tau1 = t^2: both gains are money, so t has no unit
@@ -163,7 +164,7 @@ def solve_tcm(
     gap: float = DEFAULT_GAP,
     *,
     d: DisagreementPoints | None = None,
-    node_budget: int = 200_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ParetoPoint:
     """Minimize combined cost (hub cost minus storage profit) over the joint set."""
     combined = {j: c for j, c in p3.obj_a.items()}
@@ -183,51 +184,32 @@ def _gain_model(p3: BiObjectiveModel, d: DisagreementPoints, objective, sense) -
     return model
 
 
-def _max_fb_model(p3: BiObjectiveModel, d: DisagreementPoints) -> LinearModel:
-    model = with_objective(p3.base, p3.obj_b, MAX)
-    add_constraint(model, p3.obj_a, LE, d.d1, "hub_gain_cut")
-    return model
-
-
-def _solve_sweep_cell(args):
-    model, theta, gap, node_budget, hint = args
-    model.constraints[-1].rhs = theta
-    sol = solve_milp(model, gap, node_budget, incumbent_hint=hint)
-    if sol.status != OPTIMAL_WITHIN_GAP:
-        return theta, None
-    return theta, sol.incumbent
-
-
 def pareto_frontier(
     p3: BiObjectiveModel,
     d: DisagreementPoints,
     grid_points: int = DEFAULT_GRID_POINTS,
     gap: float = DEFAULT_GAP,
     *,
-    node_budget: int = 200_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[ParetoPoint]:
     """Sweep a uniform floor on the storage objective across the admissible
     range and keep the nondominated outcomes, sorted by rising storage profit.
 
     Each sweep point gets ``CELL_NODE_BUDGET`` nodes; points that cannot
-    certify the gap within it are dropped from the frontier, which only
-    thins the sampled set (every returned point is solved at ``gap``).
+    certify the gap within it, or whose root LP the simplex cannot solve, are
+    dropped from the frontier, which only thins the sampled set (every
+    returned point is solved at ``gap``).
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     # the sweep only needs an achievable top for the floor grid, so the far
-    # corner is located with cheap incumbents; every kept point is still
-    # solved at `gap`
-    free_top = solve_milp(
-        with_objective(p3.base, p3.obj_b, MAX),
-        max(gap, 0.02),
-        min(200, node_budget),
-    )
+    # corner is located with cheap incumbents, first without and then with
+    # the hub's gain row; every kept point is still solved at `gap`
+    top_model = with_objective(p3.base, p3.obj_b, MAX)
+    free_top = solve_milp(top_model, max(gap, 0.02), min(200, node_budget))
+    add_constraint(top_model, p3.obj_a, LE, d.d1, "hub_gain_cut")
     top = solve_milp(
-        _max_fb_model(p3, d),
-        max(gap, 0.02),
-        min(400, node_budget),
-        incumbent_hint=free_top.incumbent,
+        top_model, max(gap, 0.02), min(400, node_budget), incumbent_hint=free_top.incumbent
     )
     if top.incumbent is None:
         return []
@@ -236,16 +218,20 @@ def pareto_frontier(
         return []
 
     budget = min(node_budget, CELL_NODE_BUDGET)
-    thetas = np.linspace(d.d2, fb_max, grid_points)
     model = _gain_model(p3, d, p3.obj_a, MIN)
     # chain each point's mode pattern into the next solve as a seed
     points = []
     hint = top.incumbent
-    for theta in thetas:
-        theta, x = _solve_sweep_cell((model, float(theta), gap, budget, hint))
-        if x is not None:
-            hint = x
-            points.append(_point_from(p3, x, d, theta=theta))
+    for theta in np.linspace(d.d2, fb_max, grid_points):
+        theta = float(theta)
+        model.constraints[-1].rhs = theta
+        try:
+            sol = solve_milp(model, gap, budget, incumbent_hint=hint)
+        except SolverError:
+            continue
+        if sol.status == OPTIMAL_WITHIN_GAP:
+            hint = sol.incumbent
+            points.append(_point_from(p3, hint, d, theta=theta))
     return _nondominated(points)
 
 
@@ -342,7 +328,7 @@ def solve_nbs(
     d: DisagreementPoints,
     gap: float = DEFAULT_GAP,
     *,
-    node_budget: int = 200_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> BargainResult:
     """Maximize the Nash product (d1 - f_a)(f_b - d2) over the joint set by
     tangent cuts on gamma^2 <= tau1 tau2, with a bound on the product."""
@@ -409,7 +395,7 @@ def solve_study(
     *,
     deployment_revenue: str = AS_WRITTEN,
     gap: float = DEFAULT_GAP,
-    node_budget: int = 200_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> ResultsBundle:
     """Solve one of :data:`GOALS` on a scenario.

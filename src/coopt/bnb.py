@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -32,6 +31,9 @@ from .simplex import (
 
 OPTIMAL_WITHIN_GAP = "optimal-within-gap"
 BUDGET_EXHAUSTED = "budget-exhausted"
+
+DEFAULT_GAP = 5e-4  # relative gap; the default of every solve and of the CLI
+DEFAULT_NODE_BUDGET = 200_000
 
 INT_TOL = 1e-6
 _LP_FAILED = (SINGULAR, ITERATION_LIMIT)  # the LP stopped without an answer; retried cold
@@ -91,10 +93,9 @@ class _Node:
 
 def solve_milp(
     model: LinearModel,
-    gap_target: float = 5e-4,
-    node_budget: int = 200_000,
+    gap_target: float = DEFAULT_GAP,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     *,
-    progress: TextIO | None = None,
     incumbent_hint: np.ndarray | None = None,
 ) -> MilpSolution:
     """Best-bound branch-and-bound; returns when the relative gap closes or the
@@ -158,10 +159,6 @@ def solve_milp(
         candidates.append(incumbent_z)
         return min(candidates)
 
-    def log(bound, inc, gap):
-        if progress is not None:
-            progress.write(f"{nodes},{sign * bound!r},{sign * inc!r},{gap!r}\n")
-
     while stack or heap:
         gap = _relative_gap(incumbent_z, best_bound)
         if incumbent_x is not None and gap <= gap_target:
@@ -216,7 +213,6 @@ def solve_milp(
                             heapq.heappush(heap, child)
 
         best_bound = max(best_bound, open_bound())
-        log(best_bound, incumbent_z, _relative_gap(incumbent_z, best_bound))
 
     if incumbent_x is None:
         # without an incumbent, a finite floor can only come from an unsolved node

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class LinearModel:
     constraints: list[Constraint]
     objective: dict[int, float]
     sense: str = MIN
-    context: object | None = None
 
     def __post_init__(self):
         if self.sense not in (MIN, MAX):
@@ -99,7 +98,6 @@ def clone(model: LinearModel) -> LinearModel:
         constraints=[Constraint(dict(c.coeffs), c.sense, c.rhs, c.name) for c in model.constraints],
         objective=dict(model.objective),
         sense=model.sense,
-        context=model.context,
     )
 
 
@@ -114,15 +112,6 @@ def add_constraint(
     model: LinearModel, coeffs: Mapping[int, float], sense: str, rhs: float, name: str = ""
 ) -> None:
     model.constraints.append(Constraint(dict(coeffs), sense, float(rhs), name))
-
-
-def fix_variables(model: LinearModel, names: Iterable[str], value: float = 0.0) -> None:
-    """Pin the named variables to a constant by collapsing their bounds."""
-    layout = model.var_layout
-    for name in names:
-        var = model.variables[layout[name]]
-        var.lb = value
-        var.ub = value
 
 
 def objective_value(coeffs: Mapping[int, float], x) -> float:
@@ -152,12 +141,6 @@ class BiObjectiveModel:
             for j in obj:
                 if not 0 <= j < n:
                     raise ValueError(f"{label} references unknown variable {j}")
-
-    def minimize_a(self) -> LinearModel:
-        return with_objective(self.base, self.obj_a, MIN)
-
-    def maximize_b(self) -> LinearModel:
-        return with_objective(self.base, self.obj_b, MAX)
 
     def value_a(self, x) -> float:
         return objective_value(self.obj_a, x)

@@ -1,4 +1,4 @@
-"""Builders for the three operation models and their objective accounting.
+"""Builders for the three operation models.
 
 ``build_p1`` is the hub's independent day-ahead/real-time procurement LP,
 ``build_p2`` the storage operator's reserve-market MILP, and ``build_p3`` the
@@ -16,9 +16,6 @@ price again, while ``"single-scaled"`` prices it by the RT price once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .linear import (
     EQ,
@@ -46,52 +43,6 @@ SINGLE_SCALED = "single-scaled"
 DEPLOYMENT_REVENUE_MODES = (AS_WRITTEN, SINGLE_SCALED)
 
 
-@dataclass(frozen=True)
-class ModelContext:
-    """What a model was built from; carried for reporting and breakdowns."""
-
-    kind: str
-    prices: PriceProfiles
-    hub: HubSpec | None = None
-    bss: BssSpec | None = None
-    probabilities: ReserveProbabilities | None = None
-    demand: DemandProfile | None = None
-    joint: JointTerms | None = None
-    deployment_revenue: str = AS_WRITTEN
-
-    @property
-    def horizon(self) -> int:
-        return self.prices.horizon
-
-
-@dataclass
-class ObjectiveBreakdown:
-    """Named money components recomputed from raw variable values."""
-
-    r_cap: float = 0.0
-    r_dep: float = 0.0
-    c_phi: float = 0.0
-    c_deg: float = 0.0
-    hub_da_cost: float = 0.0
-    hub_rt_cost: float = 0.0
-    hub_resale: float = 0.0
-    hub_storage_cost: float = 0.0
-    hub_lease_fee: float = 0.0
-    bss_lease_income: float = 0.0
-
-    def hub_total(self) -> float:
-        return (
-            self.hub_da_cost
-            + self.hub_rt_cost
-            + self.hub_resale
-            + self.hub_storage_cost
-            + self.hub_lease_fee
-        )
-
-    def bss_total(self) -> float:
-        return self.r_cap + self.r_dep - self.c_phi - self.c_deg + self.bss_lease_income
-
-
 def degradation_cost(spec: CompartmentSpec, throughput_kwh: float) -> float:
     """Wear cost of cycling ``throughput_kwh`` through one compartment."""
     if throughput_kwh < 0:
@@ -110,19 +61,17 @@ class _Builder:
     def __init__(self):
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
-        self.index: dict[str, int] = {}
 
     def var(self, name: str, lb: float = 0.0, ub: float = math.inf, binary: bool = False) -> int:
         j = len(self.variables)
         self.variables.append(Variable(name, lb, ub, binary))
-        self.index[name] = j
         return j
 
     def row(self, name: str, coeffs: dict[int, float], sense: str, rhs: float) -> None:
         self.constraints.append(Constraint(coeffs, sense, float(rhs), name))
 
-    def model(self, objective: dict[int, float], sense: str, context: ModelContext) -> LinearModel:
-        return LinearModel(self.variables, self.constraints, objective, sense, context)
+    def model(self, objective: dict[int, float], sense: str) -> LinearModel:
+        return LinearModel(self.variables, self.constraints, objective, sense)
 
 
 def _check_horizons(prices: PriceProfiles, *others) -> int:
@@ -176,8 +125,7 @@ def build_p1(hub: HubSpec, prices: PriceProfiles, demand: DemandProfile) -> Line
             EQ,
             demand.ev_load[t],
         )
-    context = ModelContext("p1", prices, hub=hub, demand=demand)
-    return b.model(_hub_objective(v, prices, T), MIN, context)
+    return b.model(_hub_objective(v, prices, T), MIN)
 
 
 def _bss_block(
@@ -317,11 +265,7 @@ def build_p2(
                 0.0,
             )
     _bss_balance_rows(b, v, bss, T)
-    obj = _bss_objective(v, bss, prices, probs, T, deployment_revenue)
-    context = ModelContext(
-        "p2", prices, bss=bss, probabilities=probs, deployment_revenue=deployment_revenue
-    )
-    return b.model(obj, MAX, context)
+    return b.model(_bss_objective(v, bss, prices, probs, T, deployment_revenue), MAX)
 
 
 def build_p3(
@@ -436,97 +380,4 @@ def build_p3(
                 obj_b[lease["lease_to_ev"][t, k]] = income
                 obj_b[lease["lease_to_rt"][t, k]] = income
 
-    context = ModelContext(
-        "p3",
-        prices,
-        hub=hub,
-        bss=bss,
-        probabilities=probs,
-        demand=demand,
-        joint=joint,
-        deployment_revenue=deployment_revenue,
-    )
-    base = b.model({}, MIN, context)
-    return BiObjectiveModel(base, obj_a, obj_b)
-
-
-LEASE_VAR_PREFIXES = ("lease_da_in", "lease_rt_in", "lease_to_ev", "lease_to_rt", "stored_hub")
-
-
-def joint_variable_names(model: LinearModel) -> list[str]:
-    """Names of the hub-side leased-storage variables of a joint model."""
-    return [v.name for v in model.variables if v.name.split("[")[0] in LEASE_VAR_PREFIXES]
-
-
-def objective_breakdown(model: LinearModel | BiObjectiveModel, solution) -> ObjectiveBreakdown:
-    """Recompute every named money component from raw variable values.
-
-    ``solution`` is an assignment vector aligned with the model's variables
-    (or a mapping from name to value).  Raises when the assignment is not
-    feasible for the model within loose tolerances.
-    """
-    base = model.base if isinstance(model, BiObjectiveModel) else model
-    ctx: ModelContext = base.context
-    if ctx is None:
-        raise ValueError("model carries no build context; cannot attribute terms")
-    x = _as_vector(base, solution)
-    from .linear import constraint_violation
-
-    scale = 1.0 + max((abs(val) for val in x), default=0.0)
-    if constraint_violation(base, x) > 1e-5 * scale:
-        raise ValueError("assignment is not feasible for the model")
-
-    out = ObjectiveBreakdown()
-    layout = base.var_layout
-    T = ctx.horizon
-    prices = ctx.prices
-
-    def val(name: str) -> float:
-        return float(x[layout[name]])
-
-    if ctx.kind in ("p1", "p3"):
-        for t in range(T):
-            out.hub_da_cost += prices.lambda_da[t] * val(f"da_to_ev[{t}]")
-            out.hub_rt_cost += prices.lambda_rt[t] * val(f"rt_to_ev[{t}]")
-            out.hub_resale += (prices.lambda_da[t] - prices.lambda_rt[t]) * val(f"da_to_rt[{t}]")
-    if ctx.kind in ("p2", "p3"):
-        probs = ctx.probabilities
-        for k in range(ctx.bss.k):
-            rate = marginal_degradation_rate(ctx.bss.compartments[k])
-            for t in range(T):
-                out.r_cap += prices.lambda_up[t] * probs.acc_up[t] * val(f"bid_up[{t},{k}]")
-                out.r_cap += prices.lambda_dn[t] * probs.acc_dn[t] * val(f"bid_dn[{t},{k}]")
-                up_scale = probs.dep_up[t] if ctx.deployment_revenue == AS_WRITTEN else 1.0
-                dn_scale = probs.dep_dn[t] if ctx.deployment_revenue == AS_WRITTEN else 1.0
-                out.r_dep += prices.lambda_rt[t] * up_scale * val(f"deploy_up[{t},{k}]")
-                out.r_dep += prices.lambda_rt[t] * dn_scale * val(f"deploy_dn[{t},{k}]")
-                out.c_phi += prices.lambda_rt[t] * val(f"rt_buy[{t},{k}]")
-                out.c_deg += rate * (val(f"deploy_up[{t},{k}]") + val(f"deploy_dn[{t},{k}]"))
-    if ctx.kind == "p3":
-        joint = ctx.joint
-        fee = joint.deg_rate * (1.0 + joint.lease_markup)
-        income = joint.deg_rate * joint.lease_markup
-        for k in range(ctx.bss.k):
-            for t in range(T):
-                out.hub_storage_cost += prices.lambda_da[t] * val(f"lease_da_in[{t},{k}]")
-                out.hub_storage_cost += prices.lambda_rt[t] * val(f"lease_rt_in[{t},{k}]")
-                out.hub_resale -= prices.lambda_rt[t] * val(f"lease_to_rt[{t},{k}]")
-                discharged = val(f"lease_to_ev[{t},{k}]") + val(f"lease_to_rt[{t},{k}]")
-                out.hub_lease_fee += fee * discharged
-                out.bss_lease_income += income * discharged
-    return out
-
-
-def _as_vector(model: LinearModel, solution) -> np.ndarray:
-    if solution is None:
-        raise ValueError("missing solution values")
-    if isinstance(solution, dict):
-        layout = model.var_layout
-        x = np.zeros(model.n)
-        for name, value in solution.items():
-            x[layout[name]] = value
-        return x
-    x = np.asarray(solution, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"solution has shape {x.shape}, expected ({model.n},)")
-    return x
+    return BiObjectiveModel(b.model({}, MIN), obj_a, obj_b)

@@ -9,7 +9,7 @@ them are deterministic in the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,6 +35,19 @@ from .simulate import (
 )
 
 HOURS = 24
+STATION_COUNT = 150
+STATION_RATE = 100.0  # kW per station
+TRAFFIC_SCALE = 4.0  # the hub's traffic per unit of the commuter shape below
+COMMIT_CAP_FACTOR = 2.0  # the hub's day-ahead commitment cap per unit of demand
+LEASE_MARKUP = 1.0
+
+# synthetic reserve market: offers per hour and side, offer sizes (kWh), the
+# cleared requirement as a fraction of the total offered, and the spread of
+# offer prices around the hour's price shape
+MARKET_PARTICIPANTS = 6
+OFFER_QTY_RANGE = (500.0, 3000.0)
+REQUIREMENT_RANGE = (0.25, 0.65)
+PRICE_SPREAD = 0.5
 
 # commuter double peak, vehicles per hour
 _TRAFFIC_SHAPE = (
@@ -100,7 +113,7 @@ def default_demand_config(seed: int = 0, traffic_scale: float = 1.0) -> DemandGe
     )
 
 
-def default_compartment(initial_level: float = 500.0) -> CompartmentSpec:
+def default_compartment() -> CompartmentSpec:
     return CompartmentSpec(
         cap=4000.0,
         min_level=500.0,
@@ -109,7 +122,7 @@ def default_compartment(initial_level: float = 500.0) -> CompartmentSpec:
         unit_cost=1_200_000.0,
         battery_capacity=4000.0,
         life_slope=-0.005,
-        initial_level=initial_level,
+        initial_level=500.0,
     )
 
 
@@ -136,18 +149,7 @@ def demand_history(cfg: DemandGenConfig, days: int = 30, hub: HubSpec | None = N
     return np.array(rows)
 
 
-@dataclass(frozen=True)
-class MarketSimConfig:
-    """Synthetic reserve-market generator: offers, requirement, deployment."""
-
-    participants: int = 6
-    qty_range: tuple[float, float] = (500.0, 3000.0)
-    requirement_range: tuple[float, float] = (0.25, 0.65)  # fraction of total offered
-    price_spread: float = 0.5
-    seed: int = 0
-
-
-def synthetic_market_history(cfg: MarketSimConfig, days: int = 30):
+def synthetic_market_history(seed: int = 0, days: int = 30):
     """Cleared up/down records plus (days, 24) clearing-price paths per side."""
     records: list[MarketRecord] = []
     up_prices = np.full((days, HOURS), np.nan)
@@ -158,14 +160,14 @@ def synthetic_market_history(cfg: MarketSimConfig, days: int = 30):
                 ("up", _UP_PRICE_SHAPE, _DEP_UP_TARGET, up_prices),
                 ("dn", _DN_PRICE_SHAPE, _DEP_DN_TARGET, dn_prices),
             ):
-                rng = stream(cfg.seed, t, day, 1 if side == "up" else 2)
+                rng = stream(seed, t, day, 1 if side == "up" else 2)
                 offers = []
-                for _ in range(cfg.participants):
-                    price = shape[t] * (1.0 - cfg.price_spread / 2 + cfg.price_spread * rng.random())
-                    qty = rng.uniform(*cfg.qty_range)
+                for _ in range(MARKET_PARTICIPANTS):
+                    price = shape[t] * (1.0 - PRICE_SPREAD / 2 + PRICE_SPREAD * rng.random())
+                    qty = rng.uniform(*OFFER_QTY_RANGE)
                     offers.append((price, qty))
                 stack = BidStack(tuple(offers), 0.0)
-                req = rng.uniform(*cfg.requirement_range) * stack.total_offered
+                req = rng.uniform(*REQUIREMENT_RANGE) * stack.total_offered
                 stack = BidStack(stack.offers, req)
                 outcome = clear_reserve_market(stack)
                 deployed = outcome.accepted_quantity if rng.random() < dep_target[t] else 0.0
@@ -211,47 +213,36 @@ def daily_probability_profiles(records, horizon: int = HOURS):
 
 
 def build_scenario(
-    *,
-    K: int = 2,
-    seed: int = 7,
-    days: int = 30,
-    percentile: float = 50.0,
-    station_count: int = 150,
-    station_rate: float = 100.0,
-    traffic_scale: float = 4.0,
-    lease_markup: float = 1.0,
-    compartment: CompartmentSpec | None = None,
-    commit_cap_factor: float = 2.0,
-    compartment_spread: float = 0.0,
+    *, K: int = 2, seed: int = 7, days: int = 30, compartment_spread: float = 0.0
 ) -> ScenarioInputs:
-    """Assemble a full synthetic scenario at one percentile level.
+    """Assemble the full synthetic scenario at median inputs.
 
-    Demand and both price curves are the per-hour percentile over ``days``
+    Demand and both price curves are the per-hour median over ``days``
     simulated days; reserve probabilities are the empirical rates over the
-    same horizon.  The day-ahead commitment cap is ``commit_cap_factor`` times
+    same horizon.  The day-ahead commitment cap is ``COMMIT_CAP_FACTOR`` times
     the demand profile.  A nonzero ``compartment_spread`` shrinks successive
     compartments by that fraction, which removes interchangeable-compartment
     symmetry from the search trees.
     """
-    comp = compartment or default_compartment()
-    hub_probe = HubSpec((0.0,) * HOURS, station_count, station_rate)
+    comp = default_compartment()
+    hub_probe = HubSpec((0.0,) * HOURS, STATION_COUNT, STATION_RATE)
 
-    cfg = default_demand_config(seed, traffic_scale)
-    dem = percentile_profiles(demand_history(cfg, days, hub_probe), percentile)
+    cfg = default_demand_config(seed, TRAFFIC_SCALE)
+    dem = percentile_profiles(demand_history(cfg, days, hub_probe), 50.0)
     da_hist, rt_hist = synthetic_price_history(days, seed)
-    lam_da = percentile_profiles(da_hist, percentile)
-    lam_rt = percentile_profiles(rt_hist, percentile)
+    lam_da = percentile_profiles(da_hist, 50.0)
+    lam_rt = percentile_profiles(rt_hist, 50.0)
 
-    records, up_hist, dn_hist = synthetic_market_history(MarketSimConfig(seed=seed), days)
-    lam_up = percentile_profiles(up_hist, percentile)
-    lam_dn = percentile_profiles(dn_hist, percentile)
+    records, up_hist, dn_hist = synthetic_market_history(seed, days)
+    lam_up = percentile_profiles(up_hist, 50.0)
+    lam_dn = percentile_profiles(dn_hist, 50.0)
     from .simulate import estimate_probabilities
 
     probs = estimate_probabilities(records, HOURS)
 
     prices = PriceProfiles(tuple(lam_da), tuple(lam_rt), tuple(lam_up), tuple(lam_dn))
     demand = DemandProfile(tuple(dem))
-    hub = HubSpec(tuple(commit_cap_factor * v for v in dem), station_count, station_rate)
+    hub = HubSpec(tuple(COMMIT_CAP_FACTOR * v for v in dem), STATION_COUNT, STATION_RATE)
     compartments = []
     for k in range(K):
         shrink = 1.0 - compartment_spread * k
@@ -268,5 +259,5 @@ def build_scenario(
     bss = BssSpec(tuple(compartments))
     from .models import marginal_degradation_rate
 
-    joint = JointTerms(lease_markup, marginal_degradation_rate(comp))
+    joint = JointTerms(LEASE_MARKUP, marginal_degradation_rate(comp))
     return ScenarioInputs(prices, demand=demand, probabilities=probs, hub=hub, bss=bss, joint=joint)

@@ -13,8 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bargain import BudgetExhaustedError, InfeasibleError, solve_study
+from .bargain import (
+    DEFAULT_GAP,
+    DEFAULT_NODE_BUDGET,
+    BudgetExhaustedError,
+    InfeasibleError,
+    solve_study,
+)
 from .models import AS_WRITTEN
+from .presets import COMMIT_CAP_FACTOR
 from .scenario import DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities, ScenarioInputs
 
 # ---------------------------------------------------------------------------
@@ -114,7 +121,6 @@ def f_critical(alpha: float, df1: float, df2: float) -> float:
 class FactorSpec:
     name: str
     levels: tuple
-    role: str = "reserve-side"
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -182,10 +188,6 @@ class AnovaTable:
     f_crit: float
     alpha: float
 
-    @property
-    def model_ss(self) -> float:
-        return sum(r.sum_sq for r in self.rows)
-
 
 def default_model_terms(factors) -> list:
     """Six mains plus the two cross terms the profit response reacts to:
@@ -252,7 +254,6 @@ def anova(design: DesignMatrix, responses, model_terms, alpha: float = 0.05) -> 
 
 
 SWEEP_LABELS = ("low", "median", "high")
-COMMIT_CAP_FACTOR = 2.0  # a sweep cell's day-ahead commitment cap per unit of demand
 
 
 def _percent(gain: float, base: float) -> float:
@@ -325,8 +326,8 @@ def sweep_grid(
     demand_levels,
     *,
     deployment_revenue: str = AS_WRITTEN,
-    gap: float = 5e-4,
-    node_budget: int = 200_000,
+    gap: float = DEFAULT_GAP,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
 ) -> SweepResult:
     """27-cell sensitivity of the bargain's hub cost reduction to price and
@@ -375,8 +376,8 @@ def factorial_profit_study(
     factors,
     *,
     deployment_revenue: str = AS_WRITTEN,
-    gap: float = 5e-4,
-    node_budget: int = 200_000,
+    gap: float = DEFAULT_GAP,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
 ):
     """Run the 32 design cells and return (design, profit-increase responses).

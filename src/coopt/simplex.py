@@ -279,9 +279,8 @@ def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> n
 class SimplexSolver:
     """Reusable solver bound to one model structure.
 
-    Bounds and right-hand sides may be overridden per solve, which is what
-    branch-and-bound and the frontier refinement rely on; the constraint
-    matrix itself is fixed at construction.
+    Bounds may be overridden per solve, which is what branch-and-bound relies
+    on; the constraint matrix and right-hand sides are fixed at construction.
     """
 
     def __init__(self, model: LinearModel):
@@ -307,7 +306,7 @@ class SimplexSolver:
 
     # -- per-solve state ---------------------------------------------------
 
-    def solve(self, *, lb=None, ub=None, rhs=None, warm: WarmStart | None = None) -> LpSolution:
+    def solve(self, *, lb=None, ub=None, warm: WarmStart | None = None) -> LpSolution:
         m, nsm, ncols = self.m, self.nsm, self.ncols
         self.iterations = 0
         self.lb = np.full(ncols, 0.0)
@@ -318,7 +317,6 @@ class SimplexSolver:
             self.lb[: self.ns] = lb
         if ub is not None:
             self.ub[: self.ns] = ub
-        self.b = self.sf.b.copy() if rhs is None else np.asarray(rhs, dtype=float).copy()
         if np.any(self.lb[: nsm] > self.ub[: nsm] + 1e-12):
             return self._finish(INFEASIBLE)
 
@@ -533,7 +531,7 @@ class SimplexSolver:
         self.x[nonbasic] = np.where(at_ub[nonbasic], self.ub[nonbasic], self.lb[nonbasic])
         self.x[self.stat == _FREE] = 0.0
         x_nonbasic = np.where(nonbasic[: self.nsm], self.x[: self.nsm], 0.0)
-        rhs_eff = self.b - self.sf.matvec(x_nonbasic)
+        rhs_eff = self.sf.b - self.sf.matvec(x_nonbasic)
         self.x[self.basis] = self.Binv @ rhs_eff
 
     def _nonbasic_value(self, j: int) -> float:
@@ -562,7 +560,7 @@ class SimplexSolver:
         at_lb = ~free & (hi_inf | (~lo_inf & (np.abs(lo) <= np.abs(hi))))
         self.stat[:nsm] = np.where(free, _FREE, np.where(at_lb, _AT_LB, _AT_UB))
         self.x[:nsm] = np.where(free, 0.0, np.where(at_lb, lo, hi))
-        resid = self.b - self.sf.matvec(self.x[:nsm])
+        resid = self.sf.b - self.sf.matvec(self.x[:nsm])
         self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
         self.lb[nsm:] = 0.0
         self.ub[nsm:] = math.inf
@@ -578,7 +576,7 @@ class SimplexSolver:
         if status != OPTIMAL:
             return status if status in (SINGULAR, ITERATION_LIMIT) else INFEASIBLE
         feas_gap = float(c1 @ self.x)
-        if feas_gap > FEAS_TOL * (1.0 + float(np.max(np.abs(self.b), initial=0.0))):
+        if feas_gap > FEAS_TOL * (1.0 + float(np.max(np.abs(self.sf.b), initial=0.0))):
             return INFEASIBLE
         if not self._purge_artificials():
             return SINGULAR

@@ -124,17 +124,14 @@ class ClearingOutcome:
             raise ValueError("deployed quantity exceeds accepted quantity")
 
 
-def clear_reserve_market(stack: BidStack, *, descending: bool = False) -> ClearingOutcome:
-    """Merit-order clearing: accept offers price-ascending (descending when
-    procuring from highest price first) until the requirement is met; the
-    marginal offer may be split and sets the clearing price."""
+def clear_reserve_market(stack: BidStack) -> ClearingOutcome:
+    """Merit-order clearing: accept offers price-ascending until the
+    requirement is met; the marginal offer may be split and sets the clearing
+    price."""
     accepted = [0.0] * len(stack.offers)
     if stack.requirement == 0.0:
         return ClearingOutcome(None, tuple(accepted), 0.0)
-    order = sorted(
-        range(len(stack.offers)),
-        key=lambda i: (-stack.offers[i][0] if descending else stack.offers[i][0], i),
-    )
+    order = sorted(range(len(stack.offers)), key=lambda i: (stack.offers[i][0], i))
     remaining = stack.requirement
     price = None
     for i in order:

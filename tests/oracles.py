@@ -3,9 +3,10 @@
 These deliberately avoid the production code paths: the LP oracle enumerates
 candidate vertices from active-set linear systems, the hub-commitment oracle
 scans a 1-kWh grid, the MILP oracle solves the LP of every binary assignment,
-the certificate check recomputes optimality residuals from the model, and
-the axiom check probes a bargain for rationality, Pareto optimality, affine
-invariance and symmetry.
+the certificate check recomputes optimality residuals from the model, the
+axiom check probes a bargain for rationality, Pareto optimality, affine
+invariance and symmetry, and the objective breakdown recomputes every money
+component of a model's objectives from its inputs and variable values.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from coopt.linear import (
     EQ,
     GE,
     LE,
+    MAX,
     MIN,
     BiObjectiveModel,
     LinearModel,
     add_constraint,
     clone,
+    constraint_violation,
     with_objective,
 )
+from coopt.models import AS_WRITTEN, marginal_degradation_rate
 from coopt.simplex import (
     INFEASIBLE,
     OPT_TOL,
@@ -344,3 +348,120 @@ def verify_axioms(
         details["taus"] = (nbs.tau1, nbs.tau2)
 
     return AxiomReport(rational, pareto, affine, symmetry, tol, details)
+
+
+def minimize_a(p3: BiObjectiveModel) -> LinearModel:
+    """The hub's cost minimized over the joint set."""
+    return with_objective(p3.base, p3.obj_a, MIN)
+
+
+def maximize_b(p3: BiObjectiveModel) -> LinearModel:
+    """The storage operator's profit maximized over the joint set."""
+    return with_objective(p3.base, p3.obj_b, MAX)
+
+
+def fix_variables(model: LinearModel, names) -> None:
+    """Pin the named variables to zero by collapsing their bounds."""
+    layout = model.var_layout
+    for name in names:
+        var = model.variables[layout[name]]
+        var.lb = var.ub = 0.0
+
+
+LEASE_VAR_PREFIXES = ("lease_da_in", "lease_rt_in", "lease_to_ev", "lease_to_rt", "stored_hub")
+
+
+def joint_variable_names(model: LinearModel) -> list[str]:
+    """Names of the hub-side leased-storage variables of a joint model."""
+    return [v.name for v in model.variables if v.name.split("[")[0] in LEASE_VAR_PREFIXES]
+
+
+@dataclass
+class ObjectiveBreakdown:
+    """Named money components recomputed from raw variable values."""
+
+    r_cap: float = 0.0
+    r_dep: float = 0.0
+    c_phi: float = 0.0
+    c_deg: float = 0.0
+    hub_da_cost: float = 0.0
+    hub_rt_cost: float = 0.0
+    hub_resale: float = 0.0
+    hub_storage_cost: float = 0.0
+    hub_lease_fee: float = 0.0
+    bss_lease_income: float = 0.0
+
+    def hub_total(self) -> float:
+        return (
+            self.hub_da_cost
+            + self.hub_rt_cost
+            + self.hub_resale
+            + self.hub_storage_cost
+            + self.hub_lease_fee
+        )
+
+    def bss_total(self) -> float:
+        return self.r_cap + self.r_dep - self.c_phi - self.c_deg + self.bss_lease_income
+
+
+def objective_breakdown(
+    model: LinearModel | BiObjectiveModel,
+    solution,
+    prices,
+    *,
+    bss=None,
+    probs=None,
+    joint=None,
+    deployment_revenue: str = AS_WRITTEN,
+) -> ObjectiveBreakdown:
+    """Recompute every named money component from raw variable values.
+
+    The model is P1 when only ``prices`` is given, P2 with ``bss`` and
+    ``probs``, and P3 with ``joint`` as well.  ``solution`` is an assignment
+    vector aligned with the model's variables.  Raises when the assignment
+    is not feasible for the model within loose tolerances.
+    """
+    base = model.base if isinstance(model, BiObjectiveModel) else model
+    x = np.asarray(solution, dtype=float)
+    if x.shape != (base.n,):
+        raise ValueError(f"solution has shape {x.shape}, expected ({base.n},)")
+    scale = 1.0 + max((abs(val) for val in x), default=0.0)
+    if constraint_violation(base, x) > 1e-5 * scale:
+        raise ValueError("assignment is not feasible for the model")
+
+    out = ObjectiveBreakdown()
+    layout = base.var_layout
+    T = prices.horizon
+
+    def val(name: str) -> float:
+        return float(x[layout[name]])
+
+    if bss is None or joint is not None:
+        for t in range(T):
+            out.hub_da_cost += prices.lambda_da[t] * val(f"da_to_ev[{t}]")
+            out.hub_rt_cost += prices.lambda_rt[t] * val(f"rt_to_ev[{t}]")
+            out.hub_resale += (prices.lambda_da[t] - prices.lambda_rt[t]) * val(f"da_to_rt[{t}]")
+    if bss is not None:
+        for k in range(bss.k):
+            rate = marginal_degradation_rate(bss.compartments[k])
+            for t in range(T):
+                out.r_cap += prices.lambda_up[t] * probs.acc_up[t] * val(f"bid_up[{t},{k}]")
+                out.r_cap += prices.lambda_dn[t] * probs.acc_dn[t] * val(f"bid_dn[{t},{k}]")
+                up_scale = probs.dep_up[t] if deployment_revenue == AS_WRITTEN else 1.0
+                dn_scale = probs.dep_dn[t] if deployment_revenue == AS_WRITTEN else 1.0
+                out.r_dep += prices.lambda_rt[t] * up_scale * val(f"deploy_up[{t},{k}]")
+                out.r_dep += prices.lambda_rt[t] * dn_scale * val(f"deploy_dn[{t},{k}]")
+                out.c_phi += prices.lambda_rt[t] * val(f"rt_buy[{t},{k}]")
+                out.c_deg += rate * (val(f"deploy_up[{t},{k}]") + val(f"deploy_dn[{t},{k}]"))
+    if joint is not None:
+        fee = joint.deg_rate * (1.0 + joint.lease_markup)
+        income = joint.deg_rate * joint.lease_markup
+        for k in range(bss.k):
+            for t in range(T):
+                out.hub_storage_cost += prices.lambda_da[t] * val(f"lease_da_in[{t},{k}]")
+                out.hub_storage_cost += prices.lambda_rt[t] * val(f"lease_rt_in[{t},{k}]")
+                out.hub_resale -= prices.lambda_rt[t] * val(f"lease_to_rt[{t},{k}]")
+                discharged = val(f"lease_to_ev[{t},{k}]") + val(f"lease_to_rt[{t},{k}]")
+                out.hub_lease_fee += fee * discharged
+                out.bss_lease_income += income * discharged
+    return out

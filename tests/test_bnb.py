@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -130,23 +129,6 @@ def test_random_milps_match_enumeration():
     assert matched > 60
 
 
-def test_bound_monotone_in_progress_log():
-    rng = np.random.default_rng(3)
-    log = io.StringIO()
-    for _ in range(20):
-        model = random_milp(rng)
-        log.seek(0)
-        log.truncate()
-        solve_milp(model, gap_target=1e-9, progress=log)
-        bounds = [float(line.split(",")[1]) for line in log.getvalue().splitlines()]
-        bounds = [b for b in bounds if not math.isnan(b)]
-        if len(bounds) < 2:
-            continue
-        sign = 1.0 if model.sense == MIN else -1.0
-        seq = [sign * b for b in bounds]
-        assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(seq, seq[1:]))
-
-
 def fractionality_loop(values):
     """Per-value distance to the nearest integer, as branch-and-bound computed it before."""
     return np.array([min(v - math.floor(v), math.ceil(v) - v) for v in values])
@@ -208,10 +190,10 @@ def test_failed_node_lp_keeps_bound_valid(monkeypatch, failure):
     )
 
     class FailsWithX1Fixed(SimplexSolver):
-        def solve(self, *, lb=None, ub=None, rhs=None, warm=None):
+        def solve(self, *, lb=None, ub=None, warm=None):
             if ub is not None and ub[1] == 0.0:  # the subtree holding the optimum
                 return LpSolution(failure, None, None, math.nan, 0)
-            return super().solve(lb=lb, ub=ub, rhs=rhs, warm=warm)
+            return super().solve(lb=lb, ub=ub, warm=warm)
 
     monkeypatch.setattr(bnb, "SimplexSolver", FailsWithX1Fixed)
     milp = solve_milp(model, gap_target=1e-9)

@@ -5,11 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from coopt import bargain
+from coopt import bargain, cli, sensitivity
 from coopt.bargain import pareto_frontier, solve_study
-from coopt.bnb import BUDGET_EXHAUSTED, INFEASIBLE, MilpSolution
+from coopt.bnb import BUDGET_EXHAUSTED, INFEASIBLE, MilpSolution, SolverError
 from coopt.cli import main
-from coopt.io import EXIT_BUDGET_EXHAUSTED, EXIT_INFEASIBLE, EXIT_OK, load_scenario, save_scenario
+from coopt.io import (
+    EXIT_BUDGET_EXHAUSTED,
+    EXIT_INFEASIBLE,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    load_scenario,
+    save_scenario,
+)
 from coopt.linear import MAX
 from coopt.models import SINGLE_SCALED
 
@@ -148,3 +155,54 @@ def test_frontier_does_not_depend_on_the_worker_count(tmp_path):
         assert code == EXIT_OK
         written.append((out / "frontier.csv").read_bytes())
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve-p1", "--gap", "0"], "--gap"),
+        (["solve-p3-tcm", "--gap", "0.2"], "--gap"),
+        (["frontier", "--grid-points", "1"], "--grid-points"),
+        (["sweep", "--workers", "0"], "--workers"),
+        (["generate-demand", "--days", "0"], "--days"),
+        (["anova", "--alpha", "1.5"], "--alpha"),
+    ],
+)
+def test_bad_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a command solved despite a bad flag")
+
+    monkeypatch.setattr(cli, "solve_study", no_solve)
+    monkeypatch.setattr(sensitivity, "solve_study", no_solve)
+    if argv[0] != "generate-demand":
+        argv = argv + ["--scenario", str(SCENARIOS / "median_k2.scenario")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and flag in err[0]
+    assert not out.exists()
+
+
+def test_frontier_drops_a_cell_whose_solve_fails(tmp_path, capsys, monkeypatch):
+    real_solve = bargain.solve_milp
+    floors = []
+
+    def third_cell_singular(model, *args, **kwargs):
+        if model.constraints[-1].name == "storage_floor":
+            floors.append(model.constraints[-1].rhs)
+            if len(floors) == 3:
+                raise SolverError("simplex stopped on the root relaxation: singular")
+        return real_solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(bargain, "solve_milp", third_cell_singular)
+    path = tmp_path / "gains.scenario"
+    save_scenario(tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0), path)
+    out = tmp_path / "out"
+    code = main(["frontier", "--scenario", str(path), "--grid-points", "5", "--out", str(out)])
+    assert code == EXIT_OK
+    assert len(floors) == 5
+    with open(out / "frontier.csv", newline="") as fh:
+        thetas = [float(row["theta"]) for row in csv.DictReader(fh)]
+    assert thetas and floors[2] not in thetas
+    assert set(thetas) <= set(floors)
+    assert capsys.readouterr().out.splitlines() == [f"frontier points: {len(thetas)}"]

@@ -11,7 +11,6 @@ from coopt.linear import (
     MAX,
     MIN,
     constraint_violation,
-    fix_variables,
     objective_value,
     with_objective,
 )
@@ -22,9 +21,7 @@ from coopt.models import (
     build_p2,
     build_p3,
     degradation_cost,
-    joint_variable_names,
     marginal_degradation_rate,
-    objective_breakdown,
 )
 from coopt.scenario import (
     BssSpec,
@@ -37,7 +34,16 @@ from coopt.scenario import (
 from coopt.simplex import solve_lp
 
 from conftest import compartment, tiny_scenario
-from oracles import enumerate_binaries, hub_commitment_grid_cost, single_hour_bss_profit
+from oracles import (
+    enumerate_binaries,
+    fix_variables,
+    hub_commitment_grid_cost,
+    joint_variable_names,
+    maximize_b,
+    minimize_a,
+    objective_breakdown,
+    single_hour_bss_profit,
+)
 
 
 def one_hour_prices(lam_da, lam_rt, lam_up=0.0, lam_dn=0.0):
@@ -247,9 +253,9 @@ def test_p3_restricted_optima_equal_independent(tmp_path):
     d1 = solve_milp(p1, 1e-9).objective
     d2 = solve_milp(p2, 1e-9).objective
 
-    restricted_a = p3.minimize_a()
+    restricted_a = minimize_a(p3)
     fix_variables(restricted_a, joint_variable_names(p3.base))
-    restricted_b = p3.maximize_b()
+    restricted_b = maximize_b(p3)
     fix_variables(restricted_b, joint_variable_names(p3.base))
 
     fa = solve_milp(restricted_a, 1e-9).objective
@@ -269,8 +275,8 @@ def test_p3_flat_prices_zero_probabilities_no_arbitrage():
     p1 = build_p1(hub, prices, demand)
     p3 = build_p3(hub, bss, prices, probs, demand, joint)
     d1 = solve_lp(p1).objective
-    fa = solve_milp(p3.minimize_a(), 1e-9).objective
-    fb = solve_milp(p3.maximize_b(), 1e-9).objective
+    fa = solve_milp(minimize_a(p3), 1e-9).objective
+    fb = solve_milp(maximize_b(p3), 1e-9).objective
     assert fa == pytest.approx(d1, abs=1e-7)
     assert fb == pytest.approx(0.0, abs=1e-9)
 
@@ -278,10 +284,12 @@ def test_p3_flat_prices_zero_probabilities_no_arbitrage():
 def test_p3_objective_consistency_via_breakdown():
     scn = tiny_scenario(T=3, K=1, seed=8)
     p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
-    sol = solve_milp(p3.minimize_a(), 1e-6)
+    sol = solve_milp(minimize_a(p3), 1e-6)
     fa = p3.value_a(sol.incumbent)
     fb = p3.value_b(sol.incumbent)
-    br = objective_breakdown(p3, sol.incumbent)
+    br = objective_breakdown(
+        p3, sol.incumbent, scn.prices, bss=scn.bss, probs=scn.probabilities, joint=scn.joint
+    )
     assert br.hub_total() == pytest.approx(fa, rel=1e-9, abs=1e-9)
     assert br.bss_total() == pytest.approx(fb, rel=1e-9, abs=1e-9)
 
@@ -329,7 +337,7 @@ def test_breakdown_all_zero():
     scn = tiny_scenario(T=2, K=1, demand_level=0.0)
     demand = DemandProfile((0.0, 0.0))
     model = build_p1(scn.hub, scn.prices, demand)
-    br = objective_breakdown(model, np.zeros(model.n))
+    br = objective_breakdown(model, np.zeros(model.n), scn.prices)
     assert br.hub_total() == 0.0
     assert br.bss_total() == 0.0
 
@@ -339,7 +347,10 @@ def test_breakdown_p2_hand_values():
         0.05, 0.0, 0.10, 1.0, 0.0, 1.0, 0.0, initial_level=3000.0, min_level=0.0
     )
     sol = solve_milp(model, gap_target=1e-9)
-    br = objective_breakdown(model, sol.incumbent)
+    br = objective_breakdown(
+        model, sol.incumbent, one_hour_prices(0.0, 0.10, 0.05, 0.0),
+        bss=BssSpec((comp,)), probs=one_hour_probs(1.0, 0.0, 1.0, 0.0),
+    )
     assert br.r_cap == pytest.approx(150.0, abs=1e-6)
     assert br.r_dep == pytest.approx(300.0, abs=1e-6)
     assert br.c_phi == pytest.approx(0.0, abs=1e-9)
@@ -350,12 +361,4 @@ def test_breakdown_rejects_infeasible():
     scn = tiny_scenario(T=2, K=1)
     model = build_p1(scn.hub, scn.prices, scn.demand)
     with pytest.raises(ValueError):
-        objective_breakdown(model, np.zeros(model.n))  # demand balance violated
-
-
-def test_breakdown_needs_context():
-    from coopt.linear import LinearModel, Variable
-
-    bare = LinearModel([Variable("x")], [], {0: 1.0})
-    with pytest.raises(ValueError):
-        objective_breakdown(bare, np.zeros(1))
+        objective_breakdown(model, np.zeros(model.n), scn.prices)  # demand balance violated

@@ -130,7 +130,8 @@ def test_residual_df_and_critical_value():
 def test_ss_decomposition(responses):
     design = fractional_factorial_design(six_factors())
     table = anova(design, responses, default_model_terms(design.factors))
-    assert table.model_ss + table.residual_ss == pytest.approx(
+    model_ss = sum(r.sum_sq for r in table.rows)
+    assert model_ss + table.residual_ss == pytest.approx(
         table.total_ss, rel=1e-9, abs=1e-9
     )
 

@@ -1,12 +1,13 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopt.io import save_scenario
 from coopt.presets import (
-    MarketSimConfig,
     build_scenario,
     daily_probability_profiles,
     default_demand_config,
@@ -124,13 +125,6 @@ def test_shortfall_flagged():
     out = clear_reserve_market(BidStack(((5.0, 10.0),), 25.0))
     assert out.shortfall
     assert out.accepted_quantity == 10.0
-
-
-def test_descending_order_for_down_procurement():
-    stack = BidStack(((1.0, 10.0), (3.0, 10.0)), 10.0)
-    out = clear_reserve_market(stack, descending=True)
-    assert out.accepted == (0.0, 10.0)
-    assert out.clearing_price == 3.0
 
 
 offers_strategy = st.lists(
@@ -256,7 +250,7 @@ def test_price_history_deterministic_and_positive():
 
 
 def test_market_history_feeds_probability_estimation():
-    records, up_prices, dn_prices = synthetic_market_history(MarketSimConfig(seed=1), days=3)
+    records, up_prices, dn_prices = synthetic_market_history(1, days=3)
     probs = estimate_probabilities(records)
     for series in (probs.acc_up, probs.acc_dn, probs.dep_up, probs.dep_dn):
         assert len(series) == 24
@@ -274,6 +268,17 @@ def test_build_scenario_shapes_and_determinism():
     again = build_scenario(K=2, seed=11, days=4)
     assert scn == again
     assert scn.hub.da_cap == tuple(2.0 * v for v in scn.demand.ev_load)
+
+
+@pytest.mark.parametrize(
+    "preset, bundled",
+    [({"K": 6}, "median.scenario"), ({"K": 2, "compartment_spread": 0.05}, "median_k2.scenario")],
+)
+def test_build_scenario_reproduces_bundled_scenario(tmp_path, preset, bundled):
+    path = tmp_path / bundled
+    save_scenario(build_scenario(seed=7, **preset), path)
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    assert path.read_bytes() == (scenarios / bundled).read_bytes()
 
 
 def test_demand_history_extension_keeps_earlier_days():
