@@ -33,7 +33,7 @@ from .scenario import (
     ScenarioInputs,
 )
 from .sensitivity import AnovaTable, FactorSpec, anova, f_critical, fractional_factorial_design, sweep_grid
-from .simplex import LpSolution, solve_lp
+from .simplex import LpSolution
 from .simulate import (
     BidStack,
     ClearingOutcome,
@@ -88,7 +88,6 @@ __all__ = [
     "pareto_frontier",
     "percentile_profiles",
     "save_scenario",
-    "solve_lp",
     "solve_milp",
     "solve_nbs",
     "solve_study",

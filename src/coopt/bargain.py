@@ -126,6 +126,7 @@ class ResultsBundle:
     tcm: ParetoPoint | None = None
     bargain: BargainResult | None = None
     frontier: list[ParetoPoint] | None = None
+    frontier_dropped: list[tuple[float, str]] | None = None
 
     def joint_points(self):
         points = {}
@@ -191,14 +192,15 @@ def pareto_frontier(
     gap: float = DEFAULT_GAP,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> list[ParetoPoint]:
+) -> tuple[list[ParetoPoint], list[tuple[float, str]]]:
     """Sweep a uniform floor on the storage objective across the admissible
     range and keep the nondominated outcomes, sorted by rising storage profit.
 
     Each sweep point gets ``CELL_NODE_BUDGET`` nodes; points that cannot
     certify the gap within it, or whose root LP the simplex cannot solve, are
     dropped from the frontier, which only thins the sampled set (every
-    returned point is solved at ``gap``).
+    returned point is solved at ``gap``).  Returns the frontier and each
+    dropped floor with its reason: the MILP's status or the solver's error.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -212,27 +214,30 @@ def pareto_frontier(
         top_model, max(gap, 0.02), min(400, node_budget), incumbent_hint=free_top.incumbent
     )
     if top.incumbent is None:
-        return []
+        return [], []
     fb_max = p3.value_b(top.incumbent)
     if fb_max < d.d2 - 1e-9 * max(1.0, abs(d.d2)):
-        return []
+        return [], []
 
     budget = min(node_budget, CELL_NODE_BUDGET)
     model = _gain_model(p3, d, p3.obj_a, MIN)
     # chain each point's mode pattern into the next solve as a seed
-    points = []
+    points, dropped = [], []
     hint = top.incumbent
     for theta in np.linspace(d.d2, fb_max, grid_points):
         theta = float(theta)
         model.constraints[-1].rhs = theta
         try:
             sol = solve_milp(model, gap, budget, incumbent_hint=hint)
-        except SolverError:
+        except SolverError as exc:
+            dropped.append((theta, str(exc)))
             continue
         if sol.status == OPTIMAL_WITHIN_GAP:
             hint = sol.incumbent
             points.append(_point_from(p3, hint, d, theta=theta))
-    return _nondominated(points)
+        else:
+            dropped.append((theta, sol.status))
+    return _nondominated(points), dropped
 
 
 def _nondominated(points: list[ParetoPoint], tol: float = 1e-6) -> list[ParetoPoint]:
@@ -430,5 +435,7 @@ def solve_study(
     elif goal == "nbs":
         bundle.bargain = solve_nbs(p3, d, gap, node_budget=node_budget)
     else:
-        bundle.frontier = pareto_frontier(p3, d, grid_points, gap, node_budget=node_budget)
+        bundle.frontier, bundle.frontier_dropped = pareto_frontier(
+            p3, d, grid_points, gap, node_budget=node_budget
+        )
     return bundle

@@ -36,7 +36,9 @@ DEFAULT_GAP = 5e-4  # relative gap; the default of every solve and of the CLI
 DEFAULT_NODE_BUDGET = 200_000
 
 INT_TOL = 1e-6
-_LP_FAILED = (SINGULAR, ITERATION_LIMIT)  # the LP stopped without an answer; retried cold
+# a node LP has failed only when the cold start that solve() runs after a failed warm start
+# stopped without an answer too
+_LP_FAILED = (SINGULAR, ITERATION_LIMIT)
 
 
 @dataclass
@@ -172,8 +174,6 @@ def solve_milp(
         nodes += 1
 
         sol = solver.solve(lb=node.lb, ub=node.ub, warm=node.warm)
-        if sol.status in _LP_FAILED:
-            sol = solver.solve(lb=node.lb, ub=node.ub)
         if sol.status in _LP_FAILED:
             # the subtree is unexplored; its parent's bound keeps the bound valid
             pruned_floor = min(pruned_floor, node.key)

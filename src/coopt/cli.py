@@ -5,13 +5,15 @@ reports into ``--out``.  Exit codes: 0 success, 2 input error, 3 infeasible
 model, 4 node budget exhausted before reaching the gap target; each failure
 prints one line on stderr.  Flags are checked before any command does work.
 ``anova`` stops at its first failed run with 3 or 4 and names the run, while
-``sweep`` records a failed cell as NaN.
+``sweep`` records a failed cell as NaN.  ``frontier`` exits 0 when it drops
+storage floors, and says on one stderr line how many were dropped and why.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .bargain import (
@@ -144,6 +146,13 @@ def _run_solve(args) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         write_frontier(args.out / "frontier.csv", bundle.frontier)
         print(f"frontier points: {len(bundle.frontier)}")
+        if bundle.frontier_dropped:
+            reasons = Counter(reason for _, reason in bundle.frontier_dropped)
+            print(
+                f"frontier: {len(bundle.frontier_dropped)} of {args.grid_points} storage floors "
+                f"dropped ({', '.join(f'{n} {reason}' for reason, n in reasons.items())})",
+                file=sys.stderr,
+            )
         return EXIT_OK
 
     emit_report(bundle, args.out)

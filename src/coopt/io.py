@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .bargain import ResultsBundle
-from .linear import LinearModel
 from .scenario import (
     BssSpec,
     CompartmentSpec,
@@ -260,24 +259,26 @@ def emit_report(bundle: ResultsBundle, outdir) -> list[Path]:
 
     written.append(_write_summary(bundle, points, outdir / "summary.csv"))
 
+    # each source carries its model's name map, built once per model
+    joint_layout = bundle.p3.base.var_layout if bundle.p3 is not None else None
     joint_sources = [
-        (label, bundle.p3.base, point.assignment)
+        (label, joint_layout, point.assignment)
         for label, point in points.items()
-        if point.assignment is not None and bundle.p3 is not None
+        if point.assignment is not None and joint_layout is not None
     ]
     hourly_sources = list(joint_sources)
     if bundle.p1 is not None:
-        hourly_sources.insert(0, ("p1", bundle.p1_model, bundle.p1.incumbent))
+        hourly_sources.insert(0, ("p1", bundle.p1_model.var_layout, bundle.p1.incumbent))
     if hourly_sources:
-        label, model, x = hourly_sources[-1]
-        written.append(_write_da_commitment(bundle.scenario, model, x, outdir / "da_commitment.csv"))
+        label, layout, x = hourly_sources[-1]
+        written.append(_write_da_commitment(bundle.scenario, layout, x, outdir / "da_commitment.csv"))
         written.append(
-            _write_charging_sources(bundle.scenario, model, x, outdir / "charging_sources.csv")
+            _write_charging_sources(bundle.scenario, layout, x, outdir / "charging_sources.csv")
         )
 
     bss_sources = list(joint_sources)
     if bundle.p2 is not None:
-        bss_sources.insert(0, ("p2", bundle.p2_model, bundle.p2.incumbent))
+        bss_sources.insert(0, ("p2", bundle.p2_model.var_layout, bundle.p2.incumbent))
     if bss_sources:
         written.append(_write_reserve_bids(bundle.scenario, bss_sources, outdir / "reserve_bids.csv"))
         written.append(_write_bss_levels(bundle.scenario, bss_sources, outdir / "bss_levels.csv"))
@@ -290,8 +291,8 @@ def emit_report(bundle: ResultsBundle, outdir) -> list[Path]:
     return written
 
 
-def _value(model: LinearModel, x, name: str) -> float:
-    j = model.var_layout.get(name)
+def _value(layout: dict[str, int], x, name: str) -> float:
+    j = layout.get(name)
     return float(x[j]) if j is not None else 0.0
 
 
@@ -336,35 +337,35 @@ def _blank(v):
     return "" if v is None or v == "" else float(v)
 
 
-def _write_da_commitment(scn: ScenarioInputs, model: LinearModel, x, path: Path):
+def _write_da_commitment(scn: ScenarioInputs, layout: dict[str, int], x, path: Path):
     K = scn.bss.k if scn.bss else 0
     rows = []
     for t in range(scn.horizon):
-        to_storage = sum(_value(model, x, f"lease_da_in[{t},{k}]") for k in range(K))
+        to_storage = sum(_value(layout, x, f"lease_da_in[{t},{k}]") for k in range(K))
         rows.append(
             (
                 t,
-                _value(model, x, f"da_commit[{t}]"),
+                _value(layout, x, f"da_commit[{t}]"),
                 to_storage,
-                _value(model, x, f"da_to_ev[{t}]"),
-                _value(model, x, f"da_to_rt[{t}]"),
+                _value(layout, x, f"da_to_ev[{t}]"),
+                _value(layout, x, f"da_to_rt[{t}]"),
             )
         )
     write_csv(path, ("hour", "commitment", "to_storage", "to_ev", "resale"), rows)
     return path
 
 
-def _write_charging_sources(scn: ScenarioInputs, model: LinearModel, x, path: Path):
+def _write_charging_sources(scn: ScenarioInputs, layout: dict[str, int], x, path: Path):
     K = scn.bss.k if scn.bss else 0
     rows = []
     for t in range(scn.horizon):
-        from_storage = sum(_value(model, x, f"lease_to_ev[{t},{k}]") for k in range(K))
+        from_storage = sum(_value(layout, x, f"lease_to_ev[{t},{k}]") for k in range(K))
         rows.append(
             (
                 t,
-                _value(model, x, f"da_to_ev[{t}]"),
+                _value(layout, x, f"da_to_ev[{t}]"),
                 from_storage,
-                _value(model, x, f"rt_to_ev[{t}]"),
+                _value(layout, x, f"rt_to_ev[{t}]"),
                 scn.demand.ev_load[t],
             )
         )
@@ -380,9 +381,9 @@ def _write_reserve_bids(scn: ScenarioInputs, sources, path: Path):
     rows = []
     for t in range(scn.horizon):
         row = [t]
-        for _, model, x in sources:
-            row.append(sum(_value(model, x, f"bid_up[{t},{k}]") for k in range(scn.bss.k)))
-            row.append(sum(_value(model, x, f"bid_dn[{t},{k}]") for k in range(scn.bss.k)))
+        for _, layout, x in sources:
+            row.append(sum(_value(layout, x, f"bid_up[{t},{k}]") for k in range(scn.bss.k)))
+            row.append(sum(_value(layout, x, f"bid_dn[{t},{k}]") for k in range(scn.bss.k)))
         rows.append(tuple(row))
     write_csv(path, tuple(header), rows)
     return path
@@ -397,9 +398,9 @@ def _write_bss_levels(scn: ScenarioInputs, sources, path: Path):
     for t in range(scn.horizon):
         for k in range(scn.bss.k):
             row = [t, k]
-            for _, model, x in sources:
-                row.append(_value(model, x, f"stored_hub[{t},{k}]"))
-                row.append(_value(model, x, f"stored_bss[{t},{k}]"))
+            for _, layout, x in sources:
+                row.append(_value(layout, x, f"stored_hub[{t},{k}]"))
+                row.append(_value(layout, x, f"stored_bss[{t},{k}]"))
             rows.append(tuple(row))
     write_csv(path, tuple(header), rows)
     return path

@@ -33,7 +33,12 @@ change from solve to solve, are never kept or repaired.
 Cold starts run a phase-1 with artificial columns (sum of infeasibilities)
 followed by phase-2; warm starts reuse a caller-supplied basis, running plain
 phase-2 when it is primal feasible and a bounded dual simplex when it is only
-dual feasible (the common case after branch-and-bound bound changes).
+dual feasible (the common case after branch-and-bound bound changes).  The
+restart rule lives in :meth:`SimplexSolver.solve` alone: a warm start that
+cannot be used, or that stops ``SINGULAR`` or at ``ITERATION_LIMIT``, is
+followed by a cold start on the same bounds, so callers never retry.  Every
+basis change of phase 1, phase 2, the dual simplex and the purge of
+artificial columns goes through ``_pivot``.
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties) with an
 automatic switch to Bland's lowest-index rule after a degeneracy stall, which
@@ -80,6 +85,9 @@ class WarmStart:
 
 @dataclass
 class LpSolution:
+    """One solve's result.  ``iterations`` counts the pivots and bound flips of
+    both attempts when a failed warm start was followed by a cold start."""
+
     status: str
     primal: np.ndarray | None
     dual: np.ndarray | None
@@ -323,16 +331,10 @@ class SimplexSolver:
         self.art_sign = np.ones(m)
         self.x = np.zeros(ncols)
         self.stat = np.full(ncols, _AT_LB, dtype=np.int8)
-        self.basis = np.arange(m) + nsm
-        self.pivots_since_refactor = 0
 
-        state = None
-        if warm is not None:
-            state = self._try_warm(warm)
-        if state is None:
+        status = self._try_warm(warm) if warm is not None else None
+        if status in (None, SINGULAR, ITERATION_LIMIT):
             status = self._cold_start()
-        else:
-            status = state
         return self._finish(status)
 
     def _finish(self, status: str) -> LpSolution:
@@ -396,10 +398,6 @@ class SimplexSolver:
 
     def _factor_basis(self) -> bool:
         """Fresh inverse of the current basis; False when it is singular."""
-        if self.m == 0:
-            self.Binv = np.zeros((0, 0))
-            self.pivots_since_refactor = 0
-            return True
         binv = self._block_inverse()
         self.refactors += 1
         if binv is None:
@@ -525,6 +523,13 @@ class SimplexSolver:
         self.Binv.flags.writeable = False
         self._kept[key] = (self.basis.copy(), self.Binv, self.pivots_since_refactor)
 
+    def _movable(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the nonbasic columns that can rise and of those that can fall."""
+        room = (self.ub - self.lb) > 0
+        rise = ((self.stat == _AT_LB) | (self.stat == _FREE)) & room
+        fall = ((self.stat == _AT_UB) | (self.stat == _FREE)) & room
+        return rise, fall
+
     def _recompute_x(self) -> None:
         nonbasic = self.stat != _BASIC
         at_ub = self.stat == _AT_UB
@@ -534,13 +539,19 @@ class SimplexSolver:
         rhs_eff = self.sf.b - self.sf.matvec(x_nonbasic)
         self.x[self.basis] = self.Binv @ rhs_eff
 
-    def _nonbasic_value(self, j: int) -> float:
-        s = self.stat[j]
-        if s == _AT_LB:
-            return self.lb[j]
-        if s == _AT_UB:
-            return self.ub[j]
-        return 0.0
+    def _pivot(self, q: int, r: int, w: np.ndarray, leaving_stat: int) -> None:
+        """Column ``q``, with ``w = B^-1 a_q``, replaces the basic column of row ``r``.
+        That column goes to ``leaving_stat`` at its bound; an artificial one to [0, 0]."""
+        leaving = self.basis[r]
+        self.stat[leaving] = leaving_stat
+        self.x[leaving] = self.ub[leaving] if leaving_stat == _AT_UB else self.lb[leaving]
+        if leaving >= self.nsm:
+            self.lb[leaving] = 0.0
+            self.ub[leaving] = 0.0
+            self.x[leaving] = 0.0
+        self.basis[r] = q
+        self.stat[q] = _BASIC
+        self._eta_update(w, r)
 
     def _eta_update(self, w: np.ndarray, r: int) -> None:
         # rows where w is zero would change by +-0, so only the others are touched
@@ -567,7 +578,7 @@ class SimplexSolver:
         self.basis = np.arange(self.m) + nsm
         self.stat[self.basis] = _BASIC
         self.x[nsm:] = np.abs(resid)
-        self.Binv = np.diag(self.art_sign) if self.m else np.zeros((0, 0))
+        self.Binv = np.diag(self.art_sign)
         self.pivots_since_refactor = 0
 
         c1 = np.zeros(self.ncols)
@@ -597,12 +608,7 @@ class SimplexSolver:
             w = self._ftran(q)
             if abs(w[r]) < PIV_TOL:
                 continue
-            old = self.basis[r]
-            self.stat[old] = _AT_LB
-            self.x[old] = 0.0
-            self.basis[r] = q
-            self.stat[q] = _BASIC
-            self._eta_update(w, r)
+            self._pivot(q, r, w, _AT_LB)
             if self.pivots_since_refactor >= REFACTOR_EVERY and not self._refactor():
                 return False
         return True
@@ -632,19 +638,10 @@ class SimplexSolver:
         if primal_viol <= FEAS_TOL:
             return self._primal(self.cost)
         d = self._reduced_costs(self.cost)
-        if self._dual_infeasibility(d) <= 1e-7:
-            status = self._dual()
-            if status is not None:
-                return status
+        rise, fall = self._movable()
+        if np.all(d[rise] >= -1e-7) and np.all(d[fall] <= 1e-7):  # dual feasible
+            return self._dual()
         return None
-
-    def _dual_infeasibility(self, d: np.ndarray) -> float:
-        movable = (self.ub - self.lb) > 0
-        at_lb = (self.stat == _AT_LB) | (self.stat == _FREE)
-        at_ub = (self.stat == _AT_UB) | (self.stat == _FREE)
-        viol_lo = np.where(at_lb & movable, np.maximum(-d, 0.0), 0.0)
-        viol_hi = np.where(at_ub & movable, np.maximum(d, 0.0), 0.0)
-        return float(np.max(np.maximum(viol_lo, viol_hi), initial=0.0))
 
     # -- primal simplex -------------------------------------------------------
 
@@ -659,9 +656,9 @@ class SimplexSolver:
                     return SINGULAR
                 y = self._duals(c)
             d = self._reduced_costs(c, y)
-            movable = (self.ub - self.lb) > 0
-            can_inc = ((self.stat == _AT_LB) | (self.stat == _FREE)) & movable & (d < -OPT_TOL)
-            can_dec = ((self.stat == _AT_UB) | (self.stat == _FREE)) & movable & (d > OPT_TOL)
+            rise, fall = self._movable()
+            can_inc = rise & (d < -OPT_TOL)
+            can_dec = fall & (d > OPT_TOL)
             if not (can_inc.any() or can_dec.any()):
                 return OPTIMAL
             if bland:
@@ -690,27 +687,10 @@ class SimplexSolver:
             self.x[q] += direction * theta
             if r is None:
                 self.stat[q] = _AT_UB if self.stat[q] == _AT_LB else _AT_LB
-                self.x[q] = self._nonbasic_value(q)
+                self.x[q] = self.ub[q] if self.stat[q] == _AT_UB else self.lb[q]
             else:
-                leaving = self.basis[r]
-                if delta[r] > 0:
-                    self.stat[leaving] = _AT_UB
-                    self.x[leaving] = self.ub[leaving]
-                else:
-                    self.stat[leaving] = _AT_LB
-                    self.x[leaving] = self.lb[leaving]
-                if leaving >= self.nsm:
-                    self.lb[leaving] = 0.0
-                    self.ub[leaving] = 0.0
-                    self.x[leaving] = 0.0
-                if abs(w[r]) < PIV_TOL:
-                    if not self._refactor():
-                        return SINGULAR
-                    y = self._duals(c)
-                    continue
-                self.basis[r] = q
-                self.stat[q] = _BASIC
-                self._eta_update(w, r)
+                # |w[r]| > PIV_TOL: the ratio test only blocks on such rows
+                self._pivot(q, r, w, _AT_UB if delta[r] > 0 else _AT_LB)
                 y += d[q] * self.Binv[r]  # the dual step: Binv[r] is now rho_r / w_r
         return ITERATION_LIMIT
 
@@ -739,8 +719,8 @@ class SimplexSolver:
 
     # -- dual simplex ----------------------------------------------------------
 
-    def _dual(self) -> str | None:
-        """Bounded dual simplex; returns None to request a cold restart."""
+    def _dual(self) -> str:
+        """Bounded dual simplex, ending in phase 2 once the basis is primal feasible."""
         c = self.cost
         max_iter = 20000 + 50 * (self.m + self.ns)
         d = self._reduced_costs(c)
@@ -763,13 +743,8 @@ class SimplexSolver:
             target = self.lb[bv] if row_dir > 0 else self.ub[bv]
 
             alpha = self._alpha_row(r)
-            movable = (self.ub - self.lb) > 0
-            nonbasic = self.stat != _BASIC
-            at_lb = (self.stat == _AT_LB) | (self.stat == _FREE)
-            at_ub = (self.stat == _AT_UB) | (self.stat == _FREE)
-            elig = nonbasic & movable & (
-                (at_lb & (alpha * row_dir < -PIV_TOL)) | (at_ub & (alpha * row_dir > PIV_TOL))
-            )
+            rise, fall = self._movable()
+            elig = (rise & (alpha * row_dir < -PIV_TOL)) | (fall & (alpha * row_dir > PIV_TOL))
             if not elig.any():
                 return INFEASIBLE
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -777,34 +752,20 @@ class SimplexSolver:
             key = np.where(np.isnan(key), math.inf, np.maximum(key, 0.0))
             q = int(np.argmin(key))
 
-            t = (self.x[bv] - target) / alpha[q]
             w = self._ftran(q)
-            self.iterations += 1
-            self.x[self.basis] -= t * w
-            self.x[q] += t
-            self.x[bv] = target
-            self.stat[bv] = _AT_LB if row_dir > 0 else _AT_UB
-            if bv >= self.nsm:
-                self.x[bv] = 0.0
-            if abs(w[r]) < PIV_TOL:
-                if not self._refactor():
+            if abs(w[r]) < PIV_TOL:  # checked before any state changes
+                # a fresh inverse that repeats the small pivot would repeat it forever
+                if self.pivots_since_refactor == 0 or not self._refactor():
                     return SINGULAR
                 d = self._reduced_costs(c)
                 continue
-            self.basis[r] = q
-            self.stat[q] = _BASIC
-            self._eta_update(w, r)
+            t = (self.x[bv] - target) / alpha[q]
+            self.iterations += 1
+            self.x[self.basis] -= t * w
+            self.x[q] += t
+            self._pivot(q, r, w, _AT_LB if row_dir > 0 else _AT_UB)
             # rank-one reduced-cost update along the departing row
             d -= (d[q] / alpha[q]) * alpha
             d[q] = 0.0
-        return None
-
-
-def solve_lp(model: LinearModel, warm: WarmStart | None = None) -> LpSolution:
-    """Solve a continuous model; integrality flags are ignored by design.
-
-    Callers that relax a MILP clear the flags themselves; bounds are honored
-    exactly as declared.
-    """
-    return SimplexSolver(model).solve(warm=warm)
+        return ITERATION_LIMIT
 

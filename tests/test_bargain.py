@@ -104,7 +104,7 @@ def test_gain_ratio_outside_the_starting_bracket(ratio):
 
 def test_dominated_line_collapses_to_its_best_point():
     p3, d = linear_frontier_toy()
-    frontier = pareto_frontier(p3, d, grid_points=11, gap=1e-9)
+    frontier, _ = pareto_frontier(p3, d, grid_points=11, gap=1e-9)
     assert len(frontier) == 1
     assert frontier[0].f_a == pytest.approx(0.0, abs=1e-7)
     assert frontier[0].f_b == pytest.approx(10.0, abs=1e-7)
@@ -112,7 +112,7 @@ def test_dominated_line_collapses_to_its_best_point():
 
 def test_frontier_recovers_line_and_is_sorted():
     p3, d = trade_off_toy()
-    frontier = pareto_frontier(p3, d, grid_points=11, gap=1e-9)
+    frontier, _ = pareto_frontier(p3, d, grid_points=11, gap=1e-9)
     assert len(frontier) >= 5
     for p in frontier:
         assert p.f_b == pytest.approx(p.f_a, abs=1e-6)  # analytic frontier f_b = f_a

@@ -18,7 +18,6 @@ from coopt.simplex import (
     SINGULAR,
     LpSolution,
     SimplexSolver,
-    solve_lp,
 )
 
 from oracles import enumerate_binaries
@@ -32,7 +31,7 @@ def test_no_binaries_equals_lp():
         MIN,
     )
     milp = solve_milp(model, gap_target=1e-9)
-    ref = solve_lp(model)
+    ref = SimplexSolver(model).solve()
     assert milp.status == OPTIMAL_WITHIN_GAP
     assert milp.nodes == 1
     assert milp.objective == pytest.approx(ref.objective, abs=1e-9)
@@ -50,14 +49,14 @@ def knapsack_model():
 
 def test_fractional_knapsack_exact():
     model = knapsack_model()
-    relax = solve_lp(
+    relax = SimplexSolver(
         LinearModel(
             [Variable(v.name, v.lb, v.ub) for v in model.variables],
             model.constraints,
             model.objective,
             model.sense,
         )
-    )
+    ).solve()
     milp = solve_milp(model, gap_target=1e-9)
     exact = enumerate_binaries(model)
     assert milp.objective == pytest.approx(exact.objective, abs=1e-9)
@@ -80,7 +79,7 @@ def test_enumerate_no_binaries_equals_lp():
         MIN,
     )
     exact = enumerate_binaries(model)
-    ref = solve_lp(model)
+    ref = SimplexSolver(model).solve()
     assert exact.objective == pytest.approx(ref.objective, abs=1e-12)
 
 

@@ -184,6 +184,12 @@ def test_bad_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, f
 
 
 def test_frontier_drops_a_cell_whose_solve_fails(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gains.scenario"
+    save_scenario(tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0), path)
+    argv = ["frontier", "--scenario", str(path), "--grid-points", "5"]
+    assert main(argv + ["--out", str(tmp_path / "all")]) == EXIT_OK
+    assert capsys.readouterr().err == ""  # no floor dropped, nothing said
+
     real_solve = bargain.solve_milp
     floors = []
 
@@ -195,14 +201,17 @@ def test_frontier_drops_a_cell_whose_solve_fails(tmp_path, capsys, monkeypatch):
         return real_solve(model, *args, **kwargs)
 
     monkeypatch.setattr(bargain, "solve_milp", third_cell_singular)
-    path = tmp_path / "gains.scenario"
-    save_scenario(tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0), path)
     out = tmp_path / "out"
-    code = main(["frontier", "--scenario", str(path), "--grid-points", "5", "--out", str(out)])
+    code = main(argv + ["--out", str(out)])
     assert code == EXIT_OK
     assert len(floors) == 5
     with open(out / "frontier.csv", newline="") as fh:
         thetas = [float(row["theta"]) for row in csv.DictReader(fh)]
     assert thetas and floors[2] not in thetas
     assert set(thetas) <= set(floors)
-    assert capsys.readouterr().out.splitlines() == [f"frontier points: {len(thetas)}"]
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"frontier points: {len(thetas)}"]
+    assert captured.err.splitlines() == [
+        "frontier: 1 of 5 storage floors dropped"
+        " (1 simplex stopped on the root relaxation: singular)"
+    ]

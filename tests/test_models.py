@@ -31,7 +31,7 @@ from coopt.scenario import (
     PriceProfiles,
     ReserveProbabilities,
 )
-from coopt.simplex import solve_lp
+from coopt.simplex import SimplexSolver
 
 from conftest import compartment, tiny_scenario
 from oracles import (
@@ -70,7 +70,7 @@ def test_p1_single_hour_against_grid_oracle(lam_da, lam_rt, demand, cap, expecte
     assert oracle == pytest.approx(expected, abs=1e-9)
     hub = HubSpec((cap,), 10, 100.0)
     model = build_p1(hub, one_hour_prices(lam_da, lam_rt), DemandProfile((demand,)))
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(oracle, abs=1e-9)
 
@@ -84,7 +84,7 @@ def test_p1_rejects_horizon_mismatch():
 def test_p1_commitment_split_solution():
     hub = HubSpec((200.0,), 10, 100.0)
     model = build_p1(hub, one_hour_prices(0.10, 0.20), DemandProfile((100.0,)))
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.value(model, "da_commit[0]") == pytest.approx(200.0, abs=1e-7)
     assert sol.value(model, "da_to_ev[0]") == pytest.approx(100.0, abs=1e-7)
     assert sol.value(model, "da_to_rt[0]") == pytest.approx(100.0, abs=1e-7)
@@ -274,7 +274,7 @@ def test_p3_flat_prices_zero_probabilities_no_arbitrage():
     joint = JointTerms(1.0, marginal_degradation_rate(comp))
     p1 = build_p1(hub, prices, demand)
     p3 = build_p3(hub, bss, prices, probs, demand, joint)
-    d1 = solve_lp(p1).objective
+    d1 = SimplexSolver(p1).solve().objective
     fa = solve_milp(minimize_a(p3), 1e-9).objective
     fb = solve_milp(maximize_b(p3), 1e-9).objective
     assert fa == pytest.approx(d1, abs=1e-7)
@@ -325,8 +325,8 @@ def test_price_scaling_scales_objectives():
     assert scaled.objective == pytest.approx(s * base.objective, rel=1e-9, abs=1e-9)
     assert scaled.incumbent == pytest.approx(base.incumbent, abs=1e-6)
 
-    p1 = solve_lp(build_p1(scn.hub, scn.prices, scn.demand))
-    p1s = solve_lp(build_p1(scn.hub, scaled_prices, scn.demand))
+    p1 = SimplexSolver(build_p1(scn.hub, scn.prices, scn.demand)).solve()
+    p1s = SimplexSolver(build_p1(scn.hub, scaled_prices, scn.demand)).solve()
     assert p1s.objective == pytest.approx(s * p1.objective, rel=1e-9, abs=1e-12)
 
 

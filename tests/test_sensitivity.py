@@ -250,6 +250,28 @@ def test_sweep_flags_failed_cells_and_propagates_solver_errors(monkeypatch):
         sweep_grid(scn, *same_levels(scn))
 
 
+def test_studies_give_the_same_responses_from_a_worker_pool():
+    scn = tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0)
+    levels = [
+        [scaled(series, f) for f in (0.6, 1.0, 1.4)]
+        for series in (scn.prices.lambda_da, scn.prices.lambda_rt, scn.demand.ev_load)
+    ]
+    serial, pooled = (sweep_grid(scn, *levels, workers=w).reductions for w in (1, 2))
+    assert np.array_equal(serial, pooled, equal_nan=True)
+
+    series = {
+        "lambda_up": scn.prices.lambda_up,
+        "lambda_dn": scn.prices.lambda_dn,
+        "acc_up": scn.probabilities.acc_up,
+        "acc_dn": scn.probabilities.acc_dn,
+        "dep_up": scn.probabilities.dep_up,
+        "dep_dn": scn.probabilities.dep_dn,
+    }
+    factors = [FactorSpec(name, (scaled(v, 0.8), scaled(v, 1.1))) for name, v in series.items()]
+    serial, pooled = (factorial_profit_study(scn, factors, workers=w)[1] for w in (1, 2))
+    assert np.array_equal(serial, pooled, equal_nan=True)
+
+
 class StorageModelBuilt(Exception):
     """Stops a study once the storage model's build has been seen."""
 

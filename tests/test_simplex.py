@@ -20,7 +20,6 @@ from coopt.simplex import (
     UNBOUNDED,
     SimplexSolver,
     _repair_status,
-    solve_lp,
     standard_form,
 )
 
@@ -33,7 +32,7 @@ def lp(variables, constraints, objective, sense=MIN):
 
 def test_min_x_with_floor():
     model = lp([Variable("x", 0.0, math.inf)], [Constraint({0: 1.0}, GE, 3.0)], {0: 1.0})
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     assert sol.primal[0] == pytest.approx(3.0, abs=1e-9)
@@ -45,19 +44,19 @@ def test_trivially_infeasible():
         [Constraint({0: 1.0}, LE, -1.0)],
         {},
     )
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.status == INFEASIBLE
 
 
 def test_unbounded_direction():
     model = lp([Variable("x", 0.0, math.inf)], [], {0: -1.0})
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.status == UNBOUNDED
 
 
 def test_max_sense_and_bounds_only():
     model = lp([Variable("x", -2.0, 7.0), Variable("y", 0.0, 3.0)], [], {0: 1.0, 1: 2.0}, MAX)
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(13.0, abs=1e-9)
 
@@ -69,7 +68,7 @@ def test_equality_row_with_negative_prices():
         [Constraint({0: 1.0, 1: 1.0}, EQ, 4.0)],
         {0: -1.0, 1: -1.0},
     )
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-4.0, abs=1e-9)
 
@@ -80,7 +79,7 @@ def test_free_variable():
         [Constraint({0: 1.0, 1: 1.0}, GE, 2.0), Constraint({0: 1.0}, GE, -5.0)],
         {0: 2.0, 1: 1.0},
     )
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
     # x sinks to -5, y covers the balance up to 7
     assert sol.objective == pytest.approx(-3.0, abs=1e-8)
@@ -117,7 +116,7 @@ def test_random_lps_match_vertex_enumeration():
     for _ in range(250):
         model = random_box_lp(rng)
         expect = best_vertex_objective(model)
-        sol = solve_lp(model)
+        sol = SimplexSolver(model).solve()
         if expect is None:
             assert sol.status == INFEASIBLE
         else:
@@ -130,8 +129,8 @@ def test_random_lps_match_vertex_enumeration():
 def test_determinism_same_bytes():
     rng = np.random.default_rng(7)
     model = random_box_lp(rng)
-    a = solve_lp(model)
-    b = solve_lp(model)
+    a = SimplexSolver(model).solve()
+    b = SimplexSolver(model).solve()
     assert a.status == b.status
     if a.status == OPTIMAL:
         assert np.array_equal(a.primal, b.primal)
@@ -149,7 +148,7 @@ def test_row_scaling_equivariance():
         ],
         {0: 1.0, 1: 1.0},
     )
-    base = solve_lp(model)
+    base = SimplexSolver(model).solve()
     s = 8.0
     scaled = lp(
         [Variable("x", 0.0, 10.0), Variable("y", 0.0, 10.0)],
@@ -159,7 +158,7 @@ def test_row_scaling_equivariance():
         ],
         {0: 1.0, 1: 1.0},
     )
-    other = solve_lp(scaled)
+    other = SimplexSolver(scaled).solve()
     assert other.objective == pytest.approx(base.objective, abs=1e-9)
     assert other.primal == pytest.approx(base.primal, abs=1e-8)
     assert other.dual[0] == pytest.approx(base.dual[0] / s, abs=1e-9)
@@ -175,7 +174,7 @@ def test_certificates_on_optimal_solution():
         ],
         {0: 3.0, 1: 1.0},
     )
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     report = check_certificates(model, sol)
     assert report.within(1e-6)
 
@@ -186,7 +185,7 @@ def test_certificates_flag_perturbed_primal():
         [Constraint({0: 1.0, 1: 1.0}, EQ, 5.0)],
         {0: 1.0, 1: 2.0},
     )
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     sol.primal[0] += 1e-3
     report = check_certificates(model, sol)
     assert report.primal_residual >= 1e-4
@@ -203,7 +202,7 @@ def test_duplicate_rows_degenerate_dual_gap():
         ],
         {0: 2.0, 1: 3.0},
     )
-    sol = solve_lp(model)
+    sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
     report = check_certificates(model, sol)
     assert report.duality_gap <= 1e-6
@@ -245,6 +244,85 @@ def test_crossed_bounds_report_no_iterations_of_an_earlier_solve():
     crossed = solver.solve(lb=np.array([3.0, 0.0]), ub=np.array([1.0, 4.0]))
     assert crossed.status == INFEASIBLE
     assert crossed.iterations == 0
+
+
+def pinned_below_its_optimum():
+    """An LP whose optimum has x0 = 3, and the bound x0 <= 2 that makes a warm
+    start from it primal infeasible, so the dual simplex runs."""
+    box = [Variable(f"x{j}", -1.0, 4.0) for j in range(3)]
+    model = lp(
+        box,
+        [
+            Constraint({1: 4.0}, GE, -5.0),
+            Constraint({1: 4.0, 2: 4.0}, EQ, 4.0),
+            Constraint({0: -4.0, 1: -3.0, 2: 2.0}, EQ, -5.0),
+        ],
+        {0: -2.0, 1: -3.0, 2: -3.0},
+    )
+    return model, np.array([2.0, 4.0, 4.0])
+
+
+def test_failed_warm_start_falls_back_to_a_cold_start(monkeypatch):
+    model, ub = pinned_below_its_optimum()
+    cold = SimplexSolver(model).solve(ub=ub)
+    assert cold.status == OPTIMAL
+    solver = SimplexSolver(model)
+    first = solver.solve()
+    calls = []
+
+    def singular_dual(self):
+        calls.append(self.iterations)
+        return simplex.SINGULAR
+
+    monkeypatch.setattr(SimplexSolver, "_dual", singular_dual)
+    warm = solver.solve(ub=ub, warm=first.warm)
+    assert calls == [0]  # the warm path ran and failed
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert warm.iterations == cold.iterations
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+def test_small_dual_pivot_leaves_the_basis_consistent(monkeypatch, persistent):
+    # a small pivot is met before any state changes and refactored once; one
+    # that a fresh inverse repeats sends the solve to its cold start
+    model, ub = pinned_below_its_optimum()
+    cold = SimplexSolver(model).solve(ub=ub)
+    solver = SimplexSolver(model)
+    first = solver.solve()
+    real_alpha_row, real_ftran = SimplexSolver._alpha_row, SimplexSolver._ftran
+    real_cold_start = SimplexSolver._cold_start
+    rows, forced, cold_starts = [], [], []
+
+    def alpha_row(self, r):
+        rows.append(r)  # the dual simplex's leaving row
+        return real_alpha_row(self, r)
+
+    def ftran(self, j):
+        w = real_ftran(self, j)
+        if rows and not cold_starts and (persistent or not forced):
+            w[rows[-1]] = simplex.PIV_TOL / 10
+            forced.append(j)
+        rows.clear()
+        return w
+
+    def cold_start(self):
+        cold_starts.append(self.iterations)
+        return real_cold_start(self)
+
+    monkeypatch.setattr(SimplexSolver, "_alpha_row", alpha_row)
+    monkeypatch.setattr(SimplexSolver, "_ftran", ftran)
+    monkeypatch.setattr(SimplexSolver, "_cold_start", cold_start)
+    refactors = solver.refactors
+    sol = solver.solve(ub=ub, warm=first.warm)
+    assert len(forced) == 1 + persistent
+    assert solver.refactors == refactors + 1
+    assert len(cold_starts) == persistent
+    assert len(set(solver.basis.tolist())) == solver.m
+    assert np.all(solver.stat[solver.basis] == _BASIC)
+    assert np.count_nonzero(solver.stat == _BASIC) == solver.m
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
 def test_warm_start_infeasible_child():
