@@ -167,11 +167,9 @@ def solve_tcm(
     d: DisagreementPoints | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ParetoPoint:
-    """Minimize combined cost (hub cost minus storage profit) over the joint set."""
-    combined = {j: c for j, c in p3.obj_a.items()}
-    for j, c in p3.obj_b.items():
-        combined[j] = combined.get(j, 0.0) - c
-    model = with_objective(p3.base, combined, MIN)
+    """Minimize combined cost (hub cost minus storage profit) over the joint set,
+    as the maximum of its negation, the weighted sum at weight 1."""
+    model = with_objective(p3.base, _weighted(p3, 1.0), MAX)
     sol = _require_solved(solve_milp(model, gap, node_budget), "total-cost model")
     return _point_from(p3, sol.incumbent, d)
 

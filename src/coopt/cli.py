@@ -107,6 +107,8 @@ def _check_flags(args) -> None:
         raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
     if args.days < 1:
         raise ScenarioError(f"--days must be >= 1, got {args.days}")
+    if args.node_budget < 1:
+        raise ScenarioError(f"--node-budget must be >= 1, got {args.node_budget}")
     if args.command == "anova" and not 0.0 < args.alpha < 1.0:
         raise ScenarioError(f"--alpha must be in (0, 1), got {args.alpha}")
 
@@ -199,11 +201,14 @@ def _run_simulate_market(args) -> int:
     return EXIT_OK
 
 
+def _levels(history, percentiles) -> list[tuple[float, ...]]:
+    """One hourly profile per percentile of a day-by-hour history."""
+    return [tuple(percentile_profiles(history, p)) for p in percentiles]
+
+
 def _price_levels(args):
     da_hist, rt_hist = synthetic_price_history(args.days, args.seed)
-    da_levels = [tuple(percentile_profiles(da_hist, p)) for p in (10.0, 50.0, 90.0)]
-    rt_levels = [tuple(percentile_profiles(rt_hist, p)) for p in (10.0, 50.0, 90.0)]
-    return da_levels, rt_levels
+    return _levels(da_hist, (10.0, 50.0, 90.0)), _levels(rt_hist, (10.0, 50.0, 90.0))
 
 
 def _run_sweep(args) -> int:
@@ -211,7 +216,7 @@ def _run_sweep(args) -> int:
     scn.require_joint()
     da_levels, rt_levels = _price_levels(args)
     dem_hist = demand_history(default_demand_config(args.seed, TRAFFIC_SCALE), args.days, scn.hub)
-    demand_levels = [tuple(percentile_profiles(dem_hist, p)) for p in (10.0, 50.0, 90.0)]
+    demand_levels = _levels(dem_hist, (10.0, 50.0, 90.0))
     result = sweep_grid(
         scn, da_levels, rt_levels, demand_levels,
         deployment_revenue=args.deployment_revenue, gap=args.gap,
@@ -252,12 +257,12 @@ def _run_anova(args) -> int:
     records, up_prices, dn_prices = synthetic_market_history(args.seed, args.days)
     daily = daily_probability_profiles(records)
     levels = {
-        "lambda_up": [tuple(percentile_profiles(up_prices, p)) for p in (10.0, 90.0)],
-        "lambda_dn": [tuple(percentile_profiles(dn_prices, p)) for p in (10.0, 90.0)],
-        "acc_up": [tuple(percentile_profiles(daily["acc_up"], p)) for p in (10.0, 90.0)],
-        "acc_dn": [tuple(percentile_profiles(daily["acc_dn"], p)) for p in (10.0, 90.0)],
-        "dep_up": [tuple(percentile_profiles(daily["dep_up"], p)) for p in (10.0, 90.0)],
-        "dep_dn": [tuple(percentile_profiles(daily["dep_dn"], p)) for p in (10.0, 90.0)],
+        "lambda_up": _levels(up_prices, (10.0, 90.0)),
+        "lambda_dn": _levels(dn_prices, (10.0, 90.0)),
+        "acc_up": _levels(daily["acc_up"], (10.0, 90.0)),
+        "acc_dn": _levels(daily["acc_dn"], (10.0, 90.0)),
+        "dep_up": _levels(daily["dep_up"], (10.0, 90.0)),
+        "dep_dn": _levels(daily["dep_dn"], (10.0, 90.0)),
     }
     factors = [FactorSpec(name, tuple(levels[name])) for name in levels]
     design, responses = factorial_profit_study(

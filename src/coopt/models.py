@@ -8,6 +8,14 @@ deployed quantity equals the deployment probability times the bid, enforced
 per compartment, which implies the aggregate identity and keeps optimal
 solutions unique up to ties.
 
+P3 is P1 and P2 on one feasible set plus the space the hub leases, and one
+private function builds all three models in one column and row order.  P3's
+columns are P1's, then P2's, then the lease columns.  Its rows keep P1's and
+P2's rows in their relative order, with lease terms on the rows the lease
+shares with them, and add the lease's own ``level_cap``, ``level_floor`` and
+``hub_balance`` rows.  P2 bounds each stored level by the storage floor; P3
+puts the floor on the sum of the two operators' levels, as a row.
+
 Deployment revenue supports two conventions: ``"as-written"`` prices the
 (already probability-scaled) deployed quantity by probability times the RT
 price again, while ``"single-scaled"`` prices it by the RT price once.
@@ -57,179 +65,171 @@ def marginal_degradation_rate(spec: CompartmentSpec) -> float:
     return degradation_cost(spec, 1.0)
 
 
-class _Builder:
-    def __init__(self):
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-
-    def var(self, name: str, lb: float = 0.0, ub: float = math.inf, binary: bool = False) -> int:
-        j = len(self.variables)
-        self.variables.append(Variable(name, lb, ub, binary))
-        return j
-
-    def row(self, name: str, coeffs: dict[int, float], sense: str, rhs: float) -> None:
-        self.constraints.append(Constraint(coeffs, sense, float(rhs), name))
-
-    def model(self, objective: dict[int, float], sense: str) -> LinearModel:
-        return LinearModel(self.variables, self.constraints, objective, sense)
+_LEASE_FAMILIES = ("lease_da_in", "lease_rt_in", "lease_to_ev", "lease_to_rt", "stored_hub")
 
 
-def _check_horizons(prices: PriceProfiles, *others) -> int:
+def _build(
+    prices: PriceProfiles,
+    *,
+    hub: HubSpec | None = None,
+    demand: DemandProfile | None = None,
+    bss: BssSpec | None = None,
+    probs: ReserveProbabilities | None = None,
+    joint: JointTerms | None = None,
+    mode: str = AS_WRITTEN,
+) -> tuple[list[Variable], list[Constraint], dict[int, float], dict[int, float]]:
+    """Variables, rows, hub cost and storage profit of the blocks supplied.
+
+    The hub block needs ``hub`` and ``demand``, the storage block ``bss`` and
+    ``probs``, and the leased space ``joint`` on top of both.  Columns come
+    hub, storage, lease; each row shared by the blocks is written once and
+    carries the lease terms when the lease columns exist.
+    """
     T = prices.horizon
-    for label, length in others:
+    horizons = []
+    if bss is not None:
+        horizons.append(("probabilities", probs.horizon))
+    if hub is not None:
+        horizons += [("demand", demand.horizon), ("hub.da_cap", len(hub.da_cap))]
+    for label, length in horizons:
         if length != T:
             raise ValueError(f"{label} has horizon {length}, expected {T}")
-    return T
+    if bss is not None and mode not in DEPLOYMENT_REVENUE_MODES:
+        raise ValueError(
+            f"deployment_revenue must be one of {DEPLOYMENT_REVENUE_MODES}, got {mode!r}"
+        )
 
+    variables: list[Variable] = []
+    rows: list[Constraint] = []
+    x: dict[str, dict] = {}  # column index by family, then by t (hub) or (t, k)
+    cost: dict[int, float] = {}
+    profit: dict[int, float] = {}
 
-def _hub_block(b: _Builder, hub: HubSpec, demand: DemandProfile, T: int) -> dict[str, list[int]]:
-    da_commit = [b.var(f"da_commit[{t}]") for t in range(T)]
-    da_to_ev = [b.var(f"da_to_ev[{t}]") for t in range(T)]
-    da_to_rt = [b.var(f"da_to_rt[{t}]") for t in range(T)]
-    rt_to_ev = [b.var(f"rt_to_ev[{t}]") for t in range(T)]
-    for t in range(T):
-        b.row(f"commit_cap[{t}]", {da_commit[t]: 1.0}, LE, hub.da_cap[t])
-    return {
-        "da_commit": da_commit,
-        "da_to_ev": da_to_ev,
-        "da_to_rt": da_to_rt,
-        "rt_to_ev": rt_to_ev,
-    }
+    def var(family: str, t: int, k: int | None = None, lb=0.0, ub=math.inf, binary=False):
+        key, label = (t, f"{t}") if k is None else ((t, k), f"{t},{k}")
+        x.setdefault(family, {})[key] = len(variables)
+        variables.append(Variable(f"{family}[{label}]", lb, ub, binary))
 
+    def row(name: str, coeffs: dict[int, float], sense: str, rhs: float) -> None:
+        rows.append(Constraint(coeffs, sense, float(rhs), name))
 
-def _hub_objective(v: dict[str, list[int]], prices: PriceProfiles, T: int) -> dict[int, float]:
-    obj: dict[int, float] = {}
-    for t in range(T):
-        obj[v["da_to_ev"][t]] = prices.lambda_da[t]
-        obj[v["da_to_rt"][t]] = prices.lambda_da[t] - prices.lambda_rt[t]
-        obj[v["rt_to_ev"][t]] = prices.lambda_rt[t]
-    return obj
+    if hub is not None:
+        for family in ("da_commit", "da_to_ev", "da_to_rt", "rt_to_ev"):
+            for t in range(T):
+                var(family, t)
+        for t in range(T):
+            row(f"commit_cap[{t}]", {x["da_commit"][t]: 1.0}, LE, hub.da_cap[t])
+            cost[x["da_to_ev"][t]] = prices.lambda_da[t]
+            cost[x["da_to_rt"][t]] = prices.lambda_da[t] - prices.lambda_rt[t]
+            cost[x["rt_to_ev"][t]] = prices.lambda_rt[t]
+
+    if bss is not None:
+        level_floor_as_bound = joint is None
+        for k, spec in enumerate(bss.compartments):
+            lo = spec.min_level if level_floor_as_bound else 0.0
+            for t in range(T):
+                var("charging", t, k, ub=1.0, binary=True)
+                var("discharging", t, k, ub=1.0, binary=True)
+                for family in ("bid_up", "bid_dn", "deploy_up", "deploy_dn", "rt_buy"):
+                    var(family, t, k)
+                var("stored_bss", t, k, lo, spec.cap)
+        charging, discharging = x["charging"], x["discharging"]
+        bid_up, bid_dn, rt_buy = x["bid_up"], x["bid_dn"], x["rt_buy"]
+        deploy_up, deploy_dn, stored_bss = x["deploy_up"], x["deploy_dn"], x["stored_bss"]
+        for k, spec in enumerate(bss.compartments):
+            rate = marginal_degradation_rate(spec)
+            for t in range(T):
+                tk = t, k
+                row(f"mode_excl[{t},{k}]", {charging[tk]: 1.0, discharging[tk]: 1.0}, LE, 1.0)
+                up_cap = {bid_up[tk]: 1.0, discharging[tk]: -spec.max_discharge}
+                row(f"bid_up_cap[{t},{k}]", up_cap, LE, 0.0)
+                dn_cap = {bid_dn[tk]: 1.0, charging[tk]: -spec.max_charge}
+                row(f"bid_dn_cap[{t},{k}]", dn_cap, LE, 0.0)
+                # expected deployment, enforced per compartment
+                up_link = {deploy_up[tk]: 1.0, bid_up[tk]: -probs.dep_up[t]}
+                row(f"deploy_up_link[{t},{k}]", up_link, EQ, 0.0)
+                dn_link = {deploy_dn[tk]: 1.0, bid_dn[tk]: -probs.dep_dn[t]}
+                row(f"deploy_dn_link[{t},{k}]", dn_link, EQ, 0.0)
+                profit[bid_up[tk]] = prices.lambda_up[t] * probs.acc_up[t]
+                profit[bid_dn[tk]] = prices.lambda_dn[t] * probs.acc_dn[t]
+                dep_scale_up = probs.dep_up[t] if mode == AS_WRITTEN else 1.0
+                dep_scale_dn = probs.dep_dn[t] if mode == AS_WRITTEN else 1.0
+                profit[deploy_up[tk]] = prices.lambda_rt[t] * dep_scale_up - rate
+                profit[deploy_dn[tk]] = prices.lambda_rt[t] * dep_scale_dn - rate
+                profit[rt_buy[tk]] = -prices.lambda_rt[t]
+
+    if joint is not None:
+        for family in _LEASE_FAMILIES:
+            for k, spec in enumerate(bss.compartments):
+                for t in range(T):
+                    var(family, t, k, 0.0, spec.cap)
+        da_in, rt_in, to_ev, to_rt, stored_hub = (x[family] for family in _LEASE_FAMILIES)
+        fee = joint.deg_rate * (1.0 + joint.lease_markup)
+        income = joint.deg_rate * joint.lease_markup
+
+    if bss is not None:
+        for k, spec in enumerate(bss.compartments):
+            for t in range(T):
+                tk = t, k
+                lease_in: dict[int, float] = {}
+                lease_out: dict[int, float] = {}
+                if joint is not None:
+                    level = {stored_hub[tk]: 1.0, stored_bss[tk]: 1.0}
+                    row(f"level_cap[{t},{k}]", level, LE, spec.cap)
+                    row(f"level_floor[{t},{k}]", dict(level), GE, spec.min_level)
+                    coeffs = {
+                        stored_hub[tk]: 1.0,
+                        da_in[tk]: -1.0,
+                        rt_in[tk]: -1.0,
+                        to_ev[tk]: 1.0,
+                        to_rt[tk]: 1.0,
+                    }
+                    if t > 0:
+                        coeffs[stored_hub[t - 1, k]] = -1.0
+                    row(f"hub_balance[{t},{k}]", coeffs, EQ, 0.0)  # leased space starts empty
+                    lease_in = {da_in[tk]: 1.0, rt_in[tk]: 1.0}
+                    lease_out = {to_ev[tk]: 1.0, to_rt[tk]: 1.0}
+                    cost[da_in[tk]] = prices.lambda_da[t]
+                    cost[rt_in[tk]] = prices.lambda_rt[t]
+                    cost[to_rt[tk]] = -prices.lambda_rt[t] + fee
+                    cost[to_ev[tk]] = fee
+                    if income:
+                        profit[to_ev[tk]] = income
+                        profit[to_rt[tk]] = income
+                charged = {deploy_dn[tk]: 1.0, rt_buy[tk]: 1.0, charging[tk]: -spec.max_charge}
+                row(f"charge_cap[{t},{k}]", {**lease_in, **charged}, LE, 0.0)
+                discharged = {deploy_up[tk]: 1.0, discharging[tk]: -spec.max_discharge}
+                row(f"discharge_cap[{t},{k}]", {**lease_out, **discharged}, LE, 0.0)
+        for k, spec in enumerate(bss.compartments):
+            for t in range(T):
+                coeffs = {
+                    stored_bss[t, k]: 1.0,
+                    deploy_dn[t, k]: -1.0,
+                    rt_buy[t, k]: -1.0,
+                    deploy_up[t, k]: 1.0,
+                }
+                if t > 0:
+                    coeffs[stored_bss[t - 1, k]] = -1.0
+                row(f"bss_balance[{t},{k}]", coeffs, EQ, spec.initial_level if t == 0 else 0.0)
+
+    if hub is not None:
+        for t in range(T):
+            coeffs = {x["da_commit"][t]: 1.0, x["da_to_ev"][t]: -1.0, x["da_to_rt"][t]: -1.0}
+            served = {x["da_to_ev"][t]: 1.0, x["rt_to_ev"][t]: 1.0}
+            if joint is not None:
+                for k in range(bss.k):
+                    coeffs[da_in[t, k]] = -1.0
+                    served[to_ev[t, k]] = 1.0
+            row(f"commit_split[{t}]", coeffs, EQ, 0.0)
+            row(f"demand_balance[{t}]", served, EQ, demand.ev_load[t])
+    return variables, rows, cost, profit
 
 
 def build_p1(hub: HubSpec, prices: PriceProfiles, demand: DemandProfile) -> LinearModel:
     """Hub procurement LP: split the day-ahead commitment between charging and
     resale, top up from real time, meet demand each hour."""
-    T = _check_horizons(prices, ("demand", demand.horizon), ("hub.da_cap", len(hub.da_cap)))
-    b = _Builder()
-    v = _hub_block(b, hub, demand, T)
-    for t in range(T):
-        b.row(
-            f"commit_split[{t}]",
-            {v["da_commit"][t]: 1.0, v["da_to_ev"][t]: -1.0, v["da_to_rt"][t]: -1.0},
-            EQ,
-            0.0,
-        )
-        b.row(
-            f"demand_balance[{t}]",
-            {v["da_to_ev"][t]: 1.0, v["rt_to_ev"][t]: 1.0},
-            EQ,
-            demand.ev_load[t],
-        )
-    return b.model(_hub_objective(v, prices, T), MIN)
-
-
-def _bss_block(
-    b: _Builder,
-    bss: BssSpec,
-    probs: ReserveProbabilities,
-    T: int,
-    *,
-    level_floor_as_bound: bool,
-) -> dict[str, dict[tuple[int, int], int]]:
-    K = bss.k
-    names = (
-        "charging",
-        "discharging",
-        "bid_up",
-        "bid_dn",
-        "deploy_up",
-        "deploy_dn",
-        "rt_buy",
-        "stored_bss",
-    )
-    v: dict[str, dict[tuple[int, int], int]] = {name: {} for name in names}
-    for k in range(K):
-        spec = bss.compartments[k]
-        lo = spec.min_level if level_floor_as_bound else 0.0
-        for t in range(T):
-            v["charging"][t, k] = b.var(f"charging[{t},{k}]", 0.0, 1.0, binary=True)
-            v["discharging"][t, k] = b.var(f"discharging[{t},{k}]", 0.0, 1.0, binary=True)
-            v["bid_up"][t, k] = b.var(f"bid_up[{t},{k}]")
-            v["bid_dn"][t, k] = b.var(f"bid_dn[{t},{k}]")
-            v["deploy_up"][t, k] = b.var(f"deploy_up[{t},{k}]")
-            v["deploy_dn"][t, k] = b.var(f"deploy_dn[{t},{k}]")
-            v["rt_buy"][t, k] = b.var(f"rt_buy[{t},{k}]")
-            v["stored_bss"][t, k] = b.var(f"stored_bss[{t},{k}]", lo, spec.cap)
-    for k in range(K):
-        spec = bss.compartments[k]
-        for t in range(T):
-            b.row(
-                f"mode_excl[{t},{k}]",
-                {v["charging"][t, k]: 1.0, v["discharging"][t, k]: 1.0},
-                LE,
-                1.0,
-            )
-            b.row(
-                f"bid_up_cap[{t},{k}]",
-                {v["bid_up"][t, k]: 1.0, v["discharging"][t, k]: -spec.max_discharge},
-                LE,
-                0.0,
-            )
-            b.row(
-                f"bid_dn_cap[{t},{k}]",
-                {v["bid_dn"][t, k]: 1.0, v["charging"][t, k]: -spec.max_charge},
-                LE,
-                0.0,
-            )
-            # expected deployment, enforced per compartment
-            b.row(
-                f"deploy_up_link[{t},{k}]",
-                {v["deploy_up"][t, k]: 1.0, v["bid_up"][t, k]: -probs.dep_up[t]},
-                EQ,
-                0.0,
-            )
-            b.row(
-                f"deploy_dn_link[{t},{k}]",
-                {v["deploy_dn"][t, k]: 1.0, v["bid_dn"][t, k]: -probs.dep_dn[t]},
-                EQ,
-                0.0,
-            )
-    return v
-
-
-def _bss_balance_rows(b, v, bss, T):
-    for k in range(bss.k):
-        spec = bss.compartments[k]
-        for t in range(T):
-            coeffs = {
-                v["stored_bss"][t, k]: 1.0,
-                v["deploy_dn"][t, k]: -1.0,
-                v["rt_buy"][t, k]: -1.0,
-                v["deploy_up"][t, k]: 1.0,
-            }
-            rhs = spec.initial_level if t == 0 else 0.0
-            if t > 0:
-                coeffs[v["stored_bss"][t - 1, k]] = -1.0
-            b.row(f"bss_balance[{t},{k}]", coeffs, EQ, rhs)
-
-
-def _bss_objective(
-    v, bss: BssSpec, prices: PriceProfiles, probs: ReserveProbabilities, T: int, mode: str
-) -> dict[int, float]:
-    if mode not in DEPLOYMENT_REVENUE_MODES:
-        raise ValueError(f"deployment_revenue must be one of {DEPLOYMENT_REVENUE_MODES}, got {mode!r}")
-    obj: dict[int, float] = {}
-    for k in range(bss.k):
-        rate = marginal_degradation_rate(bss.compartments[k])
-        for t in range(T):
-            obj[v["bid_up"][t, k]] = prices.lambda_up[t] * probs.acc_up[t]
-            obj[v["bid_dn"][t, k]] = prices.lambda_dn[t] * probs.acc_dn[t]
-            dep_scale_up = probs.dep_up[t] if mode == AS_WRITTEN else 1.0
-            dep_scale_dn = probs.dep_dn[t] if mode == AS_WRITTEN else 1.0
-            obj[v["deploy_up"][t, k]] = prices.lambda_rt[t] * dep_scale_up - rate
-            obj[v["deploy_dn"][t, k]] = prices.lambda_rt[t] * dep_scale_dn - rate
-            obj[v["rt_buy"][t, k]] = -prices.lambda_rt[t]
-    return obj
+    variables, rows, cost, _ = _build(prices, hub=hub, demand=demand)
+    return LinearModel(variables, rows, cost, MIN)
 
 
 def build_p2(
@@ -242,30 +242,8 @@ def build_p2(
     hour; bids are capped by the mode rates, deployment follows in expectation,
     and the objective is capacity plus deployment revenue net of charging and
     wear costs."""
-    T = _check_horizons(prices, ("probabilities", probs.horizon))
-    b = _Builder()
-    v = _bss_block(b, bss, probs, T, level_floor_as_bound=True)
-    for k in range(bss.k):
-        spec = bss.compartments[k]
-        for t in range(T):
-            b.row(
-                f"charge_cap[{t},{k}]",
-                {
-                    v["deploy_dn"][t, k]: 1.0,
-                    v["rt_buy"][t, k]: 1.0,
-                    v["charging"][t, k]: -spec.max_charge,
-                },
-                LE,
-                0.0,
-            )
-            b.row(
-                f"discharge_cap[{t},{k}]",
-                {v["deploy_up"][t, k]: 1.0, v["discharging"][t, k]: -spec.max_discharge},
-                LE,
-                0.0,
-            )
-    _bss_balance_rows(b, v, bss, T)
-    return b.model(_bss_objective(v, bss, prices, probs, T, deployment_revenue), MAX)
+    variables, rows, _, profit = _build(prices, bss=bss, probs=probs, mode=deployment_revenue)
+    return LinearModel(variables, rows, profit, MAX)
 
 
 def build_p3(
@@ -285,99 +263,7 @@ def build_p3(
     pays the wear rate times ``1 + lease_markup`` per discharged kWh; the
     storage side books the markup share as income.
     """
-    T = _check_horizons(
-        prices,
-        ("probabilities", probs.horizon),
-        ("demand", demand.horizon),
-        ("hub.da_cap", len(hub.da_cap)),
+    variables, rows, cost, profit = _build(
+        prices, hub=hub, demand=demand, bss=bss, probs=probs, joint=joint, mode=deployment_revenue
     )
-    K = bss.k
-    b = _Builder()
-    hv = _hub_block(b, hub, demand, T)
-    bv = _bss_block(b, bss, probs, T, level_floor_as_bound=False)
-    lease = {
-        name: {
-            (t, k): b.var(f"{name}[{t},{k}]", 0.0, bss.compartments[k].cap)
-            for k in range(K)
-            for t in range(T)
-        }
-        for name in ("lease_da_in", "lease_rt_in", "lease_to_ev", "lease_to_rt", "stored_hub")
-    }
-
-    for k in range(K):
-        spec = bss.compartments[k]
-        for t in range(T):
-            b.row(
-                f"level_cap[{t},{k}]",
-                {lease["stored_hub"][t, k]: 1.0, bv["stored_bss"][t, k]: 1.0},
-                LE,
-                spec.cap,
-            )
-            b.row(
-                f"level_floor[{t},{k}]",
-                {lease["stored_hub"][t, k]: 1.0, bv["stored_bss"][t, k]: 1.0},
-                GE,
-                spec.min_level,
-            )
-            coeffs = {
-                lease["stored_hub"][t, k]: 1.0,
-                lease["lease_da_in"][t, k]: -1.0,
-                lease["lease_rt_in"][t, k]: -1.0,
-                lease["lease_to_ev"][t, k]: 1.0,
-                lease["lease_to_rt"][t, k]: 1.0,
-            }
-            if t > 0:
-                coeffs[lease["stored_hub"][t - 1, k]] = -1.0
-            b.row(f"hub_balance[{t},{k}]", coeffs, EQ, 0.0)  # leased space starts empty
-            b.row(
-                f"charge_cap[{t},{k}]",
-                {
-                    lease["lease_da_in"][t, k]: 1.0,
-                    lease["lease_rt_in"][t, k]: 1.0,
-                    bv["deploy_dn"][t, k]: 1.0,
-                    bv["rt_buy"][t, k]: 1.0,
-                    bv["charging"][t, k]: -spec.max_charge,
-                },
-                LE,
-                0.0,
-            )
-            b.row(
-                f"discharge_cap[{t},{k}]",
-                {
-                    lease["lease_to_ev"][t, k]: 1.0,
-                    lease["lease_to_rt"][t, k]: 1.0,
-                    bv["deploy_up"][t, k]: 1.0,
-                    bv["discharging"][t, k]: -spec.max_discharge,
-                },
-                LE,
-                0.0,
-            )
-    _bss_balance_rows(b, bv, bss, T)
-    for t in range(T):
-        coeffs = {hv["da_commit"][t]: 1.0, hv["da_to_ev"][t]: -1.0, hv["da_to_rt"][t]: -1.0}
-        for k in range(K):
-            coeffs[lease["lease_da_in"][t, k]] = -1.0
-        b.row(f"commit_split[{t}]", coeffs, EQ, 0.0)
-        coeffs = {hv["da_to_ev"][t]: 1.0, hv["rt_to_ev"][t]: 1.0}
-        for k in range(K):
-            coeffs[lease["lease_to_ev"][t, k]] = 1.0
-        b.row(f"demand_balance[{t}]", coeffs, EQ, demand.ev_load[t])
-
-    obj_a = _hub_objective(hv, prices, T)
-    fee = joint.deg_rate * (1.0 + joint.lease_markup)
-    for k in range(K):
-        for t in range(T):
-            obj_a[lease["lease_da_in"][t, k]] = prices.lambda_da[t]
-            obj_a[lease["lease_rt_in"][t, k]] = prices.lambda_rt[t]
-            obj_a[lease["lease_to_rt"][t, k]] = -prices.lambda_rt[t] + fee
-            obj_a[lease["lease_to_ev"][t, k]] = fee
-
-    obj_b = _bss_objective(bv, bss, prices, probs, T, deployment_revenue)
-    income = joint.deg_rate * joint.lease_markup
-    if income:
-        for k in range(K):
-            for t in range(T):
-                obj_b[lease["lease_to_ev"][t, k]] = income
-                obj_b[lease["lease_to_rt"][t, k]] = income
-
-    return BiObjectiveModel(b.model({}, MIN), obj_a, obj_b)
+    return BiObjectiveModel(LinearModel(variables, rows, {}, MIN), cost, profit)

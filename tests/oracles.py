@@ -265,8 +265,6 @@ def enumerate_binaries(model: LinearModel, limit: int = 20) -> MilpSolution:
             clb[j] = v
             cub[j] = v
         sol = solver.solve(lb=clb, ub=cub, warm=warm)
-        if sol.status in _LP_FAILED:
-            sol = solver.solve(lb=clb, ub=cub)
         count += 1
         if sol.status == UNBOUNDED:
             raise SolverError("relaxation is unbounded; binary models must be bounded")

@@ -166,6 +166,7 @@ def test_frontier_does_not_depend_on_the_worker_count(tmp_path):
         (["sweep", "--workers", "0"], "--workers"),
         (["generate-demand", "--days", "0"], "--days"),
         (["anova", "--alpha", "1.5"], "--alpha"),
+        (["solve-p2", "--node-budget", "0"], "--node-budget"),
     ],
 )
 def test_bad_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):

@@ -35,6 +35,7 @@ from coopt.simplex import SimplexSolver
 
 from conftest import compartment, tiny_scenario
 from oracles import (
+    LEASE_VAR_PREFIXES,
     enumerate_binaries,
     fix_variables,
     hub_commitment_grid_cost,
@@ -242,6 +243,52 @@ def test_p3_objectives_reduce_to_p1_p2_coefficients():
     b_by_name = {layout3[j]: c for j, c in p3.obj_b.items() if layout3[j] not in joint_names}
     p2_by_name = {p2.variables[j].name: c for j, c in p2.objective.items()}
     assert b_by_name == p2_by_name
+
+
+def _family(name):
+    return name.split("[")[0]
+
+
+def _not_lease(name):
+    return _family(name) not in LEASE_VAR_PREFIXES
+
+
+def _rows_by_name(model, keep=lambda name: True):
+    """Each row as (name, sense, rhs, [(variable name, coefficient), ...]) in model order."""
+    names = [v.name for v in model.variables]
+    return [
+        (con.name, con.sense, con.rhs,
+         [(names[j], c) for j, c in con.coeffs.items() if keep(names[j])])
+        for con in model.constraints
+    ]
+
+
+def test_p3_rows_extend_p1_and_p2_rows():
+    scn = tiny_scenario(T=3, K=2)
+    p1 = build_p1(scn.hub, scn.prices, scn.demand)
+    p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
+    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint).base
+
+    shared = [v for v in p3.variables if _not_lease(v.name)]
+    alone = p1.variables + p2.variables
+    assert [v.name for v in shared] == [v.name for v in alone]
+    for v3, v in zip(shared, alone):
+        if _family(v.name) == "stored_bss":  # P2 bounds the level by the floor
+            k = int(v.name.split(",")[1].rstrip("]"))
+            assert (v3.lb, v.lb) == (0.0, scn.bss.compartments[k].min_level)
+            assert (v3.ub, v3.binary) == (v.ub, v.binary)
+        else:
+            assert (v3.lb, v3.ub, v3.binary) == (v.lb, v.ub, v.binary)
+
+    rows3 = _rows_by_name(p3, keep=_not_lease)
+    rows1, rows2 = _rows_by_name(p1), _rows_by_name(p2)
+    # P1's and P2's rows in their own order, merged as the hub's caps, the
+    # storage rows, then the hub's balances
+    caps = [row for row in rows1 if _family(row[0]) == "commit_cap"]
+    own = {row[0] for row in rows1 + rows2}
+    assert [row for row in rows3 if row[0] in own] == caps + rows2 + rows1[len(caps):]
+    extra = {_family(row[0]) for row in rows3 if row[0] not in own}
+    assert extra == {"level_cap", "level_floor", "hub_balance"}
 
 
 def test_p3_restricted_optima_equal_independent(tmp_path):
