@@ -1,13 +1,23 @@
 """Branch-and-bound for models with binary variables, on top of the simplex.
 
-Node selection is best-bound with depth-first plunging; branching picks the
-fractional binary of lowest index, so storage state propagates forward in
-time.  Fixing a charge/discharge mode binary to one immediately fixes its
-exclusivity partner to zero, which the search discovers from rows of the form
-``x + y <= 1`` over two binaries.  A rounding heuristic, run at shallow nodes
-and on every sixteenth node, fixes the relaxation's binaries to their nearest
-integer and re-solves, which on storage models yields a feasible incumbent at
-almost every node.
+Node selection is best-bound with depth-first plunging.  Branching uses
+pseudo-costs (Achterberg, Koch & Martin 2005): for each binary and each
+direction the search keeps the mean gain of the child LP over its parent per
+unit of distance the branch moved that binary, and branches on the
+fractional binary whose product of down and up estimates is largest, the
+lowest index on ties.  Fixing a charge/discharge mode binary to one
+immediately fixes its exclusivity partner to zero, which the search
+discovers from rows of the form ``x + y <= 1`` over two binaries.
+
+Once an incumbent exists, every node that branches first fixes binaries by
+reduced cost: the node's duals bound how much its LP objective rises when a
+binary leaves the bound it sits at, and a binary whose move would reach the
+incumbent (less the gap's slack) keeps its bound in the whole subtree.  The
+least bound of the regions so cut off joins the floor of pruned nodes, so
+the reported bound stays valid.  A rounding heuristic, run at shallow nodes
+and on every sixteenth node, fixes the relaxation's binaries to their
+nearest integer and re-solves, which on storage models yields a feasible
+incumbent at almost every node.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ DEFAULT_GAP = 5e-4  # relative gap; the default of every solve and of the CLI
 DEFAULT_NODE_BUDGET = 200_000
 
 INT_TOL = 1e-6
+PSEUDO_COST_EPS = 1e-6  # floor of each direction's estimate in a branching score
 # a node LP has failed only when the cold start that solve() runs after a failed warm start
 # stopped without an answer too
 _LP_FAILED = (SINGULAR, ITERATION_LIMIT)
@@ -85,12 +96,41 @@ def exclusivity_pairs(model: LinearModel) -> dict[int, list[int]]:
 
 @dataclass(order=True)
 class _Node:
-    key: float
+    key: float  # the parent's LP objective, a bound on the subtree
     seq: int
     lb: np.ndarray = None
     ub: np.ndarray = None
     warm: WarmStart | None = None
     depth: int = 0
+    branched: int = -1  # position in the binaries of the one the parent branched on
+    up: int = 0  # 1 when the branch fixed it to one, 0 when to zero
+    moved: float = 0.0  # the distance the branch moved it
+
+
+class _PseudoCosts:
+    """Mean objective gain per unit of distance, by direction (0 down, 1 up) and binary."""
+
+    def __init__(self, n: int):
+        self.total = np.zeros((2, n))
+        self.count = np.zeros((2, n))
+
+    def record(self, node: _Node, z: float) -> None:
+        # a child's LP cannot fall below its parent's; a negative gain is rounding
+        self.total[node.up, node.branched] += max(0.0, z - node.key) / node.moved
+        self.count[node.up, node.branched] += 1
+
+    def choose(self, candidates: np.ndarray, f: np.ndarray) -> int:
+        """The candidate with the largest score max(eps, down f) max(eps, up (1 - f)),
+        where ``f`` holds the candidates' values.  A binary without a record in a
+        direction uses the mean of all that direction's records, or 1 before any."""
+        n = self.count.sum(axis=1)
+        mean = np.where(n > 0, self.total.sum(axis=1) / np.maximum(n, 1), 1.0)
+        seen = self.count[:, candidates] > 0
+        per = self.total[:, candidates] / np.maximum(self.count[:, candidates], 1)
+        pc = np.where(seen, per, mean[:, None])
+        eps = PSEUDO_COST_EPS
+        score = np.maximum(eps, pc[0] * f) * np.maximum(eps, pc[1] * (1.0 - f))
+        return int(candidates[np.argmax(score)])  # argmax keeps the lowest index on ties
 
 
 def solve_milp(
@@ -100,9 +140,13 @@ def solve_milp(
     *,
     incumbent_hint: np.ndarray | None = None,
 ) -> MilpSolution:
-    """Best-bound branch-and-bound; returns when the relative gap closes or the
-    node budget runs out, in which case the reported bound is still globally
-    valid.
+    """Best-bound branch-and-bound with pseudo-cost branching and reduced-cost
+    fixing; returns when the relative gap closes or the node budget runs out,
+    in which case the reported bound is still globally valid: it is the least
+    of the open nodes' bounds, of the bounds of nodes pruned within the gap or
+    left unsolved, and of the bounds of the regions fixing cut off.  The
+    search is deterministic: equal inputs give equal nodes, incumbent and
+    bound.
 
     ``incumbent_hint`` seeds the search with a known-good binary pattern (for
     example the solution of a neighbouring sweep point); its binaries are fixed
@@ -111,7 +155,7 @@ def solve_milp(
     if gap_target <= 0:
         raise ValueError(f"gap_target must be > 0, got {gap_target}")
     sign = 1.0 if model.sense == MIN else -1.0
-    binaries = model.binary_indices()
+    binaries = np.array(model.binary_indices(), dtype=np.intp)
     solver = SimplexSolver(model)
     partners = exclusivity_pairs(model)
 
@@ -125,7 +169,7 @@ def solve_milp(
         raise SolverError("relaxation is unbounded; binary models must be bounded")
     if root.status in _LP_FAILED:
         raise SolverError(f"simplex stopped on the root relaxation: {root.status}")
-    if not binaries:
+    if not binaries.size:
         return MilpSolution(OPTIMAL_WITHIN_GAP, root.primal, root.objective, root.objective, 0.0, 1)
 
     incumbent_x = None
@@ -133,6 +177,7 @@ def solve_milp(
     best_bound = sign * root.objective
     pruned_floor = math.inf  # least bound of nodes pruned by tolerance or left unsolved
     tried_roundings: set[bytes] = set()
+    pseudo = _PseudoCosts(binaries.size)
 
     def completion(values, warm):
         nonlocal incumbent_x, incumbent_z
@@ -179,10 +224,13 @@ def solve_milp(
             pruned_floor = min(pruned_floor, node.key)
         elif sol.status == OPTIMAL:
             z = sign * sol.objective
+            if node.branched >= 0:
+                pseudo.record(node, z)
             if z >= incumbent_z - slack():
                 pruned_floor = min(pruned_floor, z)
             else:
-                frac = fractionality(sol.primal[binaries])
+                xb = sol.primal[binaries]
+                frac = fractionality(xb)
                 if float(frac.max(initial=0.0)) <= INT_TOL:
                     incumbent_z = z
                     incumbent_x = sol.primal.copy()
@@ -191,22 +239,26 @@ def solve_milp(
                     # sample keep incumbents fresh without doubling the work
                     if node.depth <= 3 or nodes % 16 == 0:
                         completion(sol.primal, sol.warm)
-                    jbr = binaries[int(np.argmax(frac > INT_TOL))]
+                    lb, ub = node.lb, node.ub
+                    if incumbent_x is not None:
+                        lb, ub, floor = _fix_by_reduced_cost(
+                            solver, sign, binaries, partners, sol, z, incumbent_z - slack(), lb, ub
+                        )
+                        pruned_floor = min(pruned_floor, floor)
+                    candidates = np.flatnonzero(frac > INT_TOL)
+                    k = pseudo.choose(candidates, xb[candidates])
+                    jbr = int(binaries[k])
                     for fix_to in (1.0, 0.0):
-                        clb, cub = node.lb.copy(), node.ub.copy()
+                        clb, cub = lb.copy(), ub.copy()
                         if fix_to == 1.0:
-                            clb[jbr] = 1.0
-                            cub[jbr] = 1.0
-                            for p in partners.get(jbr, ()):  # x + y <= 1 pins the partner
-                                cub[p] = 0.0
-                                clb[p] = min(clb[p], 0.0)
+                            _fix_to_one(clb, cub, jbr, partners)
                         else:
-                            clb[jbr] = 0.0
-                            cub[jbr] = 0.0
+                            clb[jbr] = cub[jbr] = 0.0
                         if np.any(clb > cub):
                             continue
                         seq += 1
-                        child = _Node(z, seq, clb, cub, sol.warm, node.depth + 1)
+                        child = _Node(z, seq, clb, cub, sol.warm, node.depth + 1,
+                                      k, int(fix_to), abs(fix_to - xb[k]))
                         if fix_to == 1.0:
                             stack.append(child)
                         else:
@@ -227,6 +279,41 @@ def solve_milp(
     for j in binaries:
         incumbent_x[j] = round(incumbent_x[j])
     return MilpSolution(status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes)
+
+
+def _fix_to_one(lb, ub, j, partners) -> None:
+    """Fix binary ``j`` to one in place; each row ``x + y <= 1`` pins its partner to zero."""
+    lb[j] = ub[j] = 1.0
+    for p in partners.get(j, ()):
+        ub[p] = 0.0
+        lb[p] = min(lb[p], 0.0)
+
+
+def _fix_by_reduced_cost(solver, sign, binaries, partners, sol, z, cutoff, lb, ub):
+    """Bounds of a node's subtree with the binaries fixed that reduced costs rule out.
+
+    With ``z`` the node's LP objective and ``d = c - y A`` its reduced costs
+    from the node's own duals (both in the minimization orientation), every
+    point of the node with a binary at 0 moved to 1 costs at least ``z + d_j``,
+    and one with a binary at 1 moved to 0 at least ``z - d_j``.  Where that
+    reaches ``cutoff`` the binary keeps its bound; fixing one at 1 pins its
+    exclusivity partners to 0, as branching does.  Returns the bounds, copied
+    only when something is fixed, and the least bound of the regions cut
+    off (inf when none), which the caller keeps in the floor of pruned nodes.
+    """
+    d = solver.cost[binaries] - sign * solver.sf.rmatvec(sol.dual)[binaries]
+    xb = sol.primal[binaries]
+    at0 = (xb <= INT_TOL) & (ub[binaries] > 0.0)
+    at1 = (xb >= 1.0 - INT_TOL) & (lb[binaries] < 1.0)
+    gain = np.where(at1, -d, d)
+    fix = (at0 | at1) & (z + gain >= cutoff)
+    if not fix.any():
+        return lb, ub, math.inf
+    lb, ub = lb.copy(), ub.copy()
+    ub[binaries[fix & at0]] = 0.0
+    for j in binaries[fix & at1]:
+        _fix_to_one(lb, ub, j, partners)
+    return lb, ub, z + float(gain[fix].min())
 
 
 def _fix_binaries_and_solve(solver, binaries, partners, lb0, ub0, values, warm, tried):

@@ -205,3 +205,73 @@ def test_failed_node_lp_keeps_bound_valid(monkeypatch, failure):
     milp = solve_milp(model, gap_target=1e-9)
     assert milp.status == BUDGET_EXHAUSTED  # not a claim of infeasibility
     assert milp.bound <= -3.0 + 1e-9
+
+
+def test_hinted_budget_runs_keep_a_valid_bound(monkeypatch):
+    # an incumbent from the start makes reduced-cost fixing run at every node that branches
+    real_fix = bnb._fix_by_reduced_cost
+    fired = []
+
+    def counting_fix(*args):
+        lb, ub, floor = real_fix(*args)
+        fired.append(floor < math.inf)
+        return lb, ub, floor
+
+    monkeypatch.setattr(bnb, "_fix_by_reduced_cost", counting_fix)
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(80):
+        model = random_milp(rng)
+        exact = enumerate_binaries(model)
+        if exact.status != OPTIMAL_WITHIN_GAP:
+            continue
+        sign = 1.0 if model.sense == MIN else -1.0
+        for budget in (1, 2, 3, 4):
+            for gap in (1e-9, 0.25):
+                milp = solve_milp(model, gap, budget, incumbent_hint=exact.incumbent)
+                assert sign * milp.bound <= sign * exact.objective + 1e-6
+                checked += 1
+    assert checked > 200
+    assert any(fired)
+
+
+def fixing_knapsack():
+    # min -10 i - 9 k - 4 j - 10 a - b  s.t.  5 i + 5 k + 3 j <= 8,  a + b <= 1
+    # root LP -25.4 at i = a = 1, k = 0.6; reduced costs d_j = 1.4 and d_a = -9;
+    # optimum -24 at i = j = a = 1, which has j = 1
+    names = ["i", "k", "j", "a", "b"]
+    return LinearModel(
+        [Variable(name, 0.0, 1.0, binary=True) for name in names],
+        [Constraint({0: 5.0, 1: 5.0, 2: 3.0}, LE, 8.0), Constraint({3: 1.0, 4: 1.0}, LE, 1.0)],
+        {0: -10.0, 1: -9.0, 2: -4.0, 3: -10.0, 4: -1.0},
+        MIN,
+    )
+
+
+def test_reduced_cost_fixing_pins_bounds_and_keeps_its_floor(monkeypatch):
+    model = fixing_knapsack()
+    i, k, j, a, b = range(5)
+    seen = []
+
+    class Spy(SimplexSolver):
+        def solve(self, *, lb=None, ub=None, warm=None):
+            seen.append((lb.copy(), ub.copy()))
+            return super().solve(lb=lb, ub=ub, warm=warm)
+
+    monkeypatch.setattr(bnb, "SimplexSolver", Spy)
+    # the hint k = j = a = 1 costs -23; with the 5% gap the cutoff is -24.15, which
+    # z + d_j = -24 reaches, so j stays at 0 and the optimum leaves the tree
+    milp = solve_milp(model, 0.05, incumbent_hint=np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
+    assert milp.objective == pytest.approx(-23.0)
+    assert milp.status == OPTIMAL_WITHIN_GAP
+    # the region cut off holds the optimum, so its floor must stay in the bound
+    assert milp.bound <= enumerate_binaries(model).objective + 1e-6
+
+    # the node LP that branched k down, with i still free: j fixed to 0 by its reduced
+    # cost, a fixed to 1 by its own, and a's partner b pinned to 0
+    down_k = [(lb, ub) for lb, ub in seen if ub[k] == 0.0 and lb[i] == 0.0 and ub[i] == 1.0]
+    assert down_k
+    for lb, ub in down_k:
+        assert ub[j] == 0.0
+        assert lb[a] == 1.0
+        assert ub[b] == 0.0

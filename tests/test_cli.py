@@ -1,6 +1,9 @@
 import csv
 import inspect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,8 @@ from coopt.models import SINGLE_SCALED
 
 from conftest import tiny_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def test_exhausted_node_budget_in_p3_command_exits_4(tmp_path, capsys):
@@ -216,3 +220,21 @@ def test_frontier_drops_a_cell_whose_solve_fails(tmp_path, capsys, monkeypatch):
         "frontier: 1 of 5 storage floors dropped"
         " (1 simplex stopped on the root relaxation: singular)"
     ]
+
+
+@pytest.mark.parametrize("command", ["solve-p3-tcm", "solve-p3-nbs"])
+def test_joint_commands_write_the_same_bytes_in_two_processes(tmp_path, command):
+    # the B&B carries search state (pseudo-costs); each process draws its own hash seed
+    path = tmp_path / "tiny.scenario"
+    save_scenario(tiny_scenario(T=3, K=2), path)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONHASHSEED", None)
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"out{run}"
+        argv = [command, "--scenario", str(path), "--out", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "coopt.cli", *argv], env=env, check=True, capture_output=True
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert outputs[0] and outputs[0] == outputs[1]
