@@ -6,29 +6,38 @@ column by column as index arrays (no dense copy of the matrix exists), so
 pricing ``y A``, the pivot row ``rho A``, ``A x`` and the entering column
 ``B^-1 a_q`` all run over the nonzeros only.
 
-The basis inverse is kept explicitly.  A refactorization eliminates the
-basic slack and artificial columns, which are signed unit vectors, and
-inverts only the block ``K`` of basic structural columns on the rows no unit
-column covers.  ``K`` is read from the nonzeros and its singletons are
-peeled (Hellerman & Rarick 1971): rounds of column singletons and of row
-singletons make it block triangular around a small dense bump, the only part
-that goes to LAPACK, and ``K^-1`` follows by substitution over the nonzeros.
-Between refactorizations each pivot updates only the rows of the inverse
-where the entering column is nonzero, which gives the same numbers as the
-dense rank-one update.  Every ``REFACTOR_EVERY`` updates (the inverse's age)
-the simplex loops build a fresh inverse.
+The basis inverse is kept in product form around a read-only base:
+``B^-1 = B0 - U V``, where ``B0`` is the inverse built at the last
+refactorization (or the kept one the solve started from) and the ``k``
+columns of ``U`` and rows of ``V`` are the rank-one terms of the pivots
+since, ``k`` being the inverse's age.  A pivot on row ``r`` with entering
+column ``w = B^-1 a_q`` stores the current row ``r`` of the inverse in ``V``
+and ``(w - e_r) / w_r`` in ``U``, one eta matrix of the product form of the
+inverse (Dantzig & Orchard-Hays 1954) multiplied out: ``O(k m)`` work, with
+no m-wide row rewritten.  Every product with the inverse applies ``B0`` and
+then the low-rank correction.  Every ``REFACTOR_EVERY`` updates the simplex
+loops build a fresh base.
+
+A refactorization eliminates the basic slack and artificial columns, which
+are signed unit vectors, and inverts only the block ``K`` of basic
+structural columns on the rows no unit column covers.  ``K`` is read from
+the nonzeros and its singletons are peeled (Hellerman & Rarick 1971): rounds
+of column singletons and of row singletons make it block triangular around
+a small dense bump, the only part that goes to LAPACK, and ``K^-1`` follows
+by substitution over the nonzeros.
 
 The solver keeps the factorizations of its last ``KEPT_FACTORIZATIONS``
-optimal bases, each with its age, and drops the least recently used.  A
-warm start whose basis is kept reuses that inverse.  Otherwise it repairs
-the kept factorization that needs the fewest updates, its age plus the
-number of warm-basis columns it lacks: each lacking column is swapped in
-by one update, leaving at the dropped position where the entering column
-is largest.  A repair that would use more than half of ``REFACTOR_EVERY``,
-so leaving the node less than half its update budget, or that meets a
-pivot below ``REPAIR_PIVOT_TOL`` of the column's largest entry builds a
-fresh inverse instead.  Bases holding artificial columns, whose signs
-change from solve to solve, are never kept or repaired.
+optimal bases, each as its base, a copy of its terms and its age, and drops
+the least recently used.  A warm start whose basis is kept starts from that
+base and those terms; the base itself is shared, never copied.  Otherwise
+it repairs the kept factorization that needs the fewest updates, its age
+plus the number of warm-basis columns it lacks: each lacking column is
+swapped in by one update, leaving at the dropped position where the
+entering column is largest.  A repair that would use more than half of
+``REFACTOR_EVERY``, so leaving the node less than half its update budget,
+or that meets a pivot below ``REPAIR_PIVOT_TOL`` of the column's largest
+entry builds a fresh inverse instead.  Bases holding artificial columns,
+whose signs change from solve to solve, are never kept or repaired.
 
 Cold starts run a phase-1 with artificial columns (sum of infeasibilities)
 followed by phase-2; warm starts reuse a caller-supplied basis, running plain
@@ -42,7 +51,9 @@ artificial columns goes through ``_pivot``.
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties) with an
 automatic switch to Bland's lowest-index rule after a degeneracy stall, which
-keeps the pivot sequence deterministic and cycle-free.  The primal simplex
+keeps the pivot sequence deterministic and cycle-free.  The primal ratio
+test is Harris's two-pass test, which prefers the largest pivot among the
+rows that block within the feasibility tolerance.  The primal simplex
 carries the duals ``y = c_B B^-1`` through its pivots, adding ``d_q`` times
 the updated pivot row of the inverse, and recomputes them only at a
 refactorization; the reduced costs are priced from ``y`` over the nonzeros.
@@ -298,8 +309,8 @@ class SimplexSolver:
         self.m = m
         self.nsm = ns + m
         self.ncols = ns + 2 * m
-        # basis bytes -> (basis, inverse, age), least recently used first
-        self._kept: OrderedDict[bytes, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
+        # basis bytes -> (basis, B0, U, V, age), least recently used first
+        self._kept: OrderedDict[bytes, tuple] = OrderedDict()
         self.refactors = 0  # block inverses computed, over every solve
         self.repairs = 0  # warm starts served by repairing a kept factorization
 
@@ -363,16 +374,23 @@ class SimplexSolver:
     # -- linear algebra helpers --------------------------------------------
 
     def _ftran(self, j: int) -> np.ndarray:
-        if j < self.nsm:
-            lo, hi = self.sf.ptr[j], self.sf.ptr[j + 1]
-            return self.Binv[:, self.sf.row[lo:hi]] @ self.sf.val[lo:hi]
-        i = j - self.nsm
-        return self.art_sign[i] * self.Binv[:, i]
+        """``B^-1 a_j`` for a column of ``[A I]``; artificial columns never enter,
+        since a nonbasic one is fixed at zero."""
+        lo, hi = self.sf.ptr[j], self.sf.ptr[j + 1]
+        rows, vals = self.sf.row[lo:hi], self.sf.val[lo:hi]
+        k = self.pivots_since_refactor
+        return self.B0[:, rows] @ vals - self.U[:, :k] @ (self.V[:k, rows] @ vals)
+
+    def _row(self, r: int) -> np.ndarray:
+        """Row ``r`` of ``B^-1``."""
+        k = self.pivots_since_refactor
+        return self.B0[r] - self.U[r, :k] @ self.V[:k]
 
     def _duals(self, c: np.ndarray) -> np.ndarray:
         cb = c[self.basis]
         nz = np.flatnonzero(cb)
-        return cb[nz] @ self.Binv[nz]
+        k = self.pivots_since_refactor
+        return cb[nz] @ self.B0[nz] - (cb[nz] @ self.U[nz, :k]) @ self.V[:k]
 
     def _reduced_costs(self, c: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         """``c - y [A I art]``, with ``y = c_B B^-1`` unless the caller carries it."""
@@ -384,7 +402,7 @@ class SimplexSolver:
         return d
 
     def _alpha_row(self, r: int) -> np.ndarray:
-        rho = self.Binv[r]
+        rho = self._row(r)
         alpha = np.empty(self.ncols)
         alpha[: self.nsm] = self.sf.rmatvec(rho)
         alpha[self.nsm :] = rho * self.art_sign
@@ -402,9 +420,25 @@ class SimplexSolver:
         self.refactors += 1
         if binv is None:
             return False
-        self.Binv = binv
-        self.pivots_since_refactor = 0
+        self._set_inverse(binv)
         return True
+
+    def _set_inverse(
+        self, b0: np.ndarray, u: np.ndarray | None = None, v: np.ndarray | None = None
+    ) -> None:
+        """``B^-1 = b0 - u v``, with room for the updates up to the next refactorization.
+
+        ``b0`` is made read-only: kept factorizations share it, and no update
+        writes to it."""
+        b0.flags.writeable = False
+        self.B0 = b0
+        self.U = np.zeros((self.m, REFACTOR_EVERY))
+        self.V = np.zeros((REFACTOR_EVERY, self.m))
+        self.pivots_since_refactor = 0
+        if u is not None:
+            self.pivots_since_refactor = k = u.shape[1]
+            self.U[:, :k] = u
+            self.V[:k] = v
 
     def _factor_warm_basis(self) -> bool:
         """Inverse of a warm basis: kept, repaired from a kept one, or fresh."""
@@ -414,32 +448,30 @@ class SimplexSolver:
         kept = self._kept.get(key)
         if kept is not None:
             self._kept.move_to_end(key)
-            self.Binv = kept[1].copy()
-            self.pivots_since_refactor = kept[2]
+            self._set_inverse(*kept[1:4])
             return True
         return self._repair() or self._factor_basis()
 
     def _repair(self) -> bool:
         """Swap the current basis's columns into its nearest kept factorization.
 
-        Returns False, leaving ``Binv`` to be rebuilt, when no kept basis is
+        Returns False, leaving the inverse to be rebuilt, when no kept basis is
         within half the update budget or a swap's pivot is too small.
         """
         target = self.basis
         wanted = np.zeros(self.ncols, dtype=bool)
         wanted[target] = True
         best, best_cost = None, REFACTOR_EVERY // 2 + 1
-        for key, (basis, _, age) in reversed(self._kept.items()):
+        for key, (basis, *_, age) in reversed(self._kept.items()):
             cost = age + int(np.count_nonzero(~wanted[basis]))
             if cost < best_cost:
                 best, best_cost = key, cost
         if best is None:
             return False
         self._kept.move_to_end(best)
-        basis, binv, age = self._kept[best]
+        basis, b0, u, v, _ = self._kept[best]
         basis = basis.copy()
-        self.Binv = binv.copy()
-        self.pivots_since_refactor = age
+        self._set_inverse(b0, u, v)
         present = np.zeros(self.ncols, dtype=bool)
         present[basis] = True
         open_rows = np.flatnonzero(~wanted[basis])
@@ -518,10 +550,8 @@ class SimplexSolver:
         self._kept.pop(key, None)
         if len(self._kept) >= KEPT_FACTORIZATIONS:
             self._kept.popitem(last=False)
-        # kept without a copy: every solve starts from a new inverse, and read-only
-        # makes an update in place of a kept one raise instead of corrupting it
-        self.Binv.flags.writeable = False
-        self._kept[key] = (self.basis.copy(), self.Binv, self.pivots_since_refactor)
+        k = self.pivots_since_refactor
+        self._kept[key] = (self.basis.copy(), self.B0, self.U[:, :k].copy(), self.V[:k].copy(), k)
 
     def _movable(self) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the nonbasic columns that can rise and of those that can fall."""
@@ -537,7 +567,8 @@ class SimplexSolver:
         self.x[self.stat == _FREE] = 0.0
         x_nonbasic = np.where(nonbasic[: self.nsm], self.x[: self.nsm], 0.0)
         rhs_eff = self.sf.b - self.sf.matvec(x_nonbasic)
-        self.x[self.basis] = self.Binv @ rhs_eff
+        k = self.pivots_since_refactor
+        self.x[self.basis] = self.B0 @ rhs_eff - self.U[:, :k] @ (self.V[:k] @ rhs_eff)
 
     def _pivot(self, q: int, r: int, w: np.ndarray, leaving_stat: int) -> None:
         """Column ``q``, with ``w = B^-1 a_q``, replaces the basic column of row ``r``.
@@ -554,12 +585,14 @@ class SimplexSolver:
         self._eta_update(w, r)
 
     def _eta_update(self, w: np.ndarray, r: int) -> None:
-        # rows where w is zero would change by +-0, so only the others are touched
-        self.Binv[r] /= w[r]
-        rows = np.flatnonzero(w)
-        rows = rows[rows != r]
-        self.Binv[rows] -= np.outer(w[rows], self.Binv[r])
-        self.pivots_since_refactor += 1
+        """Append the pivot's rank-one term: the new inverse is the old one minus
+        ``(w - e_r) / w_r`` times its row ``r``."""
+        k = self.pivots_since_refactor
+        self.V[k] = self._row(r)
+        u = w / w[r]
+        u[r] = (w[r] - 1.0) / w[r]
+        self.U[:, k] = u
+        self.pivots_since_refactor = k + 1
 
     # -- cold start ----------------------------------------------------------
 
@@ -578,8 +611,7 @@ class SimplexSolver:
         self.basis = np.arange(self.m) + nsm
         self.stat[self.basis] = _BASIC
         self.x[nsm:] = np.abs(resid)
-        self.Binv = np.diag(self.art_sign)
-        self.pivots_since_refactor = 0
+        self._set_inverse(np.diag(self.art_sign))
 
         c1 = np.zeros(self.ncols)
         c1[nsm:] = 1.0
@@ -640,7 +672,7 @@ class SimplexSolver:
         d = self._reduced_costs(self.cost)
         rise, fall = self._movable()
         if np.all(d[rise] >= -1e-7) and np.all(d[fall] <= 1e-7):  # dual feasible
-            return self._dual()
+            return self._dual(d)
         return None
 
     # -- primal simplex -------------------------------------------------------
@@ -691,39 +723,46 @@ class SimplexSolver:
             else:
                 # |w[r]| > PIV_TOL: the ratio test only blocks on such rows
                 self._pivot(q, r, w, _AT_UB if delta[r] > 0 else _AT_LB)
-                y += d[q] * self.Binv[r]  # the dual step: Binv[r] is now rho_r / w_r
+                # the dual step along the new row r of the inverse, rho_r / w_r,
+                # where rho_r is the old row that the update just stored
+                y += (d[q] / w[r]) * self.V[self.pivots_since_refactor - 1]
         return ITERATION_LIMIT
 
     def _primal_ratio(self, q: int, delta: np.ndarray):
-        """Smallest step blocked by a basic bound or by the entering bound flip."""
-        xb = self.x[self.basis]
-        lo = self.lb[self.basis]
-        hi = self.ub[self.basis]
-        theta_rows = np.full(self.m, math.inf)
-        up = delta > PIV_TOL
-        dn = delta < -PIV_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta_rows[up] = (hi[up] - xb[up]) / delta[up]
-            theta_rows[dn] = (lo[dn] - xb[dn]) / delta[dn]
-        theta_rows = np.where(np.isnan(theta_rows), math.inf, theta_rows)
-        theta_rows = np.maximum(theta_rows, 0.0)
-        theta_basic = float(np.min(theta_rows, initial=math.inf))
+        """Harris's two-pass ratio test (Harris 1973) against the entering bound flip.
+
+        Pass 1 takes the least step against the basic bounds relaxed by
+        ``FEAS_TOL``; pass 2 takes, among the rows whose exact step is within
+        it, the one with the largest ``|delta|`` (lowest basic column on ties),
+        so a tiny pivot never blocks when a sound one is as close.  The flip
+        wins when it is within the pass-1 step.  Returns ``(step, row)``, with
+        row None for the flip, or ``(None, None)`` when nothing blocks.
+        """
+        rows = np.flatnonzero(np.abs(delta) > PIV_TOL)  # the only rows that can block
+        step = delta[rows]
+        cols = self.basis[rows]
+        up = step > 0
+        gap = np.where(up, self.ub[cols], self.lb[cols]) - self.x[cols]
+        exact = np.maximum(gap / step, 0.0)
+        relaxed = np.maximum((gap + np.where(up, FEAS_TOL, -FEAS_TOL)) / step, 0.0)
+        theta_max = float(np.min(relaxed, initial=math.inf))
         flip = self.ub[q] - self.lb[q]
-        if math.isinf(theta_basic) and math.isinf(flip):
+        if math.isinf(theta_max) and math.isinf(flip):
             return None, None
-        if flip <= theta_basic:
+        if flip <= theta_max:
             return flip, None
-        ties = np.flatnonzero(theta_rows <= theta_basic + 1e-12)
-        r = int(ties[np.argmin(self.basis[ties])])
-        return theta_basic, r
+        size = np.where(exact <= theta_max, np.abs(step), 0.0)
+        best = np.flatnonzero(size == size.max())
+        i = best[np.argmin(cols[best])]
+        return float(exact[i]), int(rows[i])
 
     # -- dual simplex ----------------------------------------------------------
 
-    def _dual(self) -> str:
-        """Bounded dual simplex, ending in phase 2 once the basis is primal feasible."""
+    def _dual(self, d: np.ndarray) -> str:
+        """Bounded dual simplex from the reduced costs ``d`` of the current basis,
+        ending in phase 2 once the basis is primal feasible."""
         c = self.cost
         max_iter = 20000 + 50 * (self.m + self.ns)
-        d = self._reduced_costs(c)
         for _ in range(max_iter):
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 if not self._refactor():
@@ -753,7 +792,11 @@ class SimplexSolver:
             q = int(np.argmin(key))
 
             w = self._ftran(q)
-            if abs(w[r]) < PIV_TOL:  # checked before any state changes
+            # checked before any state changes, and against the column's scale: the
+            # update divides w by w[r], and a pivot far below the column's largest
+            # entry wipes out the inverse's accuracy (the ratio test does not look
+            # at |alpha|, so a tiny one with a reduced cost of the wrong sign wins)
+            if abs(w[r]) < PIV_TOL * max(1.0, float(np.max(np.abs(w)))):
                 # a fresh inverse that repeats the small pivot would repeat it forever
                 if self.pivots_since_refactor == 0 or not self._refactor():
                     return SINGULAR

@@ -3,18 +3,25 @@
 The reference values come from ``scipy.optimize.milp`` (HiGHS) on the same
 models; each ``coopt`` objective must lie within the 5e-4 relative gap that
 branch-and-bound certifies, and a search stopped by its node budget must
-report a bound on the far side of the reference.
+report a bound on the far side of the reference.  One sweep cell's root LP
+is checked against ``scipy.optimize.linprog`` (HiGHS).
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from coopt.bargain import _weighted, solve_tcm
+from coopt import presets
+from coopt.bargain import DisagreementPoints, _gain_model, _weighted, solve_tcm
 from coopt.bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
 from coopt.io import load_scenario
-from coopt.linear import MAX, with_objective
+from coopt.linear import EQ, GE, MAX, MIN, with_objective
 from coopt.models import build_p1, build_p2, build_p3
+from coopt.sensitivity import _apply_demand_level, _apply_price_levels
+from coopt.simplex import OPTIMAL, SimplexSolver
+from coopt.simulate import percentile_profiles
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GAP = 5e-4
@@ -75,3 +82,43 @@ def test_median_storage():
     p2 = solve_milp(build_p2(scn.bss, scn.prices, scn.probabilities), GAP)
     assert p2.status == OPTIMAL_WITHIN_GAP
     assert within_gap(p2.objective, 3647.4689)
+
+
+def highs_lp_objective(model):
+    """The LP relaxation's optimum from ``scipy.optimize.linprog`` (HiGHS)."""
+    sign = 1.0 if model.sense == MIN else -1.0
+    c = np.zeros(model.n)
+    for j, v in model.objective.items():
+        c[j] = sign * v
+    A = np.zeros((model.m, model.n))
+    for i, con in enumerate(model.constraints):
+        for j, v in con.coeffs.items():
+            A[i, j] = v
+    b = np.array([con.rhs for con in model.constraints])
+    eq = np.array([con.sense == EQ for con in model.constraints])
+    flip = np.array([-1.0 if con.sense == GE else 1.0 for con in model.constraints])
+    res = linprog(
+        c, A_ub=flip[~eq, None] * A[~eq], b_ub=flip[~eq] * b[~eq], A_eq=A[eq], b_eq=b[eq],
+        bounds=[(v.lb, v.ub) for v in model.variables], method="highs",
+    )
+    assert res.status == 0
+    return sign * res.fun
+
+
+def test_sweep_cell_root_lp_is_solved():
+    # the one-compartment sweep cell at the DA 10th, RT 90th and demand 10th
+    # percentiles of `coopt sweep --seed 0 --days 30`; at its lowest storage
+    # floor, a ratio test that lets a tiny pivot block ends phase 1 `singular`
+    scn = presets.build_scenario(K=1, seed=7, compartment_spread=0.0)
+    da, rt = presets.synthetic_price_history(30, 0)
+    demand = presets.demand_history(
+        presets.default_demand_config(0, presets.TRAFFIC_SCALE), 30, scn.hub
+    )
+    cell = _apply_price_levels(scn, percentile_profiles(da, 10.0), percentile_profiles(rt, 90.0))
+    cell = _apply_demand_level(cell, percentile_profiles(demand, 10.0))
+    p3 = build_p3(cell.hub, cell.bss, cell.prices, cell.probabilities, cell.demand, cell.joint)
+    d = DisagreementPoints(570.3599, 606.8837)  # the cell's P1 and P2 optima, rounded
+    model = _gain_model(p3, d, p3.obj_a, MIN)
+    sol = SimplexSolver(model).solve()
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(highs_lp_objective(model), rel=1e-6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -270,7 +271,7 @@ def test_failed_warm_start_falls_back_to_a_cold_start(monkeypatch):
     first = solver.solve()
     calls = []
 
-    def singular_dual(self):
+    def singular_dual(self, d):
         calls.append(self.iterations)
         return simplex.SINGULAR
 
@@ -282,10 +283,19 @@ def test_failed_warm_start_falls_back_to_a_cold_start(monkeypatch):
     assert warm.iterations == cold.iterations
 
 
-@pytest.mark.parametrize("persistent", [False, True])
-def test_small_dual_pivot_leaves_the_basis_consistent(monkeypatch, persistent):
+@pytest.mark.parametrize(
+    "persistent, largest",
+    [
+        pytest.param(False, None, id="False"),
+        pytest.param(True, None, id="True"),
+        pytest.param(False, 1e3, id="small-against-its-column"),
+    ],
+)
+def test_small_dual_pivot_leaves_the_basis_consistent(monkeypatch, persistent, largest):
     # a small pivot is met before any state changes and refactored once; one
-    # that a fresh inverse repeats sends the solve to its cold start
+    # that a fresh inverse repeats sends the solve to its cold start.  With
+    # ``largest``, the pivot is above PIV_TOL but small against the column's
+    # largest entry, which an update would magnify
     model, ub = pinned_below_its_optimum()
     cold = SimplexSolver(model).solve(ub=ub)
     solver = SimplexSolver(model)
@@ -301,7 +311,12 @@ def test_small_dual_pivot_leaves_the_basis_consistent(monkeypatch, persistent):
     def ftran(self, j):
         w = real_ftran(self, j)
         if rows and not cold_starts and (persistent or not forced):
-            w[rows[-1]] = simplex.PIV_TOL / 10
+            r = rows[-1]
+            if largest is None:
+                w[r] = simplex.PIV_TOL / 10
+            else:
+                w[r] = simplex.PIV_TOL * 10
+                w[(r + 1) % self.m] = largest
             forced.append(j)
         rows.clear()
         return w
@@ -323,6 +338,38 @@ def test_small_dual_pivot_leaves_the_basis_consistent(monkeypatch, persistent):
     assert np.count_nonzero(solver.stat == _BASIC) == solver.m
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def ratio_test_state(x, lb, ub, entering_ub):
+    """A solver whose basic columns 0..m-1 sit at ``x`` within ``[lb, ub]``, with
+    column ``m`` entering from 0 towards ``entering_ub``."""
+    m = len(x)
+    model = lp(
+        [Variable(f"v{j}", -math.inf, math.inf) for j in range(m + 1)],
+        [Constraint({i: 1.0, m: 1.0}, EQ, 0.0) for i in range(m)],
+        {},
+    )
+    solver = SimplexSolver(model)
+    solver.basis = np.arange(m)
+    solver.x = np.zeros(solver.ncols)
+    solver.x[:m] = x
+    solver.lb = np.zeros(solver.ncols)
+    solver.ub = np.zeros(solver.ncols)
+    solver.lb[:m], solver.ub[:m] = lb, ub
+    solver.ub[m] = entering_ub
+    return solver, m
+
+
+def test_ratio_test_prefers_a_sound_pivot_within_the_tolerance():
+    # row 0 blocks at 19.9 through a pivot of 1e-8; row 1 at 20 through a unit
+    # pivot, which row 0 overshoots by only 1e-8 <= FEAS_TOL
+    solver, q = ratio_test_state([1.99e-7, 20.0], [0.0, 0.0], [1.0, 30.0], math.inf)
+    assert solver._primal_ratio(q, np.array([-1e-8, -1.0])) == (20.0, 1)
+
+
+def test_ratio_test_takes_a_bound_flip_tied_with_a_row_up_to_rounding():
+    solver, q = ratio_test_state([0.9999999999999998], [0.0], [2.0], 1.0)
+    assert solver._primal_ratio(q, np.array([-1.0])) == (1.0, None)
 
 
 def test_warm_start_infeasible_child():
@@ -565,11 +612,27 @@ def test_carried_duals_equal_fresh_duals_at_every_pivot(full_size_p2, monkeypatc
     assert np.max(np.abs(sol.dual - y)) <= 1e-9 * np.max(np.abs(y))
 
 
-def test_row_restricted_update_equals_dense_update():
+def inverse(solver):
+    """``B^-1`` as the solver holds it, ``B0 - U V`` over the terms of its age."""
+    k = solver.pivots_since_refactor
+    return solver.B0 - solver.U[:, :k] @ solver.V[:k]
+
+
+def random_terms(rng, solver, k):
+    """Give the solver a random base and ``k`` random rank-one terms."""
+    m = solver.m
+    solver._set_inverse(
+        rng.standard_normal((m, m)), rng.standard_normal((m, k)), rng.standard_normal((k, m))
+    )
+
+
+def test_rank_one_update_equals_dense_update():
     rng = np.random.default_rng(8)
     solver = SimplexSolver(random_sparse_model(rng, 6, 12))
     for _ in range(40):
-        binv = rng.standard_normal((12, 12))
+        k = int(rng.integers(0, REFACTOR_EVERY))
+        random_terms(rng, solver, k)
+        binv = inverse(solver)
         w = np.where(rng.random(12) < 0.6, 0.0, rng.standard_normal(12))
         r = int(rng.integers(0, 12))
         w[r] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
@@ -578,10 +641,13 @@ def test_row_restricted_update_equals_dense_update():
         others = w.copy()
         others[r] = 0.0
         expect -= np.outer(others, expect[r])
-        solver.Binv = binv
-        solver.pivots_since_refactor = 0
         solver._eta_update(w, r)
-        assert np.array_equal(solver.Binv, expect)
+        assert solver.pivots_since_refactor == k + 1
+        term = w.copy()
+        term[r] -= 1.0
+        assert np.array_equal(solver.U[:, k], term / w[r])
+        np.testing.assert_allclose(solver.V[k], binv[r], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(inverse(solver), expect, rtol=1e-12, atol=1e-12)
 
 
 def test_sparse_products_equal_dense_products():
@@ -593,23 +659,24 @@ def test_sparse_products_equal_dense_products():
         mixed_basis(rng, solver)
         nsm = solver.nsm
         A = dense_columns(solver)
-        solver.Binv = rng.standard_normal((m, m))
+        random_terms(rng, solver, int(rng.integers(0, 6)))
+        binv = inverse(solver)
         c = np.where(rng.random(solver.ncols) < 0.5, 0.0, rng.standard_normal(solver.ncols))
 
-        y = c[solver.basis] @ solver.Binv
+        y = c[solver.basis] @ binv
         d = solver._reduced_costs(c)
         np.testing.assert_allclose(d[:nsm], c[:nsm] - y @ A, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(d[nsm:], c[nsm:] - y * solver.art_sign, rtol=1e-12, atol=1e-12)
 
         r = int(rng.integers(0, m))
         alpha = solver._alpha_row(r)
-        np.testing.assert_allclose(alpha[:nsm], solver.Binv[r] @ A, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(alpha[:nsm], binv[r] @ A, rtol=1e-12, atol=1e-12)
 
         x = rng.standard_normal(nsm)
         np.testing.assert_allclose(solver.sf.matvec(x), A @ x, rtol=1e-12, atol=1e-12)
 
         q = int(rng.integers(0, nsm))
-        np.testing.assert_allclose(solver._ftran(q), solver.Binv @ A[:, q], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(solver._ftran(q), binv @ A[:, q], rtol=1e-12, atol=1e-12)
 
 
 def repair_status_loop(stat, lb, ub):
@@ -676,10 +743,58 @@ def test_repaired_inverse_matches_dense_inverse():
             continue
         assert sorted(solver.basis) == sorted(target)
         ref = np.linalg.inv(basis_matrix(solver))
-        assert np.max(np.abs(solver.Binv - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(inverse(solver) - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert solver.pivots_since_refactor == k
         checked += 1
     assert checked > 60
+
+
+def test_product_form_tracks_pivots_and_kept_bases_share_their_base():
+    rng = np.random.default_rng(29)
+    solver = SimplexSolver(random_sparse_model(rng, 260, 200, density=0.02))
+    m = solver.m
+    solver.art_sign = np.ones(m)
+    solver.basis = solver.ns + np.arange(m)  # the slack basis
+    assert solver._factor_basis()
+    base = solver.B0
+    age = REFACTOR_EVERY // 2 - 1  # the kept basis's, leaving room for one repair swap
+    filled = np.flatnonzero(np.diff(solver.sf.ptr))  # columns with a nonzero
+    for k in range(1, REFACTOR_EVERY + 1):
+        q = int(rng.choice(np.setdiff1d(filled, solver.basis)))
+        w = solver._ftran(q)
+        r = int(np.argmax(np.abs(w)))
+        solver._eta_update(w, r)
+        solver.basis[r] = q
+        assert solver.pivots_since_refactor == k
+        if k % 10 == 0:
+            ref = np.linalg.inv(basis_matrix(solver))
+            assert np.max(np.abs(inverse(solver) - ref)) <= 1e-10 * np.max(np.abs(ref))
+        if k == age:
+            solver._keep()
+            kept, expect = solver.basis.copy(), inverse(solver)
+    assert solver.B0 is base and not base.flags.writeable
+
+    tracemalloc.start()
+    try:
+        solver.basis = kept.copy()
+        assert solver._factor_warm_basis()  # a kept hit
+        hit_peak = tracemalloc.get_traced_memory()[1]
+        assert solver.B0 is base and solver.pivots_since_refactor == age
+        assert np.array_equal(inverse(solver), expect)
+
+        tracemalloc.reset_peak()
+        q = int(np.setdiff1d(filled, kept)[0])
+        solver.basis[int(np.argmax(np.abs(solver._ftran(q))))] = q
+        assert solver._factor_warm_basis()  # one swap from the kept basis
+        repair_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (solver.repairs, solver.refactors) == (1, 1)
+    assert solver.B0 is base and not base.flags.writeable
+    ref = np.linalg.inv(basis_matrix(solver))
+    assert np.max(np.abs(inverse(solver) - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # neither copies an m x m array: the terms take 2 m REFACTOR_EVERY floats
+    assert max(hit_peak, repair_peak) < base.nbytes
 
 
 def test_kept_factorizations_are_bounded():
@@ -726,7 +841,7 @@ def test_evicted_warm_basis_is_repaired():
     plunge(solver, model, root.warm)
     assert root.warm.basis.tobytes() not in solver._kept
     root_set = set(root.warm.basis.tolist())
-    assert all(set(basis.tolist()) != root_set for basis, _, _ in solver._kept.values())
+    assert all(set(basis.tolist()) != root_set for basis, *_ in solver._kept.values())
 
     sibling = np.array([v.ub for v in model.variables])
     sibling[-1] = 0.0
@@ -770,7 +885,7 @@ def test_tiny_repair_pivot_falls_back_to_fresh_inverse():
     assert solver._factor_warm_basis()
     assert (solver.refactors, solver.repairs) == (2, 0)
     ref = np.linalg.inv(basis_matrix(solver))
-    assert np.max(np.abs(solver.Binv - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(inverse(solver) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_age_triggered_refactor_builds_a_fresh_inverse(monkeypatch):
@@ -782,7 +897,7 @@ def test_age_triggered_refactor_builds_a_fresh_inverse(monkeypatch):
     def refactor(self):
         wanted = np.zeros(self.ncols, dtype=bool)
         wanted[self.basis] = True
-        costs = [age + np.count_nonzero(~wanted[basis]) for basis, _, age in self._kept.values()]
+        costs = [age + np.count_nonzero(~wanted[basis]) for basis, *_, age in self._kept.values()]
         before = (self.refactors, self.repairs)
         done = real_refactor(self)
         reachable = min(costs, default=math.inf) <= simplex.REFACTOR_EVERY // 2
