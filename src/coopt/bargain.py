@@ -27,6 +27,13 @@ after ``MAX_CUT_MILPS`` MILPs.  A bound below the best product by more than
 rounding raises :class:`~coopt.bnb.SolverError`.
 The epsilon-constraint sweep :func:`pareto_frontier` serves the ``frontier``
 command only.
+
+P3 holds P1's and P2's columns and rows, so the disagreement solves' root
+bases together are a basis of P3.  :func:`solve_study` carries them onto P3
+once, and the TCM root, every cut MILP's root and every polish's first LP
+start from that one basis, each mapped by name onto its own model's extra
+rows and columns.  P1's and P2's roots start cold, and so do the frontier's
+cells.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from .linear import (
 )
 from .models import AS_WRITTEN, build_p1, build_p2, build_p3
 from .scenario import ScenarioInputs
-from .simplex import OPTIMAL, SimplexSolver
+from .simplex import OPTIMAL, SimplexSolver, WarmStart, carry_basis
 
 DEFAULT_GRID_POINTS = 41
 CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point and per Nash cut MILP
@@ -166,12 +173,20 @@ def solve_tcm(
     *,
     d: DisagreementPoints | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    warm: WarmStart | None = None,
 ) -> ParetoPoint:
     """Minimize combined cost (hub cost minus storage profit) over the joint set,
-    as the maximum of its negation, the weighted sum at weight 1."""
+    as the maximum of its negation, the weighted sum at weight 1.  ``warm``, a
+    basis of ``p3.base``, is where the root LP starts."""
     model = with_objective(p3.base, _weighted(p3, 1.0), MAX)
-    sol = _require_solved(solve_milp(model, gap, node_budget), "total-cost model")
+    sol = _require_solved(solve_milp(model, gap, node_budget, warm=warm), "total-cost model")
     return _point_from(p3, sol.incumbent, d)
+
+
+def _carried(model: LinearModel, p3: BiObjectiveModel, warm: WarmStart | None):
+    """``warm``, a basis of ``p3.base``, as a basis of ``model``, which holds its
+    columns and rows."""
+    return None if warm is None else carry_basis(model, (p3.base, warm))
 
 
 def _gain_model(p3: BiObjectiveModel, d: DisagreementPoints, objective, sense) -> LinearModel:
@@ -285,7 +300,7 @@ def _chord_best(p3, d, a: ParetoPoint, b: ParetoPoint) -> ParetoPoint:
     return _point_from(p3, (1.0 - s) * a.assignment + s * b.assignment, d)
 
 
-def _polish(p3, d, start: ParetoPoint) -> ParetoPoint:
+def _polish(p3, d, start: ParetoPoint, warm: WarmStart | None) -> ParetoPoint:
     """The Nash bargain over the joint set with the binaries of ``start`` pinned.
 
     Each round maximizes beta * tau1 + tau2 at the best point's own ratio
@@ -295,13 +310,15 @@ def _polish(p3, d, start: ParetoPoint) -> ParetoPoint:
     the new vertex, or on the edge between the last two vertices.  A corner
     start, where one gain is zero, is returned as it is: the cut MILP's
     point is a vertex optimal for its pinned binaries, and at a corner only
-    one cut binds, so the weighted sum at that cut's t^2 cannot gain.
+    one cut binds, so the weighted sum at that cut's t^2 cannot gain.  The
+    first LP starts from ``warm``, a basis of the gain model, and each later
+    one from the LP before it.
     """
     lb = np.array([v.lb for v in p3.base.variables])
     ub = np.array([v.ub for v in p3.base.variables])
     binaries = p3.base.binary_indices()
     lb[binaries] = ub[binaries] = start.assignment[binaries]
-    best, last, warm = start, None, None
+    best, last = start, None
     for _ in range(POLISH_ROUNDS):
         if best.tau1 <= 0.0 or best.tau2 <= 0.0:
             break
@@ -332,11 +349,15 @@ def solve_nbs(
     gap: float = DEFAULT_GAP,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    warm: WarmStart | None = None,
 ) -> BargainResult:
     """Maximize the Nash product (d1 - f_a)(f_b - d2) over the joint set by
-    tangent cuts on gamma^2 <= tau1 tau2, with a bound on the product."""
-    tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget)
+    tangent cuts on gamma^2 <= tau1 tau2, with a bound on the product.
+    ``warm``, a basis of ``p3.base``, is where the TCM root, every cut MILP's
+    root and every polish's first LP start."""
+    tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget, warm=warm)
     model = _gain_model(p3, d, {}, MAX)
+    polish_warm = _carried(model, p3, warm)  # the polish LPs have this model's rows and columns
     gamma = model.n
     model.variables.append(Variable("nash_gamma", 0.0, math.inf))
     model.objective[gamma] = 1.0
@@ -349,7 +370,8 @@ def solve_nbs(
     hint = None
     budget = min(node_budget, CELL_NODE_BUDGET)
     for _ in range(MAX_CUT_MILPS):
-        sol = solve_milp(model, gap / 4, budget, incumbent_hint=hint)
+        start = _carried(model, p3, warm)
+        sol = solve_milp(model, gap / 4, budget, incumbent_hint=hint, warm=start)
         if sol.incumbent is None:
             if sol.status == BUDGET_EXHAUSTED and not visited:
                 raise BudgetExhaustedError(
@@ -359,7 +381,7 @@ def solve_nbs(
             bound = min(bound, sol.bound if sol.status == BUDGET_EXHAUSTED else 0.0)
             break
         bound = min(bound, sol.bound)
-        point = _polish(p3, d, _point_from(p3, sol.incumbent[:gamma], d))
+        point = _polish(p3, d, _point_from(p3, sol.incumbent[:gamma], d), polish_warm)
         visited.append(point)
         hint = point.assignment
         if best is None or point.product > best.product:
@@ -428,12 +450,17 @@ def solve_study(
         scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint, deployment_revenue
     )
     d = bundle.d = DisagreementPoints(bundle.p1.objective, bundle.p2.objective)
-    if goal == "tcm":
-        bundle.tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget)
-    elif goal == "nbs":
-        bundle.bargain = solve_nbs(p3, d, gap, node_budget=node_budget)
-    else:
+    if goal == "frontier":  # its cells start cold
         bundle.frontier, bundle.frontier_dropped = pareto_frontier(
             p3, d, grid_points, gap, node_budget=node_budget
         )
+        return bundle
+    # P1's and P2's root bases together are a basis of P3, which holds their columns and rows
+    warm = carry_basis(
+        p3.base, (bundle.p1_model, bundle.p1.root), (bundle.p2_model, bundle.p2.root)
+    )
+    if goal == "tcm":
+        bundle.tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget, warm=warm)
+    else:
+        bundle.bargain = solve_nbs(p3, d, gap, node_budget=node_budget, warm=warm)
     return bundle

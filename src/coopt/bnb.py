@@ -60,6 +60,7 @@ class MilpSolution:
     bound: float
     gap: float
     nodes: int
+    root: WarmStart | None = None  # the root LP's final basis
 
     def value(self, model: LinearModel, name: str) -> float:
         return float(self.incumbent[model.index(name)])
@@ -139,6 +140,7 @@ def solve_milp(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     incumbent_hint: np.ndarray | None = None,
+    warm: WarmStart | None = None,
 ) -> MilpSolution:
     """Best-bound branch-and-bound with pseudo-cost branching and reduced-cost
     fixing; returns when the relative gap closes or the node budget runs out,
@@ -150,7 +152,8 @@ def solve_milp(
 
     ``incumbent_hint`` seeds the search with a known-good binary pattern (for
     example the solution of a neighbouring sweep point); its binaries are fixed
-    and the LP re-solved, so a stale hint only costs one LP.
+    and the LP re-solved, so a stale hint only costs one LP.  ``warm`` is a
+    basis the root LP starts from; the solution returns the root's final one.
     """
     if gap_target <= 0:
         raise ValueError(f"gap_target must be > 0, got {gap_target}")
@@ -162,7 +165,7 @@ def solve_milp(
     lb0 = np.array([v.lb for v in model.variables])
     ub0 = np.array([v.ub for v in model.variables])
 
-    root = solver.solve(lb=lb0, ub=ub0)
+    root = solver.solve(lb=lb0, ub=ub0, warm=warm)
     if root.status == INFEASIBLE:
         return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, 1)
     if root.status == UNBOUNDED:
@@ -170,7 +173,9 @@ def solve_milp(
     if root.status in _LP_FAILED:
         raise SolverError(f"simplex stopped on the root relaxation: {root.status}")
     if not binaries.size:
-        return MilpSolution(OPTIMAL_WITHIN_GAP, root.primal, root.objective, root.objective, 0.0, 1)
+        return MilpSolution(
+            OPTIMAL_WITHIN_GAP, root.primal, root.objective, root.objective, 0.0, 1, root.warm
+        )
 
     incumbent_x = None
     incumbent_z = math.inf  # internal minimization orientation
@@ -269,8 +274,10 @@ def solve_milp(
     if incumbent_x is None:
         # without an incumbent, a finite floor can only come from an unsolved node
         if (nodes >= node_budget and (stack or heap)) or pruned_floor < math.inf:
-            return MilpSolution(BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes)
-        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes)
+            return MilpSolution(
+                BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes, root.warm
+            )
+        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes, root.warm)
 
     best_bound = max(best_bound, open_bound())
     gap = _relative_gap(incumbent_z, best_bound)
@@ -278,7 +285,9 @@ def solve_milp(
     incumbent_x = incumbent_x.copy()
     for j in binaries:
         incumbent_x[j] = round(incumbent_x[j])
-    return MilpSolution(status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes)
+    return MilpSolution(
+        status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes, root.warm
+    )
 
 
 def _fix_to_one(lb, ub, j, partners) -> None:

@@ -41,13 +41,20 @@ whose signs change from solve to solve, are never kept or repaired.
 
 Cold starts run a phase-1 with artificial columns (sum of infeasibilities)
 followed by phase-2; warm starts reuse a caller-supplied basis, running plain
-phase-2 when it is primal feasible and a bounded dual simplex when it is only
-dual feasible (the common case after branch-and-bound bound changes).  The
-restart rule lives in :meth:`SimplexSolver.solve` alone: a warm start that
-cannot be used, or that stops ``SINGULAR`` or at ``ITERATION_LIMIT``, is
-followed by a cold start on the same bounds, so callers never retry.  Every
-basis change of phase 1, phase 2, the dual simplex and the purge of
-artificial columns goes through ``_pivot``.
+phase-2 when it is primal feasible and otherwise a bounded dual simplex until
+it is, then phase-2.  A warm basis that is only dual feasible is the common
+case after branch-and-bound bound changes.  One that is neither, such as a
+basis :func:`carry_basis` maps from other models, first has the cost of each
+nonbasic column with a wrong-signed reduced cost shifted so that this reduced
+cost is zero; the dual simplex runs on the shifted costs and phase-2 on the
+true ones removes the shift (Huangfu & Hall 2018; Koberstein 2005).  The
+dual simplex calls a row infeasible only when its value, recomputed from the
+inverse, still violates its bound, not on the rounding carried through the
+updates.  The restart rule lives in :meth:`SimplexSolver.solve` alone: a
+warm start that cannot be used, or that stops ``SINGULAR`` or at
+``ITERATION_LIMIT``, is followed by a cold start on the same bounds, so
+callers never retry.  Every basis change of phase 1, phase 2, the dual
+simplex and the purge of artificial columns goes through ``_pivot``.
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties) with an
 automatic switch to Bland's lowest-index rule after a degeneracy stall, which
@@ -77,6 +84,7 @@ ITERATION_LIMIT = "iteration-limit"
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-8
+DUAL_TOL = 1e-7  # a warm basis's reduced cost of the wrong sign beyond this is shifted away
 PIV_TOL = 1e-9
 REFACTOR_EVERY = 50
 KEPT_FACTORIZATIONS = 4
@@ -187,6 +195,35 @@ def _repair_status(stat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarr
     out[fix_hi] = np.where(lo_inf[fix_hi], _FREE, _AT_LB)
     out[fix_free] = np.where(lo_inf[fix_free], _AT_UB, _AT_LB)
     return out
+
+
+def carry_basis(model: LinearModel, *sources: tuple[LinearModel, WarmStart]) -> WarmStart | None:
+    """A warm start for ``model`` from the bases of models whose columns and
+    rows it holds, matched by name (names are unique within each model).
+
+    Each source column's status goes to the column of the same name, and each
+    source row's slack status to that row's slack; a basic artificial column,
+    which sits at zero on a redundant row, hands its place to the row's slack.
+    The rows no source has get their slacks basic, and the columns no source
+    has sit at their lower bound (the solve moves a status that points at an
+    infinite bound onto a finite one).  Returns None unless exactly
+    ``model.m`` columns come out basic.
+    """
+    ns, m = model.n, model.m
+    col_at = {v.name: j for j, v in enumerate(model.variables)}
+    row_at = {con.name: i for i, con in enumerate(model.constraints)}
+    vstat = np.full(ns + 2 * m, _AT_LB, dtype=np.int8)
+    vstat[ns : ns + m] = _BASIC
+    for source, warm in sources:
+        sn, sm = source.n, source.m
+        cols = [col_at[v.name] for v in source.variables]
+        rows = [ns + row_at[con.name] for con in source.constraints]
+        vstat[cols] = warm.vstat[:sn]
+        vstat[rows] = np.where(warm.vstat[sn + sm :] == _BASIC, _BASIC, warm.vstat[sn : sn + sm])
+    basis = np.flatnonzero(vstat == _BASIC)
+    if basis.size != m:
+        return None
+    return WarmStart(basis, vstat)
 
 
 def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> np.ndarray | None:
@@ -671,9 +708,15 @@ class SimplexSolver:
             return self._primal(self.cost)
         d = self._reduced_costs(self.cost)
         rise, fall = self._movable()
-        if np.all(d[rise] >= -1e-7) and np.all(d[fall] <= 1e-7):  # dual feasible
-            return self._dual(d)
-        return None
+        # a nonbasic column's cost does not enter y = c_B B^-1, so shifting it by
+        # its reduced cost zeroes that reduced cost and leaves every other one
+        wrong = (rise & (d < -DUAL_TOL)) | (fall & (d > DUAL_TOL))
+        c = self.cost
+        if wrong.any():
+            c = np.where(wrong, c - d, c)
+            d = np.where(wrong, 0.0, d)
+        status = self._dual(c, d)
+        return self._primal(self.cost) if status == OPTIMAL else status
 
     # -- primal simplex -------------------------------------------------------
 
@@ -758,10 +801,9 @@ class SimplexSolver:
 
     # -- dual simplex ----------------------------------------------------------
 
-    def _dual(self, d: np.ndarray) -> str:
-        """Bounded dual simplex from the reduced costs ``d`` of the current basis,
-        ending in phase 2 once the basis is primal feasible."""
-        c = self.cost
+    def _dual(self, c: np.ndarray, d: np.ndarray) -> str:
+        """Bounded dual simplex on the costs ``c`` from the reduced costs ``d`` of
+        the current basis; OPTIMAL once the basis is primal feasible."""
         max_iter = 20000 + 50 * (self.m + self.ns)
         for _ in range(max_iter):
             if self.pivots_since_refactor >= REFACTOR_EVERY:
@@ -774,7 +816,7 @@ class SimplexSolver:
             vio = np.maximum(viol_lo, viol_hi)
             worst = float(np.max(vio, initial=0.0))
             if worst <= FEAS_TOL:
-                return self._primal(c)
+                return OPTIMAL
             ties = np.flatnonzero(vio >= worst - 1e-15)
             r = int(ties[np.argmin(self.basis[ties])])
             bv = self.basis[r]
@@ -785,7 +827,13 @@ class SimplexSolver:
             rise, fall = self._movable()
             elig = (rise & (alpha * row_dir < -PIV_TOL)) | (fall & (alpha * row_dir > PIV_TOL))
             if not elig.any():
-                return INFEASIBLE
+                # the row's value may be rounding carried through the updates:
+                # only a fresh one that still violates its bound proves infeasibility
+                self._recompute_x()
+                xr = self.x[bv]
+                if max(self.lb[bv] - xr, xr - self.ub[bv]) > FEAS_TOL:
+                    return INFEASIBLE
+                continue
             with np.errstate(divide="ignore", invalid="ignore"):
                 key = np.where(elig, -row_dir * d / alpha, math.inf)
             key = np.where(np.isnan(key), math.inf, np.maximum(key, 0.0))

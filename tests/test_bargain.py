@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from coopt.linear import (
     Variable,
     with_objective,
 )
-from coopt.models import build_p3
+from coopt.io import load_scenario
+from coopt.models import build_p1, build_p2, build_p3
 from coopt.scenario import DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities
+from coopt.simplex import OPTIMAL, SimplexSolver, carry_basis
 
 from conftest import tiny_scenario
 from oracles import enumerate_binaries, verify_axioms
@@ -338,3 +341,31 @@ def test_bound_below_a_found_product_raises(monkeypatch):
     monkeypatch.setattr(bargain, "solve_milp", understated)
     with pytest.raises(SolverError):
         solve_nbs(p3, d, gap=1e-9)
+
+
+@pytest.mark.parametrize("scenario", ["tiny", "median_k2"])
+def test_disagreement_bases_start_the_total_cost_root_lp(scenario, monkeypatch):
+    # P1's and P2's root bases, carried onto P3, reach the cold optimum of the
+    # TCM root LP in fewer iterations and without a cold start
+    if scenario == "tiny":
+        scn = tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0)
+    else:
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        scn = load_scenario(scenarios / f"{scenario}.scenario")
+    p1 = build_p1(scn.hub, scn.prices, scn.demand)
+    p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
+    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
+    warm = carry_basis(p3.base, (p1, solve_milp(p1).root), (p2, solve_milp(p2).root))
+    assert warm is not None
+    tcm = with_objective(p3.base, bargain._weighted(p3, 1.0), MAX)
+    cold = SimplexSolver(tcm).solve()
+    assert cold.status == OPTIMAL
+    monkeypatch.setattr(SimplexSolver, "_cold_start", no_cold_start)
+    carried = SimplexSolver(tcm).solve(warm=warm)
+    assert carried.status == OPTIMAL
+    assert carried.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert carried.iterations < cold.iterations
+
+
+def no_cold_start(self):
+    raise AssertionError("the carried basis fell back to a cold start")

@@ -271,7 +271,7 @@ def test_failed_warm_start_falls_back_to_a_cold_start(monkeypatch):
     first = solver.solve()
     calls = []
 
-    def singular_dual(self, d):
+    def singular_dual(self, c, d):
         calls.append(self.iterations)
         return simplex.SINGULAR
 
@@ -281,6 +281,100 @@ def test_failed_warm_start_falls_back_to_a_cold_start(monkeypatch):
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
     assert warm.iterations == cold.iterations
+
+
+def no_cold_start(self):
+    raise AssertionError("the warm start fell back to a cold start")
+
+
+def test_warm_basis_neither_primal_nor_dual_feasible_reaches_the_optimum_by_shifting_costs(
+    monkeypatch,
+):
+    # the optimal basis of the opposite objective, under a bound it violates
+    model, ub = pinned_below_its_optimum()
+    first = SimplexSolver(model).solve()
+    flipped = lp(model.variables, model.constraints, {j: -c for j, c in model.objective.items()})
+    cold = SimplexSolver(flipped).solve(ub=ub)
+    assert cold.status == OPTIMAL
+    real_dual = SimplexSolver._dual
+    shifted = []
+
+    def dual(self, c, d):
+        shifted.append(np.flatnonzero(c != self.cost))
+        return real_dual(self, c, d)
+
+    monkeypatch.setattr(SimplexSolver, "_dual", dual)
+    monkeypatch.setattr(SimplexSolver, "_cold_start", no_cold_start)
+    warm = SimplexSolver(flipped).solve(ub=ub, warm=first.warm)
+    assert len(shifted) == 1 and shifted[0].size > 0
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_dual_simplex_recomputes_a_drifted_row_before_calling_it_infeasible(monkeypatch):
+    # v = 1 is its own row, so no column can move v; the value carried through
+    # the updates puts v above its bound by more than the tolerance
+    model = lp(
+        [Variable("v", 0.0, 1.0), Variable("w", 0.0, 4.0)],
+        [Constraint({0: 1.0}, EQ, 1.0), Constraint({0: 1.0, 1: 1.0}, LE, 3.0)],
+        {1: -1.0},
+    )
+    solver = SimplexSolver(model)
+    vstat = np.full(solver.ncols, _AT_LB, dtype=np.int8)
+    vstat[[0, 1]] = _BASIC
+    real_recompute_x = SimplexSolver._recompute_x
+    drifted = []
+
+    def recompute_x(self):
+        real_recompute_x(self)
+        if not drifted:
+            self.x[0] += 1.5 * simplex.FEAS_TOL
+            drifted.append(True)
+
+    monkeypatch.setattr(SimplexSolver, "_recompute_x", recompute_x)
+    sol = solver.solve(warm=simplex.WarmStart(np.array([0, 1]), vstat))
+    assert drifted
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_carried_basis_holds_each_source_status_by_name():
+    source = lp(
+        [Variable("x", 0.0, 4.0), Variable("y", 0.0, 4.0)],
+        [Constraint({0: 1.0, 1: 1.0}, GE, 3.0, "cover"), Constraint({0: 1.0}, LE, 2.0, "cap")],
+        {0: 1.0, 1: 2.0},
+    )
+    warm = SimplexSolver(source).solve().warm
+    # the target orders the columns and rows differently and has one of each more
+    target = lp(
+        [Variable("z", 0.0, 1.0), Variable("y", 0.0, 4.0), Variable("x", 0.0, 4.0)],
+        [
+            Constraint({2: 1.0}, LE, 2.0, "cap"),
+            Constraint({0: 1.0, 1: 1.0}, LE, 5.0, "extra"),
+            Constraint({2: 1.0, 1: 1.0}, GE, 3.0, "cover"),
+        ],
+        {2: 1.0, 1: 2.0},
+    )
+    carried = simplex.carry_basis(target, (source, warm))
+    assert carried.vstat[[2, 1]].tolist() == warm.vstat[[0, 1]].tolist()
+    assert carried.vstat[[3, 5]].tolist() == warm.vstat[[3, 2]].tolist()
+    assert carried.vstat[0] == _AT_LB and carried.vstat[4] == _BASIC
+    assert np.count_nonzero(carried.vstat == _BASIC) == target.m
+    assert carried.basis.tolist() == np.flatnonzero(carried.vstat == _BASIC).tolist()
+    sol = SimplexSolver(target).solve(warm=carried)
+    assert sol.status == OPTIMAL
+    assert sol.iterations == 0
+    # two sources that each make their own column basic on one shared row
+    a = lp([Variable("a", 0.0, 4.0)], [Constraint({0: 1.0}, GE, 1.0, "row")], {0: 1.0})
+    b = lp([Variable("b", 0.0, 4.0)], [Constraint({0: 1.0}, GE, 1.0, "row")], {0: 1.0})
+    both = lp(
+        [Variable("a", 0.0, 4.0), Variable("b", 0.0, 4.0)],
+        [Constraint({0: 1.0, 1: 1.0}, GE, 1.0, "row")],
+        {0: 1.0},
+    )
+    starts = [(m, SimplexSolver(m).solve().warm) for m in (a, b)]
+    assert [w.basis.tolist() for _, w in starts] == [[0], [0]]
+    assert simplex.carry_basis(both, *starts) is None
 
 
 @pytest.mark.parametrize(
