@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-import numpy as np
-
 LE = "<="
 EQ = "="
 GE = ">="
@@ -116,15 +114,6 @@ def add_constraint(
 
 def objective_value(coeffs: Mapping[int, float], x) -> float:
     return float(sum(c * x[j] for j, c in coeffs.items()))
-
-
-def constraint_violation(model: LinearModel, x) -> float:
-    """Largest row/bound violation of an assignment (0 when feasible)."""
-    from .simplex import standard_form  # simplex builds on this module
-
-    sf = standard_form(model)
-    values = sf.with_slacks(x)
-    return float(np.max(np.maximum(sf.lb - values, values - sf.ub), initial=0.0))
 
 
 @dataclass

@@ -18,13 +18,12 @@ no m-wide row rewritten.  Every product with the inverse applies ``B0`` and
 then the low-rank correction.  Every ``REFACTOR_EVERY`` updates the simplex
 loops build a fresh base.
 
-A refactorization eliminates the basic slack and artificial columns, which
-are signed unit vectors, and inverts only the block ``K`` of basic
-structural columns on the rows no unit column covers.  ``K`` is read from
-the nonzeros and its singletons are peeled (Hellerman & Rarick 1971): rounds
-of column singletons and of row singletons make it block triangular around
-a small dense bump, the only part that goes to LAPACK, and ``K^-1`` follows
-by substitution over the nonzeros.
+A refactorization eliminates the basic slack columns, which are unit
+vectors, and inverts only the block ``K`` of basic structural columns on the
+rows no slack covers.  ``K`` is read from the nonzeros and its singletons
+are peeled (Hellerman & Rarick 1971): rounds of column singletons and of row
+singletons make it block triangular around a small dense bump, the only part
+that goes to LAPACK, and ``K^-1`` follows by substitution over the nonzeros.
 
 The solver keeps the factorizations of its last ``KEPT_FACTORIZATIONS``
 optimal bases, each as its base, a copy of its terms and its age, and drops
@@ -36,25 +35,27 @@ swapped in by one update, leaving at the dropped position where the
 entering column is largest.  A repair that would use more than half of
 ``REFACTOR_EVERY``, so leaving the node less than half its update budget,
 or that meets a pivot below ``REPAIR_PIVOT_TOL`` of the column's largest
-entry builds a fresh inverse instead.  Bases holding artificial columns,
-whose signs change from solve to solve, are never kept or repaired.
+entry builds a fresh inverse instead.
 
-Cold starts run a phase-1 with artificial columns (sum of infeasibilities)
-followed by phase-2; warm starts reuse a caller-supplied basis, running plain
-phase-2 when it is primal feasible and otherwise a bounded dual simplex until
-it is, then phase-2.  A warm basis that is only dual feasible is the common
-case after branch-and-bound bound changes.  One that is neither, such as a
-basis :func:`carry_basis` maps from other models, first has the cost of each
-nonbasic column with a wrong-signed reduced cost shifted so that this reduced
-cost is zero; the dual simplex runs on the shifted costs and phase-2 on the
-true ones removes the shift (Huangfu & Hall 2018; Koberstein 2005).  The
-dual simplex calls a row infeasible only when its value, recomputed from the
-inverse, still violates its bound, not on the rounding carried through the
-updates.  The restart rule lives in :meth:`SimplexSolver.solve` alone: a
-warm start that cannot be used, or that stops ``SINGULAR`` or at
-``ITERATION_LIMIT``, is followed by a cold start on the same bounds, so
-callers never retry.  Every basis change of phase 1, phase 2, the dual
-simplex and the purge of artificial columns goes through ``_pivot``.
+Every solve runs one way from a basis and its inverse, and there are no
+artificial columns.  A warm start takes a caller-supplied basis; a cold
+start takes the slack basis, whose inverse is the identity, with every
+structural column at a finite bound.  A basis that is primal feasible goes
+straight to the primal simplex.  Otherwise the cost of each nonbasic column
+whose reduced cost has the wrong sign is shifted so that this reduced cost
+is ``DUAL_TOL (1 + |c_j|)`` of the right sign (zero for a free column), the
+bounded dual simplex runs on the shifted costs until the basis is primal
+feasible, and the primal simplex on the true costs removes the shift
+(Huangfu & Hall 2018; Koberstein 2005).  A warm basis that is dual feasible,
+the common case after branch-and-bound bound changes, needs no shift; the
+margin keeps the dual ratio test off ties at zero on bases, such as the
+slack basis, that are far from dual feasible.  The dual simplex calls a row
+infeasible only when its value, recomputed from the inverse, still violates
+its bound, not on the rounding carried through the updates.  The restart
+rule lives in :meth:`SimplexSolver.solve` alone: a warm start that cannot be
+used, or that stops ``SINGULAR`` or at ``ITERATION_LIMIT``, is followed by a
+cold start on the same bounds, so callers never retry.  Every basis change
+of the primal and the dual simplex goes through ``_pivot``.
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties) with an
 automatic switch to Bland's lowest-index rule after a degeneracy stall, which
@@ -84,7 +85,7 @@ ITERATION_LIMIT = "iteration-limit"
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-8
-DUAL_TOL = 1e-7  # a warm basis's reduced cost of the wrong sign beyond this is shifted away
+DUAL_TOL = 1e-7  # a reduced cost of the wrong sign beyond this is shifted to this times 1 + |c_j|
 PIV_TOL = 1e-9
 REFACTOR_EVERY = 50
 KEPT_FACTORIZATIONS = 4
@@ -96,7 +97,7 @@ _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
 
 @dataclass
 class WarmStart:
-    """Basis snapshot that lets a later solve skip phase 1."""
+    """A basis and the status of each of the ``n + m`` columns, to start a later solve from."""
 
     basis: np.ndarray
     vstat: np.ndarray
@@ -202,24 +203,21 @@ def carry_basis(model: LinearModel, *sources: tuple[LinearModel, WarmStart]) -> 
     rows it holds, matched by name (names are unique within each model).
 
     Each source column's status goes to the column of the same name, and each
-    source row's slack status to that row's slack; a basic artificial column,
-    which sits at zero on a redundant row, hands its place to the row's slack.
-    The rows no source has get their slacks basic, and the columns no source
-    has sit at their lower bound (the solve moves a status that points at an
-    infinite bound onto a finite one).  Returns None unless exactly
+    source row's slack status to that row's slack.  The rows no source has
+    get their slacks basic, and the columns no source has sit at their lower
+    bound (the solve moves a status that points at an infinite bound onto a
+    finite one).  Returns None unless exactly
     ``model.m`` columns come out basic.
     """
     ns, m = model.n, model.m
     col_at = {v.name: j for j, v in enumerate(model.variables)}
     row_at = {con.name: i for i, con in enumerate(model.constraints)}
-    vstat = np.full(ns + 2 * m, _AT_LB, dtype=np.int8)
-    vstat[ns : ns + m] = _BASIC
+    vstat = np.full(ns + m, _AT_LB, dtype=np.int8)
+    vstat[ns:] = _BASIC
     for source, warm in sources:
-        sn, sm = source.n, source.m
         cols = [col_at[v.name] for v in source.variables]
         rows = [ns + row_at[con.name] for con in source.constraints]
-        vstat[cols] = warm.vstat[:sn]
-        vstat[rows] = np.where(warm.vstat[sn + sm :] == _BASIC, _BASIC, warm.vstat[sn : sn + sm])
+        vstat[cols + rows] = warm.vstat
     basis = np.flatnonzero(vstat == _BASIC)
     if basis.size != m:
         return None
@@ -345,7 +343,6 @@ class SimplexSolver:
         self.ns = ns
         self.m = m
         self.nsm = ns + m
-        self.ncols = ns + 2 * m
         # basis bytes -> (basis, B0, U, V, age), least recently used first
         self._kept: OrderedDict[bytes, tuple] = OrderedDict()
         self.refactors = 0  # block inverses computed, over every solve
@@ -354,7 +351,7 @@ class SimplexSolver:
         self.sf = standard_form(model)
 
         sign = 1.0 if model.sense == MIN else -1.0
-        cost = np.zeros(self.ncols)
+        cost = np.zeros(self.nsm)
         for j, cval in model.objective.items():
             cost[j] = sign * cval
         self.cost = cost
@@ -363,23 +360,17 @@ class SimplexSolver:
     # -- per-solve state ---------------------------------------------------
 
     def solve(self, *, lb=None, ub=None, warm: WarmStart | None = None) -> LpSolution:
-        m, nsm, ncols = self.m, self.nsm, self.ncols
         self.iterations = 0
-        self.lb = np.full(ncols, 0.0)
-        self.ub = np.full(ncols, 0.0)
-        self.lb[:nsm] = self.sf.lb
-        self.ub[:nsm] = self.sf.ub
+        self.lb = self.sf.lb.copy()
+        self.ub = self.sf.ub.copy()
         if lb is not None:
             self.lb[: self.ns] = lb
         if ub is not None:
             self.ub[: self.ns] = ub
-        if np.any(self.lb[: nsm] > self.ub[: nsm] + 1e-12):
+        if np.any(self.lb > self.ub + 1e-12):
             return self._finish(INFEASIBLE)
 
-        self.art_sign = np.ones(m)
-        self.x = np.zeros(ncols)
-        self.stat = np.full(ncols, _AT_LB, dtype=np.int8)
-
+        self.x = np.zeros(self.nsm)
         status = self._try_warm(warm) if warm is not None else None
         if status in (None, SINGULAR, ITERATION_LIMIT):
             status = self._cold_start()
@@ -393,7 +384,7 @@ class SimplexSolver:
             if status in (SINGULAR, ITERATION_LIMIT):
                 obj = math.nan
             return LpSolution(status, None, None, obj, self.iterations)
-        if self.m and np.all(self.basis < self.nsm):
+        if self.m:
             self._keep()  # children warm-start from here
         self._recompute_x()
         bl = self.lb[self.basis]
@@ -411,8 +402,7 @@ class SimplexSolver:
     # -- linear algebra helpers --------------------------------------------
 
     def _ftran(self, j: int) -> np.ndarray:
-        """``B^-1 a_j`` for a column of ``[A I]``; artificial columns never enter,
-        since a nonbasic one is fixed at zero."""
+        """``B^-1 a_j`` for a column of ``[A I]``."""
         lo, hi = self.sf.ptr[j], self.sf.ptr[j + 1]
         rows, vals = self.sf.row[lo:hi], self.sf.val[lo:hi]
         k = self.pivots_since_refactor
@@ -430,20 +420,13 @@ class SimplexSolver:
         return cb[nz] @ self.B0[nz] - (cb[nz] @ self.U[nz, :k]) @ self.V[:k]
 
     def _reduced_costs(self, c: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """``c - y [A I art]``, with ``y = c_B B^-1`` unless the caller carries it."""
+        """``c - y [A I]``, with ``y = c_B B^-1`` unless the caller carries it."""
         if y is None:
             y = self._duals(c)
-        d = np.empty(self.ncols)
-        d[: self.nsm] = c[: self.nsm] - self.sf.rmatvec(y)
-        d[self.nsm :] = c[self.nsm :] - y * self.art_sign
-        return d
+        return c - self.sf.rmatvec(y)
 
     def _alpha_row(self, r: int) -> np.ndarray:
-        rho = self._row(r)
-        alpha = np.empty(self.ncols)
-        alpha[: self.nsm] = self.sf.rmatvec(rho)
-        alpha[self.nsm :] = rho * self.art_sign
-        return alpha
+        return self.sf.rmatvec(self._row(r))
 
     def _refactor(self) -> bool:
         if not self._factor_basis():
@@ -479,8 +462,6 @@ class SimplexSolver:
 
     def _factor_warm_basis(self) -> bool:
         """Inverse of a warm basis: kept, repaired from a kept one, or fresh."""
-        if np.any(self.basis >= self.nsm):
-            return self._factor_basis()
         key = self.basis.tobytes()
         kept = self._kept.get(key)
         if kept is not None:
@@ -496,7 +477,7 @@ class SimplexSolver:
         within half the update budget or a swap's pivot is too small.
         """
         target = self.basis
-        wanted = np.zeros(self.ncols, dtype=bool)
+        wanted = np.zeros(self.nsm, dtype=bool)
         wanted[target] = True
         best, best_cost = None, REFACTOR_EVERY // 2 + 1
         for key, (basis, *_, age) in reversed(self._kept.items()):
@@ -509,7 +490,7 @@ class SimplexSolver:
         basis, b0, u, v, _ = self._kept[best]
         basis = basis.copy()
         self._set_inverse(b0, u, v)
-        present = np.zeros(self.ncols, dtype=bool)
+        present = np.zeros(self.nsm, dtype=bool)
         present[basis] = True
         open_rows = np.flatnonzero(~wanted[basis])
         for q in target[~present[target]]:
@@ -527,31 +508,27 @@ class SimplexSolver:
         return True
 
     def _block_inverse(self) -> np.ndarray | None:
-        """Inverse of the basis with its unit columns eliminated.
+        """Inverse of the basis with its slack columns eliminated.
 
-        Basis positions U hold slack/artificial columns ``s_k e_{R_k}``; the
-        positions S hold structural columns, and N are the rows no unit column
-        covers.  With ``K = B[N, S]`` the inverse is ``Binv[S, N] = K^-1``,
-        ``Binv[U, R] = diag(1/s)`` and ``Binv[U, N] = -diag(1/s) B[R, S] K^-1``;
-        every other entry is zero.  ``K^-1`` comes from :func:`_peeled_inverse`,
-        and both ``K`` and ``B[R, S]`` are read from the nonzeros.  Returns None
-        for a singular basis.
+        Basis positions U hold slack columns ``e_{R_k}``; the positions S hold
+        structural columns, and N are the rows no slack covers.  With
+        ``K = B[N, S]`` the inverse is ``Binv[S, N] = K^-1``, ``Binv[U, R] = I``
+        and ``Binv[U, N] = -B[R, S] K^-1``; every other entry is zero.
+        ``K^-1`` comes from :func:`_peeled_inverse`, and both ``K`` and
+        ``B[R, S]`` are read from the nonzeros.  Returns None for a singular
+        basis.
         """
-        m, ns, nsm = self.m, self.ns, self.nsm
+        m, ns = self.m, self.ns
         unit = self.basis >= ns
         U = np.flatnonzero(unit)
         S = np.flatnonzero(~unit)
-        uj = self.basis[U]
-        R = np.where(uj < nsm, uj - ns, uj - nsm)
-        s = np.where(uj < nsm, 1.0, self.art_sign[R])
+        R = self.basis[U] - ns
         covered = np.zeros(m, dtype=bool)
         covered[R] = True
-        if np.count_nonzero(covered) != U.size:
-            return None  # two unit columns on one row
         N = np.flatnonzero(~covered)
 
         binv = np.zeros((m, m))  # allocated before the temporaries below: lower peak memory
-        binv[U, R] = 1.0 / s
+        binv[U, R] = 1.0
 
         # nonzeros of the basic structural columns; ``owner`` is their position in S
         js = self.basis[S]
@@ -579,7 +556,7 @@ class SimplexSolver:
             terms = Kinv[owner[at]]
             terms *= vals[at, None]
             hit = u[firsts]
-            binv[np.ix_(U[hit], N)] = np.add.reduceat(terms, firsts) / -s[hit, None]
+            binv[np.ix_(U[hit], N)] = -np.add.reduceat(terms, firsts)
         return binv
 
     def _keep(self) -> None:
@@ -609,14 +586,10 @@ class SimplexSolver:
 
     def _pivot(self, q: int, r: int, w: np.ndarray, leaving_stat: int) -> None:
         """Column ``q``, with ``w = B^-1 a_q``, replaces the basic column of row ``r``.
-        That column goes to ``leaving_stat`` at its bound; an artificial one to [0, 0]."""
+        That column goes to ``leaving_stat`` at its bound."""
         leaving = self.basis[r]
         self.stat[leaving] = leaving_stat
         self.x[leaving] = self.ub[leaving] if leaving_stat == _AT_UB else self.lb[leaving]
-        if leaving >= self.nsm:
-            self.lb[leaving] = 0.0
-            self.ub[leaving] = 0.0
-            self.x[leaving] = 0.0
         self.basis[r] = q
         self.stat[q] = _BASIC
         self._eta_update(w, r)
@@ -631,72 +604,34 @@ class SimplexSolver:
         self.U[:, k] = u
         self.pivots_since_refactor = k + 1
 
-    # -- cold start ----------------------------------------------------------
+    # -- the two starts and the one path from a basis ------------------------
 
     def _cold_start(self) -> str:
-        nsm = self.nsm
-        lo, hi = self.lb[:nsm], self.ub[:nsm]
-        lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
-        free = lo_inf & hi_inf
-        at_lb = ~free & (hi_inf | (~lo_inf & (np.abs(lo) <= np.abs(hi))))
-        self.stat[:nsm] = np.where(free, _FREE, np.where(at_lb, _AT_LB, _AT_UB))
-        self.x[:nsm] = np.where(free, 0.0, np.where(at_lb, lo, hi))
-        resid = self.sf.b - self.sf.matvec(self.x[:nsm])
-        self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.lb[nsm:] = 0.0
-        self.ub[nsm:] = math.inf
-        self.basis = np.arange(self.m) + nsm
-        self.stat[self.basis] = _BASIC
-        self.x[nsm:] = np.abs(resid)
-        self._set_inverse(np.diag(self.art_sign))
-
-        c1 = np.zeros(self.ncols)
-        c1[nsm:] = 1.0
-        status = self._primal(c1)
-        if status != OPTIMAL:
-            return status if status in (SINGULAR, ITERATION_LIMIT) else INFEASIBLE
-        feas_gap = float(c1 @ self.x)
-        if feas_gap > FEAS_TOL * (1.0 + float(np.max(np.abs(self.sf.b), initial=0.0))):
-            return INFEASIBLE
-        if not self._purge_artificials():
-            return SINGULAR
-        self.lb[nsm:] = 0.0
-        self.ub[nsm:] = 0.0
-        return self._primal(self.cost)
-
-    def _purge_artificials(self) -> bool:
-        nsm = self.nsm
-        for r in range(self.m):
-            if self.basis[r] < nsm:
-                continue
-            alpha = self._alpha_row(r)[:nsm]
-            candidates = np.flatnonzero((self.stat[:nsm] != _BASIC) & (np.abs(alpha) > 1e-7))
-            if candidates.size == 0:
-                continue  # redundant row: artificial stays basic at zero
-            q = int(candidates[np.argmax(np.abs(alpha[candidates]))])
-            w = self._ftran(q)
-            if abs(w[r]) < PIV_TOL:
-                continue
-            self._pivot(q, r, w, _AT_LB)
-            if self.pivots_since_refactor >= REFACTOR_EVERY and not self._refactor():
-                return False
-        return True
-
-    # -- warm start ----------------------------------------------------------
+        """Start from the slack basis, whose inverse is the identity, with each
+        structural column at a finite bound when it has one."""
+        self.basis = np.arange(self.ns, self.nsm)
+        stat = np.full(self.nsm, _AT_LB, dtype=np.int8)
+        stat[self.basis] = _BASIC
+        self.stat = _repair_status(stat, self.lb, self.ub)
+        self._set_inverse(np.eye(self.m))
+        return self._from_basis()
 
     def _try_warm(self, warm: WarmStart) -> str | None:
-        if len(warm.basis) != self.m or len(warm.vstat) != self.ncols:
+        if len(warm.basis) != self.m or len(warm.vstat) != self.nsm:
             return None
         if np.count_nonzero(warm.vstat == _BASIC) != self.m:
             return None
         self.basis = warm.basis.copy()
-        self.lb[self.nsm :] = 0.0
-        self.ub[self.nsm :] = 0.0
         self.stat = _repair_status(warm.vstat, self.lb, self.ub)
         if not self._factor_warm_basis():
             return None
-        self._recompute_x()  # places the nonbasic columns on their bounds
+        return self._from_basis()
 
+    def _from_basis(self) -> str:
+        """Solve from the current basis and its inverse: the primal simplex when
+        the basis is primal feasible, else the dual simplex on shifted costs
+        and then the primal simplex on the true ones."""
+        self._recompute_x()  # places the nonbasic columns on their bounds
         xb = self.x[self.basis]
         primal_viol = float(
             np.max(
@@ -708,13 +643,16 @@ class SimplexSolver:
             return self._primal(self.cost)
         d = self._reduced_costs(self.cost)
         rise, fall = self._movable()
-        # a nonbasic column's cost does not enter y = c_B B^-1, so shifting it by
-        # its reduced cost zeroes that reduced cost and leaves every other one
+        # a nonbasic column's cost does not enter y = c_B B^-1, so shifting it
+        # moves that reduced cost alone: to a margin of the sign that makes the
+        # column dual feasible, or to zero for a free column
         wrong = (rise & (d < -DUAL_TOL)) | (fall & (d > DUAL_TOL))
         c = self.cost
         if wrong.any():
-            c = np.where(wrong, c - d, c)
-            d = np.where(wrong, 0.0, d)
+            margin = DUAL_TOL * (1.0 + np.abs(c))
+            target = np.where(rise & fall, 0.0, np.where(rise, margin, -margin))
+            c = np.where(wrong, c - d + target, c)
+            d = np.where(wrong, target, d)
         status = self._dual(c, d)
         return self._primal(self.cost) if status == OPTIMAL else status
 

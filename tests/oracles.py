@@ -29,7 +29,6 @@ from coopt.linear import (
     LinearModel,
     add_constraint,
     clone,
-    constraint_violation,
     with_objective,
 )
 from coopt.models import AS_WRITTEN, marginal_degradation_rate
@@ -175,6 +174,13 @@ def single_hour_bss_profit(
                     c_deg = deg_rate * (p_up + p_dn)
                     best = max(best, r_cap + r_dep - c_phi - c_deg)
     return best
+
+
+def constraint_violation(model: LinearModel, x) -> float:
+    """Largest row/bound violation of an assignment (0 when feasible)."""
+    sf = standard_form(model)
+    values = sf.with_slacks(x)
+    return float(np.max(np.maximum(sf.lb - values, values - sf.ub), initial=0.0))
 
 
 @dataclass

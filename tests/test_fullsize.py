@@ -17,7 +17,7 @@ from coopt import presets
 from coopt.bargain import DisagreementPoints, _gain_model, _weighted, solve_tcm
 from coopt.bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
 from coopt.io import load_scenario
-from coopt.linear import EQ, GE, MAX, MIN, with_objective
+from coopt.linear import EQ, GE, MAX, MIN, add_constraint, with_objective
 from coopt.models import build_p1, build_p2, build_p3
 from coopt.sensitivity import _apply_demand_level, _apply_price_levels
 from coopt.simplex import OPTIMAL, SimplexSolver
@@ -108,7 +108,7 @@ def highs_lp_objective(model):
 def test_sweep_cell_root_lp_is_solved():
     # the one-compartment sweep cell at the DA 10th, RT 90th and demand 10th
     # percentiles of `coopt sweep --seed 0 --days 30`; at its lowest storage
-    # floor, a ratio test that lets a tiny pivot block ends phase 1 `singular`
+    # floor, a ratio test that lets a tiny pivot block ends the cold solve `singular`
     scn = presets.build_scenario(K=1, seed=7, compartment_spread=0.0)
     da, rt = presets.synthetic_price_history(30, 0)
     demand = presets.demand_history(
@@ -119,6 +119,28 @@ def test_sweep_cell_root_lp_is_solved():
     p3 = build_p3(cell.hub, cell.bss, cell.prices, cell.probabilities, cell.demand, cell.joint)
     d = DisagreementPoints(570.3599, 606.8837)  # the cell's P1 and P2 optima, rounded
     model = _gain_model(p3, d, p3.obj_a, MIN)
+    sol = SimplexSolver(model).solve()
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(highs_lp_objective(model), rel=1e-6)
+
+
+def test_ordered_compartments_root_lp_is_solved():
+    # the K=6 total-cost LP with five valid rows that order its identical
+    # compartments by total stored level; from the slack basis, shifting the
+    # wrong-signed reduced costs to exactly zero leaves the dual ratio test
+    # ties at zero, and the solve stops `singular`
+    scn = load_scenario(SCENARIOS / "median.scenario")
+    model = tcm_milp(scn)
+    layout = model.var_layout
+    T = len(scn.prices.lambda_da)
+
+    def stored(k):
+        families = ("stored_bss", "stored_hub")
+        return [layout[f"{family}[{t},{k}]"] for family in families for t in range(T)]
+
+    for k in range(scn.bss.k - 1):
+        coeffs = dict.fromkeys(stored(k), 1.0) | dict.fromkeys(stored(k + 1), -1.0)
+        add_constraint(model, coeffs, GE, 0.0, f"order_stored[{k}]")
     sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(highs_lp_objective(model), rel=1e-6)

@@ -10,7 +10,6 @@ from coopt.linear import (
     LE,
     MAX,
     MIN,
-    constraint_violation,
     objective_value,
     with_objective,
 )
@@ -36,6 +35,7 @@ from coopt.simplex import SimplexSolver
 from conftest import compartment, tiny_scenario
 from oracles import (
     LEASE_VAR_PREFIXES,
+    constraint_violation,
     enumerate_binaries,
     fix_variables,
     hub_commitment_grid_cost,

@@ -127,6 +127,48 @@ def test_random_lps_match_vertex_enumeration():
     assert solved > 100
 
 
+@pytest.mark.parametrize(
+    "model, status, objective",
+    [
+        pytest.param(
+            lp(
+                [Variable("x", 0.0, math.inf), Variable("y", 0.0, math.inf)],
+                [Constraint({0: 1.0, 1: 1.0}, LE, 1.0), Constraint({0: 1.0, 1: 1.0}, GE, 3.0)],
+                {0: 1.0},
+            ),
+            INFEASIBLE,
+            math.inf,
+            id="infeasible-only-through-its-rows",
+        ),
+        pytest.param(
+            # x = 0 puts the slack of x >= 1 past its bound
+            lp([Variable("x", 0.0, math.inf)], [Constraint({0: 1.0}, GE, 1.0)], {0: -1.0}),
+            UNBOUNDED,
+            -math.inf,
+            id="unbounded-from-an-infeasible-slack-basis",
+        ),
+        pytest.param(
+            # x + y = 3 twice, x <= 2: x = 2, y = 1; one row's fixed slack stays basic
+            lp(
+                [Variable("x", 0.0, 2.0), Variable("y", 0.0, 4.0)],
+                [Constraint({0: 1.0, 1: 1.0}, EQ, 3.0), Constraint({0: 1.0, 1: 1.0}, EQ, 3.0)],
+                {0: 1.0, 1: 2.0},
+            ),
+            OPTIMAL,
+            4.0,
+            id="duplicated-equality-row",
+        ),
+    ],
+)
+def test_cold_start_status_paths(model, status, objective):
+    sol = SimplexSolver(model).solve()
+    assert sol.status == status
+    assert sol.objective == pytest.approx(objective, abs=1e-9)
+    if status == OPTIMAL:
+        assert sol.primal == pytest.approx([2.0, 1.0], abs=1e-9)
+        assert check_certificates(model, sol).within(1e-9)
+
+
 def test_determinism_same_bytes():
     rng = np.random.default_rng(7)
     model = random_box_lp(rng)
@@ -269,15 +311,17 @@ def test_failed_warm_start_falls_back_to_a_cold_start(monkeypatch):
     assert cold.status == OPTIMAL
     solver = SimplexSolver(model)
     first = solver.solve()
+    real_dual = SimplexSolver._dual
     calls = []
 
     def singular_dual(self, c, d):
+        # the warm attempt's dual simplex stops singular; the cold start's runs
         calls.append(self.iterations)
-        return simplex.SINGULAR
+        return simplex.SINGULAR if len(calls) == 1 else real_dual(self, c, d)
 
     monkeypatch.setattr(SimplexSolver, "_dual", singular_dual)
     warm = solver.solve(ub=ub, warm=first.warm)
-    assert calls == [0]  # the warm path ran and failed
+    assert calls == [0, 0]  # the warm path ran and failed, then the cold start ran
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
     assert warm.iterations == cold.iterations
@@ -320,7 +364,7 @@ def test_dual_simplex_recomputes_a_drifted_row_before_calling_it_infeasible(monk
         {1: -1.0},
     )
     solver = SimplexSolver(model)
-    vstat = np.full(solver.ncols, _AT_LB, dtype=np.int8)
+    vstat = np.full(solver.nsm, _AT_LB, dtype=np.int8)
     vstat[[0, 1]] = _BASIC
     real_recompute_x = SimplexSolver._recompute_x
     drifted = []
@@ -445,10 +489,10 @@ def ratio_test_state(x, lb, ub, entering_ub):
     )
     solver = SimplexSolver(model)
     solver.basis = np.arange(m)
-    solver.x = np.zeros(solver.ncols)
+    solver.x = np.zeros(solver.nsm)
     solver.x[:m] = x
-    solver.lb = np.zeros(solver.ncols)
-    solver.ub = np.zeros(solver.ncols)
+    solver.lb = np.zeros(solver.nsm)
+    solver.ub = np.zeros(solver.nsm)
     solver.lb[:m], solver.ub[:m] = lb, ub
     solver.ub[m] = entering_ub
     return solver, m
@@ -504,25 +548,7 @@ def dense_columns(solver):
 
 
 def basis_matrix(solver):
-    A = dense_columns(solver)
-    B = np.zeros((solver.m, solver.m))
-    for r, j in enumerate(solver.basis):
-        if j < solver.nsm:
-            B[:, r] = A[:, j]
-        else:
-            B[j - solver.nsm, r] = solver.art_sign[j - solver.nsm]
-    return B
-
-
-def mixed_basis(rng, solver):
-    """Random basis: unit columns (slack or artificial) on some rows, structural elsewhere."""
-    m, ns, nsm = solver.m, solver.ns, solver.nsm
-    rows = rng.permutation(m)[: int(rng.integers(0, m + 1))]
-    units = [ns + i if rng.random() < 0.5 else nsm + i for i in rows]
-    structural = list(rng.permutation(ns)[: m - len(units)])
-    basis = np.array(units + structural, dtype=np.intp)
-    solver.basis = rng.permutation(basis)
-    solver.art_sign = rng.choice([-1.0, 1.0], size=m)
+    return dense_columns(solver)[:, solver.basis]
 
 
 def test_standard_form_layout():
@@ -548,7 +574,7 @@ def test_block_factorization_matches_dense_inverse():
         m = int(rng.integers(1, 9))
         model = random_sparse_model(rng, m + int(rng.integers(0, 6)), m, density=0.6)
         solver = SimplexSolver(model)
-        mixed_basis(rng, solver)
+        solver.basis = structural_and_slack_basis(rng, solver)
         B = basis_matrix(solver)
         if np.linalg.matrix_rank(B) < m:
             continue
@@ -566,9 +592,6 @@ def test_block_factorization_rejects_singular_bases():
         {},
     )
     solver = SimplexSolver(model)
-    solver.art_sign = np.ones(2)
-    solver.basis = np.array([2, 4])  # slack and artificial of row 0
-    assert not solver._factor_basis()
     solver.basis = np.array([0, 1])  # structural block [[1, 1], [2, 2]]
     assert not solver._factor_basis()
     solver.basis = np.array([0, 3])  # x on row 0, slack on row 1
@@ -635,10 +658,9 @@ def test_peeled_factorization_with_a_dense_bump_matches_dense_inverse(monkeypatc
         extra = int(rng.integers(0, 4))
         model, n = block_triangular_model(rng, bump, extra)
         solver = SimplexSolver(model)
-        # the extra rows are covered by their slack or artificial columns
-        units = [(solver.ns if rng.random() < 0.5 else solver.nsm) + n + i for i in range(extra)]
+        # the extra rows are covered by their slack columns
+        units = [solver.ns + n + i for i in range(extra)]
         solver.basis = rng.permutation(np.array(list(range(n)) + units, dtype=np.intp))
-        solver.art_sign = rng.choice([-1.0, 1.0], size=solver.m)
         B = basis_matrix(solver)
         if np.linalg.cond(B) > 1e8:
             continue
@@ -657,7 +679,6 @@ def square_model(columns):
     constraints = [Constraint({j: float(a) for j, a in enumerate(row) if a}, LE, 1.0) for row in A]
     model = lp([Variable(f"v{j}") for j in range(A.shape[1])], constraints, {})
     solver = SimplexSolver(model)
-    solver.art_sign = np.ones(solver.m)
     solver.basis = np.arange(A.shape[1])
     return solver
 
@@ -750,21 +771,20 @@ def test_sparse_products_equal_dense_products():
         m = int(rng.integers(1, 10))
         model = random_sparse_model(rng, m + int(rng.integers(0, 6)), m)
         solver = SimplexSolver(model)
-        mixed_basis(rng, solver)
+        solver.basis = structural_and_slack_basis(rng, solver)
         nsm = solver.nsm
         A = dense_columns(solver)
         random_terms(rng, solver, int(rng.integers(0, 6)))
         binv = inverse(solver)
-        c = np.where(rng.random(solver.ncols) < 0.5, 0.0, rng.standard_normal(solver.ncols))
+        c = np.where(rng.random(nsm) < 0.5, 0.0, rng.standard_normal(nsm))
 
         y = c[solver.basis] @ binv
         d = solver._reduced_costs(c)
-        np.testing.assert_allclose(d[:nsm], c[:nsm] - y @ A, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(d[nsm:], c[nsm:] - y * solver.art_sign, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d, c - y @ A, rtol=1e-12, atol=1e-12)
 
         r = int(rng.integers(0, m))
         alpha = solver._alpha_row(r)
-        np.testing.assert_allclose(alpha[:nsm], binv[r] @ A, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(alpha, binv[r] @ A, rtol=1e-12, atol=1e-12)
 
         x = rng.standard_normal(nsm)
         np.testing.assert_allclose(solver.sf.matvec(x), A @ x, rtol=1e-12, atol=1e-12)
@@ -818,7 +838,6 @@ def test_repaired_inverse_matches_dense_inverse():
     for _ in range(200):
         m = int(rng.integers(2, 10))
         solver = SimplexSolver(random_sparse_model(rng, m + int(rng.integers(2, 8)), m, density=0.6))
-        solver.art_sign = np.ones(m)
         solver.basis = structural_and_slack_basis(rng, solver)
         if not solver._factor_basis():
             continue
@@ -847,7 +866,6 @@ def test_product_form_tracks_pivots_and_kept_bases_share_their_base():
     rng = np.random.default_rng(29)
     solver = SimplexSolver(random_sparse_model(rng, 260, 200, density=0.02))
     m = solver.m
-    solver.art_sign = np.ones(m)
     solver.basis = solver.ns + np.arange(m)  # the slack basis
     assert solver._factor_basis()
     base = solver.B0
@@ -956,7 +974,6 @@ def one_swap_from_kept(row0, age):
         {},
     )
     solver = SimplexSolver(model)
-    solver.art_sign = np.ones(2)
     solver.basis = np.array([2, 3])
     assert solver._factor_basis()
     solver.pivots_since_refactor = age
@@ -989,7 +1006,7 @@ def test_age_triggered_refactor_builds_a_fresh_inverse(monkeypatch):
     seen = []
 
     def refactor(self):
-        wanted = np.zeros(self.ncols, dtype=bool)
+        wanted = np.zeros(self.nsm, dtype=bool)
         wanted[self.basis] = True
         costs = [age + np.count_nonzero(~wanted[basis]) for basis, *_, age in self._kept.values()]
         before = (self.refactors, self.repairs)
