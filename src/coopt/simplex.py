@@ -51,11 +51,15 @@ the common case after branch-and-bound bound changes, needs no shift; the
 margin keeps the dual ratio test off ties at zero on bases, such as the
 slack basis, that are far from dual feasible.  The dual simplex calls a row
 infeasible only when its value, recomputed from the inverse, still violates
-its bound, not on the rounding carried through the updates.  The restart
-rule lives in :meth:`SimplexSolver.solve` alone: a warm start that cannot be
-used, or that stops ``SINGULAR`` or at ``ITERATION_LIMIT``, is followed by a
-cold start on the same bounds, so callers never retry.  Every basis change
-of the primal and the dual simplex goes through ``_pivot``.
+its bound, not on the rounding carried through the updates.  It takes no
+pivot that is small against its column: it retries one on a fresh inverse,
+and passes over one that a fresh inverse repeats for the next ratio, so it
+stops ``SINGULAR`` only on a row whose every eligible pivot is small.  After
+a degeneracy stall it switches to Bland's rule, as the primal does.  The
+restart rule lives in :meth:`SimplexSolver.solve` alone: a warm start that
+cannot be used, or that stops ``SINGULAR`` or at ``ITERATION_LIMIT``, is
+followed by a cold start on the same bounds, so callers never retry.  Every
+basis change of the primal and the dual simplex goes through ``_pivot``.
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties) with an
 automatic switch to Bland's lowest-index rule after a degeneracy stall, which
@@ -579,7 +583,7 @@ class SimplexSolver:
         at_ub = self.stat == _AT_UB
         self.x[nonbasic] = np.where(at_ub[nonbasic], self.ub[nonbasic], self.lb[nonbasic])
         self.x[self.stat == _FREE] = 0.0
-        x_nonbasic = np.where(nonbasic[: self.nsm], self.x[: self.nsm], 0.0)
+        x_nonbasic = np.where(nonbasic, self.x, 0.0)
         rhs_eff = self.sf.b - self.sf.matvec(x_nonbasic)
         k = self.pivots_since_refactor
         self.x[self.basis] = self.B0 @ rhs_eff - self.U[:, :k] @ (self.V[:k] @ rhs_eff)
@@ -741,8 +745,15 @@ class SimplexSolver:
 
     def _dual(self, c: np.ndarray, d: np.ndarray) -> str:
         """Bounded dual simplex on the costs ``c`` from the reduced costs ``d`` of
-        the current basis; OPTIMAL once the basis is primal feasible."""
+        the current basis; OPTIMAL once the basis is primal feasible.
+
+        The leaving row is the most violated one, lowest basic column on ties;
+        after a degeneracy stall it is the violated row of the lowest basic
+        column, Bland's rule for the dual simplex, since the ratio test already
+        takes the lowest column on ties."""
         max_iter = 20000 + 50 * (self.m + self.ns)
+        stall = 0
+        bland = False
         for _ in range(max_iter):
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 if not self._refactor():
@@ -755,7 +766,7 @@ class SimplexSolver:
             worst = float(np.max(vio, initial=0.0))
             if worst <= FEAS_TOL:
                 return OPTIMAL
-            ties = np.flatnonzero(vio >= worst - 1e-15)
+            ties = np.flatnonzero(vio > FEAS_TOL if bland else vio >= worst - 1e-15)
             r = int(ties[np.argmin(self.basis[ties])])
             bv = self.basis[r]
             row_dir = 1.0 if viol_lo[r] >= viol_hi[r] else -1.0
@@ -782,12 +793,29 @@ class SimplexSolver:
             # update divides w by w[r], and a pivot far below the column's largest
             # entry wipes out the inverse's accuracy (the ratio test does not look
             # at |alpha|, so a tiny one with a reduced cost of the wrong sign wins)
-            if abs(w[r]) < PIV_TOL * max(1.0, float(np.max(np.abs(w)))):
-                # a fresh inverse that repeats the small pivot would repeat it forever
-                if self.pivots_since_refactor == 0 or not self._refactor():
+            small = abs(w[r]) < PIV_TOL * max(1.0, float(np.max(np.abs(w))))
+            if small and self.pivots_since_refactor:
+                # the updates may have eroded the pivot: retry on a fresh inverse
+                if not self._refactor():
                     return SINGULAR
                 d = self._reduced_costs(c)
                 continue
+            while small:
+                # a fresh inverse gives the same small pivot: take the next ratio,
+                # which leaves column q dual infeasible for the primal simplex
+                key[q] = math.inf
+                q = int(np.argmin(key))
+                if math.isinf(key[q]):
+                    return SINGULAR  # every eligible column's pivot is small
+                w = self._ftran(q)
+                small = abs(w[r]) < PIV_TOL * max(1.0, float(np.max(np.abs(w))))
+            if key[q] > 0.0:
+                stall = 0
+                bland = False
+            else:
+                stall += 1
+                if stall > STALL_LIMIT:
+                    bland = True
             t = (self.x[bv] - target) / alpha[q]
             self.iterations += 1
             self.x[self.basis] -= t * w

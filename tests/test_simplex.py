@@ -127,8 +127,19 @@ def test_random_lps_match_vertex_enumeration():
     assert solved > 100
 
 
+def small_first_dual_pivot():
+    """min y s.t. 1e-6 x + y >= 1, 1e4 x <= 1e6: optimal 0.9999 at x = 100.  From
+    the slack basis the dual ratio test picks x for row 0 with ratio 0, whose
+    pivot 1e-6 is small against its entry 1e4 on row 1 even in the identity."""
+    return lp(
+        [Variable("x", 0.0, math.inf), Variable("y", 0.0, math.inf)],
+        [Constraint({0: 1e-6, 1: 1.0}, GE, 1.0), Constraint({0: 1e4}, LE, 1e6)],
+        {1: 1.0},
+    )
+
+
 @pytest.mark.parametrize(
-    "model, status, objective",
+    "model, status, objective, primal",
     [
         pytest.param(
             lp(
@@ -138,6 +149,7 @@ def test_random_lps_match_vertex_enumeration():
             ),
             INFEASIBLE,
             math.inf,
+            None,
             id="infeasible-only-through-its-rows",
         ),
         pytest.param(
@@ -145,6 +157,7 @@ def test_random_lps_match_vertex_enumeration():
             lp([Variable("x", 0.0, math.inf)], [Constraint({0: 1.0}, GE, 1.0)], {0: -1.0}),
             UNBOUNDED,
             -math.inf,
+            None,
             id="unbounded-from-an-infeasible-slack-basis",
         ),
         pytest.param(
@@ -156,17 +169,60 @@ def test_random_lps_match_vertex_enumeration():
             ),
             OPTIMAL,
             4.0,
+            [2.0, 1.0],
             id="duplicated-equality-row",
+        ),
+        pytest.param(
+            small_first_dual_pivot(),
+            OPTIMAL,
+            0.9999,
+            [100.0, 0.9999],
+            id="small-first-dual-pivot",
         ),
     ],
 )
-def test_cold_start_status_paths(model, status, objective):
+def test_cold_start_status_paths(model, status, objective, primal):
     sol = SimplexSolver(model).solve()
     assert sol.status == status
     assert sol.objective == pytest.approx(objective, abs=1e-9)
     if status == OPTIMAL:
-        assert sol.primal == pytest.approx([2.0, 1.0], abs=1e-9)
+        assert sol.primal == pytest.approx(primal, abs=1e-9)
         assert check_certificates(model, sol).within(1e-9)
+
+
+def test_cold_start_after_an_unusable_warm_basis_passes_a_small_dual_pivot(monkeypatch):
+    # y and the slack of row 0 are both e_0: the warm basis is singular, so the
+    # solve goes cold, and the cold start's first dual pivot is small
+    model = small_first_dual_pivot()
+    real_cold_start = SimplexSolver._cold_start
+    cold_starts = []
+
+    def cold_start(self):
+        cold_starts.append(self.iterations)
+        return real_cold_start(self)
+
+    monkeypatch.setattr(SimplexSolver, "_cold_start", cold_start)
+    vstat = np.array([_AT_LB, _BASIC, _BASIC, _AT_LB], dtype=np.int8)
+    sol = SimplexSolver(model).solve(warm=simplex.WarmStart(np.array([1, 2]), vstat))
+    assert cold_starts == [0]
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(0.9999, abs=1e-9)
+    assert check_certificates(model, sol).within(1e-9)
+
+
+def test_dual_simplex_under_blands_rule_matches_vertex_enumeration(monkeypatch):
+    # with no stall allowed, every degenerate dual step turns Bland's rule on
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    rng = np.random.default_rng(20240902)
+    for _ in range(250):
+        model = random_box_lp(rng)
+        expect = best_vertex_objective(model)
+        sol = SimplexSolver(model).solve()
+        if expect is None:
+            assert sol.status == INFEASIBLE
+        else:
+            assert sol.status == OPTIMAL
+            assert sol.objective == pytest.approx(expect, abs=1e-6)
 
 
 def test_determinism_same_bytes():
@@ -431,7 +487,8 @@ def test_carried_basis_holds_each_source_status_by_name():
 )
 def test_small_dual_pivot_leaves_the_basis_consistent(monkeypatch, persistent, largest):
     # a small pivot is met before any state changes and refactored once; one
-    # that a fresh inverse repeats sends the solve to its cold start.  With
+    # that a fresh inverse repeats is passed over for the next ratio, and with
+    # no other eligible column on its row it sends the solve to its cold start.  With
     # ``largest``, the pivot is above PIV_TOL but small against the column's
     # largest entry, which an update would magnify
     model, ub = pinned_below_its_optimum()
