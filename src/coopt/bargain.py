@@ -162,16 +162,17 @@ def _require_solved(sol: MilpSolution, what: str) -> MilpSolution:
     return sol
 
 
-def _point_from(p3: BiObjectiveModel, x: np.ndarray, d: DisagreementPoints | None, theta=None) -> ParetoPoint:
-    point = ParetoPoint(p3.value_a(x), p3.value_b(x), x, theta=theta)
-    return point.with_gains(d) if d is not None else point
+def _point_from(
+    p3: BiObjectiveModel, x: np.ndarray, d: DisagreementPoints, theta=None
+) -> ParetoPoint:
+    return ParetoPoint(p3.value_a(x), p3.value_b(x), x, theta=theta).with_gains(d)
 
 
 def solve_tcm(
     p3: BiObjectiveModel,
+    d: DisagreementPoints,
     gap: float = DEFAULT_GAP,
     *,
-    d: DisagreementPoints | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     warm: WarmStart | None = None,
 ) -> ParetoPoint:
@@ -253,7 +254,8 @@ def pareto_frontier(
     return _nondominated(points), dropped
 
 
-def _nondominated(points: list[ParetoPoint], tol: float = 1e-6) -> list[ParetoPoint]:
+def _nondominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
+    tol = 1e-6  # an objective difference this small neither dominates nor tells two points apart
     points = sorted(points, key=lambda p: (p.f_b, p.f_a))
     kept: list[ParetoPoint] = []
     for p in points:
@@ -355,7 +357,7 @@ def solve_nbs(
     tangent cuts on gamma^2 <= tau1 tau2, with a bound on the product.
     ``warm``, a basis of ``p3.base``, is where the TCM root, every cut MILP's
     root and every polish's first LP start."""
-    tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget, warm=warm)
+    tcm = solve_tcm(p3, d, gap, node_budget=node_budget, warm=warm)
     model = _gain_model(p3, d, {}, MAX)
     polish_warm = _carried(model, p3, warm)  # the polish LPs have this model's rows and columns
     gamma = model.n
@@ -460,7 +462,7 @@ def solve_study(
         p3.base, (bundle.p1_model, bundle.p1.root), (bundle.p2_model, bundle.p2.root)
     )
     if goal == "tcm":
-        bundle.tcm = solve_tcm(p3, gap, d=d, node_budget=node_budget, warm=warm)
+        bundle.tcm = solve_tcm(p3, d, gap, node_budget=node_budget, warm=warm)
     else:
         bundle.bargain = solve_nbs(p3, d, gap, node_budget=node_budget, warm=warm)
     return bundle

@@ -62,9 +62,6 @@ class MilpSolution:
     nodes: int
     root: WarmStart | None = None  # the root LP's final basis
 
-    def value(self, model: LinearModel, name: str) -> float:
-        return float(self.incumbent[model.index(name)])
-
 
 class SolverError(RuntimeError):
     pass

@@ -35,7 +35,7 @@ from .io import (
     write_bid_history,
     write_csv,
     write_frontier,
-    write_price_history,
+    write_history,
 )
 from .models import AS_WRITTEN, DEPLOYMENT_REVENUE_MODES
 from .presets import (
@@ -164,12 +164,7 @@ def _run_solve(args) -> int:
 def _run_generate_demand(args) -> int:
     history = demand_history(default_demand_config(args.seed), args.days)
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (day, hour, float(history[day, hour]))
-        for day in range(history.shape[0])
-        for hour in range(history.shape[1])
-    ]
-    write_csv(args.out / "demand_history.csv", ("day", "hour", "ev_load"), rows)
+    write_history(args.out / "demand_history.csv", {"ev_load": history})
     for p in (10.0, 50.0, 90.0):
         profile = percentile_profiles(history, p)
         write_csv(
@@ -186,7 +181,9 @@ def _run_simulate_market(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     write_bid_history(args.out / "bids_up.csv", [r for r in records if r.side == "up"])
     write_bid_history(args.out / "bids_dn.csv", [r for r in records if r.side == "dn"])
-    write_price_history(args.out / "clearing_prices.csv", up_prices, dn_prices)
+    write_history(
+        args.out / "clearing_prices.csv", {"lambda_up": up_prices, "lambda_dn": dn_prices}
+    )
     probs = estimate_probabilities(records)
     rows = [
         (t, probs.acc_up[t], probs.acc_dn[t], probs.dep_up[t], probs.dep_dn[t])

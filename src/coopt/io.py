@@ -1,31 +1,31 @@
 """Scenario persistence, CSV emission, and report writing.
 
-One JSON document holds a full scenario; CSV is used for the simulated
-histories and for every emitted table.  All numbers are written with
-``repr``-precision (shortest round-trip decimal), which makes outputs
-bytewise reproducible for a fixed seed.
+One JSON document holds a full scenario: ``horizon`` and one object per
+field of :class:`~coopt.scenario.ScenarioInputs`, whose keys are the fields
+of that section's dataclass in declaration order (``joint`` may be absent).
+Those dataclasses are the only description of the format.
+:func:`save_scenario` writes them with ``dataclasses.asdict``, and
+:func:`load_scenario` reads each field by the kind its annotation names,
+then leaves the value checks to the dataclasses; every error names the
+field.  CSV is used for the simulated histories and for every emitted
+table.  All numbers are written with ``repr``-precision (shortest
+round-trip decimal), which makes outputs bytewise reproducible for a fixed
+seed.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .bargain import ResultsBundle
-from .scenario import (
-    BssSpec,
-    CompartmentSpec,
-    DemandProfile,
-    HubSpec,
-    JointTerms,
-    PriceProfiles,
-    ReserveProbabilities,
-    ScenarioInputs,
-)
+from .scenario import ScenarioInputs
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -37,57 +37,67 @@ class ScenarioError(ValueError):
     """Scenario file rejected; the message names the offending field."""
 
 
-_SERIES_FIELDS = {
-    "prices": ("lambda_da", "lambda_rt", "lambda_up", "lambda_dn"),
-    "probabilities": ("acc_up", "acc_dn", "dep_up", "dep_dn"),
-    "demand": ("ev_load",),
-}
-
-_COMPARTMENT_FIELDS = (
-    "cap",
-    "min_level",
-    "max_charge",
-    "max_discharge",
-    "unit_cost",
-    "battery_capacity",
-    "life_slope",
-    "initial_level",
-)
+def _finite(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ScenarioError(f"{where}: {value!r} is not a finite number")
+    return float(value)
 
 
-def _series(section: dict, section_name: str, key: str, horizon: int | None):
-    if key not in section:
-        raise ScenarioError(f"{section_name}.{key}: missing")
-    values = section[key]
-    if not isinstance(values, list):
-        raise ScenarioError(f"{section_name}.{key}: expected an array")
-    out = []
-    for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ScenarioError(f"{section_name}.{key}[{i}]: {v!r} is not a finite number")
-        out.append(float(v))
-    if horizon is not None and len(out) != horizon:
-        raise ScenarioError(
-            f"{section_name}.{key}: length {len(out)} does not match horizon {horizon}"
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    return value
+
+
+def _construct(cls, kwargs: dict, prefix: str = ""):
+    """``cls(**kwargs)``, with the class's own checks raised as scenario errors."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{prefix}{exc}") from exc
+
+
+def _read(cls, obj, where: str, horizon: int, prefix: str = ""):
+    """The dataclass ``cls`` from its JSON object ``obj``, field by field."""
+    _object(obj, where)
+    hints = typing.get_type_hints(cls)
+    kwargs = {
+        f.name: _field(obj, f.name, f"{where}.{f.name}", hints[f.name], horizon)
+        for f in dataclasses.fields(cls)
+    }
+    return _construct(cls, kwargs, prefix)
+
+
+def _field(obj: dict, key: str, where: str, hint, horizon: int):
+    """One field, read as the kind its annotation ``hint`` names: a tuple of
+    dataclasses is a non-empty array of objects, any other tuple an hourly
+    series, ``int`` an integer and anything else a finite number."""
+    series = typing.get_origin(hint) is tuple
+    if series and dataclasses.is_dataclass(item := typing.get_args(hint)[0]):
+        entries = obj.get(key)
+        if not isinstance(entries, list) or not entries:
+            raise ScenarioError(f"{where}: expected a non-empty array")
+        # an entry's own checks do not know its index, so their messages get it in front
+        return tuple(
+            _read(item, entry, f"{where}[{i}]", horizon, f"{where}[{i}]: ")
+            for i, entry in enumerate(entries)
         )
-    return tuple(out)
-
-
-def _number(section: dict, section_name: str, key: str):
-    if key not in section:
-        raise ScenarioError(f"{section_name}.{key}: missing")
-    v = section[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        raise ScenarioError(f"{section_name}.{key}: {v!r} is not a finite number")
-    return float(v)
-
-
-def _section(doc: dict, name: str) -> dict:
-    if name not in doc:
-        raise ScenarioError(f"{name}: section missing")
-    if not isinstance(doc[name], dict):
-        raise ScenarioError(f"{name}: expected an object")
-    return doc[name]
+    if key not in obj:
+        raise ScenarioError(f"{where}: missing")
+    value = obj[key]
+    if series:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where}: expected an array")
+        out = tuple(_finite(v, f"{where}[{i}]") for i, v in enumerate(value))
+        if len(out) != horizon:
+            raise ScenarioError(f"{where}: length {len(out)} does not match horizon {horizon}")
+        return out
+    number = _finite(value, where)
+    if hint is int:
+        if number != int(number):
+            raise ScenarioError(f"{where}: {number} is not an integer")
+        return int(number)
+    return number
 
 
 def load_scenario(path) -> ScenarioInputs:
@@ -106,91 +116,26 @@ def load_scenario(path) -> ScenarioInputs:
     if not isinstance(horizon, int) or horizon < 1:
         raise ScenarioError(f"horizon: expected a positive integer, got {horizon!r}")
 
-    prices_sec = _section(doc, "prices")
-    probs_sec = _section(doc, "probabilities")
-    demand_sec = _section(doc, "demand")
-    hub_sec = _section(doc, "hub")
-    bss_sec = _section(doc, "bss")
-
-    def build(section, name, cls):
-        kwargs = {key: _series(section, name, key, horizon) for key in _SERIES_FIELDS[name]}
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-
-    prices = build(prices_sec, "prices", PriceProfiles)
-    probs = build(probs_sec, "probabilities", ReserveProbabilities)
-    demand = build(demand_sec, "demand", DemandProfile)
-
-    station_count = _number(hub_sec, "hub", "station_count")
-    if station_count != int(station_count):
-        raise ScenarioError(f"hub.station_count: {station_count} is not an integer")
-    try:
-        hub = HubSpec(
-            _series(hub_sec, "hub", "da_cap", horizon),
-            int(station_count),
-            _number(hub_sec, "hub", "station_rate"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-    comps = bss_sec.get("compartments")
-    if not isinstance(comps, list) or not comps:
-        raise ScenarioError("bss.compartments: expected a non-empty array")
-    compartments = []
-    for i, entry in enumerate(comps):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"bss.compartments[{i}]: expected an object")
-        kwargs = {key: _number(entry, f"bss.compartments[{i}]", key) for key in _COMPARTMENT_FIELDS}
-        try:
-            compartments.append(CompartmentSpec(**kwargs))
-        except ValueError as exc:
-            raise ScenarioError(f"bss.compartments[{i}]: {exc}") from exc
-    bss = BssSpec(tuple(compartments))
-
-    joint = None
-    if "joint" in doc:
-        joint_sec = _section(doc, "joint")
-        try:
-            joint = JointTerms(
-                _number(joint_sec, "joint", "lease_markup"),
-                _number(joint_sec, "joint", "deg_rate"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-
-    try:
-        return ScenarioInputs(prices, probs, demand, hub, bss, joint)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    sections = {}
+    for f in dataclasses.fields(ScenarioInputs):
+        if f.name in doc:
+            sections[f.name] = _object(doc[f.name], f.name)
+        elif f.default is dataclasses.MISSING:  # only `joint` may be absent
+            raise ScenarioError(f"{f.name}: section missing")
+    hints = typing.get_type_hints(ScenarioInputs)
+    parts = {}
+    for name, obj in sections.items():
+        cls = hints[name]
+        if typing.get_args(cls):  # `joint` is annotated `JointTerms | None`
+            cls = typing.get_args(cls)[0]
+        parts[name] = _read(cls, obj, name, horizon)
+    return _construct(ScenarioInputs, parts)
 
 
 def save_scenario(scn: ScenarioInputs, path) -> None:
-    doc = {
-        "horizon": scn.horizon,
-        "prices": {key: list(getattr(scn.prices, key)) for key in _SERIES_FIELDS["prices"]},
-        "probabilities": {
-            key: list(getattr(scn.probabilities, key)) for key in _SERIES_FIELDS["probabilities"]
-        },
-        "demand": {"ev_load": list(scn.demand.ev_load)},
-        "hub": {
-            "da_cap": list(scn.hub.da_cap),
-            "station_count": scn.hub.station_count,
-            "station_rate": scn.hub.station_rate,
-        },
-        "bss": {
-            "compartments": [
-                {key: getattr(comp, key) for key in _COMPARTMENT_FIELDS}
-                for comp in scn.bss.compartments
-            ]
-        },
-    }
-    if scn.joint is not None:
-        doc["joint"] = {
-            "lease_markup": scn.joint.lease_markup,
-            "deg_rate": scn.joint.deg_rate,
-        }
+    doc = {"horizon": scn.horizon, **dataclasses.asdict(scn)}
+    if scn.joint is None:
+        del doc["joint"]
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -214,14 +159,16 @@ def _fmt(v):
     return v
 
 
-def write_price_history(path, da, rt) -> None:
-    rows = []
-    da = np.asarray(da)
-    rt = np.asarray(rt)
-    for day in range(da.shape[0]):
-        for hour in range(da.shape[1]):
-            rows.append((day, hour, float(da[day, hour]), float(rt[day, hour])))
-    write_csv(path, ("day", "hour", "lambda_da", "lambda_rt"), rows)
+def write_history(path, columns: dict) -> None:
+    """Day-by-hour histories as ``day, hour`` rows with one column per entry of ``columns``."""
+    arrays = [np.asarray(a) for a in columns.values()]
+    days, hours = arrays[0].shape
+    rows = [
+        (day, hour, *(float(a[day, hour]) for a in arrays))
+        for day in range(days)
+        for hour in range(hours)
+    ]
+    write_csv(path, ("day", "hour", *columns), rows)
 
 
 def write_bid_history(path, records) -> None:

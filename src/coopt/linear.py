@@ -85,9 +85,6 @@ class LinearModel:
     def binary_indices(self) -> list[int]:
         return [j for j, v in enumerate(self.variables) if v.binary]
 
-    def index(self, name: str) -> int:
-        return self.var_layout[name]
-
 
 def clone(model: LinearModel) -> LinearModel:
     """Copy a model so rows/bounds/objective can be edited independently."""

@@ -183,7 +183,7 @@ def synthetic_market_history(seed: int = 0, days: int = 30):
     return records, up_prices, dn_prices
 
 
-def daily_probability_profiles(records, horizon: int = HOURS):
+def daily_probability_profiles(records):
     """Per-day acceptance/deployment rate paths, for percentile levels."""
     acc = {"up": {}, "dn": {}}
     dep = {"up": {}, "dn": {}}
@@ -193,13 +193,13 @@ def daily_probability_profiles(records, horizon: int = HOURS):
         counters[(rec.side, rec.hour)] = day + 1
         n_offers = len(rec.stack.offers)
         n_acc = sum(1 for q in rec.outcome.accepted if q > 0)
-        acc[rec.side].setdefault(day, [0.0] * horizon)[rec.hour] = n_acc / n_offers
+        acc[rec.side].setdefault(day, [0.0] * HOURS)[rec.hour] = n_acc / n_offers
         rate = (
             rec.outcome.deployed_quantity / rec.outcome.accepted_quantity
             if rec.outcome.accepted_quantity > 0
             else 0.0
         )
-        dep[rec.side].setdefault(day, [0.0] * horizon)[rec.hour] = min(rate, 1.0)
+        dep[rec.side].setdefault(day, [0.0] * HOURS)[rec.hour] = min(rate, 1.0)
 
     def matrix(tab):
         return np.array([tab[d] for d in sorted(tab)])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .bargain import (
 )
 from .models import AS_WRITTEN
 from .presets import COMMIT_CAP_FACTOR
-from .scenario import DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities, ScenarioInputs
+from .scenario import ScenarioInputs
 
 # ---------------------------------------------------------------------------
 # F distribution via the regularized incomplete beta function
@@ -303,19 +303,13 @@ class SweepResult:
 
 
 def _apply_price_levels(scn: ScenarioInputs, lam_da, lam_rt) -> ScenarioInputs:
-    prices = PriceProfiles(
-        tuple(lam_da), tuple(lam_rt), scn.prices.lambda_up, scn.prices.lambda_dn
-    )
+    prices = replace(scn.prices, lambda_da=tuple(lam_da), lambda_rt=tuple(lam_rt))
     return replace(scn, prices=prices)
 
 
 def _apply_demand_level(scn: ScenarioInputs, demand) -> ScenarioInputs:
-    dem = DemandProfile(tuple(demand))
-    hub = HubSpec(
-        tuple(COMMIT_CAP_FACTOR * v for v in dem.ev_load),
-        scn.hub.station_count,
-        scn.hub.station_rate,
-    )
+    dem = replace(scn.demand, ev_load=tuple(demand))
+    hub = replace(scn.hub, da_cap=tuple(COMMIT_CAP_FACTOR * v for v in dem.ev_load))
     return replace(scn, demand=dem, hub=hub)
 
 
@@ -355,18 +349,16 @@ def sweep_grid(
 
 
 def apply_reserve_levels(scn: ScenarioInputs, assignment: dict) -> ScenarioInputs:
-    """Swap the six reserve-side series of a scenario for the given profiles."""
-    prices = PriceProfiles(
-        scn.prices.lambda_da,
-        scn.prices.lambda_rt,
-        tuple(assignment["lambda_up"]),
-        tuple(assignment["lambda_dn"]),
+    """Swap the six reserve-side series of a scenario for the given profiles,
+    keyed by their field names: both reserve prices and every probability."""
+    prices = replace(
+        scn.prices,
+        lambda_up=tuple(assignment["lambda_up"]),
+        lambda_dn=tuple(assignment["lambda_dn"]),
     )
-    probs = ReserveProbabilities(
-        tuple(assignment["acc_up"]),
-        tuple(assignment["acc_dn"]),
-        tuple(assignment["dep_up"]),
-        tuple(assignment["dep_dn"]),
+    probs = replace(
+        scn.probabilities,
+        **{f.name: tuple(assignment[f.name]) for f in fields(scn.probabilities)},
     )
     return replace(scn, prices=prices, probabilities=probs)
 

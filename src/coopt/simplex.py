@@ -119,9 +119,6 @@ class LpSolution:
     iterations: int
     warm: WarmStart | None = None
 
-    def value(self, model: LinearModel, name: str) -> float:
-        return float(self.primal[model.index(name)])
-
 
 @dataclass
 class StandardForm:
@@ -149,14 +146,6 @@ class StandardForm:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """``y [A I]`` for a vector over the ``m`` rows."""
         return np.bincount(self.col, weights=y[self.row] * self.val, minlength=len(self.ptr) - 1)
-
-    def with_slacks(self, x) -> np.ndarray:
-        """The model's variable values ``x`` followed by the slack of each row."""
-        ns = len(self.lb) - len(self.b)
-        values = np.zeros(len(self.lb))
-        values[:ns] = x
-        values[ns:] = self.b - self.matvec(values)
-        return values
 
 
 def standard_form(model: LinearModel) -> StandardForm:

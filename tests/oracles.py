@@ -39,6 +39,7 @@ from coopt.simplex import (
     UNBOUNDED,
     LpSolution,
     SimplexSolver,
+    StandardForm,
     standard_form,
 )
 
@@ -176,10 +177,24 @@ def single_hour_bss_profit(
     return best
 
 
+def value_of(model: LinearModel, x, name: str) -> float:
+    """The entry of ``x`` at the model's variable called ``name``."""
+    return float(x[model.var_layout[name]])
+
+
+def with_slacks(sf: StandardForm, x) -> np.ndarray:
+    """The model's variable values ``x`` followed by the slack of each row."""
+    ns = len(sf.lb) - len(sf.b)
+    values = np.zeros(len(sf.lb))
+    values[:ns] = x
+    values[ns:] = sf.b - sf.matvec(values)
+    return values
+
+
 def constraint_violation(model: LinearModel, x) -> float:
     """Largest row/bound violation of an assignment (0 when feasible)."""
     sf = standard_form(model)
-    values = sf.with_slacks(x)
+    values = with_slacks(sf, x)
     return float(np.max(np.maximum(sf.lb - values, values - sf.ub), initial=0.0))
 
 
@@ -215,7 +230,7 @@ def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport
         c[j] = sign * cval
     y = sign * np.asarray(sol.dual, dtype=float)
 
-    values = sf.with_slacks(sol.primal)
+    values = with_slacks(sf, sol.primal)
     lo, hi = sf.lb, sf.ub
 
     viol = np.maximum(lo - values, values - hi)

@@ -182,7 +182,7 @@ def test_tcm_matches_enumeration_on_toy():
     for j, c in p3.obj_b.items():
         combined[j] = combined.get(j, 0.0) - c
     exact = enumerate_binaries(with_objective(p3.base, combined, MIN))
-    tcm = solve_tcm(p3, 1e-9)
+    tcm = solve_tcm(p3, DisagreementPoints(0.0, 0.0), 1e-9)
     got = tcm.f_a - tcm.f_b
     assert got == pytest.approx(exact.objective, abs=1e-6)
 

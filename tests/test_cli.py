@@ -22,6 +22,7 @@ from coopt.io import (
 )
 from coopt.linear import MAX
 from coopt.models import SINGLE_SCALED
+from coopt.presets import synthetic_market_history
 
 from conftest import tiny_scenario
 
@@ -143,6 +144,16 @@ def test_nbs_command_prints_a_bound_at_least_the_product(tmp_path, capsys):
     assert float(printed["nash bound"]) >= float(printed["nash product"])
 
 
+def test_clearing_prices_are_the_reserve_prices_under_their_names(tmp_path):
+    assert main(["simulate-market", "--days", "2", "--out", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "clearing_prices.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["day", "hour", "lambda_up", "lambda_dn"]
+    _, up, dn = synthetic_market_history(0, 2)
+    assert [float(row["lambda_up"]) for row in rows] == up.ravel().tolist()
+    assert [float(row["lambda_dn"]) for row in rows] == dn.ravel().tolist()
+
+
 def test_frontier_does_not_depend_on_the_worker_count(tmp_path):
     # the sweep is serial: no worker count reaches it, and the command
     # accepts --workers and writes the same points either way
@@ -222,9 +233,12 @@ def test_frontier_drops_a_cell_whose_solve_fails(tmp_path, capsys, monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("command", ["solve-p3-tcm", "solve-p3-nbs"])
+@pytest.mark.parametrize(
+    "command", ["solve-p3-tcm", "solve-p3-nbs", "simulate-market", "generate-demand"]
+)
 def test_joint_commands_write_the_same_bytes_in_two_processes(tmp_path, command):
-    # the B&B carries search state (pseudo-costs); each process draws its own hash seed
+    # the B&B carries search state (pseudo-costs); each process draws its own hash seed,
+    # and the two simulators draw from the default --seed
     path = tmp_path / "tiny.scenario"
     save_scenario(tiny_scenario(T=3, K=2), path)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -232,7 +246,10 @@ def test_joint_commands_write_the_same_bytes_in_two_processes(tmp_path, command)
     outputs = []
     for run in range(2):
         out = tmp_path / f"out{run}"
-        argv = [command, "--scenario", str(path), "--out", str(out)]
+        if command in ("simulate-market", "generate-demand"):
+            argv = [command, "--days", "3", "--out", str(out)]
+        else:
+            argv = [command, "--scenario", str(path), "--out", str(out)]
         subprocess.run(
             [sys.executable, "-m", "coopt.cli", *argv], env=env, check=True, capture_output=True
         )

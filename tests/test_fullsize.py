@@ -49,7 +49,7 @@ def test_median_k2_hub_and_storage(median_k2):
 def test_median_k2_total_cost_minimum(median_k2):
     scn = median_k2
     p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
-    tcm = solve_tcm(p3, GAP)
+    tcm = solve_tcm(p3, DisagreementPoints(0.0, 0.0), GAP)
     assert within_gap(tcm.f_a - tcm.f_b, TCM_MEDIAN_K2)
 
 

@@ -52,6 +52,54 @@ def shorten_series(doc):
     doc["demand"]["ev_load"].pop()
 
 
+def fractional_station_count(doc):
+    doc["hub"]["station_count"] = 2.5
+
+
+def bss_as_list(doc):
+    doc["bss"] = [doc["bss"]]
+
+
+def empty_compartments(doc):
+    doc["bss"]["compartments"] = []
+
+
+def compartment_not_an_object(doc):
+    doc["bss"]["compartments"][1] = 4000.0
+
+
+def negative_reserve_price(doc):
+    doc["prices"]["lambda_up"][2] = -0.01
+
+
+def probability_above_one(doc):
+    doc["probabilities"]["acc_dn"][0] = 1.5
+
+
+def min_level_above_cap(doc):
+    doc["bss"]["compartments"][0]["min_level"] = 5000.0
+
+
+def zero_station_rate(doc):
+    doc["hub"]["station_rate"] = 0
+
+
+def negative_lease_markup(doc):
+    doc["joint"]["lease_markup"] = -1.0
+
+
+def drop_joint_field(doc):
+    del doc["joint"]["deg_rate"]
+
+
+def fractional_horizon(doc):
+    doc["horizon"] = 2.5
+
+
+# a range check of the scenario classes reads "<field> must ...", every other message "<field>: ..."
+RANGE_RULES = {"hub.station_rate": " must be > 0", "joint.lease_markup": " must be >= 0"}
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -59,12 +107,23 @@ def shorten_series(doc):
         (set_compartment_field, "bss.compartments[1].cap"),
         (drop_series, "probabilities.dep_dn"),
         (shorten_series, "demand.ev_load"),
+        (fractional_station_count, "hub.station_count"),
+        (bss_as_list, "bss"),
+        (empty_compartments, "bss.compartments"),
+        (compartment_not_an_object, "bss.compartments[1]"),
+        (negative_reserve_price, "prices.lambda_up[2]"),
+        (probability_above_one, "probabilities.acc_dn[0]"),
+        (min_level_above_cap, "bss.compartments[0]"),
+        (zero_station_rate, "hub.station_rate"),
+        (negative_lease_markup, "joint.lease_markup"),
+        (drop_joint_field, "joint.deg_rate"),
+        (fractional_horizon, "horizon"),
     ],
 )
 def test_bad_value_error_names_its_field(tmp_path, edit, field):
     with pytest.raises(ScenarioError) as caught:
         load_scenario(write_with(tmp_path, edit))
-    assert str(caught.value).startswith(f"{field}:")
+    assert str(caught.value).startswith(field + RANGE_RULES.get(field, ":"))
 
 
 @pytest.mark.parametrize("edit", [set_series_entry, set_compartment_field])

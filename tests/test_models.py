@@ -44,6 +44,7 @@ from oracles import (
     minimize_a,
     objective_breakdown,
     single_hour_bss_profit,
+    value_of,
 )
 
 
@@ -86,9 +87,9 @@ def test_p1_commitment_split_solution():
     hub = HubSpec((200.0,), 10, 100.0)
     model = build_p1(hub, one_hour_prices(0.10, 0.20), DemandProfile((100.0,)))
     sol = SimplexSolver(model).solve()
-    assert sol.value(model, "da_commit[0]") == pytest.approx(200.0, abs=1e-7)
-    assert sol.value(model, "da_to_ev[0]") == pytest.approx(100.0, abs=1e-7)
-    assert sol.value(model, "da_to_rt[0]") == pytest.approx(100.0, abs=1e-7)
+    assert value_of(model, sol.primal, "da_commit[0]") == pytest.approx(200.0, abs=1e-7)
+    assert value_of(model, sol.primal, "da_to_ev[0]") == pytest.approx(100.0, abs=1e-7)
+    assert value_of(model, sol.primal, "da_to_rt[0]") == pytest.approx(100.0, abs=1e-7)
 
 
 # ---------------------------------------------------------------- degradation
@@ -148,7 +149,7 @@ def test_p2_full_deployment_up_bid():
     assert oracle == pytest.approx(expected, abs=1e-6)
     sol = solve_milp(model, gap_target=1e-9)
     assert sol.objective == pytest.approx(expected, abs=1e-6)
-    assert sol.value(model, "bid_up[0,0]") == pytest.approx(3000.0, abs=1e-6)
+    assert value_of(model, sol.incumbent, "bid_up[0,0]") == pytest.approx(3000.0, abs=1e-6)
 
 
 def test_p2_negative_rt_price_rewards_down_bid():
@@ -167,7 +168,9 @@ def test_p2_negative_rt_price_rewards_down_bid():
     assert oracle == pytest.approx(expected, abs=1e-6)
     sol = solve_milp(model, gap_target=1e-9)
     assert sol.objective == pytest.approx(oracle, abs=1e-6)
-    assert sol.value(model, "bid_dn[0,0]") == pytest.approx(comp.max_charge, abs=1e-6)
+    assert value_of(model, sol.incumbent, "bid_dn[0,0]") == pytest.approx(
+        comp.max_charge, abs=1e-6
+    )
 
 
 def test_p2_two_hours_matches_enumeration():
