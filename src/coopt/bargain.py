@@ -28,6 +28,11 @@ rounding raises :class:`~coopt.bnb.SolverError`.
 The epsilon-constraint sweep :func:`pareto_frontier` serves the ``frontier``
 command only.
 
+P2 has no row between two compartments, so :func:`solve_study` solves it
+as one MILP per compartment, the compartments sharing the node budget, and
+solves equal compartments once (:func:`_solve_by_block`).  The blocks'
+incumbents and root bases, scattered back, are P2's.
+
 P3 holds P1's and P2's columns and rows, so the disagreement solves' root
 bases together are a basis of P3.  :func:`solve_study` carries them onto P3
 once, and the TCM root, every cut MILP's root and every polish's first LP
@@ -51,6 +56,7 @@ from .bnb import (
     OPTIMAL_WITHIN_GAP,
     MilpSolution,
     SolverError,
+    _relative_gap,
     solve_milp,
 )
 from .linear import (
@@ -63,6 +69,7 @@ from .linear import (
     LinearModel,
     Variable,
     add_constraint,
+    split_blocks,
     with_objective,
 )
 from .models import AS_WRITTEN, build_p1, build_p2, build_p3
@@ -160,6 +167,75 @@ def _require_solved(sol: MilpSolution, what: str) -> MilpSolution:
     if sol.status == BUDGET_EXHAUSTED:
         raise BudgetExhaustedError(f"{what}: node budget exhausted before reaching the gap target")
     return sol
+
+
+def _same_milp(model: LinearModel) -> tuple:
+    """Everything of ``model`` but its names and block labels: two models with
+    the same key have the same solutions, column for column."""
+    return (
+        model.sense,
+        tuple((v.lb, v.ub, v.binary) for v in model.variables),
+        tuple((tuple(con.coeffs.items()), con.sense, con.rhs) for con in model.constraints),
+        tuple(model.objective.items()),
+    )
+
+
+def _solve_by_block(model: LinearModel, gap: float, node_budget: int) -> MilpSolution:
+    """``model``, a MILP none of whose rows links two blocks, as one MILP per
+    block, with blocks equal under :func:`_same_milp` solved once.
+
+    The block solves share ``node_budget``.  The incumbent, and each block's
+    root basis, which together are a basis of ``model``, are scattered back
+    into ``model``'s columns and rows.  The objective and bound are the sums
+    over the blocks, and the gap and status are those of the sums.  Each
+    block meets ``gap`` on its own objective, which the sums can miss when a
+    block's objective is below 1 in absolute value or the blocks' objectives
+    differ in sign; the blocks are then solved once more, each to a gap at
+    which their sums meet ``gap``.  An infeasible block makes ``model``
+    infeasible, and a block without an incumbent leaves it without one.
+    """
+    blocks, linking = split_blocks(model)
+    if linking:
+        raise ValueError(f"row {model.constraints[linking[0]].name} links two blocks")
+    keys = [_same_milp(block.model) for block in blocks]
+    distinct: dict[tuple, LinearModel] = {}
+    for key, block in zip(keys, blocks):
+        distinct.setdefault(key, block.model)
+    nodes = 0
+    block_gap, hints = gap, {}
+    for _ in range(2):
+        sols = {}
+        for key, block_model in distinct.items():
+            sol = solve_milp(
+                block_model, block_gap, max(0, node_budget - nodes), incumbent_hint=hints.get(key)
+            )
+            nodes += sol.nodes
+            if sol.status == INFEASIBLE:
+                return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes)
+            sols[key] = sol
+        per_block = [sols[key] for key in keys]
+        objective = sum(sol.objective for sol in per_block)
+        bound = sum(sol.bound for sol in per_block)
+        found = all(sol.incumbent is not None for sol in per_block)
+        within = found and _relative_gap(objective, bound) <= gap
+        if within or any(sol.status == BUDGET_EXHAUSTED for sol in per_block):
+            break
+        # seeded with its incumbent, a block's next one lies between that and its bound, so
+        # its objective is at most its term of `weight` and the sums' at least `floor`
+        floor = min(abs(objective), abs(bound)) if objective * bound > 0.0 else 0.0
+        weight = sum(max(1.0, abs(sol.objective), abs(sol.bound)) for sol in per_block)
+        block_gap = gap * max(1.0, floor) / weight
+        hints = {key: sol.incumbent for key, sol in sols.items()}
+
+    roots = [(block.model, sol.root) for block, sol in zip(blocks, per_block)]
+    root = None if any(r is None for _, r in roots) else carry_basis(model, *roots)
+    if not found:
+        return MilpSolution(BUDGET_EXHAUSTED, None, math.nan, bound, math.inf, nodes, root)
+    x = np.empty(model.n)
+    for block, sol in zip(blocks, per_block):
+        x[block.cols] = sol.incumbent
+    status = OPTIMAL_WITHIN_GAP if within else BUDGET_EXHAUSTED
+    return MilpSolution(status, x, objective, bound, _relative_gap(objective, bound), nodes, root)
 
 
 def _point_from(
@@ -427,7 +503,9 @@ def solve_study(
 ) -> ResultsBundle:
     """Solve one of :data:`GOALS` on a scenario.
 
-    ``"p1"`` and ``"p2"`` solve one independent model.  The joint goals
+    ``"p1"`` and ``"p2"`` solve one independent model; P2 is solved one
+    compartment at a time, each distinct compartment once, with the
+    compartments sharing ``node_budget``.  The joint goals
     ``"tcm"``, ``"nbs"`` and ``"frontier"`` solve P1 and P2 once, take their
     optima as the disagreement point, then solve P3.  A model the goal needs
     raises :class:`InfeasibleError` when infeasible and
@@ -444,7 +522,9 @@ def solve_study(
         bundle.p1 = _require_solved(solve_milp(bundle.p1_model, gap, node_budget), "hub model")
     if goal != "p1":
         bundle.p2_model = build_p2(scn.bss, scn.prices, scn.probabilities, deployment_revenue)
-        bundle.p2 = _require_solved(solve_milp(bundle.p2_model, gap, node_budget), "storage model")
+        bundle.p2 = _require_solved(
+            _solve_by_block(bundle.p2_model, gap, node_budget), "storage model"
+        )
     if not joint:
         return bundle
 

@@ -91,7 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--deployment-revenue", choices=DEPLOYMENT_REVENUE_MODES, default=AS_WRITTEN)
         p.add_argument("--days", type=int, default=30)
-        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+        p.add_argument(
+            "--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+            help="branch-and-bound nodes each MILP may search; the storage model's"
+            " compartments share one budget",
+        )
         if name == "anova":
             p.add_argument("--alpha", type=float, default=0.05)
     return parser

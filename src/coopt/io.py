@@ -113,7 +113,7 @@ def load_scenario(path) -> ScenarioInputs:
         raise ScenarioError("scenario document must be a JSON object")
 
     horizon = doc.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ScenarioError(f"horizon: expected a positive integer, got {horizon!r}")
 
     sections = {}

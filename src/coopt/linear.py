@@ -1,9 +1,11 @@
 """Linear model containers consumed by the simplex and branch-and-bound solvers.
 
-A :class:`LinearModel` is a plain description: named variables with bounds and
-integrality flags, linear rows with a sense and right-hand side, and one linear
-objective.  A :class:`BiObjectiveModel` shares one constraint set between a
-minimized and a maximized objective and is scalarized by the bargaining layer.
+A :class:`LinearModel` is a plain description: named variables with bounds,
+integrality flags and block labels, linear rows with a sense and right-hand
+side, and one linear objective.  A :class:`BiObjectiveModel` shares one
+constraint set between a minimized and a maximized objective and is
+scalarized by the bargaining layer.  :func:`split_blocks` cuts a model into
+the sub-models of its blocks and the rows that link them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ class Variable:
     lb: float = 0.0
     ub: float = INF
     binary: bool = False
+    block: int = -1  # the block the column belongs to; -1 is the block of unlabelled columns
 
     def __post_init__(self):
         if self.lb > self.ub:
@@ -107,6 +110,53 @@ def add_constraint(
     model: LinearModel, coeffs: Mapping[int, float], sense: str, rhs: float, name: str = ""
 ) -> None:
     model.constraints.append(Constraint(dict(coeffs), sense, float(rhs), name))
+
+
+@dataclass
+class Block:
+    """The sub-model of one block, with the full model's index of each of its
+    columns and of each of its rows."""
+
+    label: int
+    model: LinearModel
+    cols: list[int]
+    rows: list[int]
+
+
+def split_blocks(model: LinearModel) -> tuple[list[Block], list[int]]:
+    """The blocks of ``model`` by rising label, and the rows that link two blocks.
+
+    A column's block is its ``Variable.block``, and a row's block is the one
+    block all its columns share (-1 for a row without columns).  A block's
+    sub-model holds its columns and rows in the full model's order, with the
+    objective's terms on its columns and the full model's sense.
+    """
+    col_block = [v.block for v in model.variables]
+    cols: dict[int, list[int]] = {}
+    for j, b in enumerate(col_block):
+        cols.setdefault(b, []).append(j)
+    rows: dict[int, list[int]] = {b: [] for b in cols}
+    linking = []
+    for i, con in enumerate(model.constraints):
+        labels = {col_block[j] for j in con.coeffs}
+        if len(labels) > 1:
+            linking.append(i)
+        else:
+            rows.setdefault(labels.pop() if labels else -1, []).append(i)
+    blocks = []
+    for b in sorted(rows):
+        own = cols.get(b, [])
+        local = {j: jj for jj, j in enumerate(own)}
+        constraints = [model.constraints[i] for i in rows[b]]
+        sub = LinearModel(
+            [replace(model.variables[j]) for j in own],
+            [Constraint({local[j]: c for j, c in con.coeffs.items()}, con.sense, con.rhs, con.name)
+             for con in constraints],
+            {local[j]: c for j, c in model.objective.items() if j in local},
+            model.sense,
+        )
+        blocks.append(Block(b, sub, own, rows[b]))
+    return blocks, linking
 
 
 def objective_value(coeffs: Mapping[int, float], x) -> float:

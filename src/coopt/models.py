@@ -16,6 +16,14 @@ shares with them, and add the lease's own ``level_cap``, ``level_floor`` and
 ``hub_balance`` rows.  P2 bounds each stored level by the storage floor; P3
 puts the floor on the sum of the two operators' levels, as a row.
 
+Each column is labelled with its block as it is created: compartment ``k``'s
+columns, the leased ones included, carry block ``k`` and the hub's columns
+block -1.  A row's block is the one its columns share
+(:func:`~coopt.linear.split_blocks`).  P1 is the hub's block alone and P2 one
+block per compartment with no row between two of them.  P3's rows all lie
+in one block, except ``commit_split`` and ``demand_balance``, which sum the
+lease flows over the compartments.
+
 Deployment revenue supports two conventions: ``"as-written"`` prices the
 (already probability-scaled) deployed quantity by probability times the RT
 price again, while ``"single-scaled"`` prices it by the RT price once.
@@ -108,7 +116,7 @@ def _build(
     def var(family: str, t: int, k: int | None = None, lb=0.0, ub=math.inf, binary=False):
         key, label = (t, f"{t}") if k is None else ((t, k), f"{t},{k}")
         x.setdefault(family, {})[key] = len(variables)
-        variables.append(Variable(f"{family}[{label}]", lb, ub, binary))
+        variables.append(Variable(f"{family}[{label}]", lb, ub, binary, -1 if k is None else k))
 
     def row(name: str, coeffs: dict[int, float], sense: str, rhs: float) -> None:
         rows.append(Constraint(coeffs, sense, float(rhs), name))

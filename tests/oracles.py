@@ -6,7 +6,8 @@ scans a 1-kWh grid, the MILP oracle solves the LP of every binary assignment,
 the certificate check recomputes optimality residuals from the model, the
 axiom check probes a bargain for rationality, Pareto optimality, affine
 invariance and symmetry, and the objective breakdown recomputes every money
-component of a model's objectives from its inputs and variable values.
+component of a model's objectives from its inputs and variable values.  The
+HiGHS oracle solves a model with ``scipy.optimize.milp``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from coopt.bargain import DEFAULT_GAP, BargainResult, DisagreementPoints, solve_nbs
 from coopt.bnb import _LP_FAILED, OPTIMAL_WITHIN_GAP, MilpSolution, SolverError, solve_milp
@@ -259,6 +261,31 @@ def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport
     duality_gap = abs(z - dual_obj) / (1.0 + abs(z))
 
     return CertificateReport(primal_residual, bound_residual, dual_residual, cs, duality_gap)
+
+
+def highs_objective(model: LinearModel, relax: bool = False) -> float:
+    """The optimum from HiGHS (``scipy.optimize.milp``), of the LP relaxation when ``relax``."""
+    sign = 1.0 if model.sense == MIN else -1.0
+    c = np.zeros(model.n)
+    for j, v in model.objective.items():
+        c[j] = sign * v
+    A = np.zeros((model.m, model.n))
+    for i, con in enumerate(model.constraints):
+        for j, v in con.coeffs.items():
+            A[i, j] = v
+    rhs = np.array([con.rhs for con in model.constraints])
+    lo = np.where([con.sense == LE for con in model.constraints], -np.inf, rhs)
+    hi = np.where([con.sense == GE for con in model.constraints], np.inf, rhs)
+    res = milp(
+        c,
+        constraints=LinearConstraint(A, lo, hi),
+        integrality=[0 if relax else int(v.binary) for v in model.variables],
+        bounds=Bounds([v.lb for v in model.variables], [v.ub for v in model.variables]),
+        options={"mip_rel_gap": 1e-9},
+    )
+    if res.status != 0:
+        raise SolverError(f"HiGHS: {res.message}")
+    return sign * res.fun
 
 
 def enumerate_binaries(model: LinearModel, limit: int = 20) -> MilpSolution:

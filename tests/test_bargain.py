@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,16 @@ from coopt.bargain import (
     solve_study,
     solve_tcm,
 )
-from coopt.bnb import BUDGET_EXHAUSTED, MilpSolution, SolverError, solve_milp
+from coopt.bnb import (
+    BUDGET_EXHAUSTED,
+    DEFAULT_GAP,
+    DEFAULT_NODE_BUDGET,
+    OPTIMAL_WITHIN_GAP,
+    MilpSolution,
+    SolverError,
+    _relative_gap,
+    solve_milp,
+)
 from coopt.linear import (
     GE,
     LE,
@@ -25,15 +34,17 @@ from coopt.linear import (
     Constraint,
     LinearModel,
     Variable,
+    add_constraint,
+    objective_value,
     with_objective,
 )
 from coopt.io import load_scenario
 from coopt.models import build_p1, build_p2, build_p3
-from coopt.scenario import DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities
+from coopt.scenario import BssSpec, DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities
 from coopt.simplex import OPTIMAL, SimplexSolver, carry_basis
 
-from conftest import tiny_scenario
-from oracles import enumerate_binaries, verify_axioms
+from conftest import compartment, tiny_scenario
+from oracles import constraint_violation, enumerate_binaries, highs_objective, verify_axioms
 
 
 def symmetric_toy():
@@ -369,3 +380,95 @@ def test_disagreement_bases_start_the_total_cost_root_lp(scenario, monkeypatch):
 
 def no_cold_start(self):
     raise AssertionError("the carried basis fell back to a cold start")
+
+
+def three_compartments(money=1.0):
+    """P2 over three hours and three compartments, the first and the last equal,
+    with every price and the wear cost scaled by ``money``."""
+    scn = tiny_scenario(T=3, seed=4)
+    prices = PriceProfiles(
+        *(tuple(money * p for p in getattr(scn.prices, f.name)) for f in fields(PriceProfiles))
+    )
+    equal = compartment(unit_cost=money * 1e6)
+    other = compartment(cap=3000.0, max_charge=2000.0, initial_level=1000.0, unit_cost=money * 1e6)
+    return build_p2(BssSpec((equal, other, equal)), prices, scn.probabilities)
+
+
+def count_block_solves(monkeypatch):
+    real_solve = bargain.solve_milp
+    solved = []
+
+    def counted(model, *args, **kwargs):
+        solved.append(model)
+        return real_solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(bargain, "solve_milp", counted)
+    return solved
+
+
+def test_storage_blocks_reach_the_joint_optimum_solving_equal_blocks_once(monkeypatch):
+    model = three_compartments()
+    solved = count_block_solves(monkeypatch)
+    sol = bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET)
+    assert [block.n for block in solved] == [model.n // 3] * 2
+    assert [v.block for v in solved[1].variables] == [1] * (model.n // 3)
+    assert sol.status == OPTIMAL_WITHIN_GAP
+    assert sol.gap == _relative_gap(sol.objective, sol.bound) <= DEFAULT_GAP
+    assert sol.objective == pytest.approx(solve_milp(model).objective, rel=DEFAULT_GAP)
+    optimum = highs_objective(model)
+    assert sol.objective == pytest.approx(optimum, rel=DEFAULT_GAP)
+    assert sol.bound >= optimum - 1e-9 * optimum
+    assert constraint_violation(model, sol.incumbent) <= 1e-7
+    assert objective_value(model.objective, sol.incumbent) == pytest.approx(sol.objective, rel=1e-12)
+
+
+def test_scattered_block_roots_are_an_optimal_basis_of_the_storage_model():
+    model = three_compartments()
+    root = bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET).root
+    lp = SimplexSolver(model).solve(warm=root)
+    assert lp.status == OPTIMAL
+    assert lp.iterations == 0
+    assert lp.objective == pytest.approx(highs_objective(model, relax=True), rel=1e-9)
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_a_block_out_of_the_shared_budget_exhausts_the_storage_model(budget):
+    # the first block takes one node and leaves the second with one or none
+    model = three_compartments()
+    sol = bargain._solve_by_block(model, DEFAULT_GAP, budget)
+    assert sol.status == BUDGET_EXHAUSTED
+    assert sol.nodes <= budget
+    optimum = highs_objective(model)
+    assert sol.bound >= optimum - 1e-9 * optimum
+    if sol.incumbent is not None:
+        assert sol.objective <= optimum + 1e-9 * optimum
+
+
+def test_blocks_below_one_meet_the_gap_on_their_sums(monkeypatch):
+    # every block's bound sits 0.9 of its own gap above its incumbent; a block
+    # optimum below 1 makes that gap absolute, so three blocks miss the gap of
+    # their sum, also below 1, until they are solved to a tighter one
+    model = three_compartments(money=1e-3)
+    real_solve = bargain.solve_milp
+    gaps = []
+
+    def loose(block, gap, *args, **kwargs):
+        gaps.append(gap)
+        sol = real_solve(block, gap, *args, **kwargs)
+        assert abs(sol.objective) < 1.0
+        return replace(sol, bound=sol.objective + 0.9 * gap * max(1.0, abs(sol.objective)))
+
+    monkeypatch.setattr(bargain, "solve_milp", loose)
+    sol = bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET)
+    assert gaps[:2] == [DEFAULT_GAP] * 2 and len(gaps) == 4 and max(gaps[2:]) < DEFAULT_GAP
+    assert abs(sol.objective) < 1.0
+    assert sol.status == OPTIMAL_WITHIN_GAP
+    assert sol.gap == _relative_gap(sol.objective, sol.bound) <= DEFAULT_GAP
+    assert sol.objective == pytest.approx(highs_objective(model), abs=DEFAULT_GAP)
+
+
+def test_a_row_linking_two_blocks_is_refused():
+    model = three_compartments()
+    add_constraint(model, {0: 1.0, model.n - 1: 1.0}, LE, 1e4, "two_compartments")
+    with pytest.raises(ValueError, match="two_compartments links two blocks"):
+        bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET)

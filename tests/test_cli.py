@@ -44,15 +44,13 @@ def test_exhausted_node_budget_in_p3_command_exits_4(tmp_path, capsys):
 
 def test_infeasible_model_in_p3_command_exits_3(tmp_path, capsys, monkeypatch):
     real_solve = bargain.solve_milp
-    calls = []
 
-    def third_solve_infeasible(model, *args, **kwargs):
-        calls.append(model)
-        if len(calls) <= 2:  # P1 and P2 solve as usual
+    def joint_model_infeasible(model, *args, **kwargs):
+        if "lease_da_in[0,0]" not in model.var_layout:  # P1 and P2 solve as usual
             return real_solve(model, *args, **kwargs)
         return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, 1)
 
-    monkeypatch.setattr(bargain, "solve_milp", third_solve_infeasible)
+    monkeypatch.setattr(bargain, "solve_milp", joint_model_infeasible)
     path = tmp_path / "tiny.scenario"
     save_scenario(tiny_scenario(), path)
     code = main(["solve-p3-tcm", "--scenario", str(path), "--out", str(tmp_path / "out")])
@@ -234,7 +232,16 @@ def test_frontier_drops_a_cell_whose_solve_fails(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command", ["solve-p3-tcm", "solve-p3-nbs", "simulate-market", "generate-demand"]
+    "command",
+    [
+        "solve-p1",
+        "solve-p2",
+        "solve-p3-tcm",
+        "solve-p3-nbs",
+        "frontier",
+        "simulate-market",
+        "generate-demand",
+    ],
 )
 def test_joint_commands_write_the_same_bytes_in_two_processes(tmp_path, command):
     # the B&B carries search state (pseudo-costs); each process draws its own hash seed,

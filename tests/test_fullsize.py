@@ -3,25 +3,25 @@
 The reference values come from ``scipy.optimize.milp`` (HiGHS) on the same
 models; each ``coopt`` objective must lie within the 5e-4 relative gap that
 branch-and-bound certifies, and a search stopped by its node budget must
-report a bound on the far side of the reference.  One sweep cell's root LP
-is checked against ``scipy.optimize.linprog`` (HiGHS).
+report a bound on the far side of the reference.  Two root LPs are checked
+against the LP relaxation's optimum from HiGHS.
 """
 
 from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from coopt import presets
-from coopt.bargain import DisagreementPoints, _gain_model, _weighted, solve_tcm
+from coopt.bargain import DisagreementPoints, _gain_model, _weighted, solve_study, solve_tcm
 from coopt.bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
 from coopt.io import load_scenario
-from coopt.linear import EQ, GE, MAX, MIN, add_constraint, with_objective
+from coopt.linear import GE, MAX, MIN, add_constraint, with_objective
 from coopt.models import build_p1, build_p2, build_p3
 from coopt.sensitivity import _apply_demand_level, _apply_price_levels
 from coopt.simplex import OPTIMAL, SimplexSolver
 from coopt.simulate import percentile_profiles
+
+from oracles import highs_objective
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GAP = 5e-4
@@ -84,25 +84,11 @@ def test_median_storage():
     assert within_gap(p2.objective, 3647.4689)
 
 
-def highs_lp_objective(model):
-    """The LP relaxation's optimum from ``scipy.optimize.linprog`` (HiGHS)."""
-    sign = 1.0 if model.sense == MIN else -1.0
-    c = np.zeros(model.n)
-    for j, v in model.objective.items():
-        c[j] = sign * v
-    A = np.zeros((model.m, model.n))
-    for i, con in enumerate(model.constraints):
-        for j, v in con.coeffs.items():
-            A[i, j] = v
-    b = np.array([con.rhs for con in model.constraints])
-    eq = np.array([con.sense == EQ for con in model.constraints])
-    flip = np.array([-1.0 if con.sense == GE else 1.0 for con in model.constraints])
-    res = linprog(
-        c, A_ub=flip[~eq, None] * A[~eq], b_ub=flip[~eq] * b[~eq], A_eq=A[eq], b_eq=b[eq],
-        bounds=[(v.lb, v.ub) for v in model.variables], method="highs",
-    )
-    assert res.status == 0
-    return sign * res.fun
+def test_median_storage_by_block():
+    # solve_study solves the six equal compartments as one block
+    p2 = solve_study(load_scenario(SCENARIOS / "median.scenario"), "p2").p2
+    assert p2.status == OPTIMAL_WITHIN_GAP
+    assert within_gap(p2.objective, 3647.4689)
 
 
 def test_sweep_cell_root_lp_is_solved():
@@ -121,7 +107,7 @@ def test_sweep_cell_root_lp_is_solved():
     model = _gain_model(p3, d, p3.obj_a, MIN)
     sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(highs_lp_objective(model), rel=1e-6)
+    assert sol.objective == pytest.approx(highs_objective(model, relax=True), rel=1e-6)
 
 
 def test_ordered_compartments_root_lp_is_solved():
@@ -143,4 +129,4 @@ def test_ordered_compartments_root_lp_is_solved():
         add_constraint(model, coeffs, GE, 0.0, f"order_stored[{k}]")
     sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(highs_lp_objective(model), rel=1e-6)
+    assert sol.objective == pytest.approx(highs_objective(model, relax=True), rel=1e-6)

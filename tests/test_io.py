@@ -96,6 +96,10 @@ def fractional_horizon(doc):
     doc["horizon"] = 2.5
 
 
+def boolean_horizon(doc):
+    doc["horizon"] = True
+
+
 # a range check of the scenario classes reads "<field> must ...", every other message "<field>: ..."
 RANGE_RULES = {"hub.station_rate": " must be > 0", "joint.lease_markup": " must be >= 0"}
 
@@ -118,6 +122,7 @@ RANGE_RULES = {"hub.station_rate": " must be > 0", "joint.lease_markup": " must 
         (negative_lease_markup, "joint.lease_markup"),
         (drop_joint_field, "joint.deg_rate"),
         (fractional_horizon, "horizon"),
+        (boolean_horizon, "horizon"),
     ],
 )
 def test_bad_value_error_names_its_field(tmp_path, edit, field):

@@ -11,6 +11,7 @@ from coopt.linear import (
     MAX,
     MIN,
     objective_value,
+    split_blocks,
     with_objective,
 )
 from coopt.models import (
@@ -217,6 +218,26 @@ def test_mode_binaries_shape(T, K):
                 and all(model.variables[i].binary for i in con.coeffs)
             ]
             assert len(rows) == 1
+
+
+def test_blocks_are_the_compartments_and_the_hub():
+    # compartment k's columns, leased ones included, end in ",k]" and the hub's hold no comma
+    scn = tiny_scenario(T=3, K=2, seed=1)
+    p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
+    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
+    for model, labels in ((p2, [0, 1]), (p3.base, [-1, 0, 1])):
+        blocks, linking = split_blocks(model)
+        assert [block.label for block in blocks] == labels
+        for block in blocks:
+            for v, j in zip(block.model.variables, block.cols):
+                assert v == model.variables[j]
+                assert v.name.endswith(f",{block.label}]") if block.label >= 0 else "," not in v.name
+            for con, i in zip(block.model.constraints, block.rows):
+                assert con.name == model.constraints[i].name
+        kept = sorted(i for block in blocks for i in block.rows)
+        assert sorted(kept + linking) == list(range(model.m))
+        names = {model.constraints[i].name.split("[")[0] for i in linking}
+        assert names == (set() if model is p2 else {"commit_split", "demand_balance"})
 
 
 def test_var_layout_bijection():
