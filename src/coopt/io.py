@@ -8,9 +8,12 @@ Those dataclasses are the only description of the format.
 :func:`load_scenario` reads each field by the kind its annotation names,
 then leaves the value checks to the dataclasses; every error names the
 field.  CSV is used for the simulated histories and for every emitted
-table.  All numbers are written with ``repr``-precision (shortest
-round-trip decimal), which makes outputs bytewise reproducible for a fixed
-seed.
+table.  All numbers, numpy floats included, are written with
+``repr``-precision (shortest round-trip decimal), which makes outputs
+bytewise reproducible for a fixed seed.  The hourly reports read each
+solution's variable families as arrays from
+:func:`~coopt.models.family_values` and build no column name; a lease
+family that P1 or P2 lacks is an explicit zero array.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .bargain import ResultsBundle
+from .models import family_values
 from .scenario import ScenarioInputs
 
 EXIT_OK = 0
@@ -152,9 +156,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # np.float64 subclasses float, and its repr keeps the numpy wrapper
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return v
 
@@ -178,15 +181,12 @@ def write_bid_history(path, records) -> None:
     accepted offers proportionally to their accepted energy.
     """
     rows = []
-    day_counter: dict[int, int] = {}
     for rec in records:
-        day = day_counter.get(rec.hour, 0)
-        day_counter[rec.hour] = day + 1
         total = rec.outcome.accepted_quantity
         for (price, qty), accepted in zip(rec.stack.offers, rec.outcome.accepted):
             share = accepted / total if total > 0 else 0.0
             rows.append(
-                (day, rec.hour, price, qty, accepted, share * rec.outcome.deployed_quantity)
+                (rec.day, rec.hour, price, qty, accepted, share * rec.outcome.deployed_quantity)
             )
     write_csv(path, ("day", "hour", "price", "qty", "accepted", "deployed"), rows)
 
@@ -202,33 +202,27 @@ def emit_report(bundle: ResultsBundle, outdir) -> list[Path]:
         raise ValueError("nothing to report: no solve results in the bundle")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = [_write_summary(bundle, points, outdir / "summary.csv")]
 
-    written.append(_write_summary(bundle, points, outdir / "summary.csv"))
-
-    # each source carries its model's name map, built once per model
-    joint_layout = bundle.p3.base.var_layout if bundle.p3 is not None else None
-    joint_sources = [
-        (label, joint_layout, point.assignment)
-        for label, point in points.items()
-        if point.assignment is not None and joint_layout is not None
+    scn = bundle.scenario
+    independent = (("p1", bundle.p1_model, bundle.p1), ("p2", bundle.p2_model, bundle.p2))
+    solutions = [
+        (label, model, sol.incumbent) for label, model, sol in independent if sol is not None
     ]
-    hourly_sources = list(joint_sources)
-    if bundle.p1 is not None:
-        hourly_sources.insert(0, ("p1", bundle.p1_model.var_layout, bundle.p1.incumbent))
-    if hourly_sources:
-        label, layout, x = hourly_sources[-1]
-        written.append(_write_da_commitment(bundle.scenario, layout, x, outdir / "da_commitment.csv"))
-        written.append(
-            _write_charging_sources(bundle.scenario, layout, x, outdir / "charging_sources.csv")
-        )
-
-    bss_sources = list(joint_sources)
-    if bundle.p2 is not None:
-        bss_sources.insert(0, ("p2", bundle.p2_model.var_layout, bundle.p2.incumbent))
-    if bss_sources:
-        written.append(_write_reserve_bids(bundle.scenario, bss_sources, outdir / "reserve_bids.csv"))
-        written.append(_write_bss_levels(bundle.scenario, bss_sources, outdir / "bss_levels.csv"))
+    solutions += [
+        (label, bundle.p3.base, point.assignment)
+        for label, point in points.items()
+        if point.assignment is not None
+    ]
+    sources = [(label, _families(model, x, scn)) for label, model, x in solutions]
+    hub = [values for label, values in sources if label != "p2"]
+    if hub:  # the last solution with hub columns
+        written.append(_write_da_commitment(hub[-1], outdir / "da_commitment.csv"))
+        written.append(_write_charging_sources(hub[-1], scn, outdir / "charging_sources.csv"))
+    storage = [(label, values) for label, values in sources if label != "p1"]
+    if storage:
+        written.append(_write_reserve_bids(storage, outdir / "reserve_bids.csv"))
+        written.append(_write_bss_levels(storage, outdir / "bss_levels.csv"))
 
     if bundle.bargain is not None:
         result = bundle.bargain
@@ -238,118 +232,72 @@ def emit_report(bundle: ResultsBundle, outdir) -> list[Path]:
     return written
 
 
-def _value(layout: dict[str, int], x, name: str) -> float:
-    j = layout.get(name)
-    return float(x[j]) if j is not None else 0.0
+def _families(model, x, scn: ScenarioInputs) -> dict[str, np.ndarray]:
+    """The variable families of the solution ``x`` of ``model``.  The leased
+    space's families, which P1 and P2 lack, are zeros there."""
+    zeros = np.zeros((scn.horizon, scn.bss.k))
+    leased = dict.fromkeys(("lease_da_in", "lease_to_ev", "stored_hub"), zeros)
+    return leased | family_values(model, x)
 
 
 def _write_summary(bundle: ResultsBundle, points, path: Path):
-    rows = []
     # the solver's objectives, which are also what the command prints and the disagreement point
-    d1 = bundle.p1.objective if bundle.p1 is not None else None
-    d2 = bundle.p2.objective if bundle.p2 is not None else None
-
-    def delta(new, base):
-        if new is None or base in (None, 0.0):
-            return ""
-        return 100.0 * (new - base) / abs(base)
-
-    tcm = points.get("tcm")
-    nbs = points.get("nbs")
-    rows.append(
-        (
-            "hub_cost",
-            _blank(d1),
-            _blank(tcm.f_a if tcm else None),
-            _blank(delta(tcm.f_a if tcm else None, d1)),
-            _blank(nbs.f_a if nbs else None),
-            _blank(delta(nbs.f_a if nbs else None, d1)),
-        )
-    )
-    rows.append(
-        (
-            "bss_profit",
-            _blank(d2),
-            _blank(tcm.f_b if tcm else None),
-            _blank(delta(tcm.f_b if tcm else None, d2)),
-            _blank(nbs.f_b if nbs else None),
-            _blank(delta(nbs.f_b if nbs else None, d2)),
-        )
-    )
+    rows = []
+    for quantity, sol, side in (("hub_cost", bundle.p1, "f_a"), ("bss_profit", bundle.p2, "f_b")):
+        base = sol.objective if sol is not None else None
+        row = [quantity, _blank(base)]
+        for label in ("tcm", "nbs"):
+            value = getattr(points[label], side) if label in points else None
+            missing = value is None or base in (None, 0.0)
+            row += [_blank(value), "" if missing else 100.0 * (value - base) / abs(base)]
+        rows.append(row)
     write_csv(path, ("quantity", "independent", "tcm", "tcm_delta_pct", "nbs", "nbs_delta_pct"), rows)
     return path
 
 
 def _blank(v):
-    return "" if v is None or v == "" else float(v)
+    return "" if v is None else float(v)
 
 
-def _write_da_commitment(scn: ScenarioInputs, layout: dict[str, int], x, path: Path):
-    K = scn.bss.k if scn.bss else 0
-    rows = []
-    for t in range(scn.horizon):
-        to_storage = sum(_value(layout, x, f"lease_da_in[{t},{k}]") for k in range(K))
-        rows.append(
-            (
-                t,
-                _value(layout, x, f"da_commit[{t}]"),
-                to_storage,
-                _value(layout, x, f"da_to_ev[{t}]"),
-                _value(layout, x, f"da_to_rt[{t}]"),
-            )
-        )
+# A sum over the compartments, ``sum(values.T)``, adds them in compartment
+# order, starting from 0 as Python's ``sum`` does.
+
+
+def _write_da_commitment(v: dict, path: Path):
+    rows = zip(
+        range(len(v["da_commit"])),
+        v["da_commit"], sum(v["lease_da_in"].T), v["da_to_ev"], v["da_to_rt"],
+    )
     write_csv(path, ("hour", "commitment", "to_storage", "to_ev", "resale"), rows)
     return path
 
 
-def _write_charging_sources(scn: ScenarioInputs, layout: dict[str, int], x, path: Path):
-    K = scn.bss.k if scn.bss else 0
-    rows = []
-    for t in range(scn.horizon):
-        from_storage = sum(_value(layout, x, f"lease_to_ev[{t},{k}]") for k in range(K))
-        rows.append(
-            (
-                t,
-                _value(layout, x, f"da_to_ev[{t}]"),
-                from_storage,
-                _value(layout, x, f"rt_to_ev[{t}]"),
-                scn.demand.ev_load[t],
-            )
-        )
+def _write_charging_sources(v: dict, scn: ScenarioInputs, path: Path):
+    rows = zip(
+        range(scn.horizon),
+        v["da_to_ev"], sum(v["lease_to_ev"].T), v["rt_to_ev"], scn.demand.ev_load,
+    )
     write_csv(path, ("hour", "from_da", "from_storage", "from_rt", "demand"), rows)
     return path
 
 
-def _write_reserve_bids(scn: ScenarioInputs, sources, path: Path):
-    labels = [label for label, _, _ in sources]
-    header = ["hour"]
-    for label in labels:
+def _write_reserve_bids(sources, path: Path):
+    header, columns = ["hour"], []
+    for label, v in sources:
         header += [f"{label}_bid_up", f"{label}_bid_dn"]
-    rows = []
-    for t in range(scn.horizon):
-        row = [t]
-        for _, layout, x in sources:
-            row.append(sum(_value(layout, x, f"bid_up[{t},{k}]") for k in range(scn.bss.k)))
-            row.append(sum(_value(layout, x, f"bid_dn[{t},{k}]") for k in range(scn.bss.k)))
-        rows.append(tuple(row))
-    write_csv(path, tuple(header), rows)
+        columns += [sum(v["bid_up"].T), sum(v["bid_dn"].T)]
+    write_csv(path, header, zip(range(len(columns[0])), *columns))
     return path
 
 
-def _write_bss_levels(scn: ScenarioInputs, sources, path: Path):
-    labels = [label for label, _, _ in sources]
-    header = ["hour", "compartment"]
-    for label in labels:
+def _write_bss_levels(sources, path: Path):
+    header, columns = ["hour", "compartment"], []
+    for label, v in sources:
         header += [f"{label}_hub_level", f"{label}_bss_level"]
-    rows = []
-    for t in range(scn.horizon):
-        for k in range(scn.bss.k):
-            row = [t, k]
-            for _, layout, x in sources:
-                row.append(_value(layout, x, f"stored_hub[{t},{k}]"))
-                row.append(_value(layout, x, f"stored_bss[{t},{k}]"))
-            rows.append(tuple(row))
-    write_csv(path, tuple(header), rows)
+        columns += [v["stored_hub"], v["stored_bss"]]
+    T, K = columns[0].shape
+    rows = [(t, k, *(c[t, k] for c in columns)) for t in range(T) for k in range(K)]
+    write_csv(path, header, rows)
     return path
 
 

@@ -77,14 +77,6 @@ class LinearModel:
     def m(self) -> int:
         return len(self.constraints)
 
-    @property
-    def var_layout(self) -> dict[str, int]:
-        """Bijection from variable name to column index."""
-        layout = {v.name: j for j, v in enumerate(self.variables)}
-        if len(layout) != len(self.variables):
-            raise ValueError("variable names are not unique")
-        return layout
-
     def binary_indices(self) -> list[int]:
         return [j for j, v in enumerate(self.variables) if v.binary]
 

@@ -16,6 +16,11 @@ shares with them, and add the lease's own ``level_cap``, ``level_floor`` and
 ``hub_balance`` rows.  P2 bounds each stored level by the storage floor; P3
 puts the floor on the sum of the two operators' levels, as a row.
 
+A hub column is named ``family[t]`` and a compartment column
+``family[t,k]``.  :func:`family_values` is the only reader of those names:
+it gives each family's values in a solution as one array, so a report reads
+a family whole and never spells a column name.
+
 Each column is labelled with its block as it is created: compartment ``k``'s
 columns, the leased ones included, carry block ``k`` and the hub's columns
 block -1.  A row's block is the one its columns share
@@ -32,6 +37,8 @@ price again, while ``"single-scaled"`` prices it by the RT price once.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .linear import (
     EQ,
@@ -275,3 +282,24 @@ def build_p3(
         prices, hub=hub, demand=demand, bss=bss, probs=probs, joint=joint, mode=deployment_revenue
     )
     return BiObjectiveModel(LinearModel(variables, rows, {}, MIN), cost, profit)
+
+
+def family_values(model: LinearModel, x) -> dict[str, np.ndarray]:
+    """The values in ``x`` of each variable family of ``model``, a model that
+    :func:`build_p1`, :func:`build_p2` or :func:`build_p3` returned.
+
+    A hub family's values are a ``(T,)`` array and a compartment family's a
+    ``(T, K)`` array, indexed as the family's column names ``family[t]`` and
+    ``family[t,k]`` are.  This is the only reader of those names.
+    """
+    x = np.asarray(x, dtype=float)
+    entries: dict[str, list[tuple[int, ...]]] = {}
+    for j, v in enumerate(model.variables):
+        family, _, label = v.name.rstrip("]").partition("[")
+        entries.setdefault(family, []).append((j, *map(int, label.split(","))))
+    out = {}
+    for family, rows in entries.items():
+        j, *key = np.array(rows).T
+        out[family] = np.zeros(np.max(key, axis=1) + 1)
+        out[family][tuple(key)] = x[j]
+    return out

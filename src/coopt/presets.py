@@ -9,7 +9,7 @@ them are deterministic in the seed.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .simulate import (
     DemandGenConfig,
     MarketRecord,
     clear_reserve_market,
+    estimate_probabilities,
     generate_demand,
     percentile_profiles,
     stream,
@@ -178,37 +179,21 @@ def synthetic_market_history(seed: int = 0, days: int = 30):
                     deployed,
                     outcome.shortfall,
                 )
-                records.append(MarketRecord(t, side, stack, outcome))
+                records.append(MarketRecord(day, t, side, stack, outcome))
                 out[day, t] = outcome.clearing_price
     return records, up_prices, dn_prices
 
 
 def daily_probability_profiles(records):
-    """Per-day acceptance/deployment rate paths, for percentile levels."""
-    acc = {"up": {}, "dn": {}}
-    dep = {"up": {}, "dn": {}}
-    counters: dict[tuple[str, int], int] = {}
+    """Per-day acceptance/deployment rate paths, for percentile levels: the
+    empirical rates of each day's records, one row per day."""
+    by_day: dict[int, list[MarketRecord]] = {}
     for rec in records:
-        day = counters.get((rec.side, rec.hour), 0)
-        counters[(rec.side, rec.hour)] = day + 1
-        n_offers = len(rec.stack.offers)
-        n_acc = sum(1 for q in rec.outcome.accepted if q > 0)
-        acc[rec.side].setdefault(day, [0.0] * HOURS)[rec.hour] = n_acc / n_offers
-        rate = (
-            rec.outcome.deployed_quantity / rec.outcome.accepted_quantity
-            if rec.outcome.accepted_quantity > 0
-            else 0.0
-        )
-        dep[rec.side].setdefault(day, [0.0] * HOURS)[rec.hour] = min(rate, 1.0)
-
-    def matrix(tab):
-        return np.array([tab[d] for d in sorted(tab)])
-
+        by_day.setdefault(rec.day, []).append(rec)
+    daily = [estimate_probabilities(by_day[day], HOURS) for day in sorted(by_day)]
     return {
-        "acc_up": matrix(acc["up"]),
-        "acc_dn": matrix(acc["dn"]),
-        "dep_up": matrix(dep["up"]),
-        "dep_dn": matrix(dep["dn"]),
+        f.name: np.array([getattr(probs, f.name) for probs in daily])
+        for f in fields(ReserveProbabilities)
     }
 
 
@@ -236,8 +221,6 @@ def build_scenario(
     records, up_hist, dn_hist = synthetic_market_history(seed, days)
     lam_up = percentile_profiles(up_hist, 50.0)
     lam_dn = percentile_profiles(dn_hist, 50.0)
-    from .simulate import estimate_probabilities
-
     probs = estimate_probabilities(records, HOURS)
 
     prices = PriceProfiles(tuple(lam_da), tuple(lam_rt), tuple(lam_up), tuple(lam_dn))

@@ -43,15 +43,17 @@ start takes the slack basis, whose inverse is the identity, with every
 structural column at a finite bound.  A basis that is primal feasible goes
 straight to the primal simplex.  Otherwise the cost of each nonbasic column
 whose reduced cost has the wrong sign is shifted so that this reduced cost
-is ``DUAL_TOL (1 + |c_j|)`` of the right sign (zero for a free column), the
-bounded dual simplex runs on the shifted costs until the basis is primal
-feasible, and the primal simplex on the true costs removes the shift
-(Huangfu & Hall 2018; Koberstein 2005).  A warm basis that is dual feasible,
-the common case after branch-and-bound bound changes, needs no shift; the
-margin keeps the dual ratio test off ties at zero on bases, such as the
-slack basis, that are far from dual feasible.  The dual simplex calls a row
-infeasible only when its value, recomputed from the inverse, still violates
-its bound, not on the rounding carried through the updates.  It takes no
+is ``DUAL_TOL (1 + |c_j|)`` of the right sign (zero for a free column), and
+so is the cost of each column that can move one way only and whose reduced
+cost is within ``DUAL_TOL`` of zero.  The bounded dual simplex runs on the
+shifted costs until the basis is primal feasible, and the primal simplex on
+the true costs removes the shift (Huangfu & Hall 2018; Koberstein 2005).  A
+warm basis that is dual feasible with no reduced cost near zero needs no
+shift; the margin keeps the dual ratio test off ties at zero on bases, such
+as the slack basis of a model with few costed columns, where most reduced
+costs are zero.  The dual simplex calls a row infeasible only when its
+value, recomputed from the inverse, still violates its bound, not on the
+rounding carried through the updates.  It takes no
 pivot that is small against its column: it retries one on a fresh inverse,
 and passes over one that a fresh inverse repeats for the next ratio, so it
 stops ``SINGULAR`` only on a row whose every eligible pivot is small.  After
@@ -89,7 +91,7 @@ ITERATION_LIMIT = "iteration-limit"
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-8
-DUAL_TOL = 1e-7  # a reduced cost of the wrong sign beyond this is shifted to this times 1 + |c_j|
+DUAL_TOL = 1e-7  # a reduced cost of the wrong sign beyond this, or within this of zero, is shifted
 PIV_TOL = 1e-9
 REFACTOR_EVERY = 50
 KEPT_FACTORIZATIONS = 4
@@ -638,14 +640,17 @@ class SimplexSolver:
         rise, fall = self._movable()
         # a nonbasic column's cost does not enter y = c_B B^-1, so shifting it
         # moves that reduced cost alone: to a margin of the sign that makes the
-        # column dual feasible, or to zero for a free column
-        wrong = (rise & (d < -DUAL_TOL)) | (fall & (d > DUAL_TOL))
+        # column dual feasible, or to zero for a free column.  A one-way column
+        # whose reduced cost is within DUAL_TOL of zero gets the margin too, so
+        # the dual ratio test does not tie at zero on it
+        near_zero = (rise != fall) & (np.abs(d) <= DUAL_TOL)
+        shift = (rise & (d < -DUAL_TOL)) | (fall & (d > DUAL_TOL)) | near_zero
         c = self.cost
-        if wrong.any():
+        if shift.any():
             margin = DUAL_TOL * (1.0 + np.abs(c))
             target = np.where(rise & fall, 0.0, np.where(rise, margin, -margin))
-            c = np.where(wrong, c - d + target, c)
-            d = np.where(wrong, target, d)
+            c = np.where(shift, c - d + target, c)
+            d = np.where(shift, target, d)
         status = self._dual(c, d)
         return self._primal(self.cost) if status == OPTIMAL else status
 

@@ -149,8 +149,10 @@ def clear_reserve_market(stack: BidStack) -> ClearingOutcome:
 
 @dataclass(frozen=True)
 class MarketRecord:
-    """One cleared hour of one reserve product, tagged for hour-of-day bucketing."""
+    """One cleared hour of one reserve product, tagged with the day it was
+    cleared on and its hour of day."""
 
+    day: int
     hour: int
     side: str  # "up" | "dn"
     stack: BidStack

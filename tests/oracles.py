@@ -7,7 +7,9 @@ the certificate check recomputes optimality residuals from the model, the
 axiom check probes a bargain for rationality, Pareto optimality, affine
 invariance and symmetry, and the objective breakdown recomputes every money
 component of a model's objectives from its inputs and variable values.  The
-HiGHS oracle solves a model with ``scipy.optimize.milp``.
+HiGHS oracle solves a model with ``scipy.optimize.milp``, and the report
+oracle reads every column of the hourly reports from a study's solutions,
+variable by variable name.
 """
 
 from __future__ import annotations
@@ -179,9 +181,17 @@ def single_hour_bss_profit(
     return best
 
 
+def var_layout(model: LinearModel) -> dict[str, int]:
+    """Bijection from variable name to column index."""
+    layout = {v.name: j for j, v in enumerate(model.variables)}
+    if len(layout) != len(model.variables):
+        raise ValueError("variable names are not unique")
+    return layout
+
+
 def value_of(model: LinearModel, x, name: str) -> float:
     """The entry of ``x`` at the model's variable called ``name``."""
-    return float(x[model.var_layout[name]])
+    return float(x[var_layout(model)[name]])
 
 
 def with_slacks(sf: StandardForm, x) -> np.ndarray:
@@ -408,7 +418,7 @@ def maximize_b(p3: BiObjectiveModel) -> LinearModel:
 
 def fix_variables(model: LinearModel, names) -> None:
     """Pin the named variables to zero by collapsing their bounds."""
-    layout = model.var_layout
+    layout = var_layout(model)
     for name in names:
         var = model.variables[layout[name]]
         var.lb = var.ub = 0.0
@@ -476,7 +486,7 @@ def objective_breakdown(
         raise ValueError("assignment is not feasible for the model")
 
     out = ObjectiveBreakdown()
-    layout = base.var_layout
+    layout = var_layout(base)
     T = prices.horizon
 
     def val(name: str) -> float:
@@ -511,3 +521,68 @@ def objective_breakdown(
                 out.hub_lease_fee += fee * discharged
                 out.bss_lease_income += income * discharged
     return out
+
+
+def hourly_reports(bundle) -> dict[str, list[list]]:
+    """Header and rows of each hourly report the study ``bundle`` writes,
+    every value read from its solutions by variable name.
+
+    The hub's reports show the last solution that has hub columns, and the
+    storage reports every solution that has compartment columns.  P1 and P2
+    lease nothing, so their leased flows and levels are zero.
+    """
+    scn = bundle.scenario
+    T, K = scn.horizon, scn.bss.k
+    solutions = []
+    if bundle.p1 is not None:
+        solutions.append(("p1", bundle.p1_model, bundle.p1.incumbent))
+    if bundle.p2 is not None:
+        solutions.append(("p2", bundle.p2_model, bundle.p2.incumbent))
+    solutions += [
+        (label, bundle.p3.base, point.assignment)
+        for label, point in bundle.joint_points().items()
+    ]
+
+    def reader(label, model, x):
+        def value(family, t, k=None):
+            if label in ("p1", "p2") and family in LEASE_VAR_PREFIXES:
+                return 0.0
+            return value_of(model, x, f"{family}[{t}]" if k is None else f"{family}[{t},{k}]")
+
+        def total(family, t):
+            return sum(value(family, t, k) for k in range(K))
+
+        return value, total
+
+    reports = {}
+    hub = [s for s in solutions if s[0] != "p2"]
+    if hub:
+        value, total = reader(*hub[-1])
+        commitment = [["hour", "commitment", "to_storage", "to_ev", "resale"]]
+        sources = [["hour", "from_da", "from_storage", "from_rt", "demand"]]
+        for t in range(T):
+            commitment.append([
+                t, value("da_commit", t), total("lease_da_in", t), value("da_to_ev", t),
+                value("da_to_rt", t),
+            ])
+            sources.append([
+                t, value("da_to_ev", t), total("lease_to_ev", t), value("rt_to_ev", t),
+                scn.demand.ev_load[t],
+            ])
+        reports["da_commitment.csv"] = commitment
+        reports["charging_sources.csv"] = sources
+    storage = [(label, *reader(label, model, x)) for label, model, x in solutions if label != "p1"]
+    if storage:
+        sides, owners = ("up", "dn"), ("hub", "bss")
+        bids = [["hour"] + [f"{label}_bid_{side}" for label, *_ in storage for side in sides]]
+        levels = [["hour", "compartment"]]
+        levels[0] += [f"{label}_{owner}_level" for label, *_ in storage for owner in owners]
+        for t in range(T):
+            bids.append([t] + [total(f"bid_{side}", t) for *_, total in storage for side in sides])
+            for k in range(K):
+                levels.append([t, k] + [
+                    value(f"stored_{owner}", t, k) for _, value, _ in storage for owner in owners
+                ])
+        reports["reserve_bids.csv"] = bids
+        reports["bss_levels.csv"] = levels
+    return reports

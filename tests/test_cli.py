@@ -25,6 +25,7 @@ from coopt.models import SINGLE_SCALED
 from coopt.presets import synthetic_market_history
 
 from conftest import tiny_scenario
+from oracles import var_layout
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -46,7 +47,7 @@ def test_infeasible_model_in_p3_command_exits_3(tmp_path, capsys, monkeypatch):
     real_solve = bargain.solve_milp
 
     def joint_model_infeasible(model, *args, **kwargs):
-        if "lease_da_in[0,0]" not in model.var_layout:  # P1 and P2 solve as usual
+        if "lease_da_in[0,0]" not in var_layout(model):  # P1 and P2 solve as usual
             return real_solve(model, *args, **kwargs)
         return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, 1)
 

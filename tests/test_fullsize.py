@@ -7,21 +7,30 @@ report a bound on the far side of the reference.  Two root LPs are checked
 against the LP relaxation's optimum from HiGHS.
 """
 
+import math
 from pathlib import Path
 
 import pytest
 
 from coopt import presets
-from coopt.bargain import DisagreementPoints, _gain_model, _weighted, solve_study, solve_tcm
+from coopt.bargain import (
+    START_SLOPES,
+    DisagreementPoints,
+    _gain_model,
+    _tangent_cut,
+    _weighted,
+    solve_study,
+    solve_tcm,
+)
 from coopt.bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
 from coopt.io import load_scenario
-from coopt.linear import GE, MAX, MIN, add_constraint, with_objective
+from coopt.linear import GE, MAX, MIN, Variable, add_constraint, with_objective
 from coopt.models import build_p1, build_p2, build_p3
 from coopt.sensitivity import _apply_demand_level, _apply_price_levels
 from coopt.simplex import OPTIMAL, SimplexSolver
 from coopt.simulate import percentile_profiles
 
-from oracles import highs_objective
+from oracles import highs_objective, var_layout
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GAP = 5e-4
@@ -110,6 +119,24 @@ def test_sweep_cell_root_lp_is_solved():
     assert sol.objective == pytest.approx(highs_objective(model, relax=True), rel=1e-6)
 
 
+def test_first_nash_cut_lp_is_solved_cold():
+    # the root LP of the first cut model `solve_nbs` builds on the benchmark's
+    # one-compartment scenario, solved from the slack basis; there only the
+    # Nash variable has a cost, and a dual ratio test that ties at zero on the
+    # other columns took a tiny pivot and stopped `singular`
+    scn = presets.build_scenario(K=1)
+    d = DisagreementPoints(solve_study(scn, "p1").p1.objective, solve_study(scn, "p2").p2.objective)
+    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
+    model = _gain_model(p3, d, {}, MAX)
+    gamma = model.n
+    model.variables.append(Variable("nash_gamma", 0.0, math.inf))
+    model.objective[gamma] = 1.0
+    model.constraints += [_tangent_cut(p3, d, gamma, t) for t in START_SLOPES]
+    sol = SimplexSolver(model).solve()
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(highs_objective(model, relax=True), rel=1e-9)
+
+
 def test_ordered_compartments_root_lp_is_solved():
     # the K=6 total-cost LP with five valid rows that order its identical
     # compartments by total stored level; from the slack basis, shifting the
@@ -117,7 +144,7 @@ def test_ordered_compartments_root_lp_is_solved():
     # ties at zero, and the solve stops `singular`
     scn = load_scenario(SCENARIOS / "median.scenario")
     model = tcm_milp(scn)
-    layout = model.var_layout
+    layout = var_layout(model)
     T = len(scn.prices.lambda_da)
 
     def stored(k):

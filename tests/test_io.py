@@ -1,12 +1,23 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coopt.cli import main
-from coopt.io import EXIT_INPUT_ERROR, ScenarioError, load_scenario, save_scenario
+from coopt.bargain import solve_study
+from coopt.cli import _SOLVE_GOALS, main
+from coopt.io import (
+    EXIT_INPUT_ERROR,
+    ScenarioError,
+    emit_report,
+    load_scenario,
+    save_scenario,
+    write_csv,
+)
 
 from conftest import tiny_scenario
+from oracles import hourly_reports
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -147,3 +158,37 @@ def test_invalid_json_exits_2(tmp_path, capsys):
         EXIT_INPUT_ERROR
     )
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_csv_writes_every_float_as_its_shortest_repr(tmp_path):
+    path = tmp_path / "floats.csv"
+    rows = [
+        (1, 0.5, np.float64(0.1), np.float32(0.25)),
+        ("x", -0.0, np.float64(-0.0), np.float32(0.1)),
+    ]
+    write_csv(path, ("a", "b", "c", "d"), rows)
+    assert path.read_text().splitlines() == [
+        "a,b,c,d", "1,0.5,0.1,0.25", "x,-0.0,-0.0,0.10000000149011612",
+    ]
+
+
+def check_hourly_reports(scn, command, outdir):
+    bundle = solve_study(scn, _SOLVE_GOALS[command])
+    emit_report(bundle, outdir)
+    expected = hourly_reports(bundle)
+    hourly = ("da_commitment.csv", "charging_sources.csv", "reserve_bids.csv", "bss_levels.csv")
+    assert [name for name in hourly if (outdir / name).exists()] == list(expected)
+    for name, (header, *rows) in expected.items():
+        with open(outdir / name, newline="") as fh:
+            written_header, *written = csv.reader(fh)
+        assert written_header == header, name
+        assert [[float(v) for v in row] for row in written] == rows, name
+
+
+@pytest.mark.parametrize("command", ["solve-p1", "solve-p2", "solve-p3-tcm", "solve-p3-nbs"])
+def test_hourly_reports_hold_the_solutions(tmp_path, command):
+    check_hourly_reports(tiny_scenario(T=3, K=2), command, tmp_path)
+
+
+def test_hourly_reports_hold_the_median_k2_total_cost_solution(tmp_path):
+    check_hourly_reports(load_scenario(SCENARIOS / "median_k2.scenario"), "solve-p3-tcm", tmp_path)

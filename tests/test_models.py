@@ -46,6 +46,7 @@ from oracles import (
     objective_breakdown,
     single_hour_bss_profit,
     value_of,
+    var_layout,
 )
 
 
@@ -243,7 +244,7 @@ def test_blocks_are_the_compartments_and_the_hub():
 def test_var_layout_bijection():
     scn = tiny_scenario(T=2, K=2)
     model = build_p2(scn.bss, scn.prices, scn.probabilities)
-    layout = model.var_layout
+    layout = var_layout(model)
     assert len(layout) == model.n
     assert sorted(layout.values()) == list(range(model.n))
 
@@ -370,7 +371,7 @@ def test_zero_assignment_is_feasible_witness():
     demand = DemandProfile((0.0,) * 3)
     p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, demand, scn.joint)
     x = np.zeros(p3.base.n)
-    layout = p3.base.var_layout
+    layout = var_layout(p3.base)
     for k in range(scn.bss.k):
         level = scn.bss.compartments[k].initial_level
         for t in range(3):

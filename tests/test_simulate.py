@@ -167,7 +167,7 @@ def record(hour, side, offers, requirement, deployed):
     out = ClearingOutcome(
         out.clearing_price, out.accepted, out.accepted_quantity, deployed, out.shortfall
     )
-    return MarketRecord(hour, side, stack, out)
+    return MarketRecord(0, hour, side, stack, out)
 
 
 def test_everything_accepted_and_deployed():
@@ -258,6 +258,16 @@ def test_market_history_feeds_probability_estimation():
     assert np.isfinite(up_prices).all() and np.isfinite(dn_prices).all()
     daily = daily_probability_profiles(records)
     assert daily["acc_up"].shape == (3, 24)
+
+
+def test_market_records_carry_the_day_they_were_cleared_on():
+    records, _, _ = synthetic_market_history(2, days=3)
+    assert [rec.day for rec in records] == [day for day in range(3) for _ in range(2 * 24)]
+    daily = daily_probability_profiles(records)
+    for day in range(3):
+        probs = estimate_probabilities([rec for rec in records if rec.day == day])
+        for name in ("acc_up", "acc_dn", "dep_up", "dep_dn"):
+            assert tuple(daily[name][day]) == getattr(probs, name)
 
 
 def test_build_scenario_shapes_and_determinism():
