@@ -4,9 +4,12 @@ Every command reads a scenario (where applicable), solves, and writes CSV
 reports into ``--out``.  Exit codes: 0 success, 2 input error, 3 infeasible
 model, 4 node budget exhausted before reaching the gap target; each failure
 prints one line on stderr.  Flags are checked before any command does work.
-``anova`` stops at its first failed run with 3 or 4 and names the run, while
-``sweep`` records a failed cell as NaN.  ``frontier`` exits 0 when it drops
-storage floors, and says on one stderr line how many were dropped and why.
+``anova`` stops at its first failed run with 3 or 4 (2 when the run's storage
+profit alone is 0) and names the run, while ``sweep`` records a failed cell as
+NaN, exits 0, and prints one stderr line per such cell with its levels and
+reason.  ``frontier`` exits 0 when it drops storage floors, and says on one
+stderr line how many were dropped and why.  The studies and
+``generate-demand`` draw their inputs from :func:`~coopt.presets.study_histories`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 from .bargain import (
@@ -38,19 +42,16 @@ from .io import (
     write_history,
 )
 from .models import AS_WRITTEN, DEPLOYMENT_REVENUE_MODES
-from .presets import (
-    TRAFFIC_SCALE,
-    daily_probability_profiles,
-    default_demand_config,
-    demand_history,
-    synthetic_market_history,
-    synthetic_price_history,
-)
+from .presets import PRESET_HUB, study_histories, synthetic_market_history
 from .sensitivity import (
-    FactorSpec,
+    ANOVA_FIELDS,
+    ANOVA_PERCENTILES,
+    SWEEP_FIELDS,
+    SWEEP_PERCENTILES,
     anova,
     default_model_terms,
     factorial_profit_study,
+    study_factors,
     sweep_grid,
 )
 from .simulate import estimate_probabilities, percentile_profiles
@@ -166,10 +167,10 @@ def _run_solve(args) -> int:
 
 
 def _run_generate_demand(args) -> int:
-    history = demand_history(default_demand_config(args.seed), args.days)
+    history = study_histories(args.seed, args.days, PRESET_HUB)[0]["ev_load"]
     args.out.mkdir(parents=True, exist_ok=True)
     write_history(args.out / "demand_history.csv", {"ev_load": history})
-    for p in (10.0, 50.0, 90.0):
+    for p in SWEEP_PERCENTILES:
         profile = percentile_profiles(history, p)
         write_csv(
             args.out / f"demand_p{int(p)}.csv",
@@ -188,39 +189,24 @@ def _run_simulate_market(args) -> int:
     write_history(
         args.out / "clearing_prices.csv", {"lambda_up": up_prices, "lambda_dn": dn_prices}
     )
-    probs = estimate_probabilities(records)
-    rows = [
-        (t, probs.acc_up[t], probs.acc_dn[t], probs.dep_up[t], probs.dep_dn[t])
-        for t in range(24)
-    ]
-    write_csv(
-        args.out / "probabilities.csv",
-        ("hour", "acc_up", "acc_dn", "dep_up", "dep_dn"),
-        rows,
-    )
+    probs = asdict(estimate_probabilities(records))
+    write_csv(args.out / "probabilities.csv", ("hour", *probs), list(zip(range(24), *probs.values())))
     print(f"wrote {args.days} days of market history to {args.out}")
     return EXIT_OK
 
 
-def _levels(history, percentiles) -> list[tuple[float, ...]]:
-    """One hourly profile per percentile of a day-by-hour history."""
-    return [tuple(percentile_profiles(history, p)) for p in percentiles]
-
-
-def _price_levels(args):
-    da_hist, rt_hist = synthetic_price_history(args.days, args.seed)
-    return _levels(da_hist, (10.0, 50.0, 90.0)), _levels(rt_hist, (10.0, 50.0, 90.0))
+def _study_inputs(args, names, percentiles):
+    """The command's scenario and the named fields' factors at ``percentiles``."""
+    scn = load_scenario(args.scenario)
+    scn.require_joint()
+    histories, _ = study_histories(args.seed, args.days, scn.hub)
+    return scn, study_factors(histories, names, percentiles)
 
 
 def _run_sweep(args) -> int:
-    scn = load_scenario(args.scenario)
-    scn.require_joint()
-    da_levels, rt_levels = _price_levels(args)
-    dem_hist = demand_history(default_demand_config(args.seed, TRAFFIC_SCALE), args.days, scn.hub)
-    demand_levels = _levels(dem_hist, (10.0, 50.0, 90.0))
+    scn, factors = _study_inputs(args, SWEEP_FIELDS, SWEEP_PERCENTILES)
     result = sweep_grid(
-        scn, da_levels, rt_levels, demand_levels,
-        deployment_revenue=args.deployment_revenue, gap=args.gap,
+        scn, factors, deployment_revenue=args.deployment_revenue, gap=args.gap,
         node_budget=args.node_budget, workers=args.workers,
     )
     args.out.mkdir(parents=True, exist_ok=True)
@@ -248,24 +234,18 @@ def _run_sweep(args) -> int:
         ("da_price", "rt_price", "demand", "cost_reduction_pct"),
         long_rows,
     )
+    for (i, j, k), reason in result.failures.items():
+        print(
+            f"sweep: cell da_price={labels[i]} rt_price={labels[j]} demand={labels[k]}"
+            f" is NaN: {reason}",
+            file=sys.stderr,
+        )
     print(f"sweep written to {args.out}")
     return EXIT_OK
 
 
 def _run_anova(args) -> int:
-    scn = load_scenario(args.scenario)
-    scn.require_joint()
-    records, up_prices, dn_prices = synthetic_market_history(args.seed, args.days)
-    daily = daily_probability_profiles(records)
-    levels = {
-        "lambda_up": _levels(up_prices, (10.0, 90.0)),
-        "lambda_dn": _levels(dn_prices, (10.0, 90.0)),
-        "acc_up": _levels(daily["acc_up"], (10.0, 90.0)),
-        "acc_dn": _levels(daily["acc_dn"], (10.0, 90.0)),
-        "dep_up": _levels(daily["dep_up"], (10.0, 90.0)),
-        "dep_dn": _levels(daily["dep_dn"], (10.0, 90.0)),
-    }
-    factors = [FactorSpec(name, tuple(levels[name])) for name in levels]
+    scn, factors = _study_inputs(args, ANOVA_FIELDS, ANOVA_PERCENTILES)
     design, responses = factorial_profit_study(
         scn, factors, deployment_revenue=args.deployment_revenue, gap=args.gap,
         node_budget=args.node_budget, workers=args.workers,

@@ -9,10 +9,11 @@ them are deterministic in the seed.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
+from .models import marginal_degradation_rate
 from .scenario import (
     BssSpec,
     CompartmentSpec,
@@ -23,9 +24,9 @@ from .scenario import (
     ReserveProbabilities,
     ScenarioInputs,
 )
+from .sensitivity import with_profiles
 from .simulate import (
     BidStack,
-    ClearingOutcome,
     DemandGenConfig,
     MarketRecord,
     clear_reserve_market,
@@ -39,8 +40,9 @@ HOURS = 24
 STATION_COUNT = 150
 STATION_RATE = 100.0  # kW per station
 TRAFFIC_SCALE = 4.0  # the hub's traffic per unit of the commuter shape below
-COMMIT_CAP_FACTOR = 2.0  # the hub's day-ahead commitment cap per unit of demand
 LEASE_MARKUP = 1.0
+# the preset hub; its commitment cap comes with the demand written into a scenario
+PRESET_HUB = HubSpec((0.0,) * HOURS, STATION_COUNT, STATION_RATE)
 
 # synthetic reserve market: offers per hour and side, offer sizes (kWh), the
 # cleared requirement as a fraction of the total offered, and the spread of
@@ -93,27 +95,6 @@ _DEP_DN_TARGET = (
 )
 
 
-def default_traffic_profile(scale: float = 1.0) -> tuple[float, ...]:
-    return tuple(scale * v for v in _TRAFFIC_SHAPE)
-
-
-def default_charge_probability() -> tuple[float, ...]:
-    """Flat placeholder for the per-hour charging propensity (synthetic)."""
-    return (0.1,) * HOURS
-
-
-def default_demand_config(seed: int = 0, traffic_scale: float = 1.0) -> DemandGenConfig:
-    return DemandGenConfig(
-        traffic=default_traffic_profile(traffic_scale),
-        ev_share=0.25,
-        public_charge_share=0.42,
-        charge_prob=default_charge_probability(),
-        battery_sizes=((50.0, 0.3), (75.0, 0.4), (100.0, 0.3)),
-        soc_bounds=(0.05, 0.95),
-        seed=seed,
-    )
-
-
 def default_compartment() -> CompartmentSpec:
     return CompartmentSpec(
         cap=4000.0,
@@ -144,12 +125,6 @@ def synthetic_price_history(days: int = 30, seed: int = 0):
     return da, rt
 
 
-def demand_history(cfg: DemandGenConfig, days: int = 30, hub: HubSpec | None = None):
-    """(days, T) demand paths drawn from per-(hour, day) streams."""
-    rows = [generate_demand(cfg, hub, day=day).ev_load for day in range(days)]
-    return np.array(rows)
-
-
 def synthetic_market_history(seed: int = 0, days: int = 30):
     """Cleared up/down records plus (days, 24) clearing-price paths per side."""
     records: list[MarketRecord] = []
@@ -172,29 +147,46 @@ def synthetic_market_history(seed: int = 0, days: int = 30):
                 stack = BidStack(stack.offers, req)
                 outcome = clear_reserve_market(stack)
                 deployed = outcome.accepted_quantity if rng.random() < dep_target[t] else 0.0
-                outcome = ClearingOutcome(
-                    outcome.clearing_price,
-                    outcome.accepted,
-                    outcome.accepted_quantity,
-                    deployed,
-                    outcome.shortfall,
-                )
+                outcome = replace(outcome, deployed_quantity=deployed)
                 records.append(MarketRecord(day, t, side, stack, outcome))
                 out[day, t] = outcome.clearing_price
     return records, up_prices, dn_prices
 
 
-def daily_probability_profiles(records):
-    """Per-day acceptance/deployment rate paths, for percentile levels: the
-    empirical rates of each day's records, one row per day."""
+def study_histories(seed: int, days: int, hub: HubSpec):
+    """The case study's synthetic histories and cleared reserve-market records.
+
+    Each history is a ``(days, 24)`` array keyed by the scenario field it
+    stands for: the day-ahead and real-time price paths, the reserve clearing
+    prices, the hub's demand (at ``TRAFFIC_SCALE``, each hour capped by the
+    hub's service capacity), and each day's empirical acceptance and
+    deployment rates.  The records give the rates pooled over all days.
+    """
+    cfg = DemandGenConfig(
+        traffic=tuple(TRAFFIC_SCALE * v for v in _TRAFFIC_SHAPE),
+        ev_share=0.25,
+        public_charge_share=0.42,
+        charge_prob=(0.1,) * HOURS,  # flat placeholder for the hourly charging propensity
+        battery_sizes=((50.0, 0.3), (75.0, 0.4), (100.0, 0.3)),
+        soc_bounds=(0.05, 0.95),
+        seed=seed,
+    )
+    da, rt = synthetic_price_history(days, seed)
+    records, up, dn = synthetic_market_history(seed, days)
+    histories = {
+        "lambda_da": da,
+        "lambda_rt": rt,
+        "lambda_up": up,
+        "lambda_dn": dn,
+        "ev_load": np.array([generate_demand(cfg, hub, day=day).ev_load for day in range(days)]),
+    }
     by_day: dict[int, list[MarketRecord]] = {}
     for rec in records:
         by_day.setdefault(rec.day, []).append(rec)
     daily = [estimate_probabilities(by_day[day], HOURS) for day in sorted(by_day)]
-    return {
-        f.name: np.array([getattr(probs, f.name) for probs in daily])
-        for f in fields(ReserveProbabilities)
-    }
+    for f in fields(ReserveProbabilities):
+        histories[f.name] = np.array([getattr(probs, f.name) for probs in daily])
+    return histories, records
 
 
 def build_scenario(
@@ -202,30 +194,13 @@ def build_scenario(
 ) -> ScenarioInputs:
     """Assemble the full synthetic scenario at median inputs.
 
-    Demand and both price curves are the per-hour median over ``days``
-    simulated days; reserve probabilities are the empirical rates over the
-    same horizon.  The day-ahead commitment cap is ``COMMIT_CAP_FACTOR`` times
-    the demand profile.  A nonzero ``compartment_spread`` shrinks successive
-    compartments by that fraction, which removes interchangeable-compartment
-    symmetry from the search trees.
+    Demand and every price curve are the per-hour median of their
+    :func:`study_histories`; reserve probabilities are the empirical rates
+    pooled over the same days.  A nonzero ``compartment_spread`` shrinks
+    successive compartments by that fraction, which removes
+    interchangeable-compartment symmetry from the search trees.
     """
     comp = default_compartment()
-    hub_probe = HubSpec((0.0,) * HOURS, STATION_COUNT, STATION_RATE)
-
-    cfg = default_demand_config(seed, TRAFFIC_SCALE)
-    dem = percentile_profiles(demand_history(cfg, days, hub_probe), 50.0)
-    da_hist, rt_hist = synthetic_price_history(days, seed)
-    lam_da = percentile_profiles(da_hist, 50.0)
-    lam_rt = percentile_profiles(rt_hist, 50.0)
-
-    records, up_hist, dn_hist = synthetic_market_history(seed, days)
-    lam_up = percentile_profiles(up_hist, 50.0)
-    lam_dn = percentile_profiles(dn_hist, 50.0)
-    probs = estimate_probabilities(records, HOURS)
-
-    prices = PriceProfiles(tuple(lam_da), tuple(lam_rt), tuple(lam_up), tuple(lam_dn))
-    demand = DemandProfile(tuple(dem))
-    hub = HubSpec(tuple(COMMIT_CAP_FACTOR * v for v in dem), STATION_COUNT, STATION_RATE)
     compartments = []
     for k in range(K):
         shrink = 1.0 - compartment_spread * k
@@ -239,8 +214,17 @@ def build_scenario(
                 unit_cost=comp.unit_cost * shrink,
             )
         )
-    bss = BssSpec(tuple(compartments))
-    from .models import marginal_degradation_rate
-
     joint = JointTerms(LEASE_MARKUP, marginal_degradation_rate(comp))
-    return ScenarioInputs(prices, demand=demand, probabilities=probs, hub=hub, bss=bss, joint=joint)
+    histories, records = study_histories(seed, days, PRESET_HUB)
+    levels = {name: percentile_profiles(history, 50.0) for name, history in histories.items()}
+    levels.update(asdict(estimate_probabilities(records, HOURS)))
+    zeros = (0.0,) * HOURS
+    blank = ScenarioInputs(
+        PriceProfiles(zeros, zeros, zeros, zeros),
+        ReserveProbabilities(zeros, zeros, zeros, zeros),
+        DemandProfile(zeros),
+        PRESET_HUB,
+        BssSpec(tuple(compartments)),
+        joint,
+    )
+    return with_profiles(blank, levels)

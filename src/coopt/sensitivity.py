@@ -7,9 +7,11 @@ significance threshold does not depend on an external statistics stack.
 
 from __future__ import annotations
 
+import itertools
 import math
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -21,8 +23,8 @@ from .bargain import (
     solve_study,
 )
 from .models import AS_WRITTEN
-from .presets import COMMIT_CAP_FACTOR
 from .scenario import ScenarioInputs
+from .simulate import percentile_profiles
 
 # ---------------------------------------------------------------------------
 # F distribution via the regularized incomplete beta function
@@ -253,33 +255,84 @@ def anova(design: DesignMatrix, responses, model_terms, alpha: float = 0.05) -> 
 # scenario-level studies
 
 
+COMMIT_CAP_FACTOR = 2.0  # the hub's day-ahead commitment cap per unit of demand
+
+# each study's factors: the scenario fields it varies, each at these per-hour
+# percentiles of its synthetic history.  The sweep's axes are Table 3's; the
+# ANOVA's order sets the design's generator (the sixth factor is the product
+# of the first five) and the cross terms of default_model_terms.
+SWEEP_FIELDS = ("lambda_da", "lambda_rt", "ev_load")
+SWEEP_PERCENTILES = (10.0, 50.0, 90.0)
 SWEEP_LABELS = ("low", "median", "high")
+ANOVA_FIELDS = ("lambda_up", "lambda_dn", "acc_up", "acc_dn", "dep_up", "dep_dn")
+ANOVA_PERCENTILES = (10.0, 90.0)
 
 
-def _percent(gain: float, base: float) -> float:
-    return math.nan if abs(base) < 1e-9 else 100.0 * gain / base
+def study_factors(histories, names, percentiles) -> tuple[FactorSpec, ...]:
+    """One factor per named field of ``histories`` (field name to a
+    ``(days, hours)`` history), its levels the given per-hour percentiles."""
+    return tuple(
+        FactorSpec(name, tuple(tuple(percentile_profiles(histories[name], p)) for p in percentiles))
+        for name in names
+    )
 
 
-def _hub_cost_reduction(bundle) -> float:
-    return _percent(bundle.bargain.nbs.tau1, bundle.d.d1)
+def with_profiles(scn: ScenarioInputs, profiles) -> ScenarioInputs:
+    """``scn`` with hourly profiles written in, keyed by scenario field name.
+
+    Any hourly series of a section may be written: the prices, the reserve
+    probabilities, ``ev_load`` and ``da_cap``.  A new ``ev_load`` brings its
+    day-ahead cap, ``COMMIT_CAP_FACTOR`` times the load.
+    """
+    profiles = dict(profiles)
+    if "ev_load" in profiles:
+        profiles["da_cap"] = COMMIT_CAP_FACTOR * np.asarray(profiles["ev_load"], dtype=float)
+    parts = {}
+    for section in fields(scn):
+        part = getattr(scn, section.name)
+        if not is_dataclass(part):  # an absent `joint`
+            continue
+        hints = typing.get_type_hints(type(part))
+        own = {
+            f.name: profiles.pop(f.name)
+            for f in fields(part)
+            if f.name in profiles and hints[f.name] == tuple[float, ...]
+        }
+        if own:
+            parts[section.name] = replace(part, **own)
+    if profiles:
+        raise ValueError(f"no hourly scenario field named {', '.join(sorted(profiles))}")
+    return replace(scn, **parts)
 
 
-def _storage_profit_increase(bundle) -> float:
-    return _percent(bundle.bargain.nbs.tau2, bundle.d.d2)
+def _percent(gain: float, base: float, what: str):
+    """``(100 gain / base, None)``, or ``(nan, error)`` when ``base`` is 0."""
+    if abs(base) < 1e-9:
+        return math.nan, ValueError(f"zero disagreement value: {what} alone is 0")
+    return 100.0 * gain / base, None
+
+
+def _hub_cost_reduction(bundle):
+    return _percent(bundle.bargain.nbs.tau1, bundle.d.d1, "the hub's cost")
+
+
+def _storage_profit_increase(bundle):
+    return _percent(bundle.bargain.nbs.tau2, bundle.d.d2, "the storage profit")
 
 
 def _run_cell(job):
     """One study cell: the Nash bargain on a scenario, reduced to a response.
 
     Returns ``(response, None)``, or ``(nan, error)`` when a model the cell
-    needs is infeasible or exhausts its node budget; other errors propagate.
+    needs is infeasible or exhausts its node budget, or when the response's
+    base, a disagreement value, is 0; other errors propagate.
     """
     scn, response, settings = job
     try:
         bundle = solve_study(scn, "nbs", **settings)
     except (InfeasibleError, BudgetExhaustedError) as exc:
         return math.nan, exc
-    return response(bundle), None
+    return response(bundle)
 
 
 def _map_cells(jobs, workers: int):
@@ -295,72 +348,51 @@ def _map_cells(jobs, workers: int):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Hub cost-reduction percentage per (DA, RT, demand) level combination."""
+    """Hub cost-reduction percentage per combination of the three factors' levels."""
 
-    reductions: np.ndarray  # (3, 3, 3), NaN where flagged
-    flags: np.ndarray  # bool, True where the cell failed
+    reductions: np.ndarray  # (3, 3, 3), NaN where a cell failed
+    failures: dict  # (i, j, k) -> why that cell is NaN
     labels: tuple[str, str, str]
-
-
-def _apply_price_levels(scn: ScenarioInputs, lam_da, lam_rt) -> ScenarioInputs:
-    prices = replace(scn.prices, lambda_da=tuple(lam_da), lambda_rt=tuple(lam_rt))
-    return replace(scn, prices=prices)
-
-
-def _apply_demand_level(scn: ScenarioInputs, demand) -> ScenarioInputs:
-    dem = replace(scn.demand, ev_load=tuple(demand))
-    hub = replace(scn.hub, da_cap=tuple(COMMIT_CAP_FACTOR * v for v in dem.ev_load))
-    return replace(scn, demand=dem, hub=hub)
 
 
 def sweep_grid(
     template: ScenarioInputs,
-    da_levels,
-    rt_levels,
-    demand_levels,
+    factors,
     *,
     deployment_revenue: str = AS_WRITTEN,
     gap: float = DEFAULT_GAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
 ) -> SweepResult:
-    """27-cell sensitivity of the bargain's hub cost reduction to price and
-    demand levels, with reserve-side inputs pinned at the template's values.
+    """27-cell sensitivity of the bargain's hub cost reduction to three
+    factors of three levels each (Table 3's are ``SWEEP_FIELDS``), with every
+    other input pinned at the template's values.
 
-    A cell whose models are infeasible or exhaust the node budget is NaN and
-    flagged."""
-    for name, levels in (("da", da_levels), ("rt", rt_levels), ("demand", demand_levels)):
-        if len(levels) != 3:
-            raise ValueError(f"{name}_levels must have exactly 3 entries")
+    A cell is NaN when its models are infeasible or exhaust the node budget,
+    or when the hub's cost alone is 0; ``failures`` gives each such cell's
+    reason."""
+    factors = tuple(factors)
+    if len(factors) != 3 or any(len(f.levels) != 3 for f in factors):
+        raise ValueError("the sweep needs exactly 3 factors of 3 levels each")
     template.require_joint()
 
     settings = dict(deployment_revenue=deployment_revenue, gap=gap, node_budget=node_budget)
-    jobs = []
-    for lam_da in da_levels:
-        for lam_rt in rt_levels:
-            for demand in demand_levels:
-                scn = _apply_price_levels(template, lam_da, lam_rt)
-                scn = _apply_demand_level(scn, demand)
-                jobs.append((scn, _hub_cost_reduction, settings))
-
-    values = [value for value, _ in _map_cells(jobs, workers)]
-    grid = np.array(values).reshape(3, 3, 3)
-    return SweepResult(grid, np.isnan(grid), SWEEP_LABELS)
-
-
-def apply_reserve_levels(scn: ScenarioInputs, assignment: dict) -> ScenarioInputs:
-    """Swap the six reserve-side series of a scenario for the given profiles,
-    keyed by their field names: both reserve prices and every probability."""
-    prices = replace(
-        scn.prices,
-        lambda_up=tuple(assignment["lambda_up"]),
-        lambda_dn=tuple(assignment["lambda_dn"]),
-    )
-    probs = replace(
-        scn.probabilities,
-        **{f.name: tuple(assignment[f.name]) for f in fields(scn.probabilities)},
-    )
-    return replace(scn, prices=prices, probabilities=probs)
+    cells = list(itertools.product(range(3), repeat=3))
+    jobs = [
+        (
+            with_profiles(template, {f.name: f.levels[i] for f, i in zip(factors, cell)}),
+            _hub_cost_reduction,
+            settings,
+        )
+        for cell in cells
+    ]
+    grid = np.empty((3, 3, 3))
+    failures = {}
+    for cell, (value, error) in zip(cells, _map_cells(jobs, workers)):
+        grid[cell] = value
+        if error is not None:
+            failures[cell] = str(error)
+    return SweepResult(grid, failures, SWEEP_LABELS)
 
 
 def factorial_profit_study(
@@ -374,12 +406,13 @@ def factorial_profit_study(
 ):
     """Run the 32 design cells and return (design, profit-increase responses).
 
-    A run whose models are infeasible or exhaust the node budget stops the
-    study with the same error, naming the run."""
+    A run whose models are infeasible or exhaust the node budget, or whose
+    storage profit alone is 0, stops the study with the same error, naming
+    the run."""
     design = fractional_factorial_design(factors)
     settings = dict(deployment_revenue=deployment_revenue, gap=gap, node_budget=node_budget)
     jobs = [
-        (apply_reserve_levels(template, assignment), _storage_profit_increase, settings)
+        (with_profiles(template, assignment), _storage_profit_increase, settings)
         for assignment in design.runs()
     ]
     responses = []

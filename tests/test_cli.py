@@ -22,7 +22,7 @@ from coopt.io import (
 )
 from coopt.linear import MAX
 from coopt.models import SINGLE_SCALED
-from coopt.presets import synthetic_market_history
+from coopt.presets import build_scenario, synthetic_market_history
 
 from conftest import tiny_scenario
 from oracles import var_layout
@@ -78,6 +78,35 @@ def test_anova_run_out_of_nodes_exits_4_and_names_the_run(tmp_path, capsys, monk
     assert capsys.readouterr().err.strip().splitlines() == [
         "anova run 0: storage model: node budget exhausted before reaching the gap target"
     ]
+
+
+def test_sweep_names_each_failed_cell_on_stderr_and_exits_0(tmp_path, capsys, monkeypatch):
+    exhausted = MilpSolution(BUDGET_EXHAUSTED, None, math.nan, math.nan, math.inf, 1)
+    monkeypatch.setattr(bargain, "solve_milp", lambda *args, **kwargs: exhausted)
+    path = tmp_path / "k1.scenario"
+    save_scenario(build_scenario(K=1), path)
+    out = tmp_path / "out"
+    code = main(["sweep", "--scenario", str(path), "--days", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"sweep written to {out}"]
+    labels = ("low", "median", "high")
+    assert captured.err.splitlines() == [
+        f"sweep: cell da_price={da} rt_price={rt} demand={dem} is NaN:"
+        " hub model: node budget exhausted before reaching the gap target"
+        for da in labels
+        for rt in labels
+        for dem in labels
+    ]
+    with open(out / "sweep_long.csv", newline="") as fh:
+        assert all(math.isnan(float(row["cost_reduction_pct"])) for row in csv.DictReader(fh))
+
+
+def test_generate_demand_writes_the_preset_demand(tmp_path):
+    assert main(["generate-demand", "--seed", "7", "--days", "30", "--out", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "demand_p50.csv", newline="") as fh:
+        p50 = tuple(float(row["ev_load"]) for row in csv.DictReader(fh))
+    assert p50 == load_scenario(SCENARIOS / "median.scenario").demand.ev_load
 
 
 def test_nbs_command_prints_the_solve_study_result(tmp_path, capsys):

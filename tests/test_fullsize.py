@@ -26,7 +26,7 @@ from coopt.bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
 from coopt.io import load_scenario
 from coopt.linear import GE, MAX, MIN, Variable, add_constraint, with_objective
 from coopt.models import build_p1, build_p2, build_p3
-from coopt.sensitivity import _apply_demand_level, _apply_price_levels
+from coopt.sensitivity import with_profiles
 from coopt.simplex import OPTIMAL, SimplexSolver
 from coopt.simulate import percentile_profiles
 
@@ -105,12 +105,12 @@ def test_sweep_cell_root_lp_is_solved():
     # percentiles of `coopt sweep --seed 0 --days 30`; at its lowest storage
     # floor, a ratio test that lets a tiny pivot block ends the cold solve `singular`
     scn = presets.build_scenario(K=1, seed=7, compartment_spread=0.0)
-    da, rt = presets.synthetic_price_history(30, 0)
-    demand = presets.demand_history(
-        presets.default_demand_config(0, presets.TRAFFIC_SCALE), 30, scn.hub
-    )
-    cell = _apply_price_levels(scn, percentile_profiles(da, 10.0), percentile_profiles(rt, 90.0))
-    cell = _apply_demand_level(cell, percentile_profiles(demand, 10.0))
+    histories, _ = presets.study_histories(0, 30, scn.hub)
+    cell = with_profiles(scn, {
+        "lambda_da": percentile_profiles(histories["lambda_da"], 10.0),
+        "lambda_rt": percentile_profiles(histories["lambda_rt"], 90.0),
+        "ev_load": percentile_profiles(histories["ev_load"], 10.0),
+    })
     p3 = build_p3(cell.hub, cell.bss, cell.prices, cell.probabilities, cell.demand, cell.joint)
     d = DisagreementPoints(570.3599, 606.8837)  # the cell's P1 and P2 optima, rounded
     model = _gain_model(p3, d, p3.obj_a, MIN)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from coopt import bargain
+from coopt import bargain, sensitivity
 from coopt.bnb import BUDGET_EXHAUSTED, MilpSolution, SolverError
 from coopt.models import AS_WRITTEN, SINGLE_SCALED
 from coopt.sensitivity import (
+    ANOVA_FIELDS,
+    SWEEP_FIELDS,
     AnovaTable,
     FactorSpec,
     anova,
@@ -21,14 +25,27 @@ from coopt.sensitivity import (
     fractional_factorial_design,
     regularized_beta,
     sweep_grid,
+    with_profiles,
 )
 
 from conftest import tiny_scenario
 
 
 def six_factors(levels=(-1.0, 1.0)):
-    names = ("lambda_up", "lambda_dn", "acc_up", "acc_dn", "dep_up", "dep_dn")
-    return tuple(FactorSpec(name, levels) for name in names)
+    return tuple(FactorSpec(name, levels) for name in ANOVA_FIELDS)
+
+
+def reserve_series(scn):
+    """The scenario's series of the six ANOVA fields, by name."""
+    series = {**asdict(scn.prices), **asdict(scn.probabilities)}
+    return {name: series[name] for name in ANOVA_FIELDS}
+
+
+def sweep_factors(da_levels, rt_levels, demand_levels):
+    return tuple(
+        FactorSpec(name, levels)
+        for name, levels in zip(SWEEP_FIELDS, (da_levels, rt_levels, demand_levels))
+    )
 
 
 # ---------------------------------------------------------------- F quantile
@@ -196,13 +213,15 @@ def test_sweep_grid_shape_and_rationality():
     dem = scn.demand.ev_load
     result = sweep_grid(
         scn,
-        [scaled(da, 0.6), da, scaled(da, 1.4)],
-        [scaled(rt, 0.6), rt, scaled(rt, 1.4)],
-        [scaled(dem, 0.5), dem, scaled(dem, 1.5)],
+        sweep_factors(
+            [scaled(da, 0.6), da, scaled(da, 1.4)],
+            [scaled(rt, 0.6), rt, scaled(rt, 1.4)],
+            [scaled(dem, 0.5), dem, scaled(dem, 1.5)],
+        ),
         gap=1e-6,
     )
     assert result.reductions.shape == (3, 3, 3)
-    assert not result.flags.any()
+    assert not result.failures
     # the bargain never leaves the hub worse off than acting alone
     assert (result.reductions >= -1e-6).all()
 
@@ -213,9 +232,7 @@ def test_sweep_flat_identical_prices_yield_no_gain():
     dem = scn.demand.ev_load
     result = sweep_grid(
         scn,
-        [flat, flat, flat],
-        [flat, flat, flat],
-        [scaled(dem, 0.5), dem, scaled(dem, 1.5)],
+        sweep_factors([flat, flat, flat], [flat, flat, flat], [scaled(dem, 0.5), dem, scaled(dem, 1.5)]),
         gap=1e-6,
     )
     assert result.reductions == pytest.approx(np.zeros((3, 3, 3)), abs=1e-4)
@@ -224,12 +241,14 @@ def test_sweep_flat_identical_prices_yield_no_gain():
 def test_sweep_requires_three_levels():
     scn = tiny_scenario(T=2, K=1)
     with pytest.raises(ValueError):
-        sweep_grid(scn, [scn.prices.lambda_da], [scn.prices.lambda_rt] * 3,
-                   [scn.demand.ev_load] * 3)
+        sweep_grid(scn, sweep_factors([scn.prices.lambda_da] * 2, [scn.prices.lambda_rt] * 3,
+                                      [scn.demand.ev_load] * 3))
+    with pytest.raises(ValueError):
+        sweep_grid(scn, same_levels(scn)[:2])
 
 
 def same_levels(scn):
-    return (
+    return sweep_factors(
         [scn.prices.lambda_da] * 3, [scn.prices.lambda_rt] * 3, [scn.demand.ev_load] * 3
     )
 
@@ -238,36 +257,34 @@ def test_sweep_flags_failed_cells_and_propagates_solver_errors(monkeypatch):
     scn = tiny_scenario(T=2, K=1)
     exhausted = MilpSolution(BUDGET_EXHAUSTED, None, math.nan, math.nan, math.inf, 1)
     monkeypatch.setattr(bargain, "solve_milp", lambda *args, **kwargs: exhausted)
-    result = sweep_grid(scn, *same_levels(scn))
-    assert result.flags.all()
+    result = sweep_grid(scn, same_levels(scn))
     assert np.isnan(result.reductions).all()
+    assert set(result.failures) == {(i, j, k) for i in range(3) for j in range(3) for k in range(3)}
+    assert set(result.failures.values()) == {
+        "hub model: node budget exhausted before reaching the gap target"
+    }
 
     def stopped(*args, **kwargs):
         raise SolverError("simplex stopped on the root relaxation: singular")
 
     monkeypatch.setattr(bargain, "solve_milp", stopped)
     with pytest.raises(SolverError):
-        sweep_grid(scn, *same_levels(scn))
+        sweep_grid(scn, same_levels(scn))
 
 
 def test_studies_give_the_same_responses_from_a_worker_pool():
     scn = tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0)
-    levels = [
+    factors = sweep_factors(*(
         [scaled(series, f) for f in (0.6, 1.0, 1.4)]
         for series in (scn.prices.lambda_da, scn.prices.lambda_rt, scn.demand.ev_load)
-    ]
-    serial, pooled = (sweep_grid(scn, *levels, workers=w).reductions for w in (1, 2))
+    ))
+    serial, pooled = (sweep_grid(scn, factors, workers=w).reductions for w in (1, 2))
     assert np.array_equal(serial, pooled, equal_nan=True)
 
-    series = {
-        "lambda_up": scn.prices.lambda_up,
-        "lambda_dn": scn.prices.lambda_dn,
-        "acc_up": scn.probabilities.acc_up,
-        "acc_dn": scn.probabilities.acc_dn,
-        "dep_up": scn.probabilities.dep_up,
-        "dep_dn": scn.probabilities.dep_dn,
-    }
-    factors = [FactorSpec(name, (scaled(v, 0.8), scaled(v, 1.1))) for name, v in series.items()]
+    factors = [
+        FactorSpec(name, (scaled(v, 0.8), scaled(v, 1.1)))
+        for name, v in reserve_series(scn).items()
+    ]
     serial, pooled = (factorial_profit_study(scn, factors, workers=w)[1] for w in (1, 2))
     assert np.array_equal(serial, pooled, equal_nan=True)
 
@@ -286,7 +303,7 @@ def test_studies_pass_deployment_revenue_to_the_storage_model(monkeypatch):
     monkeypatch.setattr(bargain, "build_p2", record_mode)
     scn = tiny_scenario(T=2, K=1)
     with pytest.raises(StorageModelBuilt):
-        sweep_grid(scn, *same_levels(scn), deployment_revenue=SINGLE_SCALED)
+        sweep_grid(scn, same_levels(scn), deployment_revenue=SINGLE_SCALED)
     series = {
         "lambda_up": scn.prices.lambda_up,
         "lambda_dn": scn.prices.lambda_dn,
@@ -299,3 +316,31 @@ def test_studies_pass_deployment_revenue_to_the_storage_model(monkeypatch):
     with pytest.raises(StorageModelBuilt):
         factorial_profit_study(scn, factors, deployment_revenue=SINGLE_SCALED)
     assert seen == [SINGLE_SCALED, SINGLE_SCALED]
+
+
+def test_zero_disagreement_value_is_a_failed_cell(monkeypatch):
+    # a response is a percentage of a disagreement value, undefined at 0
+    bundle = SimpleNamespace(
+        bargain=SimpleNamespace(nbs=SimpleNamespace(tau1=0.0, tau2=0.0)),
+        d=SimpleNamespace(d1=0.0, d2=0.0),
+    )
+    monkeypatch.setattr(sensitivity, "solve_study", lambda *args, **kwargs: bundle)
+    scn = tiny_scenario(T=2, K=1)
+    result = sweep_grid(scn, same_levels(scn))
+    assert np.isnan(result.reductions).all()
+    assert set(result.failures.values()) == {"zero disagreement value: the hub's cost alone is 0"}
+    factors = [FactorSpec(name, (values, values)) for name, values in reserve_series(scn).items()]
+    with pytest.raises(ValueError, match="anova run 0: zero disagreement value: the storage profit"):
+        factorial_profit_study(scn, factors)
+
+
+def test_scenario_writer_sets_hourly_fields_and_rejects_unknown_names():
+    scn = tiny_scenario(T=2, K=1)
+    cell = with_profiles(scn, {"lambda_up": (0.5, 0.25), "ev_load": (1.0, 2.0)})
+    assert cell.prices.lambda_up == (0.5, 0.25)
+    assert cell.demand.ev_load == (1.0, 2.0)
+    assert cell.hub.da_cap == (2.0, 4.0)  # a new demand brings its commitment cap
+    assert cell.prices.lambda_da == scn.prices.lambda_da
+    for name in ("lambda_ad", "lease_markup", "station_count"):
+        with pytest.raises(ValueError, match=f"no hourly scenario field named {name}"):
+            with_profiles(scn, {name: (1.0, 1.0)})

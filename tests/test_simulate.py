@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 
 from coopt.io import save_scenario
 from coopt.presets import (
+    PRESET_HUB,
     build_scenario,
-    daily_probability_profiles,
-    default_demand_config,
-    demand_history,
+    study_histories,
     synthetic_market_history,
     synthetic_price_history,
 )
 from coopt.scenario import HubSpec
+from coopt.sensitivity import SWEEP_FIELDS, SWEEP_PERCENTILES, study_factors, with_profiles
 from coopt.simulate import (
     BidStack,
     ClearingOutcome,
@@ -256,14 +257,14 @@ def test_market_history_feeds_probability_estimation():
         assert len(series) == 24
         assert all(0.0 <= v <= 1.0 for v in series)
     assert np.isfinite(up_prices).all() and np.isfinite(dn_prices).all()
-    daily = daily_probability_profiles(records)
-    assert daily["acc_up"].shape == (3, 24)
+    histories, _ = study_histories(1, 3, PRESET_HUB)
+    assert histories["acc_up"].shape == (3, 24)
 
 
 def test_market_records_carry_the_day_they_were_cleared_on():
     records, _, _ = synthetic_market_history(2, days=3)
     assert [rec.day for rec in records] == [day for day in range(3) for _ in range(2 * 24)]
-    daily = daily_probability_profiles(records)
+    daily, _ = study_histories(2, 3, PRESET_HUB)
     for day in range(3):
         probs = estimate_probabilities([rec for rec in records if rec.day == day])
         for name in ("acc_up", "acc_dn", "dep_up", "dep_dn"):
@@ -292,7 +293,20 @@ def test_build_scenario_reproduces_bundled_scenario(tmp_path, preset, bundled):
 
 
 def test_demand_history_extension_keeps_earlier_days():
-    cfg = default_demand_config(seed=2)
-    short = demand_history(cfg, days=3)
-    long = demand_history(cfg, days=5)
-    assert np.array_equal(short, long[:3])
+    short, _ = study_histories(2, 3, PRESET_HUB)
+    long, _ = study_histories(2, 5, PRESET_HUB)
+    assert list(short) == list(long)
+    for name in short:
+        assert np.array_equal(short[name], long[name][:3])
+
+
+@pytest.mark.parametrize("seed, days", [(7, 4), (3, 2)])
+def test_preset_is_the_median_of_the_study_histories(seed, days):
+    scn = build_scenario(K=1, seed=seed, days=days)
+    histories, _ = study_histories(seed, days, PRESET_HUB)
+    preset = {**asdict(scn.prices), **asdict(scn.demand)}
+    for name in ("lambda_da", "lambda_rt", "lambda_up", "lambda_dn", "ev_load"):
+        assert preset[name] == tuple(percentile_profiles(histories[name], 50.0))
+    # so the sweep's median cell of a preset scenario is the preset itself
+    factors = study_factors(histories, SWEEP_FIELDS, SWEEP_PERCENTILES)
+    assert with_profiles(scn, {f.name: f.levels[1] for f in factors}) == scn
