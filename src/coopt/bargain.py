@@ -33,6 +33,13 @@ as one MILP per compartment, the compartments sharing the node budget, and
 solves equal compartments once (:func:`_solve_by_block`).  The blocks'
 incumbents and root bases, scattered back, are P2's.
 
+P3 links the hub to the compartments only through the rows ``commit_split``
+and ``demand_balance``.  :func:`solve_tcm` prices those rows at the duals of
+the total-cost model's root LP and drops them, which leaves the hub and the
+compartments apart, each distinct one solved once; the Lagrangian bound that
+gives (Geoffrion 1974) certifies the priced mode pattern's own LP optimum,
+and a branch-and-bound on P3 runs only when it does not.
+
 P3 holds P1's and P2's columns and rows, so the disagreement solves' root
 bases together are a basis of P3.  :func:`solve_study` carries them onto P3
 once, and the TCM root, every cut MILP's root and every polish's first LP
@@ -193,6 +200,10 @@ def _solve_by_block(model: LinearModel, gap: float, node_budget: int) -> MilpSol
     differ in sign; the blocks are then solved once more, each to a gap at
     which their sums meet ``gap``.  An infeasible block makes ``model``
     infeasible, and a block without an incumbent leaves it without one.
+
+    Besides P2, it solves the total-cost model with the rows linking the hub
+    to the compartments priced out (:func:`_priced`); there the sums' bound
+    is the Lagrangian bound less a constant.
     """
     blocks, linking = split_blocks(model)
     if linking:
@@ -244,6 +255,40 @@ def _point_from(
     return ParetoPoint(p3.value_a(x), p3.value_b(x), x, theta=theta).with_gains(d)
 
 
+def _priced(
+    model: LinearModel, dual: np.ndarray, gap: float, node_budget: int
+) -> tuple[MilpSolution, float]:
+    """The Lagrangian relaxation of ``model`` at the duals ``dual`` of its rows:
+    the rows that link two blocks are dropped and priced into the objective,
+    which becomes c - pi A, and :func:`_solve_by_block` solves the rest.
+    Returns that solve and pi b plus its bound, which bounds ``model``'s
+    optimum for duals of the right sign for their rows' senses, as an LP
+    optimum's are, also when a block ran out of nodes (Geoffrion 1974).
+    """
+    _, linking = split_blocks(model)
+    objective = dict(model.objective)
+    constant = 0.0
+    for i in linking:
+        con, y = model.constraints[i], float(dual[i])
+        constant += y * con.rhs
+        for j, a in con.coeffs.items():
+            objective[j] = objective.get(j, 0.0) - y * a
+    dropped = set(linking)
+    rows = [con for i, con in enumerate(model.constraints) if i not in dropped]
+    priced = LinearModel(model.variables, rows, objective, model.sense)
+    sol = _solve_by_block(priced, gap, node_budget)
+    return sol, constant + sol.bound
+
+
+def _pinned(model: LinearModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column bounds of ``model`` with its binaries pinned to their values in ``x``."""
+    lb = np.array([v.lb for v in model.variables])
+    ub = np.array([v.ub for v in model.variables])
+    binaries = model.binary_indices()
+    lb[binaries] = ub[binaries] = x[binaries]
+    return lb, ub
+
+
 def solve_tcm(
     p3: BiObjectiveModel,
     d: DisagreementPoints,
@@ -253,11 +298,37 @@ def solve_tcm(
     warm: WarmStart | None = None,
 ) -> ParetoPoint:
     """Minimize combined cost (hub cost minus storage profit) over the joint set,
-    as the maximum of its negation, the weighted sum at weight 1.  ``warm``, a
-    basis of ``p3.base``, is where the root LP starts."""
+    as the maximum of its negation, the weighted sum at weight 1.
+
+    The root LP starts from ``warm``, a basis of ``p3.base``.  Its duals on
+    the rows that link the hub to the compartments price the lease flows
+    (:func:`_priced`): the hub and each distinct compartment are then solved
+    once, to a quarter of the gap, and the Lagrangian bound they give is
+    valid at a node budget too.  P3 with its binaries pinned to the priced
+    mode pattern is one LP from the root's basis; a point within ``gap`` of
+    the bound is returned as certified.  Otherwise a branch-and-bound on P3,
+    seeded with that pattern, gets the nodes the pricing left of
+    ``node_budget``; so does the whole search when the root LP has no
+    optimum.  A block without a feasible point makes P3 infeasible.
+    """
     model = with_objective(p3.base, _weighted(p3, 1.0), MAX)
-    sol = _require_solved(solve_milp(model, gap, node_budget, warm=warm), "total-cost model")
-    return _point_from(p3, sol.incumbent, d)
+    lp = SimplexSolver(model)
+    root = lp.solve(warm=warm)
+    hint, nodes = None, 0
+    if root.status == OPTIMAL:
+        priced, bound = _priced(model, root.dual, gap / 4, node_budget)
+        if priced.status == INFEASIBLE:  # each block's rows are rows of P3
+            raise InfeasibleError("total-cost model: model is infeasible")
+        nodes = priced.nodes
+        if priced.incumbent is not None:
+            hint = priced.incumbent
+            lb, ub = _pinned(model, hint)
+            fixed = lp.solve(lb=lb, ub=ub, warm=root.warm)
+            if fixed.status == OPTIMAL and _relative_gap(fixed.objective, bound) <= gap:
+                return _point_from(p3, fixed.primal, d)
+        warm = root.warm
+    sol = solve_milp(model, gap, max(0, node_budget - nodes), incumbent_hint=hint, warm=warm)
+    return _point_from(p3, _require_solved(sol, "total-cost model").incumbent, d)
 
 
 def _carried(model: LinearModel, p3: BiObjectiveModel, warm: WarmStart | None):
@@ -392,10 +463,7 @@ def _polish(p3, d, start: ParetoPoint, warm: WarmStart | None) -> ParetoPoint:
     first LP starts from ``warm``, a basis of the gain model, and each later
     one from the LP before it.
     """
-    lb = np.array([v.lb for v in p3.base.variables])
-    ub = np.array([v.ub for v in p3.base.variables])
-    binaries = p3.base.binary_indices()
-    lb[binaries] = ub[binaries] = start.assignment[binaries]
+    lb, ub = _pinned(p3.base, start.assignment)
     best, last = start, None
     for _ in range(POLISH_ROUNDS):
         if best.tau1 <= 0.0 or best.tau2 <= 0.0:

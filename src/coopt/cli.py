@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
             help="branch-and-bound nodes each MILP may search; the storage model's"
-            " compartments share one budget",
+            " compartments share one budget, and so do the total-cost model's"
+            " pricing and its fallback search",
         )
         if name == "anova":
             p.add_argument("--alpha", type=float, default=0.05)

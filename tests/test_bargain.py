@@ -40,11 +40,16 @@ from coopt.linear import (
 )
 from coopt.io import load_scenario
 from coopt.models import build_p1, build_p2, build_p3
+from coopt.presets import study_histories
 from coopt.scenario import BssSpec, DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities
+from coopt.sensitivity import with_profiles
 from coopt.simplex import OPTIMAL, SimplexSolver, carry_basis
+from coopt.simulate import percentile_profiles
 
 from conftest import compartment, tiny_scenario
 from oracles import constraint_violation, enumerate_binaries, highs_objective, verify_axioms
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def symmetric_toy():
@@ -361,8 +366,7 @@ def test_disagreement_bases_start_the_total_cost_root_lp(scenario, monkeypatch):
     if scenario == "tiny":
         scn = tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0)
     else:
-        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
-        scn = load_scenario(scenarios / f"{scenario}.scenario")
+        scn = load_scenario(SCENARIOS / f"{scenario}.scenario")
     p1 = build_p1(scn.hub, scn.prices, scn.demand)
     p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
     p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
@@ -394,22 +398,24 @@ def three_compartments(money=1.0):
     return build_p2(BssSpec((equal, other, equal)), prices, scn.probabilities)
 
 
-def count_block_solves(monkeypatch):
+def record_solves(monkeypatch):
+    """Each ``solve_milp`` call of the bargaining layer, as its model and other arguments."""
     real_solve = bargain.solve_milp
-    solved = []
+    calls = []
 
-    def counted(model, *args, **kwargs):
-        solved.append(model)
+    def recorded(model, *args, **kwargs):
+        calls.append((model, args, kwargs))
         return real_solve(model, *args, **kwargs)
 
-    monkeypatch.setattr(bargain, "solve_milp", counted)
-    return solved
+    monkeypatch.setattr(bargain, "solve_milp", recorded)
+    return calls
 
 
 def test_storage_blocks_reach_the_joint_optimum_solving_equal_blocks_once(monkeypatch):
     model = three_compartments()
-    solved = count_block_solves(monkeypatch)
+    calls = record_solves(monkeypatch)
     sol = bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET)
+    solved = [block for block, _, _ in calls]
     assert [block.n for block in solved] == [model.n // 3] * 2
     assert [v.block for v in solved[1].variables] == [1] * (model.n // 3)
     assert sol.status == OPTIMAL_WITHIN_GAP
@@ -472,3 +478,57 @@ def test_a_row_linking_two_blocks_is_refused():
     add_constraint(model, {0: 1.0, model.n - 1: 1.0}, LE, 1e4, "two_compartments")
     with pytest.raises(ValueError, match="two_compartments links two blocks"):
         bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET)
+
+
+def tcm_model(scn):
+    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
+    return with_objective(p3.base, bargain._weighted(p3, 1.0), MAX)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_NODE_BUDGET, 3])
+@pytest.mark.parametrize("scenario", ["tiny", "median_k2"])
+def test_priced_bound_lies_between_the_total_cost_optimum_and_the_lp_bound(scenario, budget):
+    # the root LP's duals price out the rows linking the hub to the compartments; the
+    # blocks' bounds plus pi b bound the optimum, also when the blocks run out of nodes
+    if scenario == "tiny":
+        scn = tiny_scenario(T=3, K=2)
+    else:
+        scn = load_scenario(SCENARIOS / f"{scenario}.scenario")
+    model = tcm_model(scn)
+    root = SimplexSolver(model).solve()
+    priced, bound = bargain._priced(model, root.dual, DEFAULT_GAP / 4, budget)
+    optimum = highs_objective(model)
+    assert bound >= optimum - 1e-9 * max(1.0, abs(optimum))
+    assert bound <= root.objective + 1e-9 * max(1.0, abs(root.objective))
+    assert priced.nodes <= budget
+
+
+def test_certified_total_cost_searches_no_whole_model(monkeypatch):
+    calls = record_solves(monkeypatch)
+    bundle = solve_study(load_scenario(SCENARIOS / "median_k2.scenario"), "tcm")
+    assert len(calls) == 6  # P1, P2's two compartments, then the hub and both priced
+    assert all(model.n < bundle.p3.base.n for model, _, _ in calls)
+    optimum = 872.5135  # HiGHS
+    assert bundle.tcm.f_a - bundle.tcm.f_b == pytest.approx(optimum, rel=DEFAULT_GAP)
+
+
+def test_total_cost_searches_the_whole_model_when_the_bound_does_not_certify(monkeypatch):
+    # the median_k2 sweep cell at the DA 50th, RT 90th and demand 90th percentiles of
+    # `coopt sweep --seed 0 --days 30`: the priced bound, -84.970, lies 5.7e-4 above the
+    # optimum -85.018, so the priced pattern seeds a search on the whole model
+    scn = load_scenario(SCENARIOS / "median_k2.scenario")
+    histories, _ = study_histories(0, 30, scn.hub)
+    cell = with_profiles(scn, {
+        "lambda_da": percentile_profiles(histories["lambda_da"], 50.0),
+        "lambda_rt": percentile_profiles(histories["lambda_rt"], 90.0),
+        "ev_load": percentile_profiles(histories["ev_load"], 90.0),
+    })
+    calls = record_solves(monkeypatch)
+    bundle = solve_study(cell, "tcm")
+    whole = [(args, kwargs) for model, args, kwargs in calls if model.n == bundle.p3.base.n]
+    assert len(whole) == 1
+    (_, budget), kwargs = whole[0]
+    assert budget < DEFAULT_NODE_BUDGET  # what the pricing left
+    assert kwargs["incumbent_hint"] is not None
+    optimum = highs_objective(tcm_model(cell))
+    assert bundle.tcm.f_b - bundle.tcm.f_a == pytest.approx(optimum, rel=DEFAULT_GAP)

@@ -274,21 +274,32 @@ def test_frontier_drops_a_cell_whose_solve_fails(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_joint_commands_write_the_same_bytes_in_two_processes(tmp_path, command):
-    # the B&B carries search state (pseudo-costs); each process draws its own hash seed,
-    # and the two simulators draw from the default --seed
     path = tmp_path / "tiny.scenario"
     save_scenario(tiny_scenario(T=3, K=2), path)
+    if command in ("simulate-market", "generate-demand"):
+        argv = [command, "--days", "3"]
+    else:
+        argv = [command, "--scenario", str(path)]
+    assert_two_processes_write_the_same_reports(tmp_path, argv)
+
+
+def test_total_cost_on_six_compartments_writes_the_same_bytes_in_two_processes(tmp_path):
+    argv = ["solve-p3-tcm", "--scenario", str(SCENARIOS / "median.scenario")]
+    assert_two_processes_write_the_same_reports(tmp_path, argv)
+
+
+def assert_two_processes_write_the_same_reports(tmp_path, argv):
+    """``argv`` exits 0 in two fresh processes, and both write the same CSV reports."""
+    # the B&B carries search state (pseudo-costs); each process draws its own hash seed,
+    # and the two simulators draw from the default --seed
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("PYTHONHASHSEED", None)
     outputs = []
     for run in range(2):
         out = tmp_path / f"out{run}"
-        if command in ("simulate-market", "generate-demand"):
-            argv = [command, "--days", "3", "--out", str(out)]
-        else:
-            argv = [command, "--scenario", str(path), "--out", str(out)]
         subprocess.run(
-            [sys.executable, "-m", "coopt.cli", *argv], env=env, check=True, capture_output=True
+            [sys.executable, "-m", "coopt.cli", *argv, "--out", str(out)],
+            env=env, check=True, capture_output=True,
         )
         outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     assert outputs[0] and outputs[0] == outputs[1]
