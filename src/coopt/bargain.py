@@ -6,25 +6,32 @@ subject to gamma^2 <= tau1 tau2, where tau1 = d1 - f_a and tau2 = f_b - d2
 are the two gains.  The geometric mean is concave and positively homogeneous,
 so for every slope t > 0 the tangent gamma <= (t tau1 + tau2 / t) / 2 holds at
 every point, and it is tight where tau2 / tau1 = t^2 (Kelley 1960; Ben-Tal &
-Nemirovski 2001).  :func:`solve_nbs` solves "max gamma" as one MILP over the
-joint set plus one gamma column, the rows f_a <= d1 and f_b >= d2 and one
-tangent row per slope, starting from the slopes 1/2, 1 and 2:
+Nemirovski 2001).  :func:`solve_nbs` solves "max gamma" over the joint set
+plus one gamma column, the rows f_a <= d1 and f_b >= d2 and one tangent row
+per slope, starting from the slopes 1/2, 1 and 2, as one branch-and-bound
+that adds its tangent rows as it goes (Quesada & Grossmann 1992):
 
-- each MILP runs to a quarter of the gap within ``CELL_NODE_BUDGET`` nodes and
-  is seeded with the previous point's mode pattern;
-- its incumbent is polished with its binaries pinned, to the exact bargain of
-  that mode pattern (:func:`_polish`), and the tangent at the polished
-  point's slope t = sqrt(tau2 / tau1) becomes the next cut; a point at a
-  corner, where one gain is zero, has no such slope, and the next cut there
-  doubles the steepest slope (tau1 = 0) or halves the flattest (tau2 = 0), so
-  bargains whose gain ratio lies outside the starting bracket are reached;
-- every MILP's bound on gamma is valid for the true bargain, so the least of
-  them, squared, bounds the Nash product.
+- on a model with binaries, while the root LP's gamma exceeds the geometric
+  mean of its own gains by more than the tree's gap, the tangent at those
+  gains' slope cuts it off, so that branching starts from a tighter bound;
+- the tree runs to a quarter of the gap within twice ``CELL_NODE_BUDGET``
+  nodes and is seeded with the total-cost minimum's mode pattern;
+- each integral candidate that beats the incumbent is polished with its
+  binaries pinned, to the exact bargain of that mode pattern
+  (:func:`_polish`); the polished point, with gamma its true geometric mean,
+  is the tree's incumbent when it is the best, and the tangent at its slope
+  t = sqrt(tau2 / tau1) joins the tree's rows.  A point at a corner, where
+  one gain is zero, has no such slope, and the next cut there doubles the
+  steepest slope (tau1 = 0) or halves the flattest (tau2 = 0), so bargains
+  whose gain ratio lies outside the starting bracket are reached;
+- no cut is added for a slope within ``SLOPE_TOL`` of an existing cut's, nor
+  past ``MAX_CUTS`` at the root and as many more in the tree;
+- every tangent holds at every point, so the tree's bound on gamma, squared,
+  bounds the Nash product, also when the tree runs out of nodes.
 
-The loop stops when that bound is within ``1 + gap`` of the best product, when
-a point repeats the slope of an existing cut, when a MILP finds no point, or
-after ``MAX_CUT_MILPS`` MILPs.  A bound below the best product by more than
-rounding raises :class:`~coopt.bnb.SolverError`.
+A tree without a point, for want of nodes, raises
+:class:`BudgetExhaustedError`, and a bound below the best product by more
+than rounding raises :class:`~coopt.bnb.SolverError`.
 The epsilon-constraint sweep :func:`pareto_frontier` serves the ``frontier``
 command only.
 
@@ -42,8 +49,8 @@ and a branch-and-bound on P3 runs only when it does not.
 
 P3 holds P1's and P2's columns and rows, so the disagreement solves' root
 bases together are a basis of P3.  :func:`solve_study` carries them onto P3
-once, and the TCM root, every cut MILP's root and every polish's first LP
-start from that one basis, each mapped by name onto its own model's extra
+once, and the TCM root, the Nash model's first root LP and every polish's
+first LP start from that one basis, each mapped by name onto its own model's extra
 rows and columns.  P1's and P2's roots start cold, and so do the frontier's
 cells.
 """
@@ -81,12 +88,12 @@ from .linear import (
 )
 from .models import AS_WRITTEN, build_p1, build_p2, build_p3
 from .scenario import ScenarioInputs
-from .simplex import OPTIMAL, SimplexSolver, WarmStart, carry_basis
+from .simplex import OPTIMAL, LpSolution, SimplexSolver, WarmStart, carry_basis
 
 DEFAULT_GRID_POINTS = 41
-CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point and per Nash cut MILP
+CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point; the Nash tree gets twice that
 START_SLOPES = (0.5, 1.0, 2.0)  # tau2 / tau1 = t^2: both gains are money, so t has no unit
-MAX_CUT_MILPS = 16  # a guard; the K=1 and K=2 presets stop after 3 and 4
+MAX_CUTS = 16  # a guard on the tangent rows added at the root, and again on those the tree adds
 SLOPE_TOL = 1e-6  # a slope this close to a cut's is that cut
 POLISH_ROUNDS = 12  # a guard; a polish usually ends after one or two LPs
 POLISH_TOL = 1e-12  # relative gain on the weighted sum that counts as none
@@ -122,7 +129,8 @@ class ParetoPoint:
 class BargainResult:
     """The Nash bargain ``nbs`` with ``gamma`` = sqrt(product) and ``bound``, an
     upper bound on the Nash product over the joint set; ``frontier`` holds the
-    points the cut MILPs returned and ``cuts`` the slopes of the tangent cuts."""
+    nondominated ones of the points the tree polished, and ``cuts`` the slopes
+    of the tangent cuts, in the order they were added."""
 
     nbs: ParetoPoint
     gamma: float
@@ -256,27 +264,35 @@ def _point_from(
 
 
 def _priced(
-    model: LinearModel, dual: np.ndarray, gap: float, node_budget: int
+    model: LinearModel, root: LpSolution, gap: float, node_budget: int
 ) -> tuple[MilpSolution, float]:
-    """The Lagrangian relaxation of ``model`` at the duals ``dual`` of its rows:
-    the rows that link two blocks are dropped and priced into the objective,
-    which becomes c - pi A, and :func:`_solve_by_block` solves the rest.
-    Returns that solve and pi b plus its bound, which bounds ``model``'s
-    optimum for duals of the right sign for their rows' senses, as an LP
-    optimum's are, also when a block ran out of nodes (Geoffrion 1974).
+    """The Lagrangian relaxation of ``model`` at the duals pi of ``root``, its
+    optimal LP solution: the rows that link two blocks are dropped and priced
+    into the objective, which becomes c - pi A, and :func:`_solve_by_block`
+    solves the rest.  Returns that solve and pi b plus its bound, which bounds
+    ``model``'s optimum for duals of the right sign for their rows' senses, as
+    an LP optimum's are, also when a block ran out of nodes (Geoffrion 1974).
+
+    ``gap`` is relative to ``model``'s objective, near the LP optimum z, while
+    the blocks' objectives sum to near z - pi b, which can be far larger; so
+    the blocks run at ``gap`` max(1, |z|) / max(1, |z - pi b|), a slack on
+    their sum of ``gap`` max(1, |z|).
     """
     _, linking = split_blocks(model)
     objective = dict(model.objective)
     constant = 0.0
     for i in linking:
-        con, y = model.constraints[i], float(dual[i])
+        con, y = model.constraints[i], float(root.dual[i])
         constant += y * con.rhs
         for j, a in con.coeffs.items():
             objective[j] = objective.get(j, 0.0) - y * a
     dropped = set(linking)
     rows = [con for i, con in enumerate(model.constraints) if i not in dropped]
     priced = LinearModel(model.variables, rows, objective, model.sense)
-    sol = _solve_by_block(priced, gap, node_budget)
+    z = root.objective
+    sol = _solve_by_block(
+        priced, gap * max(1.0, abs(z)) / max(1.0, abs(z - constant)), node_budget
+    )
     return sol, constant + sol.bound
 
 
@@ -316,7 +332,7 @@ def solve_tcm(
     root = lp.solve(warm=warm)
     hint, nodes = None, 0
     if root.status == OPTIMAL:
-        priced, bound = _priced(model, root.dual, gap / 4, node_budget)
+        priced, bound = _priced(model, root, gap / 4, node_budget)
         if priced.status == INFEASIBLE:  # each block's rows are rows of P3
             raise InfeasibleError("total-cost model: model is infeasible")
         nodes = priced.nodes
@@ -457,8 +473,8 @@ def _polish(p3, d, start: ParetoPoint, warm: WarmStart | None) -> ParetoPoint:
     gain on that weighted sum proves the point optimal for its mode pattern;
     otherwise the best point moves to the product's maximum on the segment to
     the new vertex, or on the edge between the last two vertices.  A corner
-    start, where one gain is zero, is returned as it is: the cut MILP's
-    point is a vertex optimal for its pinned binaries, and at a corner only
+    start, where one gain is zero, is returned as it is: the tree's
+    candidate is a vertex optimal for its pinned binaries, and at a corner only
     one cut binds, so the weighted sum at that cut's t^2 cannot gain.  The
     first LP starts from ``warm``, a basis of the gain model, and each later
     one from the LP before it.
@@ -498,9 +514,10 @@ def solve_nbs(
     warm: WarmStart | None = None,
 ) -> BargainResult:
     """Maximize the Nash product (d1 - f_a)(f_b - d2) over the joint set by
-    tangent cuts on gamma^2 <= tau1 tau2, with a bound on the product.
-    ``warm``, a basis of ``p3.base``, is where the TCM root, every cut MILP's
-    root and every polish's first LP start."""
+    tangent cuts on gamma^2 <= tau1 tau2, cut at the root LP and then added
+    inside one branch-and-bound, with a bound on the product (module
+    docstring).  ``warm``, a basis of ``p3.base``, is where the TCM root, the
+    first root LP and every polish's first LP start."""
     tcm = solve_tcm(p3, d, gap, node_budget=node_budget, warm=warm)
     model = _gain_model(p3, d, {}, MAX)
     polish_warm = _carried(model, p3, warm)  # the polish LPs have this model's rows and columns
@@ -509,49 +526,68 @@ def solve_nbs(
     model.objective[gamma] = 1.0
     slopes = list(START_SLOPES)
     model.constraints += [_tangent_cut(p3, d, gamma, t) for t in slopes]
-
-    best = tcm if tcm.tau1 >= 0.0 and tcm.tau2 >= 0.0 else None
     visited: list[ParetoPoint] = []
-    bound = math.inf
-    hint = None
-    budget = min(node_budget, CELL_NODE_BUDGET)
-    for _ in range(MAX_CUT_MILPS):
-        start = _carried(model, p3, warm)
-        sol = solve_milp(model, gap / 4, budget, incumbent_hint=hint, warm=start)
-        if sol.incumbent is None:
-            if sol.status == BUDGET_EXHAUSTED and not visited:
-                raise BudgetExhaustedError(
-                    "Nash bargaining model: node budget exhausted before finding a point"
-                )
-            # an infeasible model: no point gains for both sides
-            bound = min(bound, sol.bound if sol.status == BUDGET_EXHAUSTED else 0.0)
-            break
-        bound = min(bound, sol.bound)
-        point = _polish(p3, d, _point_from(p3, sol.incumbent[:gamma], d), polish_warm)
-        visited.append(point)
-        hint = point.assignment
-        if best is None or point.product > best.product:
-            best = point
-        if bound * bound <= (1.0 + gap) * best.product:
-            break
+    cap = len(slopes) + MAX_CUTS  # on the root's cuts, then on the tree's
+
+    def tangent(point: ParetoPoint) -> list[Constraint]:
+        """The cut at ``point``'s slope, or none when it has no slope, repeats a
+        cut's or would pass the cap."""
         if point.tau1 <= 0.0 and point.tau2 <= 0.0:
-            break
+            return []
         if point.tau1 <= 0.0:  # the steepest cut still favours the storage side's corner
             t = 2.0 * max(slopes)
         elif point.tau2 <= 0.0:  # and the flattest the hub's
             t = min(slopes) / 2.0
         else:
             t = math.sqrt(point.tau2 / point.tau1)
-        if any(math.isclose(t, s, rel_tol=SLOPE_TOL) for s in slopes):
-            break
+        if len(slopes) >= cap or any(math.isclose(t, s, rel_tol=SLOPE_TOL) for s in slopes):
+            return []
         slopes.append(t)
-        model.constraints.append(_tangent_cut(p3, d, gamma, t))
+        return [_tangent_cut(p3, d, gamma, t)]
 
+    def separate(x: np.ndarray) -> tuple[np.ndarray, float, list[Constraint]]:
+        point = _polish(p3, d, _point_from(p3, x[:gamma], d), polish_warm)
+        visited.append(point)
+        true_gamma = math.sqrt(max(point.product, 0.0))
+        return np.append(point.assignment, true_gamma), true_gamma, tangent(point)
+
+    # cut the root LP's point off while its gamma overstates its gains' geometric mean
+    start = _carried(model, p3, warm)
+    while p3.base.binary_indices():  # without binaries, the tree's root is all it solves
+        root = SimplexSolver(model).solve(warm=start)
+        if root.status != OPTIMAL:
+            break
+        start = root.warm
+        point = _point_from(p3, root.primal[:gamma], d)
+        if root.objective <= (1.0 + gap / 4) * math.sqrt(max(point.product, 0.0)):
+            break
+        rows = tangent(point)
+        if not rows:
+            break
+        model.constraints += rows
+        start = start.grown(model.m)
+    cap = len(slopes) + MAX_CUTS
+
+    sol = solve_milp(
+        model, gap / 4, min(node_budget, 2 * CELL_NODE_BUDGET), incumbent_hint=tcm.assignment,
+        warm=start, separate=separate,
+    )
+    if sol.incumbent is None:
+        if sol.status == BUDGET_EXHAUSTED:
+            raise BudgetExhaustedError(
+                "Nash bargaining model: node budget exhausted before finding a point"
+            )
+        bound = 0.0  # an infeasible model: no point gains for both sides
+    else:
+        bound = sol.bound
+
+    gains = [tcm] if tcm.tau1 >= 0.0 and tcm.tau2 >= 0.0 else []
+    best = max(gains + visited, key=lambda p: p.product, default=None)
     nbs = best
     if best is None or best.product <= 0.0:
         nbs = ParetoPoint(d.d1, d.d2, None, 0.0, 0.0, 0.0)  # no point gains for both
     bound = max(bound, 0.0) ** 2
-    if bound < nbs.product:  # every found point is feasible in every cut model
+    if bound < nbs.product:  # every found point is feasible in the cut model
         if nbs.product - bound > BOUND_ROUNDING * max(1.0, nbs.product):
             raise SolverError(f"Nash bound {bound!r} is below the found product {nbs.product!r}")
         bound = nbs.product

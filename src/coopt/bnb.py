@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linear import LE, MAX, MIN, LinearModel
+from .linear import GE, LE, MAX, MIN, Constraint, LinearModel, objective_value
 from .simplex import (
+    FEAS_TOL,
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
@@ -138,6 +140,7 @@ def solve_milp(
     *,
     incumbent_hint: np.ndarray | None = None,
     warm: WarmStart | None = None,
+    separate: Callable[[np.ndarray], tuple[np.ndarray, float, list[Constraint]]] | None = None,
 ) -> MilpSolution:
     """Best-bound branch-and-bound with pseudo-cost branching and reduced-cost
     fixing; returns when the relative gap closes or the node budget runs out,
@@ -151,6 +154,22 @@ def solve_milp(
     example the solution of a neighbouring sweep point); its binaries are fixed
     and the LP re-solved, so a stale hint only costs one LP.  ``warm`` is a
     basis the root LP starts from; the solution returns the root's final one.
+
+    ``separate`` makes ``model`` an outer approximation refined inside the one
+    tree (Quesada & Grossmann 1992): ``model`` must over-estimate the true
+    objective, in the direction of its sense, on each of its integral points.
+    An integral candidate (a node LP with integral binaries, a rounding's
+    completion or the hint's) that beats the incumbent by more than the gap's
+    slack goes to ``separate``, which returns the candidate's true point, its
+    true value and the rows that cut the candidate off.  The true point
+    becomes the incumbent when it is the better, so pruning against it stays
+    valid.  The rows are appended to ``model``, in place, and the search goes
+    on over the grown model: a stored basis gets their slacks as basic when
+    it is next used, and a node whose LP point they cut off, the candidate's
+    own or the point a completion was rounded from, is solved again before it
+    is closed or branched on, keyed by its old LP value.  A node LP candidate
+    that cuts nothing off closes its node at its LP value, which joins the
+    floor of pruned nodes.
     """
     if gap_target <= 0:
         raise ValueError(f"gap_target must be > 0, got {gap_target}")
@@ -169,7 +188,7 @@ def solve_milp(
         raise SolverError("relaxation is unbounded; binary models must be bounded")
     if root.status in _LP_FAILED:
         raise SolverError(f"simplex stopped on the root relaxation: {root.status}")
-    if not binaries.size:
+    if not binaries.size and separate is None:
         return MilpSolution(
             OPTIMAL_WITHIN_GAP, root.primal, root.objective, root.objective, 0.0, 1, root.warm
         )
@@ -181,14 +200,35 @@ def solve_milp(
     tried_roundings: set[bytes] = set()
     pseudo = _PseudoCosts(binaries.size)
 
-    def completion(values, warm):
-        nonlocal incumbent_x, incumbent_z
+    def slack() -> float:
+        return gap_target * max(1.0, abs(incumbent_z)) if incumbent_x is not None else 0.0
+
+    def grown(warm: WarmStart | None) -> WarmStart | None:
+        return None if warm is None else warm.grown(solver.m)
+
+    def accept(x: np.ndarray, z: float) -> list[Constraint]:
+        """Take the integral candidate ``x`` of value ``z`` (minimization
+        orientation); returns the rows ``separate`` added to the model."""
+        nonlocal incumbent_x, incumbent_z, solver
+        if separate is None:
+            incumbent_z, incumbent_x = z, x
+            return []
+        x, objective, rows = separate(x)
+        if sign * objective < incumbent_z:
+            incumbent_z, incumbent_x = sign * objective, x
+        if rows:
+            model.constraints += rows
+            solver = SimplexSolver(model)
+        return rows
+
+    def completion(values, warm) -> list[Constraint]:
         cand = _fix_binaries_and_solve(
-            solver, binaries, partners, lb0, ub0, values, warm, tried_roundings
+            solver, binaries, partners, lb0, ub0, values, grown(warm), tried_roundings
         )
-        if cand is not None and sign * cand[0] < incumbent_z - 1e-12:
-            incumbent_z = sign * cand[0]
-            incumbent_x = cand[1]
+        margin = 1e-12 if separate is None else slack()
+        if cand is not None and sign * cand[0] < incumbent_z - margin:
+            return accept(cand[1], sign * cand[0])
+        return []
 
     if incumbent_hint is not None:
         completion(incumbent_hint, root.warm)
@@ -198,9 +238,6 @@ def solve_milp(
     seq = 0
     stack.append(_Node(sign * root.objective, seq, lb0, ub0, root.warm, 0))
     nodes = 0
-
-    def slack() -> float:
-        return gap_target * max(1.0, abs(incumbent_z)) if incumbent_x is not None else 0.0
 
     def open_bound() -> float:
         candidates = [nd.key for nd in stack] + [heap[0].key if heap else math.inf]
@@ -220,7 +257,8 @@ def solve_milp(
             continue
         nodes += 1
 
-        sol = solver.solve(lb=node.lb, ub=node.ub, warm=node.warm)
+        lp = solver  # the node's solver, also after a completion grows the model
+        sol = lp.solve(lb=node.lb, ub=node.ub, warm=grown(node.warm))
         if sol.status in _LP_FAILED:
             # the subtree is unexplored; its parent's bound keeps the bound valid
             pruned_floor = min(pruned_floor, node.key)
@@ -233,18 +271,25 @@ def solve_milp(
             else:
                 xb = sol.primal[binaries]
                 frac = fractionality(xb)
-                if float(frac.max(initial=0.0)) <= INT_TOL:
-                    incumbent_z = z
-                    incumbent_x = sol.primal.copy()
-                else:
+                integral = float(frac.max(initial=0.0)) <= INT_TOL
+                rows = []
+                if integral:
+                    rows = accept(sol.primal.copy(), z)
+                elif node.depth <= 3 or nodes % 16 == 0:
                     # completions pay one LP each; shallow nodes and a periodic
                     # sample keep incumbents fresh without doubling the work
-                    if node.depth <= 3 or nodes % 16 == 0:
-                        completion(sol.primal, sol.warm)
+                    rows = completion(sol.primal, sol.warm)
+                if _cut_off(rows, sol.primal):
+                    seq += 1  # solved again on the rows before it is closed or branched on
+                    stack.append(replace(node, key=z, seq=seq, warm=sol.warm, branched=-1))
+                elif integral:
+                    if separate is not None:  # z bounds every true value in it
+                        pruned_floor = min(pruned_floor, z)
+                else:
                     lb, ub = node.lb, node.ub
                     if incumbent_x is not None:
                         lb, ub, floor = _fix_by_reduced_cost(
-                            solver, sign, binaries, partners, sol, z, incumbent_z - slack(), lb, ub
+                            lp, sign, binaries, partners, sol, z, incumbent_z - slack(), lb, ub
                         )
                         pruned_floor = min(pruned_floor, floor)
                     candidates = np.flatnonzero(frac > INT_TOL)
@@ -268,13 +313,14 @@ def solve_milp(
 
         best_bound = max(best_bound, open_bound())
 
+    root_warm = grown(root.warm)  # a basis of the model as it ends
     if incumbent_x is None:
         # without an incumbent, a finite floor can only come from an unsolved node
         if (nodes >= node_budget and (stack or heap)) or pruned_floor < math.inf:
             return MilpSolution(
-                BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes, root.warm
+                BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes, root_warm
             )
-        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes, root.warm)
+        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes, root_warm)
 
     best_bound = max(best_bound, open_bound())
     gap = _relative_gap(incumbent_z, best_bound)
@@ -283,8 +329,18 @@ def solve_milp(
     for j in binaries:
         incumbent_x[j] = round(incumbent_x[j])
     return MilpSolution(
-        status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes, root.warm
+        status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes, root_warm
     )
+
+
+def _cut_off(rows: list[Constraint], x: np.ndarray) -> bool:
+    """Whether ``x`` violates one of ``rows`` by more than the simplex's feasibility tolerance."""
+    for con in rows:
+        excess = objective_value(con.coeffs, x) - con.rhs
+        tol = FEAS_TOL * max(1.0, abs(con.rhs))
+        if (con.sense != GE and excess > tol) or (con.sense != LE and excess < -tol):
+            return True
+    return False
 
 
 def _fix_to_one(lb, ub, j, partners) -> None:

@@ -21,6 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bargain import (
+    CELL_NODE_BUDGET,
     DEFAULT_GAP,
     DEFAULT_GRID_POINTS,
     DEFAULT_NODE_BUDGET,
@@ -96,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
             help="branch-and-bound nodes each MILP may search; the storage model's"
             " compartments share one budget, and so do the total-cost model's"
-            " pricing and its fallback search",
+            " pricing and its fallback search; the Nash bargain is one search,"
+            f" which adds its tangent cuts as it goes, of at most {2 * CELL_NODE_BUDGET} nodes",
         )
         if name == "anova":
             p.add_argument("--alpha", type=float, default=0.05)

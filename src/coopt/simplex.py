@@ -108,6 +108,18 @@ class WarmStart:
     basis: np.ndarray
     vstat: np.ndarray
 
+    def grown(self, m: int) -> "WarmStart":
+        """This basis on its model with rows appended up to ``m`` rows, their
+        slacks basic.  The slacks follow the columns, so no index moves."""
+        k = m - self.basis.size
+        if k == 0:
+            return self
+        end = self.vstat.size
+        return WarmStart(
+            np.concatenate([self.basis, np.arange(end, end + k)]),
+            np.concatenate([self.vstat, np.full(k, _BASIC, dtype=self.vstat.dtype)]),
+        )
+
 
 @dataclass
 class LpSolution:

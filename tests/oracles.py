@@ -541,6 +541,7 @@ def hourly_reports(bundle) -> dict[str, list[list]]:
     solutions += [
         (label, bundle.p3.base, point.assignment)
         for label, point in bundle.joint_points().items()
+        if point.assignment is not None  # a bargain at the disagreement point has no solution
     ]
 
     def reader(label, model, x):

@@ -304,30 +304,30 @@ def best_enumerated_product(p3, d, floors):
     return best
 
 
-def test_bound_stays_valid_when_cut_milps_run_out_of_nodes(monkeypatch):
+def test_bound_stays_valid_when_the_cut_tree_runs_out_of_nodes(monkeypatch):
     p3, d = gains_toy()
-    cut_milps = []
+    trees = []
     real_solve = bargain.solve_milp
 
     def recording(model, *args, **kwargs):
         sol = real_solve(model, *args, **kwargs)
         if model.variables[-1].name == "nash_gamma":
-            cut_milps.append(sol)
+            trees.append(sol)
         return sol
 
     monkeypatch.setattr(bargain, "solve_milp", recording)
-    monkeypatch.setattr(bargain, "CELL_NODE_BUDGET", 1)
+    monkeypatch.setattr(bargain, "CELL_NODE_BUDGET", 1)  # the tree gets twice that
     result = solve_nbs(p3, d, gap=1e-9)
-    assert BUDGET_EXHAUSTED in [sol.status for sol in cut_milps]
+    assert [(sol.status, sol.nodes) for sol in trees] == [(BUDGET_EXHAUSTED, 2)]
     optimum = best_enumerated_product(p3, d, 21)
     assert optimum > 0.0
     assert result.bound >= optimum * (1 - 1e-9)
     assert result.bound >= result.nbs.product
-    # the bound is what the MILPs proved, not what their incumbents reached
-    assert result.bound == pytest.approx(min(sol.bound for sol in cut_milps) ** 2, rel=1e-12)
+    # the bound is what the tree proved, not what its incumbent reached
+    assert result.bound == pytest.approx(trees[0].bound ** 2, rel=1e-12)
 
 
-def test_no_point_from_the_first_cut_milp_raises(monkeypatch):
+def test_a_cut_tree_without_a_point_raises(monkeypatch):
     p3, d = gains_toy()
     exhausted = MilpSolution(BUDGET_EXHAUSTED, None, math.nan, 1e6, math.inf, 1)
     real_solve = bargain.solve_milp
@@ -343,7 +343,7 @@ def test_no_point_from_the_first_cut_milp_raises(monkeypatch):
 
 
 def test_bound_below_a_found_product_raises(monkeypatch):
-    # the polished point is feasible in every cut model, so a MILP bound below
+    # every polished point is feasible in the cut model, so a tree bound below
     # its product beyond rounding is a broken bound, not a certificate
     p3, d = symmetric_toy()
     real_solve = bargain.solve_milp
@@ -496,7 +496,7 @@ def test_priced_bound_lies_between_the_total_cost_optimum_and_the_lp_bound(scena
         scn = load_scenario(SCENARIOS / f"{scenario}.scenario")
     model = tcm_model(scn)
     root = SimplexSolver(model).solve()
-    priced, bound = bargain._priced(model, root.dual, DEFAULT_GAP / 4, budget)
+    priced, bound = bargain._priced(model, root, DEFAULT_GAP / 4, budget)
     optimum = highs_objective(model)
     assert bound >= optimum - 1e-9 * max(1.0, abs(optimum))
     assert bound <= root.objective + 1e-9 * max(1.0, abs(root.objective))
@@ -513,9 +513,31 @@ def test_certified_total_cost_searches_no_whole_model(monkeypatch):
 
 
 def test_total_cost_searches_the_whole_model_when_the_bound_does_not_certify(monkeypatch):
+    # a priced bound raised by 1% no longer certifies the priced point, so the priced
+    # pattern seeds a search on the whole model, on the nodes the pricing left
+    real_priced = bargain._priced
+
+    def loose(*args):
+        sol, bound = real_priced(*args)
+        return sol, bound + 0.01 * abs(bound)  # a maximization: a weaker, still valid bound
+
+    monkeypatch.setattr(bargain, "_priced", loose)
+    calls = record_solves(monkeypatch)
+    bundle = solve_study(load_scenario(SCENARIOS / "median_k2.scenario"), "tcm")
+    whole = [(args, kwargs) for model, args, kwargs in calls if model.n == bundle.p3.base.n]
+    assert len(whole) == 1
+    (_, budget), kwargs = whole[0]
+    assert budget < DEFAULT_NODE_BUDGET  # what the pricing left
+    assert kwargs["incumbent_hint"] is not None
+    optimum = 872.5135  # HiGHS
+    assert bundle.tcm.f_a - bundle.tcm.f_b == pytest.approx(optimum, rel=DEFAULT_GAP)
+
+
+def test_priced_blocks_meet_the_gap_on_the_total_cost(monkeypatch):
     # the median_k2 sweep cell at the DA 50th, RT 90th and demand 90th percentiles of
-    # `coopt sweep --seed 0 --days 30`: the priced bound, -84.970, lies 5.7e-4 above the
-    # optimum -85.018, so the priced pattern seeds a search on the whole model
+    # `coopt sweep --seed 0 --days 30`: pi b is about -5,375 against a total cost of 85, so
+    # blocks that met the gap on their own sums left a priced bound 5.7e-4 above the
+    # optimum; at the gap scaled to the total the priced point is certified
     scn = load_scenario(SCENARIOS / "median_k2.scenario")
     histories, _ = study_histories(0, 30, scn.hub)
     cell = with_profiles(scn, {
@@ -525,10 +547,6 @@ def test_total_cost_searches_the_whole_model_when_the_bound_does_not_certify(mon
     })
     calls = record_solves(monkeypatch)
     bundle = solve_study(cell, "tcm")
-    whole = [(args, kwargs) for model, args, kwargs in calls if model.n == bundle.p3.base.n]
-    assert len(whole) == 1
-    (_, budget), kwargs = whole[0]
-    assert budget < DEFAULT_NODE_BUDGET  # what the pricing left
-    assert kwargs["incumbent_hint"] is not None
+    assert all(model.n < bundle.p3.base.n for model, _, _ in calls)
     optimum = highs_objective(tcm_model(cell))
     assert bundle.tcm.f_b - bundle.tcm.f_a == pytest.approx(optimum, rel=DEFAULT_GAP)

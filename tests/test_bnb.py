@@ -6,6 +6,7 @@ import pytest
 from coopt import bnb
 from coopt.bnb import (
     BUDGET_EXHAUSTED,
+    DEFAULT_NODE_BUDGET,
     OPTIMAL_WITHIN_GAP,
     exclusivity_pairs,
     fractionality,
@@ -20,7 +21,7 @@ from coopt.simplex import (
     SimplexSolver,
 )
 
-from oracles import enumerate_binaries
+from oracles import constraint_violation, enumerate_binaries
 
 
 def test_no_binaries_equals_lp():
@@ -275,3 +276,77 @@ def test_reduced_cost_fixing_pins_bounds_and_keeps_its_floor(monkeypatch):
         assert ub[j] == 0.0
         assert lb[a] == 1.0
         assert ub[b] == 0.0
+
+
+def lines_toy(seed, sense, cap=8):
+    """``g`` over six binaries ``b`` under a knapsack row, with ``g <= c_k + a_k b``
+    for each of eight lines: optimizing ``g`` (maximizing it, or minimizing ``-g``)
+    optimizes the concave minimum over the lines.  Returns a builder of the model
+    with the rows of the given lines, and the ``separate`` callback that returns
+    the row of the line binding at a candidate, for its first ``cap`` calls."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    lines = [
+        ({i: float(rng.integers(-4, 9)) for i in range(n)}, float(rng.integers(0, 10)))
+        for _ in range(8)
+    ]
+    weights = {i: float(rng.integers(1, 6)) for i in range(n)}
+    direction = 1.0 if sense == MAX else -1.0
+
+    def row(k):
+        a, c = lines[k]
+        return Constraint({**{i: -v for i, v in a.items()}, n: 1.0}, LE, c, f"line[{k}]")
+
+    def model_with(ks):
+        variables = [Variable(f"b{i}", 0.0, 1.0, binary=True) for i in range(n)]
+        variables.append(Variable("g", -100.0, 100.0))
+        rows = [Constraint(weights, LE, 8.0, "knapsack")] + [row(k) for k in ks]
+        return LinearModel(variables, rows, {n: direction}, sense)
+
+    calls = []
+
+    def separate(x):
+        values = [c + sum(v * x[i] for i, v in a.items()) for a, c in lines]
+        k = int(np.argmin(values))
+        true = x.copy()
+        true[n] = values[k]
+        calls.append(k)
+        cut = x[n] > values[k] + 1e-9 and len(calls) <= cap
+        return true, direction * values[k], [row(k)] if cut else []
+
+    return model_with, separate
+
+
+@pytest.mark.parametrize("sense", [MAX, MIN])
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_separated_in_the_tree_reach_the_optimum_with_them_up_front(seed, sense):
+    model_with, separate = lines_toy(seed, sense)
+    exact = enumerate_binaries(model_with(range(8)))
+    model = model_with([0])
+    milp = solve_milp(model, gap_target=1e-9, separate=separate)
+    assert milp.status == OPTIMAL_WITHIN_GAP
+    assert milp.objective == pytest.approx(exact.objective, abs=1e-6)
+    assert model.m > 2  # the rows were added to the model in place
+    # the incumbent is a true point: it satisfies every added row, and its g is the
+    # minimum over all the lines
+    assert constraint_violation(model, milp.incumbent) <= 1e-7
+    _, value, rows = separate(milp.incumbent)
+    assert rows == [] and value == pytest.approx(milp.objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 8])
+@pytest.mark.parametrize("sense", [MAX, MIN])
+@pytest.mark.parametrize("seed", range(6))
+def test_separated_bound_stays_valid_at_a_node_budget(seed, sense, cap):
+    # with fewer rows than the candidates call for, a candidate that brings none
+    # closes its node at its LP value, which must stay in the bound
+    model_with, _ = lines_toy(seed, sense)
+    exact = enumerate_binaries(model_with(range(8)))
+    sign = 1.0 if sense == MIN else -1.0
+    for budget in (1, 2, 3, 4, 5, DEFAULT_NODE_BUDGET):
+        _, separate = lines_toy(seed, sense, cap)
+        milp = solve_milp(model_with([0]), gap_target=1e-9, node_budget=budget, separate=separate)
+        assert milp.nodes <= budget
+        assert sign * milp.bound <= sign * exact.objective + 1e-9
+        if milp.incumbent is not None:
+            assert sign * milp.objective >= sign * exact.objective - 1e-9

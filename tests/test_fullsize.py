@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from coopt import presets
+from coopt import bargain, presets
 from coopt.bargain import (
     START_SLOPES,
     DisagreementPoints,
@@ -36,6 +36,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GAP = 5e-4
 TCM_MEDIAN_K2 = 872.5135  # HiGHS; the TCM MILP maximizes its negation
 TCM_MEDIAN = -3030.0467  # HiGHS
+NBS_K1 = 19936.615  # HiGHS's Nash product on presets.build_scenario(K=1), perfbench/references.json
 
 
 def within_gap(value, reference):
@@ -68,6 +69,24 @@ def test_median_total_cost_minimum():
     # on the whole model, which ran out of time before the bound did
     tcm = solve_study(load_scenario(SCENARIOS / "median.scenario"), "tcm").tcm
     assert within_gap(tcm.f_a - tcm.f_b, TCM_MEDIAN)
+
+
+def test_preset_k1_nash_bargain(monkeypatch):
+    # the benchmark's one-compartment scenario: one branch-and-bound on the Nash cut
+    # model, which adds its tangent rows inside the tree
+    real_solve = bargain.solve_milp
+    cut_models = []
+
+    def recording(model, *args, **kwargs):
+        if model.variables[-1].name == "nash_gamma":
+            cut_models.append(model)
+        return real_solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(bargain, "solve_milp", recording)
+    result = solve_study(presets.build_scenario(K=1), "nbs").bargain
+    assert len(cut_models) == 1
+    assert within_gap(result.nbs.product, NBS_K1)
+    assert result.bound >= result.nbs.product
 
 
 def tcm_milp(scn):
