@@ -382,14 +382,11 @@ def pareto_frontier(
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     # the sweep only needs an achievable top for the floor grid, so the far
-    # corner is located with cheap incumbents, first without and then with
-    # the hub's gain row; every kept point is still solved at `gap`
+    # corner, with the hub's gain row, is located with a cheap incumbent;
+    # every kept point is still solved at `gap`
     top_model = with_objective(p3.base, p3.obj_b, MAX)
-    free_top = solve_milp(top_model, max(gap, 0.02), min(200, node_budget))
     add_constraint(top_model, p3.obj_a, LE, d.d1, "hub_gain_cut")
-    top = solve_milp(
-        top_model, max(gap, 0.02), min(400, node_budget), incumbent_hint=free_top.incumbent
-    )
+    top = solve_milp(top_model, max(gap, 0.02), min(400, node_budget))
     if top.incumbent is None:
         return [], []
     fb_max = p3.value_b(top.incumbent)

@@ -147,8 +147,10 @@ def solve_milp(
     in which case the reported bound is still globally valid: it is the least
     of the open nodes' bounds, of the bounds of nodes pruned within the gap or
     left unsolved, and of the bounds of the regions fixing cut off.  The
-    search is deterministic: equal inputs give equal nodes, incumbent and
-    bound.
+    search is deterministic for a fixed BLAS thread count: equal inputs give
+    equal nodes, incumbent and bound.  Another thread count can round the
+    simplex's dense products differently and so take another path, to
+    another node count and possibly another incumbent.
 
     ``incumbent_hint`` seeds the search with a known-good binary pattern (for
     example the solution of a neighbouring sweep point); its binaries are fixed

@@ -18,12 +18,14 @@ no m-wide row rewritten.  Every product with the inverse applies ``B0`` and
 then the low-rank correction.  Every ``REFACTOR_EVERY`` updates the simplex
 loops build a fresh base.
 
-A refactorization eliminates the basic slack columns, which are unit
-vectors, and inverts only the block ``K`` of basic structural columns on the
-rows no slack covers.  ``K`` is read from the nonzeros and its singletons
-are peeled (Hellerman & Rarick 1971): rounds of column singletons and of row
-singletons make it block triangular around a small dense bump, the only part
-that goes to LAPACK, and ``K^-1`` follows by substitution over the nonzeros.
+A refactorization reads the basis from the nonzeros of its columns and
+peels its singletons (Hellerman & Rarick 1971): rounds of column singletons
+and of row singletons make it block triangular around a small dense bump,
+the only part that goes to LAPACK, and the inverse follows by substitution
+over the nonzeros.  The basic slack columns, unit vectors, are column
+singletons of the first round, with the structural columns that have one
+nonzero (Suhl & Suhl 1990); the inverse's column on each of their rows is
+a unit column, filled in without substitution.
 
 The solver keeps the factorizations of its last ``KEPT_FACTORIZATIONS``
 optimal bases, each as its base, a copy of its terms and its age, and drops
@@ -65,7 +67,10 @@ basis change of the primal and the dual simplex goes through ``_pivot``.
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties) with an
 automatic switch to Bland's lowest-index rule after a degeneracy stall, which
-keeps the pivot sequence deterministic and cycle-free.  The primal ratio
+keeps the pivot sequence cycle-free, and deterministic for a fixed BLAS thread
+count: the dense products with the inverse sum in an order that depends on
+the thread count, so a near-tie in pricing or in a ratio test can go the
+other way with another one.  The primal ratio
 test is Harris's two-pass test, which prefers the largest pivot among the
 rows that block within the feasibility tolerance.  The primal simplex
 carries the duals ``y = c_B B^-1`` through its pivots, adding ``d_q`` times
@@ -242,9 +247,13 @@ def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> n
     is solved by substitution over the nonzeros, in this order: the
     row-singleton rounds as peeled, then the bump no round peels (the only
     part that goes to ``np.linalg.solve``), then the column-singleton rounds
-    in reverse.  Returns None for a singular ``K``: two singletons of one
-    round on one row or column, or a bump that LAPACK finds singular or whose
-    inverse is beyond the resolution of double precision.
+    in reverse.  A column singleton ``c`` of the first round, on row ``r``,
+    gives ``K^-1 e_r = e_c / pivot``, a column that no substitution reads; so
+    the substitution and the bump run on the other columns of ``X``, and
+    these unit columns are filled in at the end.  Returns None for a singular
+    ``K``: two singletons of one round on one row or column, or a bump that
+    LAPACK finds singular or whose inverse is beyond the resolution of double
+    precision.
     """
     row_on = np.ones(n, dtype=bool)
     col_on = np.ones(n, dtype=bool)
@@ -252,6 +261,7 @@ def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> n
     piv_val = np.empty(n)
     row_rounds: list[np.ndarray] = []
     col_rounds: list[np.ndarray] = []
+    unit = np.zeros(0, dtype=np.intp)  # the rows of a first round of column singletons
     r, c, v = kr, kc, kv
     while r.size:
         alone = np.bincount(c, minlength=n)[c] == 1
@@ -264,6 +274,8 @@ def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> n
         if np.bincount(clash[alone]).max() > 1:
             return None
         pr, pc = r[alone], c[alone]
+        if rounds is col_rounds and r is kr:  # the first round
+            unit = pr
         rounds.append(pr)
         piv_col[pr] = pc
         piv_val[pr] = v[alone]
@@ -291,8 +303,12 @@ def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> n
     seg = np.searchsorted(row_stage[er[starts]], np.arange(len(stages) + 1))  # segments by stage
     bounds = np.r_[starts, er.size]
 
-    X = np.zeros((n, n))  # X[j] becomes the row of K^-1 for column j of K
-    X[piv_col[peeled], peeled] = 1.0
+    other = np.ones(n, dtype=bool)
+    other[unit] = False
+    at = np.cumsum(other) - 1  # a column of K^-1 outside ``unit``: its column in X
+    X = np.zeros((n, n - unit.size))  # X[j] becomes row j of K^-1, on those columns
+    ones = np.flatnonzero(peeled & other)
+    X[piv_col[ones], at[ones]] = 1.0
 
     def terms(k: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows of stage ``k`` that have terms, and ``K[row, earlier] X[earlier]``."""
@@ -318,8 +334,8 @@ def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> n
         bump = np.zeros((bump_rows.size, bump_rows.size))
         bump[np.searchsorted(bump_rows, kr[inside]),
              np.searchsorted(bump_cols, kc[inside])] = kv[inside]
-        rhs = np.zeros((bump_rows.size, n))
-        rhs[np.arange(bump_rows.size), bump_rows] = 1.0
+        rhs = np.zeros((bump_rows.size, X.shape[1]))
+        rhs[np.arange(bump_rows.size), at[bump_rows]] = 1.0
         if seg[at_bump + 1] > seg[at_bump]:
             rows, sums = terms(at_bump)
             rhs[np.searchsorted(bump_rows, rows)] -= sums
@@ -328,13 +344,16 @@ def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> n
             xb = np.linalg.solve(bump, rhs[:, used])
         except np.linalg.LinAlgError:
             return None
-        inverse = xb[:, np.searchsorted(used, bump_rows)]  # the bump rows' columns
+        inverse = xb[:, np.searchsorted(used, at[bump_rows])]  # the bump rows' columns
         if not np.max(np.abs(bump)) * np.max(np.abs(inverse)) * np.finfo(float).eps < 1.0:
             return None
         X[np.ix_(bump_cols, used)] = xb
     for k in range(at_bump + 1, len(stages)):
         settle(k)
-    return X
+    kinv = np.zeros((n, n))
+    kinv[:, other] = X
+    kinv[piv_col[unit], unit] = 1.0 / piv_val[unit]
+    return kinv
 
 
 class SimplexSolver:
@@ -352,7 +371,7 @@ class SimplexSolver:
         self.nsm = ns + m
         # basis bytes -> (basis, B0, U, V, age), least recently used first
         self._kept: OrderedDict[bytes, tuple] = OrderedDict()
-        self.refactors = 0  # block inverses computed, over every solve
+        self.refactors = 0  # inverses computed, over every solve
         self.repairs = 0  # warm starts served by repairing a kept factorization
 
         self.sf = standard_form(model)
@@ -515,56 +534,14 @@ class SimplexSolver:
         return True
 
     def _block_inverse(self) -> np.ndarray | None:
-        """Inverse of the basis with its slack columns eliminated.
-
-        Basis positions U hold slack columns ``e_{R_k}``; the positions S hold
-        structural columns, and N are the rows no slack covers.  With
-        ``K = B[N, S]`` the inverse is ``Binv[S, N] = K^-1``, ``Binv[U, R] = I``
-        and ``Binv[U, N] = -B[R, S] K^-1``; every other entry is zero.
-        ``K^-1`` comes from :func:`_peeled_inverse`, and both ``K`` and
-        ``B[R, S]`` are read from the nonzeros.  Returns None for a singular
-        basis.
-        """
-        m, ns = self.m, self.ns
-        unit = self.basis >= ns
-        U = np.flatnonzero(unit)
-        S = np.flatnonzero(~unit)
-        R = self.basis[U] - ns
-        covered = np.zeros(m, dtype=bool)
-        covered[R] = True
-        N = np.flatnonzero(~covered)
-
-        binv = np.zeros((m, m))  # allocated before the temporaries below: lower peak memory
-        binv[U, R] = 1.0
-
-        # nonzeros of the basic structural columns; ``owner`` is their position in S
-        js = self.basis[S]
-        starts = self.sf.ptr[js]
-        counts = self.sf.ptr[js + 1] - starts
-        owner = np.repeat(np.arange(S.size), counts)
+        """Inverse of the basis, read from the nonzeros of its columns by
+        :func:`_peeled_inverse`; None for a singular basis."""
+        starts = self.sf.ptr[self.basis]
+        counts = self.sf.ptr[self.basis + 1] - starts
+        owner = np.repeat(np.arange(self.m), counts)  # each nonzero's basis position
         first = np.cumsum(counts) - counts  # where each column starts in the gathered list
         nz = starts[owner] + np.arange(owner.size) - first[owner]
-        rows, vals = self.sf.row[nz], self.sf.val[nz]
-        local = np.full(m, -1, dtype=np.intp)  # a row's position in N, then in R
-        local[N] = np.arange(N.size)
-        in_k = local[rows] >= 0
-        Kinv = _peeled_inverse(local[rows[in_k]], owner[in_k], vals[in_k], N.size)
-        if Kinv is None:
-            return None
-        binv[np.ix_(S, N)] = Kinv
-
-        # B[R, S] K^-1 row by row, for the unit positions B[R, S] has a nonzero on
-        local[R] = np.arange(U.size)
-        at = np.flatnonzero(~in_k)
-        at = at[np.argsort(local[rows[at]], kind="stable")]
-        u = local[rows[at]]
-        if u.size:
-            firsts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-            terms = Kinv[owner[at]]
-            terms *= vals[at, None]
-            hit = u[firsts]
-            binv[np.ix_(U[hit], N)] = -np.add.reduceat(terms, firsts)
-        return binv
+        return _peeled_inverse(self.sf.row[nz], owner, self.sf.val[nz], self.m)
 
     def _keep(self) -> None:
         key = self.basis.tobytes()

@@ -626,20 +626,26 @@ def test_standard_form_layout():
 
 def test_block_factorization_matches_dense_inverse():
     rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(60):
-        m = int(rng.integers(1, 9))
-        model = random_sparse_model(rng, m + int(rng.integers(0, 6)), m, density=0.6)
-        solver = SimplexSolver(model)
-        solver.basis = structural_and_slack_basis(rng, solver)
-        B = basis_matrix(solver)
-        if np.linalg.matrix_rank(B) < m:
-            continue
-        binv = solver._block_inverse()
-        ref = np.linalg.inv(B)
-        assert np.max(np.abs(binv - ref)) <= 1e-10 * np.max(np.abs(ref))
-        checked += 1
-    assert checked > 30
+    # structural columns with one nonzero share the peel's first round with
+    # the slack columns; the lower density gives more rounds after it
+    for density in (0.6, 0.25):
+        checked = shared = 0
+        for _ in range(150):
+            m = int(rng.integers(1, 9))
+            model = random_sparse_model(rng, m + int(rng.integers(0, 6)), m, density=density)
+            solver = SimplexSolver(model)
+            solver.basis = structural_and_slack_basis(rng, solver)
+            B = basis_matrix(solver)
+            if np.linalg.matrix_rank(B) < m:
+                continue
+            binv = solver._block_inverse()
+            ref = np.linalg.inv(B)
+            assert np.max(np.abs(binv - ref)) <= 1e-10 * np.max(np.abs(ref))
+            checked += 1
+            singleton = np.count_nonzero(B, axis=0) == 1
+            structural = solver.basis < solver.ns
+            shared += bool(singleton[structural].any() and not structural.all())
+        assert checked > 30 and shared > 5
 
 
 def test_block_factorization_rejects_singular_bases():
@@ -652,6 +658,18 @@ def test_block_factorization_rejects_singular_bases():
     solver.basis = np.array([0, 1])  # structural block [[1, 1], [2, 2]]
     assert not solver._factor_basis()
     solver.basis = np.array([0, 3])  # x on row 0, slack on row 1
+    assert solver._factor_basis()
+    # z's one nonzero is on row 0, and so is the slack of row 0
+    solver = SimplexSolver(
+        lp(
+            [Variable("x"), Variable("z")],
+            [Constraint({0: 1.0, 1: 3.0}, LE, 4.0), Constraint({0: 2.0}, LE, 8.0)],
+            {},
+        )
+    )
+    solver.basis = np.array([1, 2])
+    assert not solver._factor_basis()
+    solver.basis = np.array([1, 3])  # z on row 0, slack on row 1
     assert solver._factor_basis()
 
 
