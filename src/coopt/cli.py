@@ -8,7 +8,9 @@ prints one line on stderr.  Flags are checked before any command does work.
 profit alone is 0) and names the run, while ``sweep`` records a failed cell as
 NaN, exits 0, and prints one stderr line per such cell with its levels and
 reason.  ``frontier`` exits 0 when it drops storage floors, and says on one
-stderr line how many were dropped and why.  The studies and
+stderr line how many were dropped and why.  ``solve-p3-nbs`` exits 0 when its
+search stops at the node budget with the Nash bound above the product by more
+than ``--gap``, and says so on one stderr line.  The studies and
 ``generate-demand`` draw their inputs from :func:`~coopt.presets.study_histories`.
 """
 
@@ -98,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="branch-and-bound nodes each MILP may search; the storage model's"
             " compartments share one budget, and so do the total-cost model's"
             " pricing and its fallback search; the Nash bargain is one search,"
-            f" which adds its tangent cuts as it goes, of at most {2 * CELL_NODE_BUDGET} nodes",
+            f" which adds its tangent cuts as it goes, of at most {2 * CELL_NODE_BUDGET} nodes;"
+            " a bargain whose bound its search leaves above the product by more than --gap"
+            " still exits 0, with one stderr line giving the bound, the product and the gap",
         )
         if name == "anova":
             p.add_argument("--alpha", type=float, default=0.05)
@@ -147,11 +151,18 @@ def _run_solve(args) -> int:
         print(f"tcm hub cost: {bundle.tcm.f_a!r}")
         print(f"tcm bss profit: {bundle.tcm.f_b!r}")
     elif args.command == "solve-p3-nbs":
-        nbs = bundle.bargain.nbs
+        nbs, bound = bundle.bargain.nbs, bundle.bargain.bound
         print(f"nbs hub cost: {nbs.f_a!r}")
         print(f"nbs bss profit: {nbs.f_b!r}")
         print(f"nash product: {nbs.product!r}")
-        print(f"nash bound: {bundle.bargain.bound!r}")
+        print(f"nash bound: {bound!r}")
+        gap = (bound - nbs.product) / max(1.0, nbs.product)
+        if gap > args.gap:
+            print(
+                f"nbs: not certified: nash bound {bound!r} is above the product {nbs.product!r}"
+                f" by a relative gap of {gap:.4g}, more than --gap {args.gap!r}",
+                file=sys.stderr,
+            )
     else:  # frontier
         args.out.mkdir(parents=True, exist_ok=True)
         write_frontier(args.out / "frontier.csv", bundle.frontier)

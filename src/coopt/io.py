@@ -6,9 +6,10 @@ of that section's dataclass in declaration order (``joint`` may be absent).
 Those dataclasses are the only description of the format.
 :func:`save_scenario` writes them with ``dataclasses.asdict``, and
 :func:`load_scenario` reads each field by the kind its annotation names,
-then leaves the value checks to the dataclasses; every error names the
-field.  CSV is used for the simulated histories and for every emitted
-table.  All numbers, numpy floats included, are written with
+then leaves the value checks to the dataclasses, whose hourly series carry
+their ranges on their fields (:func:`~coopt.scenario.hourly_fields`); every
+error names the field.  CSV is used for the simulated histories and for
+every emitted table.  All numbers, numpy floats included, are written with
 ``repr``-precision (shortest round-trip decimal), which makes outputs
 bytewise reproducible for a fixed seed.  The hourly reports read each
 solution's variable families as arrays from

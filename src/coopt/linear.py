@@ -107,12 +107,11 @@ def add_constraint(
 @dataclass
 class Block:
     """The sub-model of one block, with the full model's index of each of its
-    columns and of each of its rows."""
+    columns."""
 
     label: int
     model: LinearModel
     cols: list[int]
-    rows: list[int]
 
 
 def split_blocks(model: LinearModel) -> tuple[list[Block], list[int]]:
@@ -147,7 +146,7 @@ def split_blocks(model: LinearModel) -> tuple[list[Block], list[int]]:
             {local[j]: c for j, c in model.objective.items() if j in local},
             model.sense,
         )
-        blocks.append(Block(b, sub, own, rows[b]))
+        blocks.append(Block(b, sub, own))
     return blocks, linking
 
 

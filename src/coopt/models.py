@@ -59,6 +59,7 @@ from .scenario import (
     JointTerms,
     PriceProfiles,
     ReserveProbabilities,
+    check_horizon,
 )
 
 AS_WRITTEN = "as-written"
@@ -101,14 +102,7 @@ def _build(
     carries the lease terms when the lease columns exist.
     """
     T = prices.horizon
-    horizons = []
-    if bss is not None:
-        horizons.append(("probabilities", probs.horizon))
-    if hub is not None:
-        horizons += [("demand", demand.horizon), ("hub.da_cap", len(hub.da_cap))]
-    for label, length in horizons:
-        if length != T:
-            raise ValueError(f"{label} has horizon {length}, expected {T}")
+    check_horizon(T, probabilities=probs, demand=demand, hub=hub)
     if bss is not None and mode not in DEPLOYMENT_REVENUE_MODES:
         raise ValueError(
             f"deployment_revenue must be one of {DEPLOYMENT_REVENUE_MODES}, got {mode!r}"

@@ -23,8 +23,8 @@ from .scenario import (
     PriceProfiles,
     ReserveProbabilities,
     ScenarioInputs,
+    with_profiles,
 )
-from .sensitivity import with_profiles
 from .simulate import (
     BidStack,
     DemandGenConfig,

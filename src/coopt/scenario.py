@@ -4,52 +4,75 @@ All hourly series are plain tuples of floats so that scenario objects are
 immutable, hashable-free value objects that are safe to share across worker
 processes.  Energy is in kWh over one-hour steps, so kW and kWh/h coincide.
 Prices are money per kWh (energy) or money per kW (reserve capacity).
+
+A field annotated :data:`HOURLY` is an hourly series (:func:`hourly_fields`).
+A ranged series declares its range in its field's ``metadata["range"]``: the
+reserve capacity prices, ``da_cap`` and ``ev_load`` are non-negative and the
+probabilities lie in [0, 1].  A section checks each of its series as it is
+built, every value finite and within range, and :func:`check_horizon` holds
+the series of a section, of a scenario and of a model to one length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import Field, dataclass, field, fields, is_dataclass, replace
+
+HOURLY = tuple[float, ...]
+COMMIT_CAP_FACTOR = 2.0  # the hub's day-ahead commitment cap per unit of demand
 
 
-def _as_series(values, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    for i, v in enumerate(out):
-        if not math.isfinite(v):
-            raise ValueError(f"{name}[{i}]: {v} is not finite")
-    return out
+def _within(lo: float, hi: float):
+    return field(metadata={"range": (lo, hi)})
 
 
-def _check_prob_series(values: tuple[float, ...], name: str) -> None:
-    for i, v in enumerate(values):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name}[{i}]: {v} is outside [0, 1]")
+@functools.cache
+def hourly_fields(cls) -> tuple[Field, ...]:
+    """The fields of ``cls`` annotated as hourly series, none when ``cls`` is
+    not a dataclass (an absent ``joint`` section is None)."""
+    if not is_dataclass(cls):
+        return ()
+    hints = typing.get_type_hints(cls)
+    return tuple(f for f in fields(cls) if hints[f.name] == HOURLY)
+
+
+def check_horizon(T: int, **sections) -> None:
+    """Raise unless every hourly series of each named section has length ``T``."""
+    for name, part in sections.items():
+        for f in hourly_fields(type(part)):
+            if (n := len(getattr(part, f.name))) != T:
+                raise ValueError(f"{name}.{f.name}: length {n} != horizon {T}")
+
+
+def _check_hourly(part, section: str) -> None:
+    """Store each hourly series of ``part`` as a tuple of floats, each value
+    finite and within its field's range, and all of them of one length."""
+    series = hourly_fields(type(part))
+    for f in series:
+        values = tuple(float(v) for v in getattr(part, f.name))
+        lo, hi = f.metadata.get("range", (-math.inf, math.inf))
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"{section}.{f.name}[{i}]: {v} is not finite")
+            if not lo <= v <= hi:
+                raise ValueError(f"{section}.{f.name}[{i}]: {v} is outside [{lo:g}, {hi:g}]")
+        object.__setattr__(part, f.name, values)
+    check_horizon(len(getattr(part, series[0].name)), **{section: part})
 
 
 @dataclass(frozen=True)
 class PriceProfiles:
     """Hourly day-ahead / real-time energy prices and reserve capacity prices."""
 
-    lambda_da: tuple[float, ...]
-    lambda_rt: tuple[float, ...]
-    lambda_up: tuple[float, ...]
-    lambda_dn: tuple[float, ...]
+    lambda_da: HOURLY
+    lambda_rt: HOURLY
+    lambda_up: HOURLY = _within(0.0, math.inf)
+    lambda_dn: HOURLY = _within(0.0, math.inf)
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_da", _as_series(self.lambda_da, "prices.lambda_da"))
-        object.__setattr__(self, "lambda_rt", _as_series(self.lambda_rt, "prices.lambda_rt"))
-        object.__setattr__(self, "lambda_up", _as_series(self.lambda_up, "prices.lambda_up"))
-        object.__setattr__(self, "lambda_dn", _as_series(self.lambda_dn, "prices.lambda_dn"))
-        T = len(self.lambda_da)
-        for name in ("lambda_rt", "lambda_up", "lambda_dn"):
-            if len(getattr(self, name)) != T:
-                raise ValueError(
-                    f"prices.{name}: length {len(getattr(self, name))} != horizon {T}"
-                )
-        for name in ("lambda_up", "lambda_dn"):
-            for i, v in enumerate(getattr(self, name)):
-                if v < 0:
-                    raise ValueError(f"prices.{name}[{i}]: capacity price {v} < 0")
+        _check_hourly(self, "prices")
 
     @property
     def horizon(self) -> int:
@@ -60,26 +83,13 @@ class PriceProfiles:
 class ReserveProbabilities:
     """Hourly bid-acceptance and deployment probabilities for up/down reserve."""
 
-    acc_up: tuple[float, ...]
-    acc_dn: tuple[float, ...]
-    dep_up: tuple[float, ...]
-    dep_dn: tuple[float, ...]
+    acc_up: HOURLY = _within(0.0, 1.0)
+    acc_dn: HOURLY = _within(0.0, 1.0)
+    dep_up: HOURLY = _within(0.0, 1.0)
+    dep_dn: HOURLY = _within(0.0, 1.0)
 
     def __post_init__(self):
-        for name in ("acc_up", "acc_dn", "dep_up", "dep_dn"):
-            series = _as_series(getattr(self, name), f"probabilities.{name}")
-            _check_prob_series(series, f"probabilities.{name}")
-            object.__setattr__(self, name, series)
-        T = len(self.acc_up)
-        for name in ("acc_dn", "dep_up", "dep_dn"):
-            if len(getattr(self, name)) != T:
-                raise ValueError(
-                    f"probabilities.{name}: length {len(getattr(self, name))} != horizon {T}"
-                )
-
-    @property
-    def horizon(self) -> int:
-        return len(self.acc_up)
+        _check_hourly(self, "probabilities")
 
 
 @dataclass(frozen=True)
@@ -132,15 +142,12 @@ class BssSpec:
 class HubSpec:
     """Fast-charging hub: commitment cap per hour and station fleet."""
 
-    da_cap: tuple[float, ...]
+    da_cap: HOURLY = _within(0.0, math.inf)
     station_count: int
     station_rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "da_cap", _as_series(self.da_cap, "hub.da_cap"))
-        for i, v in enumerate(self.da_cap):
-            if v < 0:
-                raise ValueError(f"hub.da_cap[{i}]: {v} < 0")
+        _check_hourly(self, "hub")
         if self.station_count < 1:
             raise ValueError(f"hub.station_count must be >= 1, got {self.station_count}")
         if self.station_rate <= 0:
@@ -155,17 +162,10 @@ class HubSpec:
 class DemandProfile:
     """Aggregated hourly EV charging demand at the hub."""
 
-    ev_load: tuple[float, ...]
+    ev_load: HOURLY = _within(0.0, math.inf)
 
     def __post_init__(self):
-        object.__setattr__(self, "ev_load", _as_series(self.ev_load, "demand.ev_load"))
-        for i, v in enumerate(self.ev_load):
-            if v < 0:
-                raise ValueError(f"demand.ev_load[{i}]: {v} < 0")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.ev_load)
+        _check_hourly(self, "demand")
 
     def check_serviceable(self, hub: HubSpec) -> None:
         cap = hub.max_hourly_service
@@ -211,15 +211,7 @@ class ScenarioInputs:
     joint: JointTerms | None = None
 
     def __post_init__(self):
-        T = self.prices.horizon
-        if self.probabilities.horizon != T:
-            raise ValueError(
-                f"probabilities horizon {self.probabilities.horizon} != prices horizon {T}"
-            )
-        if self.demand.horizon != T:
-            raise ValueError(f"demand horizon {self.demand.horizon} != prices horizon {T}")
-        if len(self.hub.da_cap) != T:
-            raise ValueError(f"hub.da_cap length {len(self.hub.da_cap)} != prices horizon {T}")
+        check_horizon(self.horizon, **{f.name: getattr(self, f.name) for f in fields(self)})
         self.demand.check_serviceable(self.hub)
 
     @property
@@ -233,3 +225,24 @@ class ScenarioInputs:
                 "lease_markup and deg_rate"
             )
         return self.joint
+
+
+def with_profiles(scn: ScenarioInputs, profiles) -> ScenarioInputs:
+    """``scn`` with hourly profiles written in, keyed by scenario field name.
+
+    Any hourly series of a section may be written: the prices, the reserve
+    probabilities, ``ev_load`` and ``da_cap``.  A new ``ev_load`` brings its
+    day-ahead cap, ``COMMIT_CAP_FACTOR`` times the load.
+    """
+    profiles = dict(profiles)
+    if "ev_load" in profiles:
+        profiles["da_cap"] = tuple(COMMIT_CAP_FACTOR * v for v in profiles["ev_load"])
+    parts = {}
+    for section in fields(scn):
+        part = getattr(scn, section.name)
+        own = {f.name: profiles.pop(f.name) for f in hourly_fields(type(part)) if f.name in profiles}
+        if own:
+            parts[section.name] = replace(part, **own)
+    if profiles:
+        raise ValueError(f"no hourly scenario field named {', '.join(sorted(profiles))}")
+    return replace(scn, **parts)

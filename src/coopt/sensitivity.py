@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .bargain import (
     solve_study,
 )
 from .models import AS_WRITTEN
-from .scenario import ScenarioInputs
+from .scenario import ScenarioInputs, with_profiles
 from .simulate import percentile_profiles
 
 # ---------------------------------------------------------------------------
@@ -254,9 +253,6 @@ def anova(design: DesignMatrix, responses, model_terms, alpha: float = 0.05) -> 
 # ---------------------------------------------------------------------------
 # scenario-level studies
 
-
-COMMIT_CAP_FACTOR = 2.0  # the hub's day-ahead commitment cap per unit of demand
-
 # each study's factors: the scenario fields it varies, each at these per-hour
 # percentiles of its synthetic history.  The sweep's axes are Table 3's; the
 # ANOVA's order sets the design's generator (the sixth factor is the product
@@ -275,34 +271,6 @@ def study_factors(histories, names, percentiles) -> tuple[FactorSpec, ...]:
         FactorSpec(name, tuple(tuple(percentile_profiles(histories[name], p)) for p in percentiles))
         for name in names
     )
-
-
-def with_profiles(scn: ScenarioInputs, profiles) -> ScenarioInputs:
-    """``scn`` with hourly profiles written in, keyed by scenario field name.
-
-    Any hourly series of a section may be written: the prices, the reserve
-    probabilities, ``ev_load`` and ``da_cap``.  A new ``ev_load`` brings its
-    day-ahead cap, ``COMMIT_CAP_FACTOR`` times the load.
-    """
-    profiles = dict(profiles)
-    if "ev_load" in profiles:
-        profiles["da_cap"] = COMMIT_CAP_FACTOR * np.asarray(profiles["ev_load"], dtype=float)
-    parts = {}
-    for section in fields(scn):
-        part = getattr(scn, section.name)
-        if not is_dataclass(part):  # an absent `joint`
-            continue
-        hints = typing.get_type_hints(type(part))
-        own = {
-            f.name: profiles.pop(f.name)
-            for f in fields(part)
-            if f.name in profiles and hints[f.name] == tuple[float, ...]
-        }
-        if own:
-            parts[section.name] = replace(part, **own)
-    if profiles:
-        raise ValueError(f"no hourly scenario field named {', '.join(sorted(profiles))}")
-    return replace(scn, **parts)
 
 
 def _percent(gain: float, base: float, what: str):

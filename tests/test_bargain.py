@@ -41,8 +41,14 @@ from coopt.linear import (
 from coopt.io import load_scenario
 from coopt.models import build_p1, build_p2, build_p3
 from coopt.presets import study_histories
-from coopt.scenario import BssSpec, DemandProfile, HubSpec, PriceProfiles, ReserveProbabilities
-from coopt.sensitivity import with_profiles
+from coopt.scenario import (
+    BssSpec,
+    DemandProfile,
+    HubSpec,
+    PriceProfiles,
+    ReserveProbabilities,
+    with_profiles,
+)
 from coopt.simplex import OPTIMAL, SimplexSolver, carry_basis
 from coopt.simulate import percentile_profiles
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from coopt import bargain, cli, sensitivity
-from coopt.bargain import pareto_frontier, solve_study
+from coopt.bargain import DEFAULT_GAP, pareto_frontier, solve_study
 from coopt.bnb import BUDGET_EXHAUSTED, INFEASIBLE, MilpSolution, SolverError
 from coopt.cli import main
 from coopt.io import (
@@ -170,6 +170,27 @@ def test_nbs_command_prints_a_bound_at_least_the_product(tmp_path, capsys):
     assert list(printed) == ["nbs hub cost", "nbs bss profit", "nash product", "nash bound"]
     assert float(printed["nash product"]) > 0.0
     assert float(printed["nash bound"]) >= float(printed["nash product"])
+
+
+@pytest.mark.parametrize("cell_budget, certified", [(bargain.CELL_NODE_BUDGET, True), (1, False)])
+def test_nbs_command_says_on_stderr_when_its_bound_misses_the_gap(
+    tmp_path, capsys, monkeypatch, cell_budget, certified
+):
+    # the Nash tree gets 2 * CELL_NODE_BUDGET nodes; this scenario's needs more than 2
+    monkeypatch.setattr(bargain, "CELL_NODE_BUDGET", cell_budget)
+    path = tmp_path / "tiny.scenario"
+    save_scenario(tiny_scenario(T=4, K=2, seed=1), path)
+    code = main(["solve-p3-nbs", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    out, err = capsys.readouterr()
+    printed = dict(line.split(": ", 1) for line in out.splitlines())
+    product, bound = float(printed["nash product"]), float(printed["nash bound"])
+    gap = (bound - product) / product
+    assert (gap <= DEFAULT_GAP) == certified
+    assert err.splitlines() == ([] if certified else [
+        f"nbs: not certified: nash bound {bound!r} is above the product {product!r}"
+        f" by a relative gap of {gap:.4g}, more than --gap {DEFAULT_GAP!r}"
+    ])
 
 
 def test_clearing_prices_are_the_reserve_prices_under_their_names(tmp_path):

@@ -26,7 +26,7 @@ from coopt.bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
 from coopt.io import load_scenario
 from coopt.linear import GE, MAX, MIN, Variable, add_constraint, with_objective
 from coopt.models import build_p1, build_p2, build_p3
-from coopt.sensitivity import with_profiles
+from coopt.scenario import with_profiles
 from coopt.simplex import OPTIMAL, SimplexSolver
 from coopt.simulate import percentile_profiles
 

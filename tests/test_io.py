@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from coopt.io import (
     save_scenario,
     write_csv,
 )
+from coopt.scenario import hourly_fields
 
 from conftest import tiny_scenario
 from oracles import hourly_reports
@@ -140,6 +143,46 @@ def test_bad_value_error_names_its_field(tmp_path, edit, field):
     with pytest.raises(ScenarioError) as caught:
         load_scenario(write_with(tmp_path, edit))
     assert str(caught.value).startswith(field + RANGE_RULES.get(field, ":"))
+
+
+# the range each hourly series declares on its field; an unranged series need only be finite
+HOURLY_RANGES = {
+    "prices.lambda_da": None,
+    "prices.lambda_rt": None,
+    "prices.lambda_up": (0.0, math.inf),
+    "prices.lambda_dn": (0.0, math.inf),
+    "probabilities.acc_up": (0.0, 1.0),
+    "probabilities.acc_dn": (0.0, 1.0),
+    "probabilities.dep_up": (0.0, 1.0),
+    "probabilities.dep_dn": (0.0, 1.0),
+    "demand.ev_load": (0.0, math.inf),
+    "hub.da_cap": (0.0, math.inf),
+}
+SCENARIO = tiny_scenario(T=4, K=2)
+HOURLY_SERIES = [
+    (section.name, getattr(SCENARIO, section.name), f)
+    for section in dataclasses.fields(SCENARIO)
+    for f in hourly_fields(type(getattr(SCENARIO, section.name)))
+]
+
+
+def test_every_hourly_series_declares_its_range():
+    declared = {f"{name}.{f.name}": f.metadata.get("range") for name, _, f in HOURLY_SERIES}
+    assert declared == HOURLY_RANGES
+
+
+@pytest.mark.parametrize(
+    "section, part, f", HOURLY_SERIES, ids=[f"{name}.{f.name}" for name, _, f in HOURLY_SERIES]
+)
+def test_built_section_rejects_an_hour_that_is_not_finite_or_out_of_range(section, part, f):
+    lo, hi = f.metadata.get("range", (-math.inf, math.inf))
+    bad = [math.nan, math.inf] + [v for v in (lo - 0.5, hi + 0.5) if math.isfinite(v)]
+    for value in bad:
+        series = list(getattr(part, f.name))
+        series[2] = value
+        with pytest.raises(ValueError) as caught:
+            dataclasses.replace(part, **{f.name: series})
+        assert str(caught.value).startswith(f"{section}.{f.name}[2]: ")
 
 
 @pytest.mark.parametrize("edit", [set_series_entry, set_compartment_field])

@@ -85,6 +85,13 @@ def test_p1_rejects_horizon_mismatch():
         build_p1(hub, one_hour_prices(0.1, 0.1), DemandProfile((10.0,)))
 
 
+def test_p2_rejects_probabilities_of_another_horizon():
+    scn = tiny_scenario(T=3, K=2)
+    probs = tiny_scenario(T=2, K=2).probabilities
+    with pytest.raises(ValueError, match=r"^probabilities\.acc_up: length 2 != horizon 3$"):
+        build_p2(scn.bss, scn.prices, probs)
+
+
 def test_p1_commitment_split_solution():
     hub = HubSpec((200.0,), 10, 100.0)
     model = build_p1(hub, one_hour_prices(0.10, 0.20), DemandProfile((100.0,)))
@@ -229,13 +236,16 @@ def test_blocks_are_the_compartments_and_the_hub():
     for model, labels in ((p2, [0, 1]), (p3.base, [-1, 0, 1])):
         blocks, linking = split_blocks(model)
         assert [block.label for block in blocks] == labels
+        row_of = {con.name: i for i, con in enumerate(model.constraints)}
+        assert len(row_of) == model.m  # row names are unique, so a name finds its row
+        kept = []
         for block in blocks:
             for v, j in zip(block.model.variables, block.cols):
                 assert v == model.variables[j]
                 assert v.name.endswith(f",{block.label}]") if block.label >= 0 else "," not in v.name
-            for con, i in zip(block.model.constraints, block.rows):
-                assert con.name == model.constraints[i].name
-        kept = sorted(i for block in blocks for i in block.rows)
+            rows = [row_of[con.name] for con in block.model.constraints]
+            assert rows == sorted(rows)  # in the full model's order
+            kept += rows
         assert sorted(kept + linking) == list(range(model.m))
         names = {model.constraints[i].name.split("[")[0] for i in linking}
         assert names == (set() if model is p2 else {"commit_split", "demand_balance"})

@@ -11,6 +11,7 @@ from scipy import stats as scipy_stats
 from coopt import bargain, sensitivity
 from coopt.bnb import BUDGET_EXHAUSTED, MilpSolution, SolverError
 from coopt.models import AS_WRITTEN, SINGLE_SCALED
+from coopt.scenario import with_profiles
 from coopt.sensitivity import (
     ANOVA_FIELDS,
     SWEEP_FIELDS,
@@ -25,7 +26,6 @@ from coopt.sensitivity import (
     fractional_factorial_design,
     regularized_beta,
     sweep_grid,
-    with_profiles,
 )
 
 from conftest import tiny_scenario

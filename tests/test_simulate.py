@@ -15,8 +15,8 @@ from coopt.presets import (
     synthetic_market_history,
     synthetic_price_history,
 )
-from coopt.scenario import HubSpec
-from coopt.sensitivity import SWEEP_FIELDS, SWEEP_PERCENTILES, study_factors, with_profiles
+from coopt.scenario import HubSpec, with_profiles
+from coopt.sensitivity import SWEEP_FIELDS, SWEEP_PERCENTILES, study_factors
 from coopt.simulate import (
     BidStack,
     ClearingOutcome,
