@@ -35,10 +35,7 @@ from .scenario import (
 from .sensitivity import AnovaTable, FactorSpec, anova, f_critical, fractional_factorial_design, sweep_grid
 from .simplex import LpSolution
 from .simulate import (
-    BidStack,
-    ClearingOutcome,
     DemandGenConfig,
-    MarketRecord,
     clear_reserve_market,
     estimate_probabilities,
     generate_demand,
@@ -48,11 +45,9 @@ from .simulate import (
 __all__ = [
     "AnovaTable",
     "BargainResult",
-    "BidStack",
     "BiObjectiveModel",
     "BssSpec",
     "BudgetExhaustedError",
-    "ClearingOutcome",
     "CompartmentSpec",
     "Constraint",
     "DemandGenConfig",
@@ -64,7 +59,6 @@ __all__ = [
     "JointTerms",
     "LinearModel",
     "LpSolution",
-    "MarketRecord",
     "MilpSolution",
     "ParetoPoint",
     "PriceProfiles",

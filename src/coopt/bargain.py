@@ -128,9 +128,10 @@ class ParetoPoint:
 @dataclass
 class BargainResult:
     """The Nash bargain ``nbs`` with ``gamma`` = sqrt(product) and ``bound``, an
-    upper bound on the Nash product over the joint set; ``frontier`` holds the
-    nondominated ones of the points the tree polished, and ``cuts`` the slopes
-    of the tangent cuts, in the order they were added."""
+    upper bound on the Nash product over the joint set, ``gap`` above the
+    product in relative terms; ``frontier`` holds the nondominated ones of the
+    points the tree polished, and ``cuts`` the slopes of the tangent cuts, in
+    the order they were added."""
 
     nbs: ParetoPoint
     gamma: float
@@ -139,6 +140,7 @@ class BargainResult:
     d: DisagreementPoints
     bound: float
     cuts: tuple[float, ...]
+    gap: float
 
 
 @dataclass
@@ -589,7 +591,8 @@ def solve_nbs(
             raise SolverError(f"Nash bound {bound!r} is below the found product {nbs.product!r}")
         bound = nbs.product
     return BargainResult(
-        nbs, math.sqrt(nbs.product), _nondominated(visited), tcm, d, bound, tuple(slopes)
+        nbs, math.sqrt(nbs.product), _nondominated(visited), tcm, d, bound, tuple(slopes),
+        _relative_gap(nbs.product, bound),
     )
 
 

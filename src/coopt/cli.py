@@ -20,6 +20,7 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import asdict
+from itertools import count
 from pathlib import Path
 
 from .bargain import (
@@ -151,12 +152,11 @@ def _run_solve(args) -> int:
         print(f"tcm hub cost: {bundle.tcm.f_a!r}")
         print(f"tcm bss profit: {bundle.tcm.f_b!r}")
     elif args.command == "solve-p3-nbs":
-        nbs, bound = bundle.bargain.nbs, bundle.bargain.bound
+        nbs, bound, gap = bundle.bargain.nbs, bundle.bargain.bound, bundle.bargain.gap
         print(f"nbs hub cost: {nbs.f_a!r}")
         print(f"nbs bss profit: {nbs.f_b!r}")
         print(f"nash product: {nbs.product!r}")
         print(f"nash bound: {bound!r}")
-        gap = (bound - nbs.product) / max(1.0, nbs.product)
         if gap > args.gap:
             print(
                 f"nbs: not certified: nash bound {bound!r} is above the product {nbs.product!r}"
@@ -196,15 +196,16 @@ def _run_generate_demand(args) -> int:
 
 
 def _run_simulate_market(args) -> int:
-    records, up_prices, dn_prices = synthetic_market_history(args.seed, args.days)
+    market = synthetic_market_history(args.seed, args.days)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_bid_history(args.out / "bids_up.csv", [r for r in records if r.side == "up"])
-    write_bid_history(args.out / "bids_dn.csv", [r for r in records if r.side == "dn"])
+    for side, arrays in market.items():
+        write_bid_history(args.out / f"bids_{side}.csv", arrays)
     write_history(
-        args.out / "clearing_prices.csv", {"lambda_up": up_prices, "lambda_dn": dn_prices}
+        args.out / "clearing_prices.csv",
+        {f"lambda_{side}": arrays["clearing_price"] for side, arrays in market.items()},
     )
-    probs = asdict(estimate_probabilities(records))
-    write_csv(args.out / "probabilities.csv", ("hour", *probs), list(zip(range(24), *probs.values())))
+    probs = asdict(estimate_probabilities(market))
+    write_csv(args.out / "probabilities.csv", ("hour", *probs), list(zip(count(), *probs.values())))
     print(f"wrote {args.days} days of market history to {args.out}")
     return EXIT_OK
 

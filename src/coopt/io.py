@@ -175,20 +175,21 @@ def write_history(path, columns: dict) -> None:
     write_csv(path, ("day", "hour", *columns), rows)
 
 
-def write_bid_history(path, records) -> None:
-    """One side's records as ``day, hour, price, qty, accepted, deployed`` rows.
+def write_bid_history(path, side: dict) -> None:
+    """One side of the market as ``day, hour, price, qty, accepted, deployed``
+    rows, one per offer, from the arrays of
+    :func:`~coopt.presets.synthetic_market_history`.
 
     Deployment is an hour-level quantity; it is attributed to the marginal
     accepted offers proportionally to their accepted energy.
     """
-    rows = []
-    for rec in records:
-        total = rec.outcome.accepted_quantity
-        for (price, qty), accepted in zip(rec.stack.offers, rec.outcome.accepted):
-            share = accepted / total if total > 0 else 0.0
-            rows.append(
-                (rec.day, rec.hour, price, qty, accepted, share * rec.outcome.deployed_quantity)
-            )
+    accepted, cleared = side["accepted"], side["cleared"][..., None]
+    share = np.divide(accepted, cleared, out=np.zeros_like(accepted), where=cleared > 0)
+    columns = (side["price"], side["qty"], accepted, share * side["deployed"][..., None])
+    rows = [
+        (day, hour, *(float(a[day, hour, i]) for a in columns))
+        for day, hour, i in np.ndindex(accepted.shape)
+    ]
     write_csv(path, ("day", "hour", "price", "qty", "accepted", "deployed"), rows)
 
 

@@ -4,7 +4,9 @@ The shipped profiles stand in for the proprietary traffic counts, electricity
 prices, and reserve-bid archives behind the original study; they reproduce the
 qualitative shapes (commuter traffic peaks, cheap overnight day-ahead power,
 spiky real-time evening prices) so the full pipeline runs end to end.  All of
-them are deterministic in the seed.
+them are deterministic in the seed.  The reserve-market history holds each
+side as arrays by day, hour and offer (:func:`synthetic_market_history`);
+every other history is a ``(days, 24)`` array (:func:`study_histories`).
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from .scenario import (
     with_profiles,
 )
 from .simulate import (
-    BidStack,
     DemandGenConfig,
-    MarketRecord,
     clear_reserve_market,
     estimate_probabilities,
     generate_demand,
@@ -126,41 +126,55 @@ def synthetic_price_history(days: int = 30, seed: int = 0):
 
 
 def synthetic_market_history(seed: int = 0, days: int = 30):
-    """Cleared up/down records plus (days, 24) clearing-price paths per side."""
-    records: list[MarketRecord] = []
-    up_prices = np.full((days, HOURS), np.nan)
-    dn_prices = np.full((days, HOURS), np.nan)
-    for day in range(days):
-        for t in range(HOURS):
-            for side, shape, dep_target, out in (
-                ("up", _UP_PRICE_SHAPE, _DEP_UP_TARGET, up_prices),
-                ("dn", _DN_PRICE_SHAPE, _DEP_DN_TARGET, dn_prices),
-            ):
-                rng = stream(seed, t, day, 1 if side == "up" else 2)
-                offers = []
-                for _ in range(MARKET_PARTICIPANTS):
-                    price = shape[t] * (1.0 - PRICE_SPREAD / 2 + PRICE_SPREAD * rng.random())
-                    qty = rng.uniform(*OFFER_QTY_RANGE)
-                    offers.append((price, qty))
-                stack = BidStack(tuple(offers), 0.0)
-                req = rng.uniform(*REQUIREMENT_RANGE) * stack.total_offered
-                stack = BidStack(stack.offers, req)
-                outcome = clear_reserve_market(stack)
-                deployed = outcome.accepted_quantity if rng.random() < dep_target[t] else 0.0
-                outcome = replace(outcome, deployed_quantity=deployed)
-                records.append(MarketRecord(day, t, side, stack, outcome))
-                out[day, t] = outcome.clearing_price
-    return records, up_prices, dn_prices
+    """Both sides of the cleared reserve market, keyed ``"up"`` and ``"dn"``.
+
+    Each side maps ``price``, ``qty`` and ``accepted`` to ``(days, 24,
+    MARKET_PARTICIPANTS)`` arrays of offers, and ``cleared``, ``deployed``
+    and ``clearing_price`` to ``(days, 24)`` arrays, the last NaN where
+    nothing was required.  Each hour's draws come from its own stream: the
+    offers, then the requirement as a share of the total offered, then
+    whether the hour's cleared energy is deployed.
+    """
+    market = {}
+    for side, key, shape, dep_target in (
+        ("up", 1, _UP_PRICE_SHAPE, _DEP_UP_TARGET),
+        ("dn", 2, _DN_PRICE_SHAPE, _DEP_DN_TARGET),
+    ):
+        price = np.empty((days, HOURS, MARKET_PARTICIPANTS))
+        qty = np.empty_like(price)
+        requirement = np.empty((days, HOURS))
+        called = np.empty((days, HOURS), dtype=bool)
+        for day in range(days):
+            for t in range(HOURS):
+                rng = stream(seed, t, day, key)
+                for i in range(MARKET_PARTICIPANTS):
+                    spread = 1.0 - PRICE_SPREAD / 2 + PRICE_SPREAD * rng.random()
+                    price[day, t, i] = shape[t] * spread
+                    qty[day, t, i] = rng.uniform(*OFFER_QTY_RANGE)
+                requirement[day, t] = rng.uniform(*REQUIREMENT_RANGE) * sum(qty[day, t])
+                called[day, t] = rng.random() < dep_target[t]
+        accepted, cleared, clearing_price = clear_reserve_market(price, qty, requirement)
+        market[side] = {
+            "price": price,
+            "qty": qty,
+            "accepted": accepted,
+            "cleared": cleared,
+            "deployed": np.where(called, cleared, 0.0),
+            "clearing_price": clearing_price,
+        }
+    return market
 
 
 def study_histories(seed: int, days: int, hub: HubSpec):
-    """The case study's synthetic histories and cleared reserve-market records.
+    """The case study's synthetic histories and cleared reserve market.
 
     Each history is a ``(days, 24)`` array keyed by the scenario field it
     stands for: the day-ahead and real-time price paths, the reserve clearing
     prices, the hub's demand (at ``TRAFFIC_SCALE``, each hour capped by the
     hub's service capacity), and each day's empirical acceptance and
-    deployment rates.  The records give the rates pooled over all days.
+    deployment rates, :func:`estimate_probabilities` of that day's slice of
+    the market.  The market, :func:`synthetic_market_history`, gives the
+    rates pooled over all days.
     """
     cfg = DemandGenConfig(
         traffic=tuple(TRAFFIC_SCALE * v for v in _TRAFFIC_SHAPE),
@@ -172,21 +186,24 @@ def study_histories(seed: int, days: int, hub: HubSpec):
         seed=seed,
     )
     da, rt = synthetic_price_history(days, seed)
-    records, up, dn = synthetic_market_history(seed, days)
+    market = synthetic_market_history(seed, days)
     histories = {
         "lambda_da": da,
         "lambda_rt": rt,
-        "lambda_up": up,
-        "lambda_dn": dn,
+        "lambda_up": market["up"]["clearing_price"],
+        "lambda_dn": market["dn"]["clearing_price"],
         "ev_load": np.array([generate_demand(cfg, hub, day=day).ev_load for day in range(days)]),
     }
-    by_day: dict[int, list[MarketRecord]] = {}
-    for rec in records:
-        by_day.setdefault(rec.day, []).append(rec)
-    daily = [estimate_probabilities(by_day[day], HOURS) for day in sorted(by_day)]
+    daily = [
+        estimate_probabilities({
+            side: {name: a[day:day + 1] for name, a in arrays.items()}
+            for side, arrays in market.items()
+        })
+        for day in range(days)
+    ]
     for f in fields(ReserveProbabilities):
         histories[f.name] = np.array([getattr(probs, f.name) for probs in daily])
-    return histories, records
+    return histories, market
 
 
 def build_scenario(
@@ -215,9 +232,13 @@ def build_scenario(
             )
         )
     joint = JointTerms(LEASE_MARKUP, marginal_degradation_rate(comp))
-    histories, records = study_histories(seed, days, PRESET_HUB)
-    levels = {name: percentile_profiles(history, 50.0) for name, history in histories.items()}
-    levels.update(asdict(estimate_probabilities(records, HOURS)))
+    histories, market = study_histories(seed, days, PRESET_HUB)
+    pooled = asdict(estimate_probabilities(market))
+    medians = {
+        name: percentile_profiles(history, 50.0)
+        for name, history in histories.items()
+        if name not in pooled
+    }
     zeros = (0.0,) * HOURS
     blank = ScenarioInputs(
         PriceProfiles(zeros, zeros, zeros, zeros),
@@ -227,4 +248,4 @@ def build_scenario(
         BssSpec(tuple(compartments)),
         joint,
     )
-    return with_profiles(blank, levels)
+    return with_profiles(blank, {**medians, **pooled})

@@ -2,13 +2,17 @@
 
 Randomness comes from Philox counter-based generators keyed by ``(seed, hour)``
 (and day where applicable), so each hour owns an independent stream: extending
-the horizon or reordering hours never perturbs draws already taken.
+the horizon or reordering hours never perturbs draws already taken.  The
+reserve market is held as arrays: each side's offers by day, hour and offer,
+and its cleared hours by day and hour.  :func:`clear_reserve_market` clears
+every hour at once, and :func:`estimate_probabilities` reduces the arrays of
+any run of days, one day's slice included.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,114 +95,56 @@ def generate_demand(
     return DemandProfile(tuple(load))
 
 
-@dataclass(frozen=True)
-class BidStack:
-    """One hour of one product: participant offers plus the cleared requirement."""
+def clear_reserve_market(price, qty, requirement):
+    """Merit-order clearing of every hour at once.
 
-    offers: tuple[tuple[float, float], ...]
-    requirement: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "offers", tuple((float(p), float(q)) for p, q in self.offers))
-        for i, (_, q) in enumerate(self.offers):
-            if q <= 0:
-                raise ValueError(f"offers[{i}]: quantity {q} must be > 0")
-        if self.requirement < 0:
-            raise ValueError(f"requirement {self.requirement} must be >= 0")
-
-    @property
-    def total_offered(self) -> float:
-        return sum(q for _, q in self.offers)
-
-
-@dataclass(frozen=True)
-class ClearingOutcome:
-    clearing_price: float | None
-    accepted: tuple[float, ...]
-    accepted_quantity: float
-    deployed_quantity: float = 0.0
-    shortfall: bool = False
-
-    def __post_init__(self):
-        if self.deployed_quantity > self.accepted_quantity + 1e-9:
-            raise ValueError("deployed quantity exceeds accepted quantity")
+    ``price`` and ``qty`` hold each hour's offers on their last axis, and
+    ``requirement`` holds one value per hour.  Each hour accepts its offers
+    price-ascending, ties to the lower index, until its requirement is met;
+    the marginal offer may be split and sets the clearing price.  Returns the
+    accepted quantity of each offer, each hour's cleared total (its
+    requirement less any shortfall) and its clearing price, NaN where nothing
+    is required.
+    """
+    requirement = np.asarray(requirement, dtype=float)
+    order = np.argsort(price, axis=-1, kind="stable")
+    price, qty = (np.take_along_axis(np.asarray(a, dtype=float), order, -1) for a in (price, qty))
+    taken = np.zeros_like(qty)
+    clearing_price = np.full(requirement.shape, np.nan)
+    remaining = requirement.copy()
+    for j in range(qty.shape[-1]):
+        open_ = remaining > 0.0
+        taken[..., j] = np.where(open_, np.minimum(qty[..., j], remaining), 0.0)
+        clearing_price = np.where(open_, price[..., j], clearing_price)
+        remaining -= taken[..., j]
+    accepted = np.empty_like(taken)
+    np.put_along_axis(accepted, order, taken, -1)
+    return accepted, requirement - np.maximum(remaining, 0.0), clearing_price
 
 
-def clear_reserve_market(stack: BidStack) -> ClearingOutcome:
-    """Merit-order clearing: accept offers price-ascending until the
-    requirement is met; the marginal offer may be split and sets the clearing
-    price."""
-    accepted = [0.0] * len(stack.offers)
-    if stack.requirement == 0.0:
-        return ClearingOutcome(None, tuple(accepted), 0.0)
-    order = sorted(range(len(stack.offers)), key=lambda i: (stack.offers[i][0], i))
-    remaining = stack.requirement
-    price = None
-    for i in order:
-        if remaining <= 0.0:
-            break
-        p, q = stack.offers[i]
-        take = min(q, remaining)
-        accepted[i] = take
-        remaining -= take
-        price = p
-    shortfall = remaining > 1e-9
-    total = stack.requirement - max(remaining, 0.0)
-    return ClearingOutcome(price, tuple(accepted), total, 0.0, shortfall)
-
-
-@dataclass(frozen=True)
-class MarketRecord:
-    """One cleared hour of one reserve product, tagged with the day it was
-    cleared on and its hour of day."""
-
-    day: int
-    hour: int
-    side: str  # "up" | "dn"
-    stack: BidStack
-    outcome: ClearingOutcome
-
-    def __post_init__(self):
-        if self.side not in ("up", "dn"):
-            raise ValueError(f"side must be 'up' or 'dn', got {self.side!r}")
-
-
-def estimate_probabilities(records, horizon: int = 24) -> ReserveProbabilities:
+def estimate_probabilities(market) -> ReserveProbabilities:
     """Empirical acceptance and deployment rates per hour of day.
 
+    ``market`` maps each side, ``"up"`` and ``"dn"``, to its cleared history:
+    ``accepted`` by day, hour and offer, and ``cleared`` and ``deployed`` by
+    day and hour (see :func:`~coopt.presets.synthetic_market_history`).
     Acceptance counts offers with any accepted quantity over all offers;
-    deployment divides total deployed energy by total accepted energy.  Hours
-    with accepted energy but no deployment data give 0; hours with no records
-    at all are an error.
+    deployment divides the deployed energy by the accepted energy, each
+    summed over the days in day order.  An hour with no accepted energy
+    gives 0, with a warning.
     """
-    by_bucket: dict[tuple[str, int], list[MarketRecord]] = {}
-    for rec in records:
-        if not 0 <= rec.hour < horizon:
-            raise ValueError(f"record hour {rec.hour} outside horizon {horizon}")
-        by_bucket.setdefault((rec.side, rec.hour), []).append(rec)
-
-    out = {"up": ([0.0] * horizon, [0.0] * horizon), "dn": ([0.0] * horizon, [0.0] * horizon)}
+    rates = {}
     for side in ("up", "dn"):
-        acc, dep = out[side]
-        for t in range(horizon):
-            bucket = by_bucket.get((side, t))
-            if not bucket:
-                raise ValueError(f"no {side} records for hour {t}")
-            n_offers = sum(len(rec.stack.offers) for rec in bucket)
-            n_accepted = sum(
-                sum(1 for q in rec.outcome.accepted if q > 0.0) for rec in bucket
-            )
-            acc[t] = n_accepted / n_offers if n_offers else 0.0
-            total_accepted = sum(rec.outcome.accepted_quantity for rec in bucket)
-            total_deployed = sum(rec.outcome.deployed_quantity for rec in bucket)
-            if total_accepted <= 0.0:
-                warnings.warn(f"hour {t} ({side}): no accepted energy, deployment rate set to 0")
-                dep[t] = 0.0
-            else:
-                dep[t] = min(total_deployed / total_accepted, 1.0)
-    return ReserveProbabilities(
-        tuple(out["up"][0]), tuple(out["dn"][0]), tuple(out["up"][1]), tuple(out["dn"][1])
-    )
+        accepted = market[side]["accepted"]
+        days, hours, offers = accepted.shape
+        rates[f"acc_{side}"] = (accepted > 0.0).sum(axis=(0, 2)) / (days * offers)
+        total_accepted, total_deployed = sum(market[side]["cleared"]), sum(market[side]["deployed"])
+        for t in np.flatnonzero(total_accepted <= 0.0):
+            warnings.warn(f"hour {t} ({side}): no accepted energy, deployment rate set to 0")
+        rates[f"dep_{side}"] = np.divide(
+            total_deployed, total_accepted, out=np.zeros(hours), where=total_accepted > 0.0
+        ).clip(max=1.0)
+    return ReserveProbabilities(**rates)
 
 
 def percentile_profiles(history, p: float):

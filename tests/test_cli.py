@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import inspect
 import math
 import os
@@ -193,14 +194,42 @@ def test_nbs_command_says_on_stderr_when_its_bound_misses_the_gap(
     ])
 
 
+# SHA-256 of every file each command writes: the market and demand histories
+# that the presets build their scenarios from are pinned byte for byte
+RECORDED_OUTPUTS = {
+    ("simulate-market", "--seed", "3", "--days", "5"): {
+        "bids_dn.csv": "8e2ab2ab01fc7177f51c1a92e24aceaf59f15d19b4f30baa0bd210a603bebcb0",
+        "bids_up.csv": "0bfc7cd7dfc52286db8201d8a47ea832ca0e835f6e16b9e2d4557b325696681b",
+        "clearing_prices.csv": "a0e54bf0a7ac3e37f7b92200d4a0450ad5be033018ceca348e68c7dd4d0d2168",
+        "probabilities.csv": "45e53de21ce893cc23b289c4f3d507384487983e17cd2b4fbd09c67ecd767553",
+    },
+    ("generate-demand", "--seed", "7", "--days", "30"): {
+        "demand_history.csv": "da9ddf33fffcc3e976816abb56d8dab023a40402c0c4ceff0990e795e9076e8e",
+        "demand_p10.csv": "6f0bb3d18d1345a6e82af15feb8d09ed277e9e51039334a0fdfd7e6165e5c64a",
+        "demand_p50.csv": "a3895fc6abf9e046532e38ec49ca82e0a1d64bf949bdd0dba86fda4bf94dfb82",
+        "demand_p90.csv": "053d87a23a08f242cf585f12438c3694ee2c3ec08bb5a5f04f035b04340be341",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(RECORDED_OUTPUTS), ids=lambda argv: argv[0])
+def test_history_commands_write_the_recorded_bytes(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert written == RECORDED_OUTPUTS[argv]
+
+
 def test_clearing_prices_are_the_reserve_prices_under_their_names(tmp_path):
     assert main(["simulate-market", "--days", "2", "--out", str(tmp_path)]) == EXIT_OK
     with open(tmp_path / "clearing_prices.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["day", "hour", "lambda_up", "lambda_dn"]
-    _, up, dn = synthetic_market_history(0, 2)
-    assert [float(row["lambda_up"]) for row in rows] == up.ravel().tolist()
-    assert [float(row["lambda_dn"]) for row in rows] == dn.ravel().tolist()
+    market = synthetic_market_history(0, 2)
+    for side in ("up", "dn"):
+        expected = market[side]["clearing_price"].ravel().tolist()
+        assert [float(row[f"lambda_{side}"]) for row in rows] == expected
 
 
 def test_frontier_does_not_depend_on_the_worker_count(tmp_path):

@@ -18,10 +18,7 @@ from coopt.presets import (
 from coopt.scenario import HubSpec, with_profiles
 from coopt.sensitivity import SWEEP_FIELDS, SWEEP_PERCENTILES, study_factors
 from coopt.simulate import (
-    BidStack,
-    ClearingOutcome,
     DemandGenConfig,
-    MarketRecord,
     clear_reserve_market,
     estimate_probabilities,
     generate_demand,
@@ -102,30 +99,36 @@ def test_config_validation():
 
 
 def test_single_offer_partial_acceptance():
-    out = clear_reserve_market(BidStack(((5.0, 10.0),), 4.0))
-    assert out.clearing_price == 5.0
-    assert out.accepted == (4.0,)
-    assert out.accepted_quantity == 4.0
-    assert not out.shortfall
+    accepted, cleared, price = clear_reserve_market([5.0], [10.0], 4.0)
+    assert price == 5.0
+    assert accepted.tolist() == [4.0]
+    assert cleared == 4.0
 
 
 def test_merit_order_hand_example():
-    stack = BidStack(((1.0, 10.0), (2.0, 10.0), (3.0, 10.0)), 15.0)
-    out = clear_reserve_market(stack)
-    assert out.accepted == (10.0, 5.0, 0.0)
-    assert out.clearing_price == 2.0
+    accepted, _, price = clear_reserve_market([1.0, 2.0, 3.0], [10.0, 10.0, 10.0], 15.0)
+    assert accepted.tolist() == [10.0, 5.0, 0.0]
+    assert price == 2.0
+
+
+def test_price_ties_go_to_the_lower_offer_index():
+    accepted, _, price = clear_reserve_market([2.0, 1.0, 1.0], [5.0, 5.0, 5.0], 7.0)
+    assert accepted.tolist() == [0.0, 5.0, 2.0]
+    assert price == 1.0
 
 
 def test_zero_requirement():
-    out = clear_reserve_market(BidStack(((5.0, 10.0),), 0.0))
-    assert out.clearing_price is None
-    assert out.accepted_quantity == 0.0
+    accepted, cleared, price = clear_reserve_market([5.0], [10.0], 0.0)
+    assert np.isnan(price)
+    assert cleared == 0.0
+    assert accepted.tolist() == [0.0]
 
 
 def test_shortfall_flagged():
-    out = clear_reserve_market(BidStack(((5.0, 10.0),), 25.0))
-    assert out.shortfall
-    assert out.accepted_quantity == 10.0
+    accepted, cleared, price = clear_reserve_market([5.0], [10.0], 25.0)
+    assert cleared == 10.0 < 25.0
+    assert accepted.tolist() == [10.0]
+    assert price == 5.0
 
 
 offers_strategy = st.lists(
@@ -141,41 +144,40 @@ offers_strategy = st.lists(
 @given(offers_strategy, st.floats(0.0, 1000.0))
 @settings(max_examples=100, deadline=None)
 def test_clearing_conservation(offers, requirement):
-    stack = BidStack(tuple(offers), requirement)
-    out = clear_reserve_market(stack)
-    assert out.accepted_quantity == pytest.approx(
-        min(requirement, stack.total_offered), abs=1e-9
-    )
-    assert sum(out.accepted) == pytest.approx(out.accepted_quantity, abs=1e-9)
+    price, qty = zip(*offers)
+    accepted, cleared, _ = clear_reserve_market(price, qty, requirement)
+    assert cleared == pytest.approx(min(requirement, sum(qty)), abs=1e-9)
+    assert accepted.sum() == pytest.approx(cleared, abs=1e-9)
 
 
 @given(offers_strategy, st.floats(0.0, 400.0), st.floats(0.0, 400.0))
 @settings(max_examples=100, deadline=None)
 def test_raising_requirement_never_reduces_acceptance(offers, req1, req2):
+    price, qty = zip(*offers)
     lo, hi = sorted((req1, req2))
-    first = clear_reserve_market(BidStack(tuple(offers), lo))
-    second = clear_reserve_market(BidStack(tuple(offers), hi))
-    for a, b in zip(first.accepted, second.accepted):
-        assert b >= a - 1e-9
+    # both hours cleared at once, each as it clears alone
+    accepted, cleared, clearing_price = clear_reserve_market([price, price], [qty, qty], [lo, hi])
+    for h, req in enumerate((lo, hi)):
+        alone = clear_reserve_market(price, qty, req)
+        assert accepted[h].tolist() == alone[0].tolist()
+        assert cleared[h] == alone[1]
+        assert np.array_equal(clearing_price[h], alone[2], equal_nan=True)
+    assert (accepted[1] >= accepted[0] - 1e-9).all()
 
 
 # ------------------------------------------------------------- probabilities
 
 
-def record(hour, side, offers, requirement, deployed):
-    stack = BidStack(tuple(offers), requirement)
-    out = clear_reserve_market(stack)
-    out = ClearingOutcome(
-        out.clearing_price, out.accepted, out.accepted_quantity, deployed, out.shortfall
-    )
-    return MarketRecord(0, hour, side, stack, out)
+def one_hour(offers, requirement, deployed):
+    """One side of a market of one day of one hour."""
+    price, qty = zip(*offers)
+    accepted, cleared, _ = clear_reserve_market([[price]], [[qty]], [[requirement]])
+    return {"accepted": accepted, "cleared": cleared, "deployed": np.array([[deployed]])}
 
 
 def test_everything_accepted_and_deployed():
-    records = []
-    for side in ("up", "dn"):
-        records.append(record(0, side, ((1.0, 5.0), (2.0, 5.0)), 10.0, 10.0))
-    probs = estimate_probabilities(records, horizon=1)
+    side = one_hour(((1.0, 5.0), (2.0, 5.0)), 10.0, 10.0)
+    probs = estimate_probabilities({"up": side, "dn": side})
     assert probs.acc_up == (1.0,)
     assert probs.acc_dn == (1.0,)
     assert probs.dep_up == (1.0,)
@@ -184,31 +186,25 @@ def test_everything_accepted_and_deployed():
 
 def test_partial_counts():
     offers = ((1.0, 4.0), (2.0, 4.0), (3.0, 4.0), (4.0, 4.0))
-    records = [
-        record(0, "up", offers, 12.0, 6.0),  # 3 of 4 offers accepted, half deployed
-        record(0, "dn", offers, 16.0, 16.0),
-    ]
-    probs = estimate_probabilities(records, horizon=1)
+    probs = estimate_probabilities({
+        "up": one_hour(offers, 12.0, 6.0),  # 3 of 4 offers accepted, half deployed
+        "dn": one_hour(offers, 16.0, 16.0),
+    })
     assert probs.acc_up == (0.75,)
     assert probs.dep_up == (0.5,)
+    assert probs.acc_dn == (1.0,)
 
 
 def test_zero_acceptance_warns():
-    records = [
-        record(0, "up", ((1.0, 5.0),), 0.0, 0.0),
-        record(0, "dn", ((1.0, 5.0),), 5.0, 0.0),
-    ]
+    market = {"up": one_hour(((1.0, 5.0),), 0.0, 0.0), "dn": one_hour(((1.0, 5.0),), 5.0, 0.0)}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        probs = estimate_probabilities(records, horizon=1)
+        probs = estimate_probabilities(market)
+    assert probs.acc_up == (0.0,)
     assert probs.dep_up == (0.0,)
-    assert any("deployment rate" in str(w.message) for w in caught)
-
-
-def test_empty_hour_bucket_is_error():
-    records = [record(0, "up", ((1.0, 5.0),), 5.0, 0.0)]
-    with pytest.raises(ValueError):
-        estimate_probabilities(records, horizon=1)
+    assert [str(w.message) for w in caught] == [
+        "hour 0 (up): no accepted energy, deployment rate set to 0"
+    ]
 
 
 # ------------------------------------------------------------- percentiles
@@ -251,24 +247,38 @@ def test_price_history_deterministic_and_positive():
 
 
 def test_market_history_feeds_probability_estimation():
-    records, up_prices, dn_prices = synthetic_market_history(1, days=3)
-    probs = estimate_probabilities(records)
+    market = synthetic_market_history(1, days=3)
+    probs = estimate_probabilities(market)
     for series in (probs.acc_up, probs.acc_dn, probs.dep_up, probs.dep_dn):
         assert len(series) == 24
         assert all(0.0 <= v <= 1.0 for v in series)
-    assert np.isfinite(up_prices).all() and np.isfinite(dn_prices).all()
+    for arrays in market.values():
+        assert np.isfinite(arrays["clearing_price"]).all()
     histories, _ = study_histories(1, 3, PRESET_HUB)
     assert histories["acc_up"].shape == (3, 24)
 
 
-def test_market_records_carry_the_day_they_were_cleared_on():
-    records, _, _ = synthetic_market_history(2, days=3)
-    assert [rec.day for rec in records] == [day for day in range(3) for _ in range(2 * 24)]
+def test_daily_rates_are_the_rates_of_each_days_slice():
+    market = synthetic_market_history(2, days=3)
+    for arrays in market.values():
+        assert {name: a.shape for name, a in arrays.items()} == {
+            "price": (3, 24, 6), "qty": (3, 24, 6), "accepted": (3, 24, 6),
+            "cleared": (3, 24), "deployed": (3, 24), "clearing_price": (3, 24),
+        }
     daily, _ = study_histories(2, 3, PRESET_HUB)
+    names = ("acc_up", "acc_dn", "dep_up", "dep_dn")
     for day in range(3):
-        probs = estimate_probabilities([rec for rec in records if rec.day == day])
-        for name in ("acc_up", "acc_dn", "dep_up", "dep_dn"):
+        one_day = {
+            side: {name: a[day:day + 1] for name, a in arrays.items()}
+            for side, arrays in market.items()
+        }
+        probs = estimate_probabilities(one_day)
+        for name in names:
             assert tuple(daily[name][day]) == getattr(probs, name)
+    # each day draws from its own streams, so the first day is a market of one day
+    first = estimate_probabilities(synthetic_market_history(2, days=1))
+    for name in names:
+        assert tuple(daily[name][0]) == getattr(first, name)
 
 
 def test_build_scenario_shapes_and_determinism():
