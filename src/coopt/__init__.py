@@ -34,13 +34,7 @@ from .scenario import (
 )
 from .sensitivity import AnovaTable, FactorSpec, anova, f_critical, fractional_factorial_design, sweep_grid
 from .simplex import LpSolution
-from .simulate import (
-    DemandGenConfig,
-    clear_reserve_market,
-    estimate_probabilities,
-    generate_demand,
-    percentile_profiles,
-)
+from .simulate import clear_reserve_market, estimate_probabilities, percentile_profiles
 
 __all__ = [
     "AnovaTable",
@@ -50,7 +44,6 @@ __all__ = [
     "BudgetExhaustedError",
     "CompartmentSpec",
     "Constraint",
-    "DemandGenConfig",
     "DemandProfile",
     "DisagreementPoints",
     "FactorSpec",
@@ -77,7 +70,6 @@ __all__ = [
     "estimate_probabilities",
     "f_critical",
     "fractional_factorial_design",
-    "generate_demand",
     "load_scenario",
     "pareto_frontier",
     "percentile_profiles",

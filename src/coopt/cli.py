@@ -10,8 +10,12 @@ NaN, exits 0, and prints one stderr line per such cell with its levels and
 reason.  ``frontier`` exits 0 when it drops storage floors, and says on one
 stderr line how many were dropped and why.  ``solve-p3-nbs`` exits 0 when its
 search stops at the node budget with the Nash bound above the product by more
-than ``--gap``, and says so on one stderr line.  The studies and
-``generate-demand`` draw their inputs from :func:`~coopt.presets.study_histories`.
+than ``--gap``, and says so on one stderr line; ``sweep`` and ``anova`` say so
+on one stderr line per such cell, naming its levels or its run.  The studies
+draw their inputs from :func:`~coopt.presets.study_histories`;
+``generate-demand`` draws only the demand, from
+:func:`~coopt.presets.synthetic_demand_history`, and ``simulate-market`` only
+the market, from :func:`~coopt.presets.synthetic_market_history`.
 """
 
 from __future__ import annotations
@@ -46,14 +50,19 @@ from .io import (
     write_history,
 )
 from .models import AS_WRITTEN, DEPLOYMENT_REVENUE_MODES
-from .presets import PRESET_HUB, study_histories, synthetic_market_history
+from .presets import (
+    PRESET_HUB,
+    study_histories,
+    synthetic_demand_history,
+    synthetic_market_history,
+)
 from .sensitivity import (
     ANOVA_FIELDS,
     ANOVA_PERCENTILES,
     SWEEP_FIELDS,
+    SWEEP_LABELS,
     SWEEP_PERCENTILES,
     anova,
-    default_model_terms,
     factorial_profit_study,
     study_factors,
     sweep_grid,
@@ -135,6 +144,15 @@ _SOLVE_GOALS = {
 }
 
 
+def _not_certified(what: str, missed, args) -> str:
+    """The stderr line for a Nash ``(bound, product, gap)`` whose gap exceeds ``--gap``."""
+    bound, product, gap = missed
+    return (
+        f"{what}: not certified: nash bound {bound!r} is above the product {product!r}"
+        f" by a relative gap of {gap:.4g}, more than --gap {args.gap!r}"
+    )
+
+
 def _run_solve(args) -> int:
     bundle = solve_study(
         load_scenario(args.scenario),
@@ -158,11 +176,7 @@ def _run_solve(args) -> int:
         print(f"nash product: {nbs.product!r}")
         print(f"nash bound: {bound!r}")
         if gap > args.gap:
-            print(
-                f"nbs: not certified: nash bound {bound!r} is above the product {nbs.product!r}"
-                f" by a relative gap of {gap:.4g}, more than --gap {args.gap!r}",
-                file=sys.stderr,
-            )
+            print(_not_certified("nbs", (bound, nbs.product, gap), args), file=sys.stderr)
     else:  # frontier
         args.out.mkdir(parents=True, exist_ok=True)
         write_frontier(args.out / "frontier.csv", bundle.frontier)
@@ -181,7 +195,7 @@ def _run_solve(args) -> int:
 
 
 def _run_generate_demand(args) -> int:
-    history = study_histories(args.seed, args.days, PRESET_HUB)[0]["ev_load"]
+    history = synthetic_demand_history(args.seed, args.days, PRESET_HUB)
     args.out.mkdir(parents=True, exist_ok=True)
     write_history(args.out / "demand_history.csv", {"ev_load": history})
     for p in SWEEP_PERCENTILES:
@@ -225,7 +239,7 @@ def _run_sweep(args) -> int:
         node_budget=args.node_budget, workers=args.workers,
     )
     args.out.mkdir(parents=True, exist_ok=True)
-    labels = result.labels
+    labels = SWEEP_LABELS
     header = ["da_price"]
     for dem in labels:
         for rt in labels:
@@ -249,23 +263,25 @@ def _run_sweep(args) -> int:
         ("da_price", "rt_price", "demand", "cost_reduction_pct"),
         long_rows,
     )
-    for (i, j, k), reason in result.failures.items():
-        print(
-            f"sweep: cell da_price={labels[i]} rt_price={labels[j]} demand={labels[k]}"
-            f" is NaN: {reason}",
-            file=sys.stderr,
-        )
+
+    def cell(i, j, k):
+        return f"sweep: cell da_price={labels[i]} rt_price={labels[j]} demand={labels[k]}"
+
+    for index, reason in result.failures.items():
+        print(f"{cell(*index)} is NaN: {reason}", file=sys.stderr)
+    for index, missed in result.uncertified.items():
+        print(_not_certified(cell(*index), missed, args), file=sys.stderr)
     print(f"sweep written to {args.out}")
     return EXIT_OK
 
 
 def _run_anova(args) -> int:
     scn, factors = _study_inputs(args, ANOVA_FIELDS, ANOVA_PERCENTILES)
-    design, responses = factorial_profit_study(
+    design, responses, uncertified = factorial_profit_study(
         scn, factors, deployment_revenue=args.deployment_revenue, gap=args.gap,
         node_budget=args.node_budget, workers=args.workers,
     )
-    table = anova(design, responses, default_model_terms(design.factors), args.alpha)
+    table = anova(design, responses, args.alpha)
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
         (r.term, r.effect, r.sum_sq, r.df, r.f_stat, table.f_crit, r.p_value,
@@ -282,6 +298,8 @@ def _run_anova(args) -> int:
         ("run", "profit_increase_pct"),
         list(enumerate(float(v) for v in responses)),
     )
+    for run, missed in uncertified.items():
+        print(_not_certified(f"anova run {run}", missed, args), file=sys.stderr)
     print(f"anova written to {args.out}")
     return EXIT_OK
 

@@ -180,8 +180,9 @@ def write_bid_history(path, side: dict) -> None:
     rows, one per offer, from the arrays of
     :func:`~coopt.presets.synthetic_market_history`.
 
-    Deployment is an hour-level quantity; it is attributed to the marginal
-    accepted offers proportionally to their accepted energy.
+    Deployment is an hour-level quantity; it is split over every accepted
+    offer of the hour in proportion to its accepted energy (its share of the
+    hour's cleared total).
     """
     accepted, cleared = side["accepted"], side["cleared"][..., None]
     share = np.divide(accepted, cleared, out=np.zeros_like(accepted), where=cleared > 0)

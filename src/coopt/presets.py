@@ -1,12 +1,15 @@
-"""Synthetic case-study inputs: traffic, prices, reserve-market history.
+"""Synthetic case-study inputs: charging demand, prices, reserve-market history.
 
 The shipped profiles stand in for the proprietary traffic counts, electricity
 prices, and reserve-bid archives behind the original study; they reproduce the
 qualitative shapes (commuter traffic peaks, cheap overnight day-ahead power,
-spiky real-time evening prices) so the full pipeline runs end to end.  All of
-them are deterministic in the seed.  The reserve-market history holds each
-side as arrays by day, hour and offer (:func:`synthetic_market_history`);
-every other history is a ``(days, 24)`` array (:func:`study_histories`).
+spiky real-time evening prices) so the full pipeline runs end to end.  Each
+history is drawn from this module's constants by one generator, deterministic
+in ``(seed, days)``: :func:`synthetic_demand_history` and
+:func:`synthetic_price_history` give ``(days, 24)`` arrays, and
+:func:`synthetic_market_history` holds each side of the reserve market as
+arrays by day, hour and offer.  :func:`study_histories` keys them all by the
+scenario field they stand for.
 """
 
 from __future__ import annotations
@@ -27,14 +30,7 @@ from .scenario import (
     ScenarioInputs,
     with_profiles,
 )
-from .simulate import (
-    DemandGenConfig,
-    clear_reserve_market,
-    estimate_probabilities,
-    generate_demand,
-    percentile_profiles,
-    stream,
-)
+from .simulate import clear_reserve_market, estimate_probabilities, percentile_profiles, stream
 
 HOURS = 24
 STATION_COUNT = 150
@@ -43,6 +39,27 @@ TRAFFIC_SCALE = 4.0  # the hub's traffic per unit of the commuter shape below
 LEASE_MARKUP = 1.0
 # the preset hub; its commitment cap comes with the demand written into a scenario
 PRESET_HUB = HubSpec((0.0,) * HOURS, STATION_COUNT, STATION_RATE)
+PRESET_COMPARTMENT = CompartmentSpec(
+    cap=4000.0,
+    min_level=500.0,
+    max_charge=3000.0,
+    max_discharge=3000.0,
+    unit_cost=1_200_000.0,
+    battery_capacity=4000.0,
+    life_slope=-0.005,
+    initial_level=500.0,
+)
+
+# synthetic charging demand: the EV share of traffic, the share of those that
+# rely on public charging, the hourly probability that such a vehicle charges
+# (a flat placeholder), the battery sizes (kWh) and their shares, and the
+# bounds of the uniform fraction of its battery that a vehicle asks for
+EV_SHARE = 0.25
+PUBLIC_CHARGE_SHARE = 0.42
+CHARGE_PROB = 0.1
+BATTERY_SIZES = (50.0, 75.0, 100.0)
+BATTERY_SHARES = (0.3, 0.4, 0.3)
+SOC_BOUNDS = (0.05, 0.95)
 
 # synthetic reserve market: offers per hour and side, offer sizes (kWh), the
 # cleared requirement as a fraction of the total offered, and the spread of
@@ -95,20 +112,31 @@ _DEP_DN_TARGET = (
 )
 
 
-def default_compartment() -> CompartmentSpec:
-    return CompartmentSpec(
-        cap=4000.0,
-        min_level=500.0,
-        max_charge=3000.0,
-        max_discharge=3000.0,
-        unit_cost=1_200_000.0,
-        battery_capacity=4000.0,
-        life_slope=-0.005,
-        initial_level=500.0,
-    )
+def synthetic_demand_history(seed: int, days: int, hub: HubSpec):
+    """(days, 24) hourly charging demand at the hub, kWh.
+
+    Each hour draws from its own stream: the vehicles that could charge, a
+    Poisson count at the EV and public-charging shares of ``TRAFFIC_SCALE``
+    times the hour's traffic shape; those that do, at ``CHARGE_PROB``; each
+    one's battery size; and the fraction of it that each asks for.  Each
+    hour's demand is capped by the hub's service capacity.
+    """
+    sizes = np.array(BATTERY_SIZES)
+    load = np.zeros((days, HOURS))
+    for day in range(days):
+        for t in range(HOURS):
+            rng = stream(seed, t, day)
+            rate = EV_SHARE * PUBLIC_CHARGE_SHARE * (TRAFFIC_SCALE * _TRAFFIC_SHAPE[t])
+            candidates = int(rng.poisson(rate))
+            n = int(rng.binomial(candidates, CHARGE_PROB)) if candidates else 0
+            if n:
+                drawn = sizes[rng.choice(len(sizes), size=n, p=BATTERY_SHARES)]
+                fractions = rng.uniform(*SOC_BOUNDS, size=n)
+                load[day, t] = min(float(np.sum(drawn * fractions)), hub.max_hourly_service)
+    return load
 
 
-def synthetic_price_history(days: int = 30, seed: int = 0):
+def synthetic_price_history(seed: int, days: int):
     """(days, 24) day-ahead and real-time price paths, $/kWh."""
     da = np.empty((days, HOURS))
     rt = np.empty((days, HOURS))
@@ -125,7 +153,7 @@ def synthetic_price_history(days: int = 30, seed: int = 0):
     return da, rt
 
 
-def synthetic_market_history(seed: int = 0, days: int = 30):
+def synthetic_market_history(seed: int, days: int):
     """Both sides of the cleared reserve market, keyed ``"up"`` and ``"dn"``.
 
     Each side maps ``price``, ``qty`` and ``accepted`` to ``(days, 24,
@@ -170,29 +198,20 @@ def study_histories(seed: int, days: int, hub: HubSpec):
 
     Each history is a ``(days, 24)`` array keyed by the scenario field it
     stands for: the day-ahead and real-time price paths, the reserve clearing
-    prices, the hub's demand (at ``TRAFFIC_SCALE``, each hour capped by the
-    hub's service capacity), and each day's empirical acceptance and
-    deployment rates, :func:`estimate_probabilities` of that day's slice of
-    the market.  The market, :func:`synthetic_market_history`, gives the
-    rates pooled over all days.
+    prices, the hub's demand (:func:`synthetic_demand_history`), and each
+    day's empirical acceptance and deployment rates,
+    :func:`estimate_probabilities` of that day's slice of the market.  The
+    market, :func:`synthetic_market_history`, gives the rates pooled over all
+    days.
     """
-    cfg = DemandGenConfig(
-        traffic=tuple(TRAFFIC_SCALE * v for v in _TRAFFIC_SHAPE),
-        ev_share=0.25,
-        public_charge_share=0.42,
-        charge_prob=(0.1,) * HOURS,  # flat placeholder for the hourly charging propensity
-        battery_sizes=((50.0, 0.3), (75.0, 0.4), (100.0, 0.3)),
-        soc_bounds=(0.05, 0.95),
-        seed=seed,
-    )
-    da, rt = synthetic_price_history(days, seed)
+    da, rt = synthetic_price_history(seed, days)
     market = synthetic_market_history(seed, days)
     histories = {
         "lambda_da": da,
         "lambda_rt": rt,
         "lambda_up": market["up"]["clearing_price"],
         "lambda_dn": market["dn"]["clearing_price"],
-        "ev_load": np.array([generate_demand(cfg, hub, day=day).ev_load for day in range(days)]),
+        "ev_load": synthetic_demand_history(seed, days, hub),
     }
     daily = [
         estimate_probabilities({
@@ -217,7 +236,7 @@ def build_scenario(
     successive compartments by that fraction, which removes
     interchangeable-compartment symmetry from the search trees.
     """
-    comp = default_compartment()
+    comp = PRESET_COMPARTMENT
     compartments = []
     for k in range(K):
         shrink = 1.0 - compartment_spread * k

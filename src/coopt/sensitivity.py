@@ -190,24 +190,21 @@ class AnovaTable:
     alpha: float
 
 
-def default_model_terms(factors) -> list:
-    """Six mains plus the two cross terms the profit response reacts to:
-    up price x up deployment and up deployment x down deployment."""
-    names = [f.name for f in factors]
-    return list(names) + [(names[0], names[4]), (names[4], names[5])]
-
-
-def anova(design: DesignMatrix, responses, model_terms, alpha: float = 0.05) -> AnovaTable:
+def anova(design: DesignMatrix, responses, alpha: float = 0.05) -> AnovaTable:
     """Orthogonal-contrast ANOVA of a two-level design.
 
-    ``model_terms`` lists factor names and 2-tuples of names for interactions;
+    The model holds the six mains and the two cross terms the profit
+    response reacts to, the first factor by the fifth (up price x up
+    deployment) and the fifth by the sixth (up x down deployment);
     everything else is pooled into the residual.
     """
     y = np.asarray(responses, dtype=float)
     n = design.signs.shape[0]
     if y.shape != (n,):
         raise ValueError(f"expected {n} responses, got shape {y.shape}")
-    index = {f.name: j for j, f in enumerate(design.factors)}
+    names = [f.name for f in design.factors]
+    index = {name: j for j, name in enumerate(names)}
+    model_terms = names + [(names[0], names[4]), (names[4], names[5])]
 
     columns = []
     labels = []
@@ -256,7 +253,7 @@ def anova(design: DesignMatrix, responses, model_terms, alpha: float = 0.05) -> 
 # each study's factors: the scenario fields it varies, each at these per-hour
 # percentiles of its synthetic history.  The sweep's axes are Table 3's; the
 # ANOVA's order sets the design's generator (the sixth factor is the product
-# of the first five) and the cross terms of default_model_terms.
+# of the first five) and the cross terms of anova's model.
 SWEEP_FIELDS = ("lambda_da", "lambda_rt", "ev_load")
 SWEEP_PERCENTILES = (10.0, 50.0, 90.0)
 SWEEP_LABELS = ("low", "median", "high")
@@ -291,22 +288,28 @@ def _storage_profit_increase(bundle):
 def _run_cell(job):
     """One study cell: the Nash bargain on a scenario, reduced to a response.
 
-    Returns ``(response, None)``, or ``(nan, error)`` when a model the cell
-    needs is infeasible or exhausts its node budget, or when the response's
-    base, a disagreement value, is 0; other errors propagate.
+    Returns ``(response, None, missed)``, where ``missed`` is the bargain's
+    Nash bound, product and relative gap when that gap exceeds the cell's
+    ``gap``, and None otherwise.  The first two are ``(nan, error)`` when the
+    response's base, a disagreement value, is 0, and the triple is ``(nan,
+    error, None)`` when a model the cell needs is infeasible or exhausts its
+    node budget; other errors propagate.
     """
     scn, response, settings = job
     try:
         bundle = solve_study(scn, "nbs", **settings)
     except (InfeasibleError, BudgetExhaustedError) as exc:
-        return math.nan, exc
-    return response(bundle)
+        return math.nan, exc, None
+    bargain, missed = bundle.bargain, None
+    if bargain.gap > settings["gap"]:
+        missed = (bargain.bound, bargain.nbs.product, bargain.gap)
+    return (*response(bundle), missed)
 
 
 def _map_cells(jobs, workers: int):
-    """``(response, error)`` per job in job order, from a process pool when
-    ``workers > 1``.  Lazy, so a caller that stops at a failed cell runs no
-    further cells in the serial case."""
+    """``(response, error, missed)`` per job in job order, from a
+    process pool when ``workers > 1``.  Lazy, so a caller that stops at a
+    failed cell runs no further cells in the serial case."""
     if workers <= 1:
         yield from map(_run_cell, jobs)
     else:
@@ -320,7 +323,7 @@ class SweepResult:
 
     reductions: np.ndarray  # (3, 3, 3), NaN where a cell failed
     failures: dict  # (i, j, k) -> why that cell is NaN
-    labels: tuple[str, str, str]
+    uncertified: dict  # (i, j, k) -> (Nash bound, product, gap) where the gap exceeds the study's
 
 
 def sweep_grid(
@@ -338,7 +341,8 @@ def sweep_grid(
 
     A cell is NaN when its models are infeasible or exhaust the node budget,
     or when the hub's cost alone is 0; ``failures`` gives each such cell's
-    reason."""
+    reason.  ``uncertified`` gives the cells whose Nash bound stays above the
+    product by more than ``gap``."""
     factors = tuple(factors)
     if len(factors) != 3 or any(len(f.levels) != 3 for f in factors):
         raise ValueError("the sweep needs exactly 3 factors of 3 levels each")
@@ -355,12 +359,14 @@ def sweep_grid(
         for cell in cells
     ]
     grid = np.empty((3, 3, 3))
-    failures = {}
-    for cell, (value, error) in zip(cells, _map_cells(jobs, workers)):
+    failures, uncertified = {}, {}
+    for cell, (value, error, missed) in zip(cells, _map_cells(jobs, workers)):
         grid[cell] = value
         if error is not None:
             failures[cell] = str(error)
-    return SweepResult(grid, failures, SWEEP_LABELS)
+        if missed is not None:
+            uncertified[cell] = missed
+    return SweepResult(grid, failures, uncertified)
 
 
 def factorial_profit_study(
@@ -372,7 +378,9 @@ def factorial_profit_study(
     node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
 ):
-    """Run the 32 design cells and return (design, profit-increase responses).
+    """Run the 32 design cells and return the design, the profit-increase
+    responses, and, by run, the (Nash bound, product, gap) of each run whose
+    bound stays above the product by more than ``gap``.
 
     A run whose models are infeasible or exhaust the node budget, or whose
     storage profit alone is 0, stops the study with the same error, naming
@@ -383,9 +391,11 @@ def factorial_profit_study(
         (with_profiles(template, assignment), _storage_profit_increase, settings)
         for assignment in design.runs()
     ]
-    responses = []
-    for run, (value, error) in enumerate(_map_cells(jobs, workers)):
+    responses, uncertified = [], {}
+    for run, (value, error, missed) in enumerate(_map_cells(jobs, workers)):
         if error is not None:
             raise type(error)(f"anova run {run}: {error}") from error
         responses.append(value)
-    return design, np.array(responses)
+        if missed is not None:
+            uncertified[run] = missed
+    return design, np.array(responses), uncertified

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coopt import bargain, cli, sensitivity
+from coopt import bargain, cli, presets, sensitivity
 from coopt.bargain import DEFAULT_GAP, pareto_frontier, solve_study
 from coopt.bnb import BUDGET_EXHAUSTED, INFEASIBLE, MilpSolution, SolverError
 from coopt.cli import main
@@ -194,6 +196,38 @@ def test_nbs_command_says_on_stderr_when_its_bound_misses_the_gap(
     ])
 
 
+@pytest.mark.parametrize("command", ["sweep", "anova"])
+def test_study_commands_name_each_uncertified_cell_on_stderr(tmp_path, capsys, monkeypatch, command):
+    # the Nash tree gets 2 * CELL_NODE_BUDGET nodes; this scenario's needs more than 2
+    monkeypatch.setattr(bargain, "CELL_NODE_BUDGET", 1)
+    scn = tiny_scenario(T=4, K=2, seed=1)
+    # one day of history at the scenario's own series, so every cell is the scenario itself
+    series = {**asdict(scn.prices), **asdict(scn.probabilities), **asdict(scn.demand)}
+    histories = {name: np.array([values]) for name, values in series.items()}
+    monkeypatch.setattr(cli, "study_histories", lambda seed, days, hub: (histories, None))
+    path = tmp_path / "tiny.scenario"
+    save_scenario(scn, path)
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(path), "--workers", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    result = solve_study(scn, "nbs").bargain
+    assert result.gap > DEFAULT_GAP
+    reason = (
+        f": not certified: nash bound {result.bound!r} is above the product {result.nbs.product!r}"
+        f" by a relative gap of {result.gap:.4g}, more than --gap {DEFAULT_GAP!r}"
+    )
+    labels = ("low", "median", "high")
+    cells = [
+        f"sweep: cell da_price={da} rt_price={rt} demand={dem}"
+        for da in labels
+        for rt in labels
+        for dem in labels
+    ] if command == "sweep" else [f"anova run {run}" for run in range(32)]
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [cell + reason for cell in cells]
+    assert captured.out.splitlines() == [f"{command} written to {out}"]
+
+
 # SHA-256 of every file each command writes: the market and demand histories
 # that the presets build their scenarios from are pinned byte for byte
 RECORDED_OUTPUTS = {
@@ -214,6 +248,20 @@ RECORDED_OUTPUTS = {
 
 @pytest.mark.parametrize("argv", list(RECORDED_OUTPUTS), ids=lambda argv: argv[0])
 def test_history_commands_write_the_recorded_bytes(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert written == RECORDED_OUTPUTS[argv]
+
+
+def test_generate_demand_draws_neither_prices_nor_market(tmp_path, monkeypatch):
+    def not_drawn(*args, **kwargs):
+        raise AssertionError("generate-demand draws only the demand it writes")
+
+    monkeypatch.setattr(presets, "synthetic_price_history", not_drawn)
+    monkeypatch.setattr(presets, "synthetic_market_history", not_drawn)
+    argv = ("generate-demand", "--seed", "7", "--days", "30")
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     written = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()

@@ -18,7 +18,6 @@ from coopt.sensitivity import (
     AnovaTable,
     FactorSpec,
     anova,
-    default_model_terms,
     f_cdf,
     factorial_profit_study,
     f_critical,
@@ -124,7 +123,7 @@ def test_design_rejects_wrong_factor_count():
 def test_pure_contrast_signal_isolates_one_factor():
     design = fractional_factorial_design(six_factors())
     y = 3.0 + 2.0 * design.signs[:, 0].astype(float)
-    table = anova(design, y, default_model_terms(design.factors))
+    table = anova(design, y)
     by_term = {r.term: r for r in table.rows}
     assert by_term["lambda_up"].significant
     assert by_term["lambda_up"].effect == pytest.approx(4.0, abs=1e-12)
@@ -137,7 +136,7 @@ def test_pure_contrast_signal_isolates_one_factor():
 def test_residual_df_and_critical_value():
     design = fractional_factorial_design(six_factors())
     rng = np.random.default_rng(0)
-    table = anova(design, rng.normal(size=32), default_model_terms(design.factors))
+    table = anova(design, rng.normal(size=32))
     assert table.residual_df == 23
     assert table.f_crit == pytest.approx(4.279, abs=1e-3)
 
@@ -146,7 +145,7 @@ def test_residual_df_and_critical_value():
 @settings(max_examples=60, deadline=None)
 def test_ss_decomposition(responses):
     design = fractional_factorial_design(six_factors())
-    table = anova(design, responses, default_model_terms(design.factors))
+    table = anova(design, responses)
     model_ss = sum(r.sum_sq for r in table.rows)
     assert model_ss + table.residual_ss == pytest.approx(
         table.total_ss, rel=1e-9, abs=1e-9
@@ -160,8 +159,8 @@ def test_run_permutation_leaves_effects_unchanged():
     perm = rng.permutation(32)
     permuted = fractional_factorial_design(six_factors())
     permuted = type(permuted)(permuted.factors, permuted.signs[perm], permuted.generator)
-    a = anova(design, y, default_model_terms(design.factors))
-    b = anova(permuted, y[perm], default_model_terms(design.factors))
+    a = anova(design, y)
+    b = anova(permuted, y[perm])
     for ra, rb in zip(a.rows, b.rows):
         assert rb.effect == pytest.approx(ra.effect, rel=1e-12, abs=1e-12)
 
@@ -169,15 +168,15 @@ def test_run_permutation_leaves_effects_unchanged():
 def test_anova_validation():
     design = fractional_factorial_design(six_factors())
     with pytest.raises(ValueError):
-        anova(design, np.zeros(16), default_model_terms(design.factors))
-    too_many = list(default_model_terms(design.factors)) * 4
-    with pytest.raises(ValueError):
-        anova(design, np.zeros(32), too_many)
+        anova(design, np.zeros(16))
+    # eight runs leave no residual degrees of freedom for the eight model terms
+    short = type(design)(design.factors, design.signs[:8], design.generator)
+    with pytest.raises(ValueError, match="residual degrees of freedom"):
+        anova(short, np.zeros(8))
 
 
 def test_injected_effects_recovered():
     design = fractional_factorial_design(six_factors())
-    terms = default_model_terms(design.factors)
     injected = {"lambda_up": 3.0, "acc_up": 2.5, "dep_up": 4.0, "dep_dn": 3.5}
     null_mains = ("lambda_dn", "acc_dn")
     idx = {f.name: j for j, f in enumerate(design.factors)}
@@ -189,7 +188,7 @@ def test_injected_effects_recovered():
         y = 10.0 + rng.normal(0.0, 1.0, size=32)
         for name, effect in injected.items():
             y = y + (effect / 2.0) * design.signs[:, idx[name]]
-        table = anova(design, y, terms)
+        table = anova(design, y)
         flagged = {r.term for r in table.rows if r.significant}
         if set(injected) <= flagged:
             hits += 1
@@ -321,7 +320,7 @@ def test_studies_pass_deployment_revenue_to_the_storage_model(monkeypatch):
 def test_zero_disagreement_value_is_a_failed_cell(monkeypatch):
     # a response is a percentage of a disagreement value, undefined at 0
     bundle = SimpleNamespace(
-        bargain=SimpleNamespace(nbs=SimpleNamespace(tau1=0.0, tau2=0.0)),
+        bargain=SimpleNamespace(nbs=SimpleNamespace(tau1=0.0, tau2=0.0), gap=0.0),
         d=SimpleNamespace(d1=0.0, d2=0.0),
     )
     monkeypatch.setattr(sensitivity, "solve_study", lambda *args, **kwargs: bundle)

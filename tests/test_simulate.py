@@ -7,92 +7,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopt import presets
 from coopt.io import save_scenario
 from coopt.presets import (
     PRESET_HUB,
     build_scenario,
     study_histories,
+    synthetic_demand_history,
     synthetic_market_history,
     synthetic_price_history,
 )
 from coopt.scenario import HubSpec, with_profiles
 from coopt.sensitivity import SWEEP_FIELDS, SWEEP_PERCENTILES, study_factors
-from coopt.simulate import (
-    DemandGenConfig,
-    clear_reserve_market,
-    estimate_probabilities,
-    generate_demand,
-    percentile_profiles,
-)
-
-
-def demand_cfg(**overrides):
-    base = dict(
-        traffic=(1000.0,) * 4,
-        ev_share=0.25,
-        public_charge_share=0.42,
-        charge_prob=(0.1,) * 4,
-        battery_sizes=((50.0, 0.3), (75.0, 0.4), (100.0, 0.3)),
-        soc_bounds=(0.05, 0.95),
-        seed=0,
-    )
-    base.update(overrides)
-    return DemandGenConfig(**base)
+from coopt.simulate import clear_reserve_market, estimate_probabilities, percentile_profiles
 
 
 # ------------------------------------------------------------- demand
 
 
-def test_zero_ev_share_gives_zero_demand():
-    profile = generate_demand(demand_cfg(ev_share=0.0))
-    assert all(v == 0.0 for v in profile.ev_load)
+def test_zero_ev_share_gives_zero_demand(monkeypatch):
+    monkeypatch.setattr(presets, "EV_SHARE", 0.0)
+    assert (synthetic_demand_history(0, 2, PRESET_HUB) == 0.0).all()
 
 
-def test_degenerate_soc_and_single_size():
-    cfg = demand_cfg(
-        charge_prob=(1.0,) * 4,
-        battery_sizes=((100.0, 1.0),),
-        soc_bounds=(0.5, 0.5 + 1e-12),
-    )
-    profile = generate_demand(cfg)
-    for t, v in enumerate(profile.ev_load):
+def test_degenerate_soc_and_single_size(monkeypatch):
+    monkeypatch.setattr(presets, "CHARGE_PROB", 1.0)
+    monkeypatch.setattr(presets, "BATTERY_SIZES", (100.0,))
+    monkeypatch.setattr(presets, "BATTERY_SHARES", (1.0,))
+    monkeypatch.setattr(presets, "SOC_BOUNDS", (0.5, 0.5 + 1e-12))
+    uncapped = HubSpec((0.0,) * 24, station_count=1000, station_rate=100.0)
+    for v in synthetic_demand_history(0, 2, uncapped).ravel():
         # every charging EV draws exactly 50 kWh, so the hourly load is 50 * n_t
         assert v == pytest.approx(50.0 * round(v / 50.0), rel=1e-9)
         assert v > 0.0
 
 
 def test_demand_mean_matches_compound_expectation():
-    cfg = demand_cfg(traffic=(1000.0,), charge_prob=(0.1,))
-    total = 0.0
-    n_days = 4000
-    for day in range(n_days):
-        total += generate_demand(cfg, day=day).ev_load[0]
-    mean = total / n_days
-    expect = 0.25 * 0.42 * 1000.0 * 0.1 * 75.0 * 0.5 * (0.05 + 0.95)
-    assert mean == pytest.approx(expect, rel=0.02)
+    daily = synthetic_demand_history(0, 400, PRESET_HUB).sum(axis=1)
+    # vehicles that charge in an hour, times the mean battery size and the mean fraction asked
+    traffic = presets.TRAFFIC_SCALE * sum(presets._TRAFFIC_SHAPE)
+    expect = 0.25 * 0.42 * traffic * 0.1 * 75.0 * 0.5 * (0.05 + 0.95)
+    assert daily.mean() == pytest.approx(expect, rel=0.02)
 
 
 def test_demand_clipped_by_hub_capacity():
-    hub = HubSpec((0.0,) * 4, station_count=1, station_rate=10.0)
-    profile = generate_demand(demand_cfg(charge_prob=(1.0,) * 4), hub)
-    assert all(v <= 10.0 for v in profile.ev_load)
+    hub = HubSpec((0.0,) * 24, station_count=1, station_rate=10.0)
+    history = synthetic_demand_history(0, 2, hub)
+    assert (history <= 10.0).all()
+    assert (history == 10.0).any()
 
 
 def test_demand_deterministic_in_seed():
-    a = generate_demand(demand_cfg(seed=5))
-    b = generate_demand(demand_cfg(seed=5))
-    c = generate_demand(demand_cfg(seed=6))
-    assert a.ev_load == b.ev_load
-    assert a.ev_load != c.ev_load
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        demand_cfg(ev_share=1.5)
-    with pytest.raises(ValueError):
-        demand_cfg(battery_sizes=((50.0, 0.5), (75.0, 0.4)))
-    with pytest.raises(ValueError):
-        demand_cfg(soc_bounds=(0.9, 0.1))
+    a = synthetic_demand_history(5, 1, PRESET_HUB)
+    b = synthetic_demand_history(5, 1, PRESET_HUB)
+    c = synthetic_demand_history(6, 1, PRESET_HUB)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 # ------------------------------------------------------------- clearing
@@ -239,8 +209,8 @@ def test_percentile_validation():
 
 
 def test_price_history_deterministic_and_positive():
-    a_da, a_rt = synthetic_price_history(5, seed=3)
-    b_da, b_rt = synthetic_price_history(5, seed=3)
+    a_da, a_rt = synthetic_price_history(3, 5)
+    b_da, b_rt = synthetic_price_history(3, 5)
     assert np.array_equal(a_da, b_da)
     assert np.array_equal(a_rt, b_rt)
     assert (a_da > 0).all() and (a_rt > 0).all()
