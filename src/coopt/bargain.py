@@ -83,6 +83,7 @@ from .linear import (
     LinearModel,
     Variable,
     add_constraint,
+    linking_rows,
     split_blocks,
     with_objective,
 )
@@ -280,7 +281,7 @@ def _priced(
     the blocks run at ``gap`` max(1, |z|) / max(1, |z - pi b|), a slack on
     their sum of ``gap`` max(1, |z|).
     """
-    _, linking = split_blocks(model)
+    linking = linking_rows(model)
     objective = dict(model.objective)
     constant = 0.0
     for i in linking:

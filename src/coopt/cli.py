@@ -90,21 +90,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        if name not in ("simulate-market", "generate-demand"):
-            p.add_argument("--scenario", type=Path, required=True)
         p.add_argument("--out", type=Path, default=Path("out"))
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--days", type=int, default=30)
+        if name in ("simulate-market", "generate-demand"):
+            continue  # the histories take no other flag
+        p.add_argument("--scenario", type=Path, required=True)
         p.add_argument("--gap", type=float, default=DEFAULT_GAP)
         p.add_argument(
             "--grid-points", type=int, default=DEFAULT_GRID_POINTS,
             help="storage floors sampled by the frontier command; other commands ignore it",
         )
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--workers", type=int, default=1,
             help="worker processes for the sweep and anova commands; other commands ignore it",
         )
         p.add_argument("--deployment-revenue", choices=DEPLOYMENT_REVENUE_MODES, default=AS_WRITTEN)
-        p.add_argument("--days", type=int, default=30)
         p.add_argument(
             "--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
             help="branch-and-bound nodes each MILP may search; the storage model's"
@@ -120,15 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Reject out-of-range flag values before a command does any work."""
+    """Reject out-of-range values of the command's flags before it does any work."""
+    if args.days < 1:
+        raise ScenarioError(f"--days must be >= 1, got {args.days}")
+    if args.command in ("simulate-market", "generate-demand"):
+        return  # the histories take no other flag
     if not 0.0 < args.gap <= 0.1:
         raise ScenarioError(f"--gap must be in (0, 0.1], got {args.gap}")
     if args.grid_points < 2:
         raise ScenarioError(f"--grid-points must be >= 2, got {args.grid_points}")
     if args.workers < 1:
         raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
-    if args.days < 1:
-        raise ScenarioError(f"--days must be >= 1, got {args.days}")
     if args.node_budget < 1:
         raise ScenarioError(f"--node-budget must be >= 1, got {args.node_budget}")
     if args.command == "anova" and not 0.0 < args.alpha < 1.0:

@@ -5,7 +5,8 @@ integrality flags and block labels, linear rows with a sense and right-hand
 side, and one linear objective.  A :class:`BiObjectiveModel` shares one
 constraint set between a minimized and a maximized objective and is
 scalarized by the bargaining layer.  :func:`split_blocks` cuts a model into
-the sub-models of its blocks and the rows that link them.
+the sub-models of its blocks and the rows that link them, and
+:func:`linking_rows` finds those rows alone.
 """
 
 from __future__ import annotations
@@ -114,6 +115,17 @@ class Block:
     cols: list[int]
 
 
+def _row_labels(model: LinearModel) -> list[set[int]]:
+    """The blocks of each row's columns; a column's block is its ``Variable.block``."""
+    col_block = [v.block for v in model.variables]
+    return [{col_block[j] for j in con.coeffs} for con in model.constraints]
+
+
+def linking_rows(model: LinearModel) -> list[int]:
+    """The rows of ``model`` that link two blocks, as :func:`split_blocks` finds them."""
+    return [i for i, labels in enumerate(_row_labels(model)) if len(labels) > 1]
+
+
 def split_blocks(model: LinearModel) -> tuple[list[Block], list[int]]:
     """The blocks of ``model`` by rising label, and the rows that link two blocks.
 
@@ -122,14 +134,12 @@ def split_blocks(model: LinearModel) -> tuple[list[Block], list[int]]:
     sub-model holds its columns and rows in the full model's order, with the
     objective's terms on its columns and the full model's sense.
     """
-    col_block = [v.block for v in model.variables]
     cols: dict[int, list[int]] = {}
-    for j, b in enumerate(col_block):
-        cols.setdefault(b, []).append(j)
+    for j, v in enumerate(model.variables):
+        cols.setdefault(v.block, []).append(j)
     rows: dict[int, list[int]] = {b: [] for b in cols}
     linking = []
-    for i, con in enumerate(model.constraints):
-        labels = {col_block[j] for j in con.coeffs}
+    for i, labels in enumerate(_row_labels(model)):
         if len(labels) > 1:
             linking.append(i)
         else:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,10 +308,13 @@ def _run_cell(job):
 def _map_cells(jobs, workers: int):
     """``(response, error, missed)`` per job in job order, from a
     process pool when ``workers > 1``.  Lazy, so a caller that stops at a
-    failed cell runs no further cells in the serial case."""
+    failed cell runs no further cells in the serial case.  The pool is
+    imported here, so a command that starts none does not load it."""
     if workers <= 1:
         yield from map(_run_cell, jobs)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_cell, jobs)
 

@@ -76,6 +76,17 @@ rows that block within the feasibility tolerance.  The primal simplex
 carries the duals ``y = c_B B^-1`` through its pivots, adding ``d_q`` times
 the updated pivot row of the inverse, and recomputes them only at a
 refactorization; the reduced costs are priced from ``y`` over the nonzeros.
+
+Besides the basis, its inverse and the values, the loops keep from one
+iteration to the next the masks of the nonbasic columns that can rise and of
+those that can fall.  They are computed once from the statuses and bounds when
+a solve takes its starting basis; after that a pivot rewrites the entries of
+its entering and its leaving column, and a bound flip those of its column.
+The dual simplex computes the leaving row ``rho_r`` of the inverse for its
+pivot row ``rho_r [A I]`` and hands it to the pivot's update, which stores it
+without computing it again, and its ratio test runs on the eligible columns
+alone.  Keeping them changes no operand and no order of operations, only how
+many arrays each iteration builds.
 """
 
 from __future__ import annotations
@@ -83,6 +94,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -170,19 +182,18 @@ class StandardForm:
 def standard_form(model: LinearModel) -> StandardForm:
     """The column-sparse equality form of ``model``; exact zero coefficients are dropped."""
     ns, m = model.n, model.m
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, con in enumerate(model.constraints):
-        for j, cval in con.coeffs.items():
-            if cval != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(cval)
-    slacks = list(range(m))
-    row = np.array(rows + slacks, dtype=np.intp)
-    col = np.array(cols + [ns + i for i in slacks], dtype=np.intp)
-    val = np.array(vals + [1.0] * m, dtype=float)
+    counts = [len(con.coeffs) for con in model.constraints]
+    total = sum(counts)
+    cols = np.fromiter(chain.from_iterable(con.coeffs for con in model.constraints), np.intp, total)
+    vals = np.fromiter(
+        chain.from_iterable(con.coeffs.values() for con in model.constraints), float, total
+    )
+    rows = np.repeat(np.arange(m), counts)
+    kept = vals != 0.0
+    slacks = np.arange(m)
+    row = np.concatenate([rows[kept], slacks])
+    col = np.concatenate([cols[kept], ns + slacks])
+    val = np.concatenate([vals[kept], np.ones(m)])
     order = np.lexsort((row, col))
     row, col, val = row[order], col[order], val[order]
     ptr = np.zeros(ns + m + 1, dtype=np.intp)
@@ -393,10 +404,10 @@ class SimplexSolver:
             self.lb[: self.ns] = lb
         if ub is not None:
             self.ub[: self.ns] = ub
-        if np.any(self.lb > self.ub + 1e-12):
+        if (self.lb > self.ub + 1e-12).any():
             return self._finish(INFEASIBLE)
+        self.room = (self.ub - self.lb) > 0
 
-        self.x = np.zeros(self.nsm)
         status = self._try_warm(warm) if warm is not None else None
         if status in (None, SINGULAR, ITERATION_LIMIT):
             status = self._cold_start()
@@ -441,7 +452,7 @@ class SimplexSolver:
 
     def _duals(self, c: np.ndarray) -> np.ndarray:
         cb = c[self.basis]
-        nz = np.flatnonzero(cb)
+        nz = cb.nonzero()[0]
         k = self.pivots_since_refactor
         return cb[nz] @ self.B0[nz] - (cb[nz] @ self.U[nz, :k]) @ self.V[:k]
 
@@ -451,8 +462,10 @@ class SimplexSolver:
             y = self._duals(c)
         return c - self.sf.rmatvec(y)
 
-    def _alpha_row(self, r: int) -> np.ndarray:
-        return self.sf.rmatvec(self._row(r))
+    def _alpha_row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``r`` of ``B^-1``, ``rho_r``, and the pivot row ``rho_r [A I]``."""
+        rho = self._row(r)
+        return rho, self.sf.rmatvec(rho)
 
     def _refactor(self) -> bool:
         if not self._factor_basis():
@@ -522,8 +535,8 @@ class SimplexSolver:
         for q in target[~present[target]]:
             w = self._ftran(q)
             size = np.abs(w[open_rows])
-            i = int(np.argmax(size))
-            if size[i] <= REPAIR_PIVOT_TOL * np.max(np.abs(w)):
+            i = int(size.argmax())
+            if size[i] <= REPAIR_PIVOT_TOL * np.abs(w).max():
                 return False
             r = open_rows[i]
             self._eta_update(w, r)
@@ -551,41 +564,51 @@ class SimplexSolver:
         k = self.pivots_since_refactor
         self._kept[key] = (self.basis.copy(), self.B0, self.U[:, :k].copy(), self.V[:k].copy(), k)
 
-    def _movable(self) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of the nonbasic columns that can rise and of those that can fall."""
-        room = (self.ub - self.lb) > 0
-        rise = ((self.stat == _AT_LB) | (self.stat == _FREE)) & room
-        fall = ((self.stat == _AT_UB) | (self.stat == _FREE)) & room
-        return rise, fall
+    def _set_statuses(self, stat: np.ndarray) -> None:
+        """Take every column's status, repaired onto the solve's bounds, and the
+        masks of the nonbasic columns that can rise and of those that can fall,
+        which ``_set_status`` keeps."""
+        self.stat = stat = _repair_status(stat, self.lb, self.ub)
+        free = stat == _FREE
+        self.rise = ((stat == _AT_LB) | free) & self.room
+        self.fall = ((stat == _AT_UB) | free) & self.room
+
+    def _set_status(self, j: int, status: int) -> None:
+        """Column ``j`` takes ``status``, and its entries of the masks follow."""
+        self.stat[j] = status
+        room = self.room[j]
+        self.rise[j] = room and (status == _AT_LB or status == _FREE)
+        self.fall[j] = room and (status == _AT_UB or status == _FREE)
 
     def _recompute_x(self) -> None:
-        nonbasic = self.stat != _BASIC
-        at_ub = self.stat == _AT_UB
-        self.x[nonbasic] = np.where(at_ub[nonbasic], self.ub[nonbasic], self.lb[nonbasic])
-        self.x[self.stat == _FREE] = 0.0
-        x_nonbasic = np.where(nonbasic, self.x, 0.0)
-        rhs_eff = self.sf.b - self.sf.matvec(x_nonbasic)
+        stat = self.stat
+        x = np.where(stat == _AT_UB, self.ub, np.where(stat == _AT_LB, self.lb, 0.0))
+        rhs_eff = self.sf.b - self.sf.matvec(x)
         k = self.pivots_since_refactor
-        self.x[self.basis] = self.B0 @ rhs_eff - self.U[:, :k] @ (self.V[:k] @ rhs_eff)
+        x[self.basis] = self.B0 @ rhs_eff - self.U[:, :k] @ (self.V[:k] @ rhs_eff)
+        self.x = x
 
-    def _pivot(self, q: int, r: int, w: np.ndarray, leaving_stat: int) -> None:
+    def _pivot(
+        self, q: int, r: int, w: np.ndarray, leaving_stat: int, rho: np.ndarray | None = None
+    ) -> None:
         """Column ``q``, with ``w = B^-1 a_q``, replaces the basic column of row ``r``.
-        That column goes to ``leaving_stat`` at its bound."""
+        That column goes to ``leaving_stat`` at its bound.  ``rho`` is row ``r``
+        of the inverse when the caller has it."""
         leaving = self.basis[r]
-        self.stat[leaving] = leaving_stat
+        self._set_status(leaving, leaving_stat)
         self.x[leaving] = self.ub[leaving] if leaving_stat == _AT_UB else self.lb[leaving]
         self.basis[r] = q
-        self.stat[q] = _BASIC
-        self._eta_update(w, r)
+        self._set_status(q, _BASIC)
+        self._eta_update(w, r, rho)
 
-    def _eta_update(self, w: np.ndarray, r: int) -> None:
+    def _eta_update(self, w: np.ndarray, r: int, rho: np.ndarray | None = None) -> None:
         """Append the pivot's rank-one term: the new inverse is the old one minus
-        ``(w - e_r) / w_r`` times its row ``r``."""
+        ``(w - e_r) / w_r`` times its row ``r``, which is ``rho`` when given."""
         k = self.pivots_since_refactor
-        self.V[k] = self._row(r)
-        u = w / w[r]
+        self.V[k] = self._row(r) if rho is None else rho
+        u = self.U[:, k]
+        np.divide(w, w[r], out=u)
         u[r] = (w[r] - 1.0) / w[r]
-        self.U[:, k] = u
         self.pivots_since_refactor = k + 1
 
     # -- the two starts and the one path from a basis ------------------------
@@ -596,7 +619,7 @@ class SimplexSolver:
         self.basis = np.arange(self.ns, self.nsm)
         stat = np.full(self.nsm, _AT_LB, dtype=np.int8)
         stat[self.basis] = _BASIC
-        self.stat = _repair_status(stat, self.lb, self.ub)
+        self._set_statuses(stat)
         self._set_inverse(np.eye(self.m))
         return self._from_basis()
 
@@ -606,7 +629,7 @@ class SimplexSolver:
         if np.count_nonzero(warm.vstat == _BASIC) != self.m:
             return None
         self.basis = warm.basis.copy()
-        self.stat = _repair_status(warm.vstat, self.lb, self.ub)
+        self._set_statuses(warm.vstat)
         if not self._factor_warm_basis():
             return None
         return self._from_basis()
@@ -618,15 +641,12 @@ class SimplexSolver:
         self._recompute_x()  # places the nonbasic columns on their bounds
         xb = self.x[self.basis]
         primal_viol = float(
-            np.max(
-                np.maximum(self.lb[self.basis] - xb, xb - self.ub[self.basis]),
-                initial=0.0,
-            )
+            np.maximum(self.lb[self.basis] - xb, xb - self.ub[self.basis]).max(initial=0.0)
         )
         if primal_viol <= FEAS_TOL:
             return self._primal(self.cost)
         d = self._reduced_costs(self.cost)
-        rise, fall = self._movable()
+        rise, fall = self.rise, self.fall
         # a nonbasic column's cost does not enter y = c_B B^-1, so shifting it
         # moves that reduced cost alone: to a margin of the sign that makes the
         # column dual feasible, or to zero for a free column.  A one-way column
@@ -650,23 +670,19 @@ class SimplexSolver:
         stall = 0
         bland = False
         y = self._duals(c)  # carried through the pivots, recomputed at each refactorization
+        rise, fall = self.rise, self.fall  # kept by the pivots and flips
         for _ in range(max_iter):
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 if not self._refactor():
                     return SINGULAR
                 y = self._duals(c)
             d = self._reduced_costs(c, y)
-            rise, fall = self._movable()
-            can_inc = rise & (d < -OPT_TOL)
-            can_dec = fall & (d > OPT_TOL)
-            if not (can_inc.any() or can_dec.any()):
+            # the rate at which each column lowers the cost, moved the way it can go
+            score = np.maximum(np.where(rise, -d, -math.inf), np.where(fall, d, -math.inf))
+            q = int((score > OPT_TOL).argmax() if bland else score.argmax())
+            if score[q] <= OPT_TOL:
                 return OPTIMAL
-            if bland:
-                q = int(np.argmax(can_inc | can_dec))
-            else:
-                score = np.where(can_inc, -d, np.where(can_dec, d, -math.inf))
-                q = int(np.argmax(score))
-            direction = 1.0 if can_inc[q] else -1.0
+            direction = 1.0 if d[q] < 0.0 else -1.0
 
             w = self._ftran(q)
             delta = -direction * w
@@ -686,8 +702,9 @@ class SimplexSolver:
             self.x[self.basis] += delta * theta
             self.x[q] += direction * theta
             if r is None:
-                self.stat[q] = _AT_UB if self.stat[q] == _AT_LB else _AT_LB
-                self.x[q] = self.ub[q] if self.stat[q] == _AT_UB else self.lb[q]
+                flipped = _AT_UB if self.stat[q] == _AT_LB else _AT_LB
+                self._set_status(q, flipped)
+                self.x[q] = self.ub[q] if flipped == _AT_UB else self.lb[q]
             else:
                 # |w[r]| > PIV_TOL: the ratio test only blocks on such rows
                 self._pivot(q, r, w, _AT_UB if delta[r] > 0 else _AT_LB)
@@ -706,22 +723,22 @@ class SimplexSolver:
         wins when it is within the pass-1 step.  Returns ``(step, row)``, with
         row None for the flip, or ``(None, None)`` when nothing blocks.
         """
-        rows = np.flatnonzero(np.abs(delta) > PIV_TOL)  # the only rows that can block
+        rows = (np.abs(delta) > PIV_TOL).nonzero()[0]  # the only rows that can block
         step = delta[rows]
         cols = self.basis[rows]
         up = step > 0
         gap = np.where(up, self.ub[cols], self.lb[cols]) - self.x[cols]
         exact = np.maximum(gap / step, 0.0)
         relaxed = np.maximum((gap + np.where(up, FEAS_TOL, -FEAS_TOL)) / step, 0.0)
-        theta_max = float(np.min(relaxed, initial=math.inf))
+        theta_max = float(relaxed.min(initial=math.inf))
         flip = self.ub[q] - self.lb[q]
         if math.isinf(theta_max) and math.isinf(flip):
             return None, None
         if flip <= theta_max:
             return flip, None
         size = np.where(exact <= theta_max, np.abs(step), 0.0)
-        best = np.flatnonzero(size == size.max())
-        i = best[np.argmin(cols[best])]
+        best = (size == size.max()).nonzero()[0]
+        i = best[cols[best].argmin()]
         return float(exact[i]), int(rows[i])
 
     # -- dual simplex ----------------------------------------------------------
@@ -746,19 +763,21 @@ class SimplexSolver:
             viol_lo = self.lb[self.basis] - xb
             viol_hi = xb - self.ub[self.basis]
             vio = np.maximum(viol_lo, viol_hi)
-            worst = float(np.max(vio, initial=0.0))
+            worst = float(vio.max(initial=0.0))
             if worst <= FEAS_TOL:
                 return OPTIMAL
-            ties = np.flatnonzero(vio > FEAS_TOL if bland else vio >= worst - 1e-15)
-            r = int(ties[np.argmin(self.basis[ties])])
+            ties = (vio > FEAS_TOL if bland else vio >= worst - 1e-15).nonzero()[0]
+            r = int(ties[self.basis[ties].argmin()])
             bv = self.basis[r]
             row_dir = 1.0 if viol_lo[r] >= viol_hi[r] else -1.0
             target = self.lb[bv] if row_dir > 0 else self.ub[bv]
 
-            alpha = self._alpha_row(r)
-            rise, fall = self._movable()
-            elig = (rise & (alpha * row_dir < -PIV_TOL)) | (fall & (alpha * row_dir > PIV_TOL))
-            if not elig.any():
+            rho, alpha = self._alpha_row(r)
+            # the columns whose move the row's step allows: alpha row_dir below
+            # -PIV_TOL for a rising one, above PIV_TOL for a falling one
+            up, down = (self.rise, self.fall) if row_dir > 0 else (self.fall, self.rise)
+            cand = ((up & (alpha < -PIV_TOL)) | (down & (alpha > PIV_TOL))).nonzero()[0]
+            if not cand.size:
                 # the row's value may be rounding carried through the updates:
                 # only a fresh one that still violates its bound proves infeasibility
                 self._recompute_x()
@@ -766,17 +785,17 @@ class SimplexSolver:
                 if max(self.lb[bv] - xr, xr - self.ub[bv]) > FEAS_TOL:
                     return INFEASIBLE
                 continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                key = np.where(elig, -row_dir * d / alpha, math.inf)
-            key = np.where(np.isnan(key), math.inf, np.maximum(key, 0.0))
-            q = int(np.argmin(key))
+            key = -row_dir * d[cand] / alpha[cand]
+            np.maximum(key, 0.0, out=key)
+            i = int(key.argmin())  # the lowest column on ties
+            q = int(cand[i])
 
             w = self._ftran(q)
             # checked before any state changes, and against the column's scale: the
             # update divides w by w[r], and a pivot far below the column's largest
             # entry wipes out the inverse's accuracy (the ratio test does not look
             # at |alpha|, so a tiny one with a reduced cost of the wrong sign wins)
-            small = abs(w[r]) < PIV_TOL * max(1.0, float(np.max(np.abs(w))))
+            small = abs(w[r]) < PIV_TOL * max(1.0, float(np.abs(w).max()))
             if small and self.pivots_since_refactor:
                 # the updates may have eroded the pivot: retry on a fresh inverse
                 if not self._refactor():
@@ -786,13 +805,14 @@ class SimplexSolver:
             while small:
                 # a fresh inverse gives the same small pivot: take the next ratio,
                 # which leaves column q dual infeasible for the primal simplex
-                key[q] = math.inf
-                q = int(np.argmin(key))
-                if math.isinf(key[q]):
+                key[i] = math.inf
+                i = int(key.argmin())
+                if math.isinf(key[i]):
                     return SINGULAR  # every eligible column's pivot is small
+                q = int(cand[i])
                 w = self._ftran(q)
-                small = abs(w[r]) < PIV_TOL * max(1.0, float(np.max(np.abs(w))))
-            if key[q] > 0.0:
+                small = abs(w[r]) < PIV_TOL * max(1.0, float(np.abs(w).max()))
+            if key[i] > 0.0:
                 stall = 0
                 bland = False
             else:
@@ -803,7 +823,7 @@ class SimplexSolver:
             self.iterations += 1
             self.x[self.basis] -= t * w
             self.x[q] += t
-            self._pivot(q, r, w, _AT_LB if row_dir > 0 else _AT_UB)
+            self._pivot(q, r, w, _AT_LB if row_dir > 0 else _AT_UB, rho)
             # rank-one reduced-cost update along the departing row
             d -= (d[q] / alpha[q]) * alpha
             d[q] = 0.0

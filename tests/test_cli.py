@@ -269,6 +269,17 @@ def test_generate_demand_draws_neither_prices_nor_market(tmp_path, monkeypatch):
     assert written == RECORDED_OUTPUTS[argv]
 
 
+@pytest.mark.parametrize("command", ["generate-demand", "simulate-market"])
+def test_history_commands_take_only_the_flags_they_read(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as shown:
+        main([command, "--help"])
+    assert shown.value.code == 0
+    flags = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
+    assert flags == {"--help", "--out", "--seed", "--days"}
+    assert main([command, "--days", "2", "--out", str(tmp_path)]) == EXIT_OK
+    assert any(tmp_path.iterdir())
+
+
 def test_clearing_prices_are_the_reserve_prices_under_their_names(tmp_path):
     assert main(["simulate-market", "--days", "2", "--out", str(tmp_path)]) == EXIT_OK
     with open(tmp_path / "clearing_prices.csv", newline="") as fh:

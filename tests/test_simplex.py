@@ -567,6 +567,84 @@ def test_ratio_test_takes_a_bound_flip_tied_with_a_row_up_to_rounding():
     assert solver._primal_ratio(q, np.array([-1.0])) == (1.0, None)
 
 
+def test_dual_ratio_test_takes_the_lowest_column_among_equal_ratios(monkeypatch):
+    # from the slack basis the row's slack sits at 3, above its bound 0; x0's
+    # ratio is 3, and x1, x2 and x3 tie at 1 (x1 through a pivot of 2)
+    model = lp(
+        [Variable(f"x{j}", 0.0, 10.0) for j in range(4)],
+        [Constraint({0: 1.0, 1: 2.0, 2: 1.0, 3: 1.0}, GE, 3.0)],
+        {0: 3.0, 1: 2.0, 2: 1.0, 3: 1.0},
+    )
+    real_pivot = SimplexSolver._pivot
+    entered = []
+
+    def pivot(self, q, r, w, leaving_stat, rho=None):
+        entered.append(q)
+        return real_pivot(self, q, r, w, leaving_stat, rho)
+
+    monkeypatch.setattr(SimplexSolver, "_pivot", pivot)
+    sol = SimplexSolver(model).solve()
+    assert sol.status == OPTIMAL
+    assert entered == [1] and sol.iterations == 1
+    assert sol.primal.tolist() == [0.0, 1.5, 0.0, 0.0]
+
+
+def assert_kept_masks_are_fresh(solver):
+    """The kept masks are the nonbasic columns that can rise and that can fall,
+    computed afresh from the statuses and bounds."""
+    room = solver.ub - solver.lb > 0
+    assert np.array_equal(solver.rise, np.isin(solver.stat, (_AT_LB, _FREE)) & room)
+    assert np.array_equal(solver.fall, np.isin(solver.stat, (_AT_UB, _FREE)) & room)
+
+
+def test_kept_masks_equal_fresh_masks_through_a_dive(monkeypatch):
+    # a branch-and-bound-like sequence: a cold root, warm children with a bound
+    # pinned on either side, a cold solve on changed bounds, and bound flips; the
+    # masks are checked at every entering column and after every solve
+    real_ftran, real_ratio = SimplexSolver._ftran, SimplexSolver._primal_ratio
+    entering, flips = [], []
+
+    def ftran(self, j):
+        assert_kept_masks_are_fresh(self)
+        entering.append(j)
+        return real_ftran(self, j)
+
+    def primal_ratio(self, q, delta):
+        step, r = real_ratio(self, q, delta)
+        if step is not None and r is None:
+            flips.append(q)
+        return step, r
+
+    monkeypatch.setattr(SimplexSolver, "_ftran", ftran)
+    monkeypatch.setattr(SimplexSolver, "_primal_ratio", primal_ratio)
+    rng = np.random.default_rng(7)
+    model = random_sparse_model(rng, 30, 20, density=0.2)
+    for v in model.variables[::3]:
+        v.lb, v.ub = 0.0, 0.5  # short enough for an entering column to cross
+    solver = SimplexSolver(model)
+    lb = np.array([v.lb for v in model.variables])
+    ub = np.array([v.ub for v in model.variables])
+    sol = solver.solve()
+    assert sol.status == OPTIMAL
+    assert_kept_masks_are_fresh(solver)
+    warm, solved = sol.warm, 0
+    for j in rng.permutation(model.n):
+        child_lb, child_ub = lb.copy(), ub.copy()
+        if rng.random() < 0.5:
+            child_ub[j] = child_lb[j]
+        else:
+            child_lb[j] = child_ub[j]
+        sol = solver.solve(lb=child_lb, ub=child_ub, warm=warm)
+        if sol.status == OPTIMAL:
+            assert_kept_masks_are_fresh(solver)
+            lb, ub, warm = child_lb, child_ub, sol.warm
+            solved += 1
+    sol = solver.solve(lb=lb, ub=ub)
+    assert sol.status == OPTIMAL
+    assert_kept_masks_are_fresh(solver)
+    assert solved >= 5 and flips and len(entering) > 2 * solved
+
+
 def test_warm_start_infeasible_child():
     model = lp(
         [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)],
@@ -858,7 +936,8 @@ def test_sparse_products_equal_dense_products():
         np.testing.assert_allclose(d, c - y @ A, rtol=1e-12, atol=1e-12)
 
         r = int(rng.integers(0, m))
-        alpha = solver._alpha_row(r)
+        rho, alpha = solver._alpha_row(r)
+        np.testing.assert_allclose(rho, binv[r], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(alpha, binv[r] @ A, rtol=1e-12, atol=1e-12)
 
         x = rng.standard_normal(nsm)
