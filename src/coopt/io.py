@@ -108,8 +108,8 @@ def _field(obj: dict, key: str, where: str, hint, horizon: int):
 def load_scenario(path) -> ScenarioInputs:
     """Parse and fully validate a scenario document; errors name the field."""
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
+    if not path.is_file():
+        raise ScenarioError(f"no scenario file at {path}")
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:

@@ -392,7 +392,6 @@ class SimplexSolver:
         for j, cval in model.objective.items():
             cost[j] = sign * cval
         self.cost = cost
-        self.obj_sign = sign
 
     # -- per-solve state ---------------------------------------------------
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import inspect
 import math
 import os
@@ -269,15 +270,49 @@ def test_generate_demand_draws_neither_prices_nor_market(tmp_path, monkeypatch):
     assert written == RECORDED_OUTPUTS[argv]
 
 
-@pytest.mark.parametrize("command", ["generate-demand", "simulate-market"])
+SOLVE_FLAGS = {"--scenario", "--out", "--gap", "--node-budget", "--deployment-revenue"}
+STUDY_FLAGS = SOLVE_FLAGS | {"--seed", "--days", "--workers"}
+HISTORY_FLAGS = {"--out", "--seed", "--days"}
+# the flags each command reads; the benchmark's command lines also pass
+# --workers to three solve commands and --grid-points to the Nash one, which
+# accept and ignore them
+COMMAND_FLAGS = {
+    "solve-p1": {"--scenario", "--out"},
+    "solve-p2": SOLVE_FLAGS | {"--workers"},
+    "solve-p3-tcm": SOLVE_FLAGS | {"--workers"},
+    "solve-p3-nbs": SOLVE_FLAGS | {"--workers", "--grid-points"},
+    "frontier": SOLVE_FLAGS | {"--grid-points"},
+    "simulate-market": HISTORY_FLAGS,
+    "generate-demand": HISTORY_FLAGS,
+    "sweep": STUDY_FLAGS,
+    "anova": STUDY_FLAGS | {"--alpha"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
 def test_history_commands_take_only_the_flags_they_read(tmp_path, capsys, command):
+    # every command, the histories included, takes only the flags it reads
     with pytest.raises(SystemExit) as shown:
         main([command, "--help"])
     assert shown.value.code == 0
     flags = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
-    assert flags == {"--help", "--out", "--seed", "--days"}
-    assert main([command, "--days", "2", "--out", str(tmp_path)]) == EXIT_OK
-    assert any(tmp_path.iterdir())
+    assert flags == COMMAND_FLAGS[command] | {"--help"}
+    if COMMAND_FLAGS[command] == HISTORY_FLAGS:
+        assert main([command, "--days", "2", "--out", str(tmp_path)]) == EXIT_OK
+        assert any(tmp_path.iterdir())
+
+
+def test_benchmark_command_lines_still_parse(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up
+    monkeypatch.setattr(sys, "path", [*sys.path])  # it puts src/ on the path
+    spec.loader.exec_module(workloads)
+    for wl in workloads.WORKLOADS.values():
+        # the flags perfbench/run.py adds to each workload's command line
+        argv = [*wl.args, "--scenario", str(tmp_path / "wl.scenario"),
+                "--out", str(tmp_path / wl.name), "--workers", "1"]
+        cli._check_flags(cli.build_parser().parse_args(argv))
 
 
 def test_clearing_prices_are_the_reserve_prices_under_their_names(tmp_path):
@@ -291,49 +326,51 @@ def test_clearing_prices_are_the_reserve_prices_under_their_names(tmp_path):
         assert [float(row[f"lambda_{side}"]) for row in rows] == expected
 
 
-def test_frontier_does_not_depend_on_the_worker_count(tmp_path):
-    # the sweep is serial: no worker count reaches it, and the command
-    # accepts --workers and writes the same points either way
+def test_frontier_does_not_depend_on_the_worker_count(tmp_path, capsys):
+    # the sweep is serial: no worker count reaches it, and the command takes none
     assert "workers" not in inspect.signature(pareto_frontier).parameters
-    path = tmp_path / "gains.scenario"
-    save_scenario(tiny_scenario(T=2, K=1, seed=1, lease_markup=3.0), path)
-    written = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"out-{workers}"
-        code = main([
-            "frontier", "--scenario", str(path), "--grid-points", "5",
-            "--workers", workers, "--out", str(out),
+    with pytest.raises(SystemExit) as refused:
+        main([
+            "frontier", "--scenario", str(SCENARIOS / "median_k2.scenario"),
+            "--workers", "2", "--out", str(tmp_path / "out"),
         ])
-        assert code == EXIT_OK
-        written.append((out / "frontier.csv").read_bytes())
-    assert written[0] == written[1]
+    assert refused.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, named",
     [
-        (["solve-p1", "--gap", "0"], "--gap"),
+        (["frontier", "--gap", "0"], "--gap"),
         (["solve-p3-tcm", "--gap", "0.2"], "--gap"),
         (["frontier", "--grid-points", "1"], "--grid-points"),
         (["sweep", "--workers", "0"], "--workers"),
         (["generate-demand", "--days", "0"], "--days"),
         (["anova", "--alpha", "1.5"], "--alpha"),
         (["solve-p2", "--node-budget", "0"], "--node-budget"),
+        (["generate-demand", "--seed", "-1"], "--seed"),
+        (["solve-p1", "--out", "a-file"], "--out"),
+        (["generate-demand", "--out", "a-file"], "--out"),
+        (["solve-p1", "--scenario", "."], "no scenario file at ."),
     ],
 )
-def test_bad_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
+def test_bad_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, named):
     def no_solve(*args, **kwargs):
         raise AssertionError("a command solved despite a bad flag")
 
     monkeypatch.setattr(cli, "solve_study", no_solve)
     monkeypatch.setattr(sensitivity, "solve_study", no_solve)
-    if argv[0] != "generate-demand":
+    monkeypatch.chdir(tmp_path)
+    Path("a-file").write_text("")
+    if argv[0] != "generate-demand" and "--scenario" not in argv:
         argv = argv + ["--scenario", str(SCENARIOS / "median_k2.scenario")]
-    out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == EXIT_INPUT_ERROR
+    if "--out" not in argv:
+        argv = argv + ["--out", "out"]
+    assert main(argv) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and flag in err[0]
-    assert not out.exists()
+    assert len(err) == 1 and named in err[0]
+    assert not Path("out").exists() and Path("a-file").read_text() == ""
 
 
 def test_frontier_drops_a_cell_whose_solve_fails(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coopt.bargain import solve_study
-from coopt.cli import _SOLVE_GOALS, main
+from coopt.cli import main
 from coopt.io import (
     EXIT_INPUT_ERROR,
     ScenarioError,
@@ -215,8 +215,8 @@ def test_csv_writes_every_float_as_its_shortest_repr(tmp_path):
     ]
 
 
-def check_hourly_reports(scn, command, outdir):
-    bundle = solve_study(scn, _SOLVE_GOALS[command])
+def check_hourly_reports(scn, goal, outdir):
+    bundle = solve_study(scn, goal)
     emit_report(bundle, outdir)
     expected = hourly_reports(bundle)
     hourly = ("da_commitment.csv", "charging_sources.csv", "reserve_bids.csv", "bss_levels.csv")
@@ -228,10 +228,12 @@ def check_hourly_reports(scn, command, outdir):
         assert [[float(v) for v in row] for row in written] == rows, name
 
 
-@pytest.mark.parametrize("command", ["solve-p1", "solve-p2", "solve-p3-tcm", "solve-p3-nbs"])
-def test_hourly_reports_hold_the_solutions(tmp_path, command):
-    check_hourly_reports(tiny_scenario(T=3, K=2), command, tmp_path)
+@pytest.mark.parametrize(
+    "goal", ["p1", "p2", "tcm", "nbs"], ids=["solve-p1", "solve-p2", "solve-p3-tcm", "solve-p3-nbs"]
+)
+def test_hourly_reports_hold_the_solutions(tmp_path, goal):
+    check_hourly_reports(tiny_scenario(T=3, K=2), goal, tmp_path)
 
 
 def test_hourly_reports_hold_the_median_k2_total_cost_solution(tmp_path):
-    check_hourly_reports(load_scenario(SCENARIOS / "median_k2.scenario"), "solve-p3-tcm", tmp_path)
+    check_hourly_reports(load_scenario(SCENARIOS / "median_k2.scenario"), "tcm", tmp_path)

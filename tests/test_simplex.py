@@ -876,7 +876,8 @@ def test_carried_duals_equal_fresh_duals_at_every_pivot(full_size_p2, monkeypatc
 
     # the reported duals are c_B B^-1 of the final basis, solved densely here
     B = basis_matrix(solver)
-    y = np.linalg.solve(B.T, solver.cost[solver.basis]) * solver.obj_sign
+    sign = 1.0 if solver.model.sense == MIN else -1.0
+    y = np.linalg.solve(B.T, solver.cost[solver.basis]) * sign
     assert np.max(np.abs(sol.dual - y)) <= 1e-9 * np.max(np.abs(y))
 
 
