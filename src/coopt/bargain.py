@@ -7,9 +7,11 @@ are the two gains.  The geometric mean is concave and positively homogeneous,
 so for every slope t > 0 the tangent gamma <= (t tau1 + tau2 / t) / 2 holds at
 every point, and it is tight where tau2 / tau1 = t^2 (Kelley 1960; Ben-Tal &
 Nemirovski 2001).  :func:`solve_nbs` solves "max gamma" over the joint set
-plus one gamma column, the rows f_a <= d1 and f_b >= d2 and one tangent row
-per slope, starting from the slopes 1/2, 1 and 2, as one branch-and-bound
-that adds its tangent rows as it goes (Quesada & Grossmann 1992):
+plus a column for each objective, f_a <= d1 and f_b >= d2, set by one row
+each, the gamma column, and one tangent row of three nonzeros per slope
+(:func:`_nash_model`), starting from the slopes 1/2, 1 and 2, as one
+branch-and-bound that adds its tangent rows as it goes (Quesada & Grossmann
+1992):
 
 - on a model with binaries, while the root LP's gamma exceeds the geometric
   mean of its own gains by more than the tree's gap, the tangent at those
@@ -50,8 +52,14 @@ and a branch-and-bound on P3 runs only when it does not.
 P3 holds P1's and P2's columns and rows, so the disagreement solves' root
 bases together are a basis of P3.  :func:`solve_study` carries them onto P3
 once, and the TCM root, the Nash model's first root LP and every polish's
-first LP start from that one basis, each mapped by name onto its own model's extra
-rows and columns.  P1's and P2's roots start cold, and so do the frontier's
+first LP start from that one basis, each mapped by name onto its own model's
+extra rows and columns.  Each priced compartment's root starts from its own
+columns' and rows' share of it, P2's root of that compartment with the lease
+columns and rows added; the priced hub has lost the linking rows, so its
+share is no basis, and it starts cold.  A block of P2, or a priced one, with
+no such share starts from the root basis of the block solved just before it
+when the two have the same pattern (:func:`_solve_by_block`).  So P1's root
+and the first compartment's of P2 start cold, and so do the frontier's
 cells.
 """
 
@@ -74,6 +82,7 @@ from .bnb import (
     solve_milp,
 )
 from .linear import (
+    EQ,
     GE,
     LE,
     MAX,
@@ -198,7 +207,23 @@ def _same_milp(model: LinearModel) -> tuple:
     )
 
 
-def _solve_by_block(model: LinearModel, gap: float, node_budget: int) -> MilpSolution:
+def _pattern(model: LinearModel) -> tuple:
+    """:func:`_same_milp` without the values: the binary flags, and each row's
+    sense and columns.  A basis of one model is, position for position, one
+    of another with the same pattern, unless their values make it singular
+    there, when the solve starts cold."""
+    return (
+        tuple(v.binary for v in model.variables),
+        tuple((con.sense, tuple(con.coeffs)) for con in model.constraints),
+    )
+
+
+def _solve_by_block(
+    model: LinearModel,
+    gap: float,
+    node_budget: int,
+    start: tuple[LinearModel, WarmStart] | None = None,
+) -> MilpSolution:
     """``model``, a MILP none of whose rows links two blocks, as one MILP per
     block, with blocks equal under :func:`_same_milp` solved once.
 
@@ -212,6 +237,14 @@ def _solve_by_block(model: LinearModel, gap: float, node_budget: int) -> MilpSol
     which their sums meet ``gap``.  An infeasible block makes ``model``
     infeasible, and a block without an incumbent leaves it without one.
 
+    Each block's root LP starts from the statuses of its columns and rows in
+    ``start``, a basis of a model that shares them, matched by name
+    (:func:`~coopt.simplex.carry_basis`), when they hold as many basic
+    entries as the block has rows.  A block whose pattern (:func:`_pattern`)
+    is that of the block solved just before it has that block's incumbent
+    as its first solve's seed and, without such a slice, that block's root
+    basis as its root start.  Any other block starts cold.
+
     Besides P2, it solves the total-cost model with the rows linking the hub
     to the compartments priced out (:func:`_priced`); there the sums' bound
     is the Lagrangian bound less a constant.
@@ -223,18 +256,28 @@ def _solve_by_block(model: LinearModel, gap: float, node_budget: int) -> MilpSol
     distinct: dict[tuple, LinearModel] = {}
     for key, block in zip(keys, blocks):
         distinct.setdefault(key, block.model)
+    carried = {
+        key: None if start is None else carry_basis(block, start)
+        for key, block in distinct.items()
+    }
+    patterns = {key: _pattern(block) for key, block in distinct.items()}
     nodes = 0
     block_gap, hints = gap, {}
     for _ in range(2):
-        sols = {}
+        sols, last = {}, None
         for key, block_model in distinct.items():
+            warm, hint = carried[key], hints.get(key)
+            if last is not None and patterns[last] == patterns[key]:
+                warm = warm or sols[last].root
+                hint = hints.get(key, sols[last].incumbent)
             sol = solve_milp(
-                block_model, block_gap, max(0, node_budget - nodes), incumbent_hint=hints.get(key)
+                block_model, block_gap, max(0, node_budget - nodes), incumbent_hint=hint,
+                warm=warm,
             )
             nodes += sol.nodes
             if sol.status == INFEASIBLE:
                 return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes)
-            sols[key] = sol
+            sols[key], last = sol, key
         per_block = [sols[key] for key in keys]
         objective = sum(sol.objective for sol in per_block)
         bound = sum(sol.bound for sol in per_block)
@@ -267,7 +310,11 @@ def _point_from(
 
 
 def _priced(
-    model: LinearModel, root: LpSolution, gap: float, node_budget: int
+    model: LinearModel,
+    root: LpSolution,
+    gap: float,
+    node_budget: int,
+    warm: WarmStart | None = None,
 ) -> tuple[MilpSolution, float]:
     """The Lagrangian relaxation of ``model`` at the duals pi of ``root``, its
     optimal LP solution: the rows that link two blocks are dropped and priced
@@ -280,6 +327,10 @@ def _priced(
     the blocks' objectives sum to near z - pi b, which can be far larger; so
     the blocks run at ``gap`` max(1, |z|) / max(1, |z - pi b|), a slack on
     their sum of ``gap`` max(1, |z|).
+
+    Each block's root LP starts from its slice of ``warm``, a basis of
+    ``model``, when that slice is a basis of the block
+    (:func:`_solve_by_block`).
     """
     linking = linking_rows(model)
     objective = dict(model.objective)
@@ -294,7 +345,8 @@ def _priced(
     priced = LinearModel(model.variables, rows, objective, model.sense)
     z = root.objective
     sol = _solve_by_block(
-        priced, gap * max(1.0, abs(z)) / max(1.0, abs(z - constant)), node_budget
+        priced, gap * max(1.0, abs(z)) / max(1.0, abs(z - constant)), node_budget,
+        None if warm is None else (model, warm),
     )
     return sol, constant + sol.bound
 
@@ -322,10 +374,11 @@ def solve_tcm(
     The root LP starts from ``warm``, a basis of ``p3.base``.  Its duals on
     the rows that link the hub to the compartments price the lease flows
     (:func:`_priced`): the hub and each distinct compartment are then solved
-    once, to a quarter of the gap, and the Lagrangian bound they give is
-    valid at a node budget too.  P3 with its binaries pinned to the priced
-    mode pattern is one LP from the root's basis; a point within ``gap`` of
-    the bound is returned as certified.  Otherwise a branch-and-bound on P3,
+    once, to a quarter of the gap, each compartment's root LP from its share
+    of ``warm``, and the Lagrangian bound they give is valid at a node
+    budget too.  P3 with its binaries pinned to the priced mode pattern is
+    one LP from the root's basis; a point within ``gap`` of the bound is
+    returned as certified.  Otherwise a branch-and-bound on P3,
     seeded with that pattern, gets the nodes the pricing left of
     ``node_budget``; so does the whole search when the root LP has no
     optimum.  A block without a feasible point makes P3 infeasible.
@@ -335,7 +388,7 @@ def solve_tcm(
     root = lp.solve(warm=warm)
     hint, nodes = None, 0
     if root.status == OPTIMAL:
-        priced, bound = _priced(model, root, gap / 4, node_budget)
+        priced, bound = _priced(model, root, gap / 4, node_budget, warm)
         if priced.status == INFEASIBLE:  # each block's rows are rows of P3
             raise InfeasibleError("total-cost model: model is infeasible")
         nodes = priced.nodes
@@ -348,12 +401,6 @@ def solve_tcm(
         warm = root.warm
     sol = solve_milp(model, gap, max(0, node_budget - nodes), incumbent_hint=hint, warm=warm)
     return _point_from(p3, _require_solved(sol, "total-cost model").incumbent, d)
-
-
-def _carried(model: LinearModel, p3: BiObjectiveModel, warm: WarmStart | None):
-    """``warm``, a basis of ``p3.base``, as a basis of ``model``, which holds its
-    columns and rows."""
-    return None if warm is None else carry_basis(model, (p3.base, warm))
 
 
 def _gain_model(p3: BiObjectiveModel, d: DisagreementPoints, objective, sense) -> LinearModel:
@@ -447,11 +494,34 @@ def _weighted(p3: BiObjectiveModel, beta: float) -> dict[int, float]:
     return coeffs
 
 
-def _tangent_cut(p3: BiObjectiveModel, d: DisagreementPoints, gamma: int, t: float) -> Constraint:
-    """gamma <= (t tau1 + tau2 / t) / 2, tight where tau2 / tau1 = t^2."""
-    coeffs = {j: -c / t for j, c in _weighted(p3, t * t).items()}
-    coeffs[gamma] = 2.0
+def _tangent_cut(d: DisagreementPoints, gamma: int, t: float) -> Constraint:
+    """gamma <= (t tau1 + tau2 / t) / 2, tight where tau2 / tau1 = t^2, on the
+    columns f_a and f_b just before ``gamma`` (:func:`_nash_model`): three
+    nonzeros, 2 gamma + t f_a - f_b / t <= t d1 - d2 / t."""
+    coeffs = {gamma - 2: t, gamma - 1: -1.0 / t, gamma: 2.0}
     return Constraint(coeffs, LE, t * d.d1 - d.d2 / t, f"nash_tangent[{t!r}]")
+
+
+def _nash_model(p3: BiObjectiveModel, d: DisagreementPoints, slopes) -> LinearModel:
+    """"max gamma" over the joint set and the tangents at ``slopes``.
+
+    The two objectives are columns of their own, ``nash_fa`` in (-inf, d1]
+    and ``nash_fb`` in [d2, inf), set by the rows obj_a x - f_a = 0 and
+    obj_b x - f_b = 0, so that a tangent row has three nonzeros
+    (:func:`_tangent_cut`).  ``nash_gamma`` is the last column; the joint
+    set's columns keep their places."""
+    model = with_objective(p3.base, {}, MAX)
+    fa, fb, gamma = model.n, model.n + 1, model.n + 2
+    model.variables += [
+        Variable("nash_fa", -math.inf, d.d1),
+        Variable("nash_fb", d.d2, math.inf),
+        Variable("nash_gamma", 0.0, math.inf),
+    ]
+    model.objective[gamma] = 1.0
+    add_constraint(model, {**p3.obj_a, fa: -1.0}, EQ, 0.0, "nash_fa")
+    add_constraint(model, {**p3.obj_b, fb: -1.0}, EQ, 0.0, "nash_fb")
+    model.constraints += [_tangent_cut(d, gamma, t) for t in slopes]
+    return model
 
 
 def _chord_best(p3, d, a: ParetoPoint, b: ParetoPoint) -> ParetoPoint:
@@ -515,17 +585,15 @@ def solve_nbs(
 ) -> BargainResult:
     """Maximize the Nash product (d1 - f_a)(f_b - d2) over the joint set by
     tangent cuts on gamma^2 <= tau1 tau2, cut at the root LP and then added
-    inside one branch-and-bound, with a bound on the product (module
-    docstring).  ``warm``, a basis of ``p3.base``, is where the TCM root, the
-    first root LP and every polish's first LP start."""
+    inside one branch-and-bound on :func:`_nash_model`, with a bound on the
+    product (module docstring).  ``warm``, a basis of ``p3.base``, is where
+    the TCM root, the first root LP and every polish's first LP start."""
     tcm = solve_tcm(p3, d, gap, node_budget=node_budget, warm=warm)
-    model = _gain_model(p3, d, {}, MAX)
-    polish_warm = _carried(model, p3, warm)  # the polish LPs have this model's rows and columns
-    gamma = model.n
-    model.variables.append(Variable("nash_gamma", 0.0, math.inf))
-    model.objective[gamma] = 1.0
     slopes = list(START_SLOPES)
-    model.constraints += [_tangent_cut(p3, d, gamma, t) for t in slopes]
+    model = _nash_model(p3, d, slopes)
+    n, gamma = p3.base.n, model.n - 1
+    # the polish LPs' gain model is P3 with two rows appended
+    polish_warm = None if warm is None else warm.grown(p3.base.m + 2)
     visited: list[ParetoPoint] = []
     cap = len(slopes) + MAX_CUTS  # on the root's cuts, then on the tree's
 
@@ -543,22 +611,23 @@ def solve_nbs(
         if len(slopes) >= cap or any(math.isclose(t, s, rel_tol=SLOPE_TOL) for s in slopes):
             return []
         slopes.append(t)
-        return [_tangent_cut(p3, d, gamma, t)]
+        return [_tangent_cut(d, gamma, t)]
 
     def separate(x: np.ndarray) -> tuple[np.ndarray, float, list[Constraint]]:
-        point = _polish(p3, d, _point_from(p3, x[:gamma], d), polish_warm)
+        point = _polish(p3, d, _point_from(p3, x[:n], d), polish_warm)
         visited.append(point)
         true_gamma = math.sqrt(max(point.product, 0.0))
-        return np.append(point.assignment, true_gamma), true_gamma, tangent(point)
+        x = np.append(point.assignment, (point.f_a, point.f_b, true_gamma))
+        return x, true_gamma, tangent(point)
 
     # cut the root LP's point off while its gamma overstates its gains' geometric mean
-    start = _carried(model, p3, warm)
+    start = None if warm is None else carry_basis(model, (p3.base, warm))
     while p3.base.binary_indices():  # without binaries, the tree's root is all it solves
         root = SimplexSolver(model).solve(warm=start)
         if root.status != OPTIMAL:
             break
         start = root.warm
-        point = _point_from(p3, root.primal[:gamma], d)
+        point = _point_from(p3, root.primal[:n], d)
         if root.objective <= (1.0 + gap / 4) * math.sqrt(max(point.product, 0.0)):
             break
         rows = tangent(point)

@@ -84,7 +84,9 @@ class Flag(NamedTuple):
 FLAGS = {
     "--scenario": Flag(dict(type=Path, required=True)),
     "--out": Flag(
-        dict(type=Path, default="out"), lambda v: v.is_dir() or not v.exists(), "name a directory"
+        dict(type=Path, default="out"),
+        lambda v: next(p for p in (v, *v.parents) if p.exists()).is_dir(),
+        "name a directory or a path that can become one",
     ),
     "--seed": Flag(dict(type=int, default=0), lambda v: v >= 0, "be >= 0"),
     "--days": Flag(dict(type=int, default=30), lambda v: v >= 1, "be >= 1"),

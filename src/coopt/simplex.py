@@ -222,25 +222,30 @@ def _repair_status(stat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarr
 
 
 def carry_basis(model: LinearModel, *sources: tuple[LinearModel, WarmStart]) -> WarmStart | None:
-    """A warm start for ``model`` from the bases of models whose columns and
-    rows it holds, matched by name (names are unique within each model).
+    """A warm start for ``model`` from the bases of models that share columns
+    and rows with it, matched by name (names are unique within each model):
+    models whose columns and rows it holds, or one that holds its own.
 
-    Each source column's status goes to the column of the same name, and each
-    source row's slack status to that row's slack.  The rows no source has
-    get their slacks basic, and the columns no source has sit at their lower
-    bound (the solve moves a status that points at an infinite bound onto a
-    finite one).  Returns None unless exactly
+    Each column that a source has takes the source column's status, and each
+    row that a source has takes the status of the source row's slack.  The
+    rows no source has get their slacks basic, and the columns no source has
+    sit at their lower bound (the solve moves a status that points at an
+    infinite bound onto a finite one).  Returns None unless exactly
     ``model.m`` columns come out basic.
     """
     ns, m = model.n, model.m
     col_at = {v.name: j for j, v in enumerate(model.variables)}
-    row_at = {con.name: i for i, con in enumerate(model.constraints)}
+    row_at = {con.name: ns + i for i, con in enumerate(model.constraints)}
     vstat = np.full(ns + m, _AT_LB, dtype=np.int8)
     vstat[ns:] = _BASIC
     for source, warm in sources:
-        cols = [col_at[v.name] for v in source.variables]
-        rows = [ns + row_at[con.name] for con in source.constraints]
-        vstat[cols + rows] = warm.vstat
+        at = np.array(
+            [col_at.get(v.name, -1) for v in source.variables]
+            + [row_at.get(con.name, -1) for con in source.constraints],
+            dtype=np.intp,
+        )  # each source column's and row's place in ``model``, -1 where it has none
+        shared = at >= 0
+        vstat[at[shared]] = warm.vstat[shared]
     basis = np.flatnonzero(vstat == _BASIC)
     if basis.size != m:
         return None

@@ -7,6 +7,7 @@ import pytest
 
 from coopt import bargain
 from coopt.bargain import (
+    START_SLOPES,
     BargainResult,
     BudgetExhaustedError,
     DisagreementPoints,
@@ -40,7 +41,7 @@ from coopt.linear import (
 )
 from coopt.io import load_scenario
 from coopt.models import build_p1, build_p2, build_p3
-from coopt.presets import study_histories
+from coopt.presets import build_scenario, study_histories
 from coopt.scenario import (
     BssSpec,
     DemandProfile,
@@ -49,7 +50,7 @@ from coopt.scenario import (
     ReserveProbabilities,
     with_profiles,
 )
-from coopt.simplex import OPTIMAL, SimplexSolver, carry_basis
+from coopt.simplex import _AT_LB, OPTIMAL, SimplexSolver, WarmStart, carry_basis
 from coopt.simulate import percentile_profiles
 
 from conftest import compartment, tiny_scenario
@@ -293,6 +294,44 @@ def test_bound_certifies_the_product(toy):
         assert result.bound <= 1e-12
 
 
+def preset_k1():
+    study = solve_study(build_scenario(K=1), "tcm")
+    return study.p3, study.d
+
+
+def dense_nash_model(p3, d, slopes):
+    """The Nash cut model with both objectives written out in each tangent row,
+    and the rows f_a <= d1 and f_b >= d2."""
+    model = bargain._gain_model(p3, d, {}, MAX)
+    gamma = model.n
+    model.variables.append(Variable("nash_gamma", 0.0, math.inf))
+    model.objective[gamma] = 1.0
+    for t in slopes:
+        coeffs = {j: -c / t for j, c in bargain._weighted(p3, t * t).items()}
+        coeffs[gamma] = 2.0
+        add_constraint(model, coeffs, LE, t * d.d1 - d.d2 / t)
+    return model
+
+
+@pytest.mark.parametrize("toy", [gains_toy, preset_k1], ids=["gains", "preset-k1"])
+def test_three_nonzero_tangent_rows_cut_what_the_dense_ones_cut(toy, monkeypatch):
+    p3, d = toy()
+    slopes = (*START_SLOPES, 0.3, 5.0)
+    model = bargain._nash_model(p3, d, slopes)
+    assert model.variables[-1].name == "nash_gamma"
+    root = SimplexSolver(model).solve()
+    assert root.status == OPTIMAL
+    dense = highs_objective(dense_nash_model(p3, d, slopes), relax=True)
+    assert root.objective == pytest.approx(dense, rel=1e-9)
+    # the rows the root and the tree add have three nonzeros too
+    calls = record_solves(monkeypatch)
+    solve_nbs(p3, d)
+    (tree, _, _), = [call for call in calls if call[0].variables[-1].name == "nash_gamma"]
+    tangents = [con for con in tree.constraints if con.name.startswith("nash_tangent")]
+    assert len(tangents) > len(START_SLOPES)
+    assert all(len(con.coeffs) == 3 for con in tangents)
+
+
 def best_enumerated_product(p3, d, floors):
     """Largest Nash product over epsilon-constraint points whose MILPs are
     solved by enumerating the binaries; a lower bound on the bargain."""
@@ -479,6 +518,45 @@ def test_blocks_below_one_meet_the_gap_on_their_sums(monkeypatch):
     assert sol.objective == pytest.approx(highs_objective(model), abs=DEFAULT_GAP)
 
 
+def test_a_block_starts_from_the_root_basis_of_the_block_of_its_pattern_before_it(monkeypatch):
+    # `other` differs from the first compartment in its values alone
+    model = three_compartments()
+    calls = record_solves(monkeypatch)
+    sol = bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET)
+    (first, _, first_kwargs), (other, _, kwargs) = calls
+    assert first_kwargs["warm"] is None and first_kwargs["incumbent_hint"] is None
+    first_sol = solve_milp(first, DEFAULT_GAP, DEFAULT_NODE_BUDGET)  # the same search again
+    assert kwargs["warm"].vstat.tolist() == first_sol.root.vstat.tolist()
+    assert kwargs["incumbent_hint"].tolist() == first_sol.incumbent.tolist()
+    cold = SimplexSolver(other).solve()
+    warm = SimplexSolver(other).solve(warm=first_sol.root)
+    assert warm.status == cold.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.iterations < cold.iterations
+    optimum = highs_objective(model)
+    assert sol.status == OPTIMAL_WITHIN_GAP
+    assert sol.objective == pytest.approx(optimum, rel=DEFAULT_GAP)
+    assert sol.bound >= optimum - 1e-9 * optimum
+
+
+def test_a_block_starts_from_its_slice_of_a_carried_basis_or_cold(monkeypatch):
+    # the first compartment's slice of the basis loses a basic column and starts cold;
+    # `other` starts from its own slice, not from the first block's root
+    model = three_compartments()
+    root = bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET).root
+    vstat = root.vstat.copy()
+    vstat[root.basis[0]] = _AT_LB  # the basis's first column is a column of the first block
+    assert model.variables[root.basis[0]].block == 0
+    calls = record_solves(monkeypatch)
+    bargain._solve_by_block(
+        model, DEFAULT_GAP, DEFAULT_NODE_BUDGET, (model, WarmStart(root.basis, vstat))
+    )
+    (_, _, first_kwargs), (other, _, kwargs) = calls
+    assert first_kwargs["warm"] is None
+    assert kwargs["warm"].vstat.tolist() == carry_basis(other, (model, root)).vstat.tolist()
+    assert SimplexSolver(other).solve(warm=kwargs["warm"]).iterations == 0
+
+
 def test_a_row_linking_two_blocks_is_refused():
     model = three_compartments()
     add_constraint(model, {0: 1.0, model.n - 1: 1.0}, LE, 1e4, "two_compartments")
@@ -514,6 +592,37 @@ def test_certified_total_cost_searches_no_whole_model(monkeypatch):
     bundle = solve_study(load_scenario(SCENARIOS / "median_k2.scenario"), "tcm")
     assert len(calls) == 6  # P1, P2's two compartments, then the hub and both priced
     assert all(model.n < bundle.p3.base.n for model, _, _ in calls)
+    optimum = 872.5135  # HiGHS
+    assert bundle.tcm.f_a - bundle.tcm.f_b == pytest.approx(optimum, rel=DEFAULT_GAP)
+
+
+def test_total_cost_starts_cold_only_where_no_basis_is_held(monkeypatch):
+    # P1, the first storage compartment and the priced hub, which lost the linking
+    # rows, start from the slack basis; every other LP starts from a basis the study holds
+    real_solve, real_cold_start = SimplexSolver.solve, SimplexSolver._cold_start
+    solves, cold_starts = [], []
+
+    def solve(self, **kwargs):
+        solves.append((self.model, kwargs.get("warm")))
+        return real_solve(self, **kwargs)
+
+    def cold_start(self):
+        cold_starts.append(self.model)
+        return real_cold_start(self)
+
+    monkeypatch.setattr(SimplexSolver, "solve", solve)
+    monkeypatch.setattr(SimplexSolver, "_cold_start", cold_start)
+    bundle = solve_study(load_scenario(SCENARIOS / "median_k2.scenario"), "tcm")
+    cold = [model for model, warm in solves if warm is None]
+    assert cold == cold_starts  # no warm start fell back to a cold one
+    p1, first, hub = cold
+    assert p1 is bundle.p1_model
+    assert {v.block for v in first.variables} == {0}
+    assert [v.name for v in first.variables] == [
+        v.name for v in bundle.p2_model.variables if v.block == 0
+    ]
+    assert [v.name for v in hub.variables] == [v.name for v in p1.variables]
+    assert hub.sense == MAX and hub.m < p1.m
     optimum = 872.5135  # HiGHS
     assert bundle.tcm.f_a - bundle.tcm.f_b == pytest.approx(optimum, rel=DEFAULT_GAP)
 

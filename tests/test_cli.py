@@ -353,6 +353,7 @@ def test_frontier_does_not_depend_on_the_worker_count(tmp_path, capsys):
         (["solve-p1", "--out", "a-file"], "--out"),
         (["generate-demand", "--out", "a-file"], "--out"),
         (["solve-p1", "--scenario", "."], "no scenario file at ."),
+        (["generate-demand", "--out", "a-file/sub"], "--out"),
     ],
 )
 def test_bad_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, named):

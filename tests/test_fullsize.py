@@ -7,7 +7,6 @@ report a bound on the far side of the reference.  Two root LPs are checked
 against the LP relaxation's optimum from HiGHS.
 """
 
-import math
 from pathlib import Path
 
 import pytest
@@ -17,14 +16,14 @@ from coopt.bargain import (
     START_SLOPES,
     DisagreementPoints,
     _gain_model,
-    _tangent_cut,
+    _nash_model,
     _weighted,
     solve_study,
     solve_tcm,
 )
 from coopt.bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
 from coopt.io import load_scenario
-from coopt.linear import GE, MAX, MIN, Variable, add_constraint, with_objective
+from coopt.linear import GE, MAX, MIN, add_constraint, with_objective
 from coopt.models import build_p1, build_p2, build_p3
 from coopt.scenario import with_profiles
 from coopt.simplex import OPTIMAL, SimplexSolver
@@ -154,11 +153,7 @@ def test_first_nash_cut_lp_is_solved_cold():
     scn = presets.build_scenario(K=1)
     d = DisagreementPoints(solve_study(scn, "p1").p1.objective, solve_study(scn, "p2").p2.objective)
     p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
-    model = _gain_model(p3, d, {}, MAX)
-    gamma = model.n
-    model.variables.append(Variable("nash_gamma", 0.0, math.inf))
-    model.objective[gamma] = 1.0
-    model.constraints += [_tangent_cut(p3, d, gamma, t) for t in START_SLOPES]
+    model = _nash_model(p3, d, START_SLOPES)
     sol = SimplexSolver(model).solve()
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(highs_objective(model, relax=True), rel=1e-9)
