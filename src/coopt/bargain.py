@@ -39,8 +39,10 @@ command only.
 
 P2 has no row between two compartments, so :func:`solve_study` solves it
 as one MILP per compartment, the compartments sharing the node budget, and
-solves equal compartments once (:func:`_solve_by_block`).  The blocks'
-incumbents and root bases, scattered back, are P2's.
+solves equal compartments once (:func:`_solve_by_block`): P2's rows are read
+once into arrays and split by index, each compartment is keyed by the bytes
+of its arrays, and only the distinct ones are built as models.  The blocks'
+incumbents and root bases, scattered back by index, are P2's.
 
 P3 links the hub to the compartments only through the rows ``commit_split``
 and ``demand_balance``.  :func:`solve_tcm` prices those rows at the duals of
@@ -88,11 +90,14 @@ from .linear import (
     MAX,
     MIN,
     BiObjectiveModel,
+    Block,
     Constraint,
     LinearModel,
+    RowArrays,
     Variable,
     add_constraint,
     linking_rows,
+    read_rows,
     split_blocks,
     with_objective,
 )
@@ -196,26 +201,22 @@ def _require_solved(sol: MilpSolution, what: str) -> MilpSolution:
     return sol
 
 
-def _same_milp(model: LinearModel) -> tuple:
-    """Everything of ``model`` but its names and block labels: two models with
-    the same key have the same solutions, column for column."""
-    return (
-        model.sense,
-        tuple((v.lb, v.ub, v.binary) for v in model.variables),
-        tuple((tuple(con.coeffs.items()), con.sense, con.rhs) for con in model.constraints),
-        tuple(model.objective.items()),
-    )
-
-
-def _pattern(model: LinearModel) -> tuple:
-    """:func:`_same_milp` without the values: the binary flags, and each row's
-    sense and columns.  A basis of one model is, position for position, one
-    of another with the same pattern, unless their values make it singular
-    there, when the solve starts cold."""
-    return (
-        tuple(v.binary for v in model.variables),
-        tuple((con.sense, tuple(con.coeffs)) for con in model.constraints),
-    )
+def _block_model(model: LinearModel, rows: RowArrays, block: Block) -> LinearModel:
+    """The sub-model of ``block``: its columns' ``Variable`` objects, its rows
+    over their places among its columns, and the objective's terms on its
+    columns, with ``model``'s sense."""
+    cols = np.searchsorted(block.cols, rows.col[block.entries]).tolist()
+    vals = rows.val[block.entries].tolist()
+    ends = np.cumsum(rows.count[block.rows]).tolist()
+    constraints, begin = [], 0
+    for i, end in zip(block.rows.tolist(), ends):
+        con = model.constraints[i]
+        coeffs = dict(zip(cols[begin:end], vals[begin:end]))
+        constraints.append(Constraint(coeffs, con.sense, con.rhs, con.name))
+        begin = end
+    own = block.cols.tolist()
+    objective = {jj: model.objective[j] for jj, j in enumerate(own) if j in model.objective}
+    return LinearModel([model.variables[j] for j in own], constraints, objective, model.sense)
 
 
 def _solve_by_block(
@@ -225,49 +226,79 @@ def _solve_by_block(
     start: tuple[LinearModel, WarmStart] | None = None,
 ) -> MilpSolution:
     """``model``, a MILP none of whose rows links two blocks, as one MILP per
-    block, with blocks equal under :func:`_same_milp` solved once.
+    block (:func:`~coopt.linear.split_blocks`), each distinct block solved once.
+
+    A block's key is the bytes of its arrays: its columns' bounds, binary
+    flags and objective terms, and its rows' senses, right-hand sides and
+    entries, each entry's place among the block's columns and value, row by
+    row.  Two blocks with equal keys have the same solutions, column for
+    column, and only the first is built as a model and solved.  Keys compare
+    bytes: a missing objective term keys as an explicit ``0.0``, while
+    ``-0.0`` and ``0.0`` key apart, and so do two rows that hold the same
+    terms in another order; such blocks are solved apart.
 
     The block solves share ``node_budget``.  The incumbent, and each block's
     root basis, which together are a basis of ``model``, are scattered back
-    into ``model``'s columns and rows.  The objective and bound are the sums
-    over the blocks, and the gap and status are those of the sums.  Each
-    block meets ``gap`` on its own objective, which the sums can miss when a
-    block's objective is below 1 in absolute value or the blocks' objectives
-    differ in sign; the blocks are then solved once more, each to a gap at
-    which their sums meet ``gap``.  An infeasible block makes ``model``
-    infeasible, and a block without an incumbent leaves it without one.
+    by index into ``model``'s columns and rows.  The objective and bound are
+    the sums over the blocks, and the gap and status are those of the sums.
+    Each block meets ``gap`` on its own objective, which the sums can miss
+    when a block's objective is below 1 in absolute value or the blocks'
+    objectives differ in sign; the blocks are then solved once more, each to
+    a gap at which their sums meet ``gap``.  An infeasible block makes
+    ``model`` infeasible, and a block without an incumbent leaves it without
+    one.
 
     Each block's root LP starts from the statuses of its columns and rows in
     ``start``, a basis of a model that shares them, matched by name
     (:func:`~coopt.simplex.carry_basis`), when they hold as many basic
-    entries as the block has rows.  A block whose pattern (:func:`_pattern`)
-    is that of the block solved just before it has that block's incumbent
-    as its first solve's seed and, without such a slice, that block's root
-    basis as its root start.  Any other block starts cold.
+    entries as the block has rows.  A block whose pattern, its key without
+    the values (bounds, objective, coefficients and right-hand sides), is
+    that of the block solved just before it has that block's incumbent as its
+    first solve's seed and, without such a slice, that block's root basis as
+    its root start.  Any other block starts cold.
 
     Besides P2, it solves the total-cost model with the rows linking the hub
     to the compartments priced out (:func:`_priced`); there the sums' bound
     is the Lagrangian bound less a constant.
     """
-    blocks, linking = split_blocks(model)
+    rows = read_rows(model)
+    blocks, linking = split_blocks(model, rows)
     if linking:
         raise ValueError(f"row {model.constraints[linking[0]].name} links two blocks")
-    keys = [_same_milp(block.model) for block in blocks]
-    distinct: dict[tuple, LinearModel] = {}
-    for key, block in zip(keys, blocks):
-        distinct.setdefault(key, block.model)
+    n, variables = model.n, model.variables
+    lb = np.fromiter((v.lb for v in variables), float, n)
+    ub = np.fromiter((v.ub for v in variables), float, n)
+    binary = np.fromiter((v.binary for v in variables), bool, n)
+    cost = np.zeros(n)
+    cost[np.fromiter(model.objective, np.intp, len(model.objective))] = np.fromiter(
+        model.objective.values(), float, len(model.objective)
+    )
+    keys, distinct = [], {}
+    for block in blocks:
+        cols, own, entries = block.cols, block.rows, block.entries
+        pattern = (
+            binary[cols].tobytes(), rows.sense[own].tobytes(), rows.count[own].tobytes(),
+            np.searchsorted(cols, rows.col[entries]).tobytes(),  # the entries' places in cols
+        )
+        values = (
+            lb[cols].tobytes(), ub[cols].tobytes(), cost[cols].tobytes(),
+            rows.rhs[own].tobytes(), rows.val[entries].tobytes(),
+        )
+        key = (pattern, values)
+        keys.append(key)
+        if key not in distinct:
+            distinct[key] = _block_model(model, rows, block)
     carried = {
         key: None if start is None else carry_basis(block, start)
         for key, block in distinct.items()
     }
-    patterns = {key: _pattern(block) for key, block in distinct.items()}
     nodes = 0
     block_gap, hints = gap, {}
     for _ in range(2):
         sols, last = {}, None
         for key, block_model in distinct.items():
             warm, hint = carried[key], hints.get(key)
-            if last is not None and patterns[last] == patterns[key]:
+            if last is not None and last[0] == key[0]:  # the same pattern
                 warm = warm or sols[last].root
                 hint = hints.get(key, sols[last].incumbent)
             sol = solve_milp(
@@ -292,11 +323,18 @@ def _solve_by_block(
         block_gap = gap * max(1.0, floor) / weight
         hints = {key: sol.incumbent for key, sol in sols.items()}
 
-    roots = [(block.model, sol.root) for block, sol in zip(blocks, per_block)]
-    root = None if any(r is None for _, r in roots) else carry_basis(model, *roots)
+    root = None
+    if all(sol.root is not None for sol in per_block):
+        vstat = np.empty(n + model.m, dtype=np.int8)
+        basis = []
+        for block, sol in zip(blocks, per_block):
+            place = np.concatenate([block.cols, n + block.rows])  # its columns' and slacks'
+            vstat[place] = sol.root.vstat
+            basis.append(place[sol.root.basis])
+        root = WarmStart(np.sort(np.concatenate(basis)), vstat)
     if not found:
         return MilpSolution(BUDGET_EXHAUSTED, None, math.nan, bound, math.inf, nodes, root)
-    x = np.empty(model.n)
+    x = np.empty(n)
     for block, sol in zip(blocks, per_block):
         x[block.cols] = sol.incumbent
     status = OPTIMAL_WITHIN_GAP if within else BUDGET_EXHAUSTED

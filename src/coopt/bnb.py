@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linear import GE, LE, MAX, MIN, Constraint, LinearModel, objective_value
+from .linear import GE, LE, MAX, MIN, Constraint, LinearModel, objective_value, read_rows
 from .simplex import (
     FEAS_TOL,
     INFEASIBLE,
@@ -82,15 +82,17 @@ def fractionality(x: np.ndarray) -> np.ndarray:
 
 def exclusivity_pairs(model: LinearModel) -> dict[int, list[int]]:
     """Partner map from rows ``x + y <= 1`` over exactly two binaries."""
-    binaries = set(model.binary_indices())
+    rows = read_rows(model)
+    binary = np.fromiter((v.binary for v in model.variables), bool, model.n)
+    pair = (rows.count == 2) & (rows.sense == LE) & (np.abs(rows.rhs - 1.0) <= 1e-12)
+    first = (np.cumsum(rows.count) - rows.count)[pair]
+    j1, j2 = rows.col[first], rows.col[first + 1]
+    ones = (np.abs(rows.val[first] - 1.0) < 1e-12) & (np.abs(rows.val[first + 1] - 1.0) < 1e-12)
+    keep = binary[j1] & binary[j2] & ones
     partners: dict[int, list[int]] = {}
-    for con in model.constraints:
-        if con.sense != LE or abs(con.rhs - 1.0) > 1e-12 or len(con.coeffs) != 2:
-            continue
-        (j1, c1), (j2, c2) = con.coeffs.items()
-        if j1 in binaries and j2 in binaries and abs(c1 - 1.0) < 1e-12 and abs(c2 - 1.0) < 1e-12:
-            partners.setdefault(j1, []).append(j2)
-            partners.setdefault(j2, []).append(j1)
+    for a, b in zip(j1[keep].tolist(), j2[keep].tolist()):
+        partners.setdefault(a, []).append(b)
+        partners.setdefault(b, []).append(a)
     return partners
 
 

@@ -4,8 +4,9 @@ Every command reads a scenario (where applicable), solves, and writes CSV
 reports into ``--out``.  Each command takes only the flags that can change its
 output: :data:`FLAGS` defines each flag once, with its argparse settings and
 its value check, and :data:`COMMAND_TABLE` gives each command its runner and
-flags.  :data:`HELD_FLAGS` are the benchmark's fixed flags that three solve
-commands accept and ignore.  Flags are checked before any command does work.
+flags; a run builds the flags of its own command alone.  :data:`HELD_FLAGS`
+are the benchmark's fixed flags that three solve commands accept and ignore.
+Flags are checked before any command does work.
 Exit codes: 0 success, 2 input error, 3 infeasible model, 4 node budget
 exhausted before reaching the gap target; each failure prints one line on
 stderr.  ``anova`` stops at its first failed run with 3 or 4 (2 when the run's
@@ -294,13 +295,20 @@ HELD_FLAGS = {"solve-p2": ("--workers",), "solve-p3-tcm": ("--workers",),
               "solve-p3-nbs": ("--workers", "--grid-points")}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command in :data:`COMMAND_TABLE`, each with its
+    flags and :data:`HELD_FLAGS`.  Given a ``command``, it registers every
+    command but adds flags to that one alone, so ``coopt --help`` and
+    argparse's errors read the same and a run builds only the flags it parses.
+    """
     parser = argparse.ArgumentParser(
         prog="coopt", description="Joint EV-hub / battery-storage operation studies"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMAND_TABLE.items():
         p = sub.add_parser(name)
+        if command not in (None, name):
+            continue
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag].settings)
         for flag in HELD_FLAGS.get(name, ()):
@@ -317,7 +325,9 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option with a value, so its first other word is the command
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         _check_flags(args)
         run, _ = COMMAND_TABLE[args.command]

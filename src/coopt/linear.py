@@ -4,16 +4,26 @@ A :class:`LinearModel` is a plain description: named variables with bounds,
 integrality flags and block labels, linear rows with a sense and right-hand
 side, and one linear objective.  A :class:`BiObjectiveModel` shares one
 constraint set between a minimized and a maximized objective and is
-scalarized by the bargaining layer.  :func:`split_blocks` cuts a model into
-the sub-models of its blocks and the rows that link them, and
-:func:`linking_rows` finds those rows alone.
+scalarized by the bargaining layer.
+
+:func:`read_rows` reads a model's row dicts in one pass into arrays of each
+entry's row, column and value and of each row's sense and right-hand side;
+the simplex's standard form, the branch-and-bound's exclusivity pairs and the
+block split read a model's rows through it.
+:func:`split_blocks` labels each row from the blocks of its entries' columns
+with array operations and gives each block as index arrays of its columns,
+rows and entries, with the rows that link two blocks; :func:`linking_rows`
+finds those rows alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Mapping
+
+import numpy as np
 
 LE = "<="
 EQ = "="
@@ -106,58 +116,97 @@ def add_constraint(
 
 
 @dataclass
+class RowArrays:
+    """A model's rows as arrays, read in one pass (:func:`read_rows`).
+
+    Entry ``k`` is the coefficient ``val[k]`` of column ``col[k]`` in row
+    ``row[k]``.  The entries run in row order, each row's in the order of its
+    ``coeffs``, explicit zeros included; ``count``, ``sense`` and ``rhs`` hold
+    each row's number of entries, sense and right-hand side.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    count: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+
+
+def read_rows(model: LinearModel) -> RowArrays:
+    """The rows of ``model`` as :class:`RowArrays`."""
+    cons, m = model.constraints, model.m
+    count = np.fromiter(map(len, (con.coeffs for con in cons)), np.intp, m)
+    total = int(count.sum())
+    return RowArrays(
+        np.repeat(np.arange(m), count),
+        np.fromiter(chain.from_iterable(con.coeffs for con in cons), np.intp, total),
+        np.fromiter(chain.from_iterable(con.coeffs.values() for con in cons), float, total),
+        count,
+        np.array([con.sense for con in cons], dtype="<U2"),
+        np.fromiter((con.rhs for con in cons), float, m),
+    )
+
+
+@dataclass
 class Block:
-    """The sub-model of one block, with the full model's index of each of its
-    columns."""
+    """One block of a model: the full model's index of each of its columns and
+    of each of its rows, and the place in the model's :class:`RowArrays` of
+    each of its rows' entries, all in the full model's order."""
 
     label: int
-    model: LinearModel
-    cols: list[int]
+    cols: np.ndarray
+    rows: np.ndarray
+    entries: np.ndarray
 
 
-def _row_labels(model: LinearModel) -> list[set[int]]:
-    """The blocks of each row's columns; a column's block is its ``Variable.block``."""
-    col_block = [v.block for v in model.variables]
-    return [{col_block[j] for j in con.coeffs} for con in model.constraints]
+def _row_blocks(model: LinearModel, rows: RowArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's block (its ``Variable.block``), each row's block (that of
+    its first entry's column, -1 for a row without entries), and whether each
+    row links two blocks: has an entry on a column of another block."""
+    col_block = np.fromiter((v.block for v in model.variables), np.intp, model.n)
+    entry_block = col_block[rows.col]
+    row_block = np.full(model.m, -1, dtype=np.intp)
+    filled = rows.count > 0
+    row_block[filled] = entry_block[(np.cumsum(rows.count) - rows.count)[filled]]
+    other = entry_block != row_block[rows.row]
+    links = np.bincount(rows.row[other], minlength=model.m) > 0
+    return col_block, row_block, links
 
 
 def linking_rows(model: LinearModel) -> list[int]:
     """The rows of ``model`` that link two blocks, as :func:`split_blocks` finds them."""
-    return [i for i, labels in enumerate(_row_labels(model)) if len(labels) > 1]
+    return np.flatnonzero(_row_blocks(model, read_rows(model))[2]).tolist()
 
 
-def split_blocks(model: LinearModel) -> tuple[list[Block], list[int]]:
+def split_blocks(
+    model: LinearModel, rows: RowArrays | None = None
+) -> tuple[list[Block], list[int]]:
     """The blocks of ``model`` by rising label, and the rows that link two blocks.
 
-    A column's block is its ``Variable.block``, and a row's block is the one
-    block all its columns share (-1 for a row without columns).  A block's
-    sub-model holds its columns and rows in the full model's order, with the
-    objective's terms on its columns and the full model's sense.
+    ``rows`` is ``model``'s :func:`read_rows`, read here when not given.  A
+    column's block is its ``Variable.block``, and a row's block is the one
+    block all its columns share (-1 for a row without columns).  Each label
+    is found with array operations on the entries' columns; a block holds the
+    columns and rows of its label and its rows' entries, as index arrays.
     """
-    cols: dict[int, list[int]] = {}
-    for j, v in enumerate(model.variables):
-        cols.setdefault(v.block, []).append(j)
-    rows: dict[int, list[int]] = {b: [] for b in cols}
-    linking = []
-    for i, labels in enumerate(_row_labels(model)):
-        if len(labels) > 1:
-            linking.append(i)
-        else:
-            rows.setdefault(labels.pop() if labels else -1, []).append(i)
-    blocks = []
-    for b in sorted(rows):
-        own = cols.get(b, [])
-        local = {j: jj for jj, j in enumerate(own)}
-        constraints = [model.constraints[i] for i in rows[b]]
-        sub = LinearModel(
-            [replace(model.variables[j]) for j in own],
-            [Constraint({local[j]: c for j, c in con.coeffs.items()}, con.sense, con.rhs, con.name)
-             for con in constraints],
-            {local[j]: c for j, c in model.objective.items() if j in local},
-            model.sense,
+    if rows is None:
+        rows = read_rows(model)
+    col_block, row_block, links = _row_blocks(model, rows)
+    own = ~links
+    entry_own = own[rows.row]
+    entry_block = row_block[rows.row]
+    labels = sorted(set(col_block.tolist()) | set(row_block[own].tolist()))
+    blocks = [
+        Block(
+            b,
+            np.flatnonzero(col_block == b),
+            np.flatnonzero((row_block == b) & own),
+            np.flatnonzero((entry_block == b) & entry_own),
         )
-        blocks.append(Block(b, sub, own))
-    return blocks, linking
+        for b in labels
+    ]
+    return blocks, np.flatnonzero(links).tolist()
 
 
 def objective_value(coeffs: Mapping[int, float], x) -> float:

@@ -23,11 +23,11 @@ a family whole and never spells a column name.
 
 Each column is labelled with its block as it is created: compartment ``k``'s
 columns, the leased ones included, carry block ``k`` and the hub's columns
-block -1.  A row's block is the one its columns share
-(:func:`~coopt.linear.split_blocks`).  P1 is the hub's block alone and P2 one
-block per compartment with no row between two of them.  P3's rows all lie
-in one block, except ``commit_split`` and ``demand_balance``, which sum the
-lease flows over the compartments.
+block -1.  A row's block is the one its columns share, read from the
+labels of its entries' columns (:func:`~coopt.linear.split_blocks`).  P1 is
+the hub's block alone and P2 one block per compartment with no row between
+two of them.  P3's rows all lie in one block, except ``commit_split`` and
+``demand_balance``, which sum the lease flows over the compartments.
 
 Deployment revenue supports two conventions: ``"as-written"`` prices the
 (already probability-scaled) deployed quantity by probability times the RT

@@ -94,11 +94,10 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .linear import GE, LE, MAX, MIN, LinearModel
+from .linear import GE, LE, MAX, MIN, LinearModel, read_rows
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -182,26 +181,20 @@ class StandardForm:
 def standard_form(model: LinearModel) -> StandardForm:
     """The column-sparse equality form of ``model``; exact zero coefficients are dropped."""
     ns, m = model.n, model.m
-    counts = [len(con.coeffs) for con in model.constraints]
-    total = sum(counts)
-    cols = np.fromiter(chain.from_iterable(con.coeffs for con in model.constraints), np.intp, total)
-    vals = np.fromiter(
-        chain.from_iterable(con.coeffs.values() for con in model.constraints), float, total
-    )
-    rows = np.repeat(np.arange(m), counts)
-    kept = vals != 0.0
+    rows = read_rows(model)
+    kept = rows.val != 0.0
     slacks = np.arange(m)
-    row = np.concatenate([rows[kept], slacks])
-    col = np.concatenate([cols[kept], ns + slacks])
-    val = np.concatenate([vals[kept], np.ones(m)])
+    row = np.concatenate([rows.row[kept], slacks])
+    col = np.concatenate([rows.col[kept], ns + slacks])
+    val = np.concatenate([rows.val[kept], np.ones(m)])
     order = np.lexsort((row, col))
     row, col, val = row[order], col[order], val[order]
     ptr = np.zeros(ns + m + 1, dtype=np.intp)
     np.cumsum(np.bincount(col, minlength=ns + m), out=ptr[1:])
 
-    b = np.array([con.rhs for con in model.constraints], dtype=float)
-    slack_lb = np.array([-math.inf if con.sense == GE else 0.0 for con in model.constraints])
-    slack_ub = np.array([math.inf if con.sense == LE else 0.0 for con in model.constraints])
+    b = rows.rhs
+    slack_lb = np.where(rows.sense == GE, -math.inf, 0.0)
+    slack_ub = np.where(rows.sense == LE, math.inf, 0.0)
     lb = np.concatenate([np.array([v.lb for v in model.variables], dtype=float), slack_lb])
     ub = np.concatenate([np.array([v.ub for v in model.variables], dtype=float), slack_ub])
     return StandardForm(col, row, val, ptr, b, lb, ub)

@@ -4,6 +4,7 @@ These deliberately avoid the production code paths: the LP oracle enumerates
 candidate vertices from active-set linear systems, the hub-commitment oracle
 scans a 1-kWh grid, the MILP oracle solves the LP of every binary assignment,
 the certificate check recomputes optimality residuals from the model, the
+block split and the exclusivity pairs walk each row's dict of coefficients, the
 axiom check probes a bargain for rationality, Pareto optimality, affine
 invariance and symmetry, and the objective breakdown recomputes every money
 component of a model's objectives from its inputs and variable values.  The
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -30,6 +31,7 @@ from coopt.linear import (
     MAX,
     MIN,
     BiObjectiveModel,
+    Constraint,
     LinearModel,
     add_constraint,
     clone,
@@ -587,3 +589,66 @@ def hourly_reports(bundle) -> dict[str, list[list]]:
         reports["reserve_bids.csv"] = bids
         reports["bss_levels.csv"] = levels
     return reports
+
+
+@dataclass
+class DictBlock:
+    """One block as :func:`dict_split_blocks` cuts it: its sub-model, with the
+    full model's index of each of its columns."""
+
+    label: int
+    model: LinearModel
+    cols: list[int]
+
+
+def dict_split_blocks(model: LinearModel) -> tuple[list[DictBlock], list[int]]:
+    """The blocks of ``model`` by rising label, and the rows that link two
+    blocks, found by walking every row's dict of coefficients.
+
+    A column's block is its ``Variable.block``, and a row's block is the one
+    block all its columns share (-1 for a row without columns).  A block's
+    sub-model holds copies of its columns and its rows in the full model's
+    order, with the objective's terms on its columns and the full model's
+    sense.
+    """
+    col_block = [v.block for v in model.variables]
+    cols: dict[int, list[int]] = {}
+    for j, b in enumerate(col_block):
+        cols.setdefault(b, []).append(j)
+    rows: dict[int, list[int]] = {b: [] for b in cols}
+    linking = []
+    for i, con in enumerate(model.constraints):
+        labels = {col_block[j] for j in con.coeffs}
+        if len(labels) > 1:
+            linking.append(i)
+        else:
+            rows.setdefault(labels.pop() if labels else -1, []).append(i)
+    blocks = []
+    for b in sorted(rows):
+        own = cols.get(b, [])
+        local = {j: jj for jj, j in enumerate(own)}
+        sub = LinearModel(
+            [replace(model.variables[j]) for j in own],
+            [
+                Constraint({local[j]: c for j, c in con.coeffs.items()}, con.sense, con.rhs, con.name)
+                for con in (model.constraints[i] for i in rows[b])
+            ],
+            {local[j]: c for j, c in model.objective.items() if j in local},
+            model.sense,
+        )
+        blocks.append(DictBlock(b, sub, own))
+    return blocks, linking
+
+
+def dict_exclusivity_pairs(model: LinearModel) -> dict[int, list[int]]:
+    """Partner map from rows ``x + y <= 1`` over exactly two binaries, row by row."""
+    binaries = set(model.binary_indices())
+    partners: dict[int, list[int]] = {}
+    for con in model.constraints:
+        if con.sense != LE or abs(con.rhs - 1.0) > 1e-12 or len(con.coeffs) != 2:
+            continue
+        (j1, c1), (j2, c2) = con.coeffs.items()
+        if j1 in binaries and j2 in binaries and abs(c1 - 1.0) < 1e-12 and abs(c2 - 1.0) < 1e-12:
+            partners.setdefault(j1, []).append(j2)
+            partners.setdefault(j2, []).append(j1)
+    return partners

@@ -37,6 +37,7 @@ from coopt.linear import (
     Variable,
     add_constraint,
     objective_value,
+    split_blocks,
     with_objective,
 )
 from coopt.io import load_scenario
@@ -555,6 +556,80 @@ def test_a_block_starts_from_its_slice_of_a_carried_basis_or_cold(monkeypatch):
     assert first_kwargs["warm"] is None
     assert kwargs["warm"].vstat.tolist() == carry_basis(other, (model, root)).vstat.tolist()
     assert SimplexSolver(other).solve(warm=kwargs["warm"]).iterations == 0
+
+
+@pytest.mark.parametrize("scenario, solves", [("median", 1), ("median_k2", 2)])
+def test_equal_compartments_share_one_solve(scenario, solves, monkeypatch):
+    # median's six compartments are equal; median_k2's two differ
+    scn = load_scenario(SCENARIOS / f"{scenario}.scenario")
+    calls = record_solves(monkeypatch)
+    solve_study(scn, "p2")
+    assert len(calls) == solves
+
+
+def _first(items, test):
+    return next(item for item in items if test(item))
+
+
+def _edit_rhs(model, cols, rows):
+    model.constraints[_first(rows, lambda i: model.constraints[i].rhs != 0.0)].rhs *= 1.0 + 1e-6
+
+
+def _edit_coefficient(model, cols, rows):
+    coeffs = model.constraints[rows[0]].coeffs
+    coeffs[next(iter(coeffs))] *= 1.0 + 1e-6
+
+
+def _edit_bound(model, cols, rows):
+    j = _first(cols, lambda j: not model.variables[j].binary and 0.0 < model.variables[j].ub < math.inf)
+    model.variables[j] = replace(model.variables[j], ub=model.variables[j].ub * (1.0 - 1e-6))
+
+
+def _edit_binary(model, cols, rows):
+    j = _first(cols, lambda j: model.variables[j].binary)
+    model.variables[j] = replace(model.variables[j], binary=False)
+
+
+def _edit_objective(model, cols, rows):
+    model.objective[_first(cols, lambda j: j in model.objective)] *= 1.0 + 1e-6
+
+
+def _add_zero_term(zero):
+    def edit(model, cols, rows):
+        model.objective[_first(cols, lambda j: j not in model.objective)] = zero
+
+    return edit
+
+
+def _edit_term_order(model, cols, rows):
+    con = model.constraints[_first(rows, lambda i: len(model.constraints[i].coeffs) > 1)]
+    con.coeffs = dict(reversed(con.coeffs.items()))
+
+
+@pytest.mark.parametrize(
+    "edit, solves",
+    [
+        (None, 1),
+        (_edit_rhs, 2),
+        (_edit_coefficient, 2),
+        (_edit_bound, 2),
+        (_edit_binary, 2),
+        (_edit_objective, 2),
+        (_add_zero_term(0.0), 1),  # an explicit 0.0 term keys as a missing one
+        (_add_zero_term(-0.0), 2),  # keys compare bytes, and -0.0 is not 0.0's
+        (_edit_term_order, 2),  # nor is a row's with its terms in another order
+    ],
+)
+def test_a_block_that_differs_from_its_copy_is_solved_on_its_own(edit, solves, monkeypatch):
+    scn = tiny_scenario(T=3, K=2, seed=4)  # two equal compartments
+    model = build_p2(scn.bss, scn.prices, scn.probabilities)
+    second = split_blocks(model)[0][1]
+    if edit is not None:
+        edit(model, second.cols.tolist(), second.rows.tolist())
+    calls = record_solves(monkeypatch)
+    sol = bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET)
+    assert len(calls) == solves
+    assert sol.status == OPTIMAL_WITHIN_GAP
 
 
 def test_a_row_linking_two_blocks_is_refused():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -302,6 +303,66 @@ def test_history_commands_take_only_the_flags_they_read(tmp_path, capsys, comman
         assert any(tmp_path.iterdir())
 
 
+def subparsers(parser):
+    """Each command's parser, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def option_strings(parser):
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+def test_the_parser_without_a_command_builds_every_commands_flags():
+    commands = subparsers(cli.build_parser())
+    assert list(commands) == list(COMMAND_FLAGS)
+    for name, parser in commands.items():
+        assert option_strings(parser) == COMMAND_FLAGS[name] | {"-h", "--help"}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_a_commands_parser_builds_its_flags_alone_and_helps_as_the_full_one(command, capsys):
+    commands = subparsers(cli.build_parser(command))
+    assert list(commands) == list(COMMAND_FLAGS)
+    for name, parser in commands.items():
+        assert option_strings(parser) == (COMMAND_FLAGS[name] if name == command else set()) | {
+            "-h", "--help"
+        }
+    with pytest.raises(SystemExit) as shown:
+        main([command, "--help"])
+    assert shown.value.code == 0
+    assert capsys.readouterr().out == subparsers(cli.build_parser())[command].format_help()
+
+
+def test_coopt_help_lists_the_nine_commands(capsys):
+    with pytest.raises(SystemExit) as shown:
+        main(["--help"])
+    assert shown.value.code == 0
+    out = capsys.readouterr().out
+    assert out == cli.build_parser().format_help()
+    assert len(COMMAND_FLAGS) == 9 and "{" + ",".join(COMMAND_FLAGS) + "}" in out
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["solve-p4", "--scenario", "x"], "invalid choice: 'solve-p4'"),
+        (["--scenario", "x", "solve-p2"], "invalid choice: 'x'"),
+        (["solve-p2", "--scenario", "x", "--alpha", "0.1"], "unrecognized arguments: --alpha 0.1"),
+        (["solve-p2"], "the following arguments are required: --scenario"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_argparse_errors_exit_2_as_the_full_parsers(argv, error, capsys):
+    with pytest.raises(SystemExit) as shown:
+        main(argv)
+    assert shown.value.code == 2
+    err = capsys.readouterr().err
+    assert error in err
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert capsys.readouterr().err == err
+
+
 def test_benchmark_command_lines_still_parse(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -312,7 +373,8 @@ def test_benchmark_command_lines_still_parse(tmp_path, monkeypatch):
         # the flags perfbench/run.py adds to each workload's command line
         argv = [*wl.args, "--scenario", str(tmp_path / "wl.scenario"),
                 "--out", str(tmp_path / wl.name), "--workers", "1"]
-        cli._check_flags(cli.build_parser().parse_args(argv))
+        for parser in (cli.build_parser(), cli.build_parser(wl.args[0])):
+            cli._check_flags(parser.parse_args(argv))
 
 
 def test_clearing_prices_are_the_reserve_prices_under_their_names(tmp_path):

@@ -1,16 +1,23 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopt.bnb import solve_milp
+from coopt import bargain
+from coopt.bnb import exclusivity_pairs, solve_milp
+from coopt.io import load_scenario
 from coopt.linear import (
     LE,
     MAX,
     MIN,
+    Constraint,
+    LinearModel,
+    Variable,
     objective_value,
+    read_rows,
     split_blocks,
     with_objective,
 )
@@ -37,6 +44,8 @@ from conftest import compartment, tiny_scenario
 from oracles import (
     LEASE_VAR_PREFIXES,
     constraint_violation,
+    dict_exclusivity_pairs,
+    dict_split_blocks,
     enumerate_binaries,
     fix_variables,
     hub_commitment_grid_cost,
@@ -236,19 +245,117 @@ def test_blocks_are_the_compartments_and_the_hub():
     for model, labels in ((p2, [0, 1]), (p3.base, [-1, 0, 1])):
         blocks, linking = split_blocks(model)
         assert [block.label for block in blocks] == labels
-        row_of = {con.name: i for i, con in enumerate(model.constraints)}
-        assert len(row_of) == model.m  # row names are unique, so a name finds its row
         kept = []
         for block in blocks:
-            for v, j in zip(block.model.variables, block.cols):
-                assert v == model.variables[j]
-                assert v.name.endswith(f",{block.label}]") if block.label >= 0 else "," not in v.name
-            rows = [row_of[con.name] for con in block.model.constraints]
+            for j in block.cols.tolist():
+                name = model.variables[j].name
+                assert name.endswith(f",{block.label}]") if block.label >= 0 else "," not in name
+            rows = block.rows.tolist()
             assert rows == sorted(rows)  # in the full model's order
             kept += rows
         assert sorted(kept + linking) == list(range(model.m))
         names = {model.constraints[i].name.split("[")[0] for i in linking}
         assert names == (set() if model is p2 else {"commit_split", "demand_balance"})
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def priced_tcm_model(monkeypatch, scn):
+    """The total-cost model with its linking rows priced out, as the study
+    hands it to the block solve: the second model that solve gets, after P2."""
+    real = bargain._solve_by_block
+    models = []
+
+    def recorded(model, *args, **kwargs):
+        models.append(model)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(bargain, "_solve_by_block", recorded)
+    bargain.solve_study(scn, "tcm")
+    assert len(models) == 2
+    return models[1]
+
+
+def split_models(name, monkeypatch):
+    if name == "p2-k6":
+        scn = load_scenario(SCENARIOS / "median.scenario")
+        return build_p2(scn.bss, scn.prices, scn.probabilities)
+    if name == "p3-k2":
+        scn = load_scenario(SCENARIOS / "median_k2.scenario")
+        return build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint).base
+    if name == "priced-tcm":
+        return priced_tcm_model(monkeypatch, load_scenario(SCENARIOS / "median_k2.scenario"))
+    scn = tiny_scenario(T=3, K=2, seed=1)
+    if name == "tiny-p1":
+        return build_p1(scn.hub, scn.prices, scn.demand)
+    if name == "tiny-p2":
+        return build_p2(scn.bss, scn.prices, scn.probabilities)
+    return build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint).base
+
+
+@pytest.mark.parametrize("name", ["p2-k6", "p3-k2", "priced-tcm", "tiny-p1", "tiny-p2", "tiny-p3"])
+def test_array_split_is_the_dict_split(name, monkeypatch):
+    # the same labels, columns, rows, entries in each row's coeffs order and linking rows
+    # as the row-by-row split; each block's model is that split's sub-model, on the
+    # full model's own Variable objects
+    model = split_models(name, monkeypatch)
+    rows = read_rows(model)
+    blocks, linking = split_blocks(model, rows)
+    expected, expected_linking = dict_split_blocks(model)
+    assert linking == expected_linking
+    assert [block.label for block in blocks] == [block.label for block in expected]
+    row_of = {con.name: i for i, con in enumerate(model.constraints)}
+    assert len(row_of) == model.m
+    for block, old in zip(blocks, expected):
+        assert block.cols.tolist() == old.cols
+        assert block.rows.tolist() == [row_of[con.name] for con in old.model.constraints]
+        entries = zip(*(a[block.entries].tolist() for a in (rows.row, rows.col, rows.val)))
+        assert list(entries) == [
+            (row_of[con.name], old.cols[jj], c)
+            for con in old.model.constraints for jj, c in con.coeffs.items()
+        ]
+        sub = bargain._block_model(model, rows, block)
+        assert all(v is model.variables[j] for v, j in zip(sub.variables, old.cols))
+        assert sub.variables == old.model.variables
+        assert [(list(con.coeffs.items()), con.sense, con.rhs, con.name)
+                for con in sub.constraints] == [
+            (list(con.coeffs.items()), con.sense, con.rhs, con.name)
+            for con in old.model.constraints
+        ]
+        assert sub.objective == old.model.objective
+        assert sub.sense == old.model.sense
+    assert exclusivity_pairs(model) == dict_exclusivity_pairs(model)
+
+
+def test_a_row_without_columns_is_in_block_minus_one():
+    model = LinearModel(
+        [Variable("x", ub=1.0, block=0), Variable("y", ub=1.0, block=0)],
+        [Constraint({0: 1.0, 1: 1.0}, LE, 1.0, "both"), Constraint({}, LE, 0.0, "empty")],
+        {0: 1.0},
+    )
+    blocks, linking = split_blocks(model)
+    assert linking == []
+    assert [(b.label, b.cols.tolist(), b.rows.tolist()) for b in blocks] == [
+        (-1, [], [1]), (0, [0, 1], [0])
+    ]
+    assert [b.label for b in dict_split_blocks(model)[0]] == [-1, 0]
+
+
+def test_the_first_linking_row_is_named():
+    model = LinearModel(
+        [Variable("x", ub=1.0, block=0), Variable("y", ub=1.0, block=1)],
+        [
+            Constraint({0: 1.0}, LE, 1.0, "own"),
+            Constraint({1: 1.0, 0: 2.0}, LE, 2.0, "first_link"),
+            Constraint({0: 1.0, 1: 1.0}, LE, 1.0, "second_link"),
+        ],
+        {0: 1.0, 1: 1.0},
+        MAX,
+    )
+    assert split_blocks(model)[1] == dict_split_blocks(model)[1] == [1, 2]
+    with pytest.raises(ValueError, match="row first_link links two blocks"):
+        bargain._solve_by_block(model, 1e-4, 10)
 
 
 def test_var_layout_bijection():
