@@ -39,10 +39,11 @@ command only.
 
 P2 has no row between two compartments, so :func:`solve_study` solves it
 as one MILP per compartment, the compartments sharing the node budget, and
-solves equal compartments once (:func:`_solve_by_block`): P2's rows are read
-once into arrays and split by index, each compartment is keyed by the bytes
-of its arrays, and only the distinct ones are built as models.  The blocks'
-incumbents and root bases, scattered back by index, are P2's.
+solves equal compartments once (:func:`_solve_by_block`): P2 is read once
+into arrays (:func:`~coopt.linear.read_model`) and split by index, each
+compartment is keyed by the bytes of its arrays, and only the distinct ones
+are built as models.  The blocks' incumbents and root bases, scattered back
+by index, are P2's.
 
 P3 links the hub to the compartments only through the rows ``commit_split``
 and ``demand_balance``.  :func:`solve_tcm` prices those rows at the duals of
@@ -93,11 +94,10 @@ from .linear import (
     Block,
     Constraint,
     LinearModel,
-    RowArrays,
+    ModelArrays,
     Variable,
     add_constraint,
-    linking_rows,
-    read_rows,
+    read_model,
     split_blocks,
     with_objective,
 )
@@ -201,13 +201,13 @@ def _require_solved(sol: MilpSolution, what: str) -> MilpSolution:
     return sol
 
 
-def _block_model(model: LinearModel, rows: RowArrays, block: Block) -> LinearModel:
-    """The sub-model of ``block``: its columns' ``Variable`` objects, its rows
-    over their places among its columns, and the objective's terms on its
-    columns, with ``model``'s sense."""
-    cols = np.searchsorted(block.cols, rows.col[block.entries]).tolist()
-    vals = rows.val[block.entries].tolist()
-    ends = np.cumsum(rows.count[block.rows]).tolist()
+def _block_model(model: LinearModel, arrays: ModelArrays, block: Block) -> LinearModel:
+    """The sub-model of ``block`` of ``model``, read as ``arrays``: its
+    columns' ``Variable`` objects, its rows over their places among its
+    columns, and the objective's terms on its columns, with ``model``'s sense."""
+    cols = np.searchsorted(block.cols, arrays.col[block.entries]).tolist()
+    vals = arrays.val[block.entries].tolist()
+    ends = np.cumsum(arrays.count[block.rows]).tolist()
     constraints, begin = [], 0
     for i, end in zip(block.rows.tolist(), ends):
         con = model.constraints[i]
@@ -261,33 +261,29 @@ def _solve_by_block(
     to the compartments priced out (:func:`_priced`); there the sums' bound
     is the Lagrangian bound less a constant.
     """
-    rows = read_rows(model)
-    blocks, linking = split_blocks(model, rows)
+    arrays = read_model(model)
+    blocks, linking = split_blocks(arrays)
     if linking:
         raise ValueError(f"row {model.constraints[linking[0]].name} links two blocks")
-    n, variables = model.n, model.variables
-    lb = np.fromiter((v.lb for v in variables), float, n)
-    ub = np.fromiter((v.ub for v in variables), float, n)
-    binary = np.fromiter((v.binary for v in variables), bool, n)
+    n = model.n
     cost = np.zeros(n)
-    cost[np.fromiter(model.objective, np.intp, len(model.objective))] = np.fromiter(
-        model.objective.values(), float, len(model.objective)
-    )
+    cost[arrays.obj_col] = arrays.obj_val
     keys, distinct = [], {}
     for block in blocks:
         cols, own, entries = block.cols, block.rows, block.entries
         pattern = (
-            binary[cols].tobytes(), rows.sense[own].tobytes(), rows.count[own].tobytes(),
-            np.searchsorted(cols, rows.col[entries]).tobytes(),  # the entries' places in cols
+            arrays.binary[cols].tobytes(), arrays.sense[own].tobytes(),
+            arrays.count[own].tobytes(),
+            np.searchsorted(cols, arrays.col[entries]).tobytes(),  # the entries' places in cols
         )
         values = (
-            lb[cols].tobytes(), ub[cols].tobytes(), cost[cols].tobytes(),
-            rows.rhs[own].tobytes(), rows.val[entries].tobytes(),
+            arrays.lb[cols].tobytes(), arrays.ub[cols].tobytes(), cost[cols].tobytes(),
+            arrays.rhs[own].tobytes(), arrays.val[entries].tobytes(),
         )
         key = (pattern, values)
         keys.append(key)
         if key not in distinct:
-            distinct[key] = _block_model(model, rows, block)
+            distinct[key] = _block_model(model, arrays, block)
     carried = {
         key: None if start is None else carry_basis(block, start)
         for key, block in distinct.items()
@@ -370,7 +366,7 @@ def _priced(
     ``model``, when that slice is a basis of the block
     (:func:`_solve_by_block`).
     """
-    linking = linking_rows(model)
+    linking = split_blocks(read_model(model))[1]
     objective = dict(model.objective)
     constant = 0.0
     for i in linking:
@@ -389,12 +385,11 @@ def _priced(
     return sol, constant + sol.bound
 
 
-def _pinned(model: LinearModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The column bounds of ``model`` with its binaries pinned to their values in ``x``."""
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
-    binaries = model.binary_indices()
-    lb[binaries] = ub[binaries] = x[binaries]
+def _pinned(lp: SimplexSolver, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column bounds of ``lp``'s model with its binaries pinned to their values in ``x``."""
+    binary = lp.arrays.binary
+    lb, ub = lp.arrays.lb.copy(), lp.arrays.ub.copy()
+    lb[binary] = ub[binary] = x[binary]
     return lb, ub
 
 
@@ -432,7 +427,7 @@ def solve_tcm(
         nodes = priced.nodes
         if priced.incumbent is not None:
             hint = priced.incumbent
-            lb, ub = _pinned(model, hint)
+            lb, ub = _pinned(lp, hint)
             fixed = lp.solve(lb=lb, ub=ub, warm=root.warm)
             if fixed.status == OPTIMAL and _relative_gap(fixed.objective, bound) <= gap:
                 return _point_from(p3, fixed.primal, d)
@@ -587,13 +582,13 @@ def _polish(p3, d, start: ParetoPoint, warm: WarmStart | None) -> ParetoPoint:
     first LP starts from ``warm``, a basis of the gain model, and each later
     one from the LP before it.
     """
-    lb, ub = _pinned(p3.base, start.assignment)
     best, last = start, None
     for _ in range(POLISH_ROUNDS):
         if best.tau1 <= 0.0 or best.tau2 <= 0.0:
             break
         beta = best.tau2 / best.tau1
         lp = SimplexSolver(_gain_model(p3, d, _weighted(p3, beta), MAX))
+        lb, ub = _pinned(lp, start.assignment)
         sol = lp.solve(lb=lb, ub=ub, warm=warm)
         if sol.status != OPTIMAL:
             break

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linear import GE, LE, MAX, MIN, Constraint, LinearModel, objective_value, read_rows
+from .linear import GE, LE, MAX, MIN, Constraint, LinearModel, ModelArrays, objective_value
 from .simplex import (
     FEAS_TOL,
     INFEASIBLE,
@@ -80,15 +80,15 @@ def fractionality(x: np.ndarray) -> np.ndarray:
     return np.minimum(x - np.floor(x), np.ceil(x) - x)
 
 
-def exclusivity_pairs(model: LinearModel) -> dict[int, list[int]]:
-    """Partner map from rows ``x + y <= 1`` over exactly two binaries."""
-    rows = read_rows(model)
-    binary = np.fromiter((v.binary for v in model.variables), bool, model.n)
-    pair = (rows.count == 2) & (rows.sense == LE) & (np.abs(rows.rhs - 1.0) <= 1e-12)
-    first = (np.cumsum(rows.count) - rows.count)[pair]
-    j1, j2 = rows.col[first], rows.col[first + 1]
-    ones = (np.abs(rows.val[first] - 1.0) < 1e-12) & (np.abs(rows.val[first + 1] - 1.0) < 1e-12)
-    keep = binary[j1] & binary[j2] & ones
+def exclusivity_pairs(arrays: ModelArrays) -> dict[int, list[int]]:
+    """Partner map from rows ``x + y <= 1`` over exactly two binaries, of a
+    model read as ``arrays`` (:func:`~coopt.linear.read_model`)."""
+    count, col, val = arrays.count, arrays.col, arrays.val
+    pair = (count == 2) & (arrays.sense == LE) & (np.abs(arrays.rhs - 1.0) <= 1e-12)
+    first = (np.cumsum(count) - count)[pair]
+    j1, j2 = col[first], col[first + 1]
+    ones = (np.abs(val[first] - 1.0) < 1e-12) & (np.abs(val[first + 1] - 1.0) < 1e-12)
+    keep = arrays.binary[j1] & arrays.binary[j2] & ones
     partners: dict[int, list[int]] = {}
     for a, b in zip(j1[keep].tolist(), j2[keep].tolist()):
         partners.setdefault(a, []).append(b)
@@ -178,12 +178,11 @@ def solve_milp(
     if gap_target <= 0:
         raise ValueError(f"gap_target must be > 0, got {gap_target}")
     sign = 1.0 if model.sense == MIN else -1.0
-    binaries = np.array(model.binary_indices(), dtype=np.intp)
     solver = SimplexSolver(model)
-    partners = exclusivity_pairs(model)
-
-    lb0 = np.array([v.lb for v in model.variables])
-    ub0 = np.array([v.ub for v in model.variables])
+    arrays = solver.arrays  # the columns; rows that ``separate`` adds leave them as they are
+    binaries = np.flatnonzero(arrays.binary)
+    partners = exclusivity_pairs(arrays)
+    lb0, ub0 = arrays.lb, arrays.ub
 
     root = solver.solve(lb=lb0, ub=ub0, warm=warm)
     if root.status == INFEASIBLE:

@@ -13,8 +13,9 @@ every emitted table.  All numbers, numpy floats included, are written with
 ``repr``-precision (shortest round-trip decimal), which makes outputs
 bytewise reproducible for a fixed seed.  The hourly reports read each
 solution's variable families as arrays from
-:func:`~coopt.models.family_values` and build no column name; a lease
-family that P1 or P2 lacks is an explicit zero array.
+:func:`~coopt.models.family_values`, which takes them from the column layout
+the builder recorded, so no column name is built or parsed; a lease family
+that P1 or P2 lacks is an explicit zero array.
 """
 
 from __future__ import annotations

@@ -6,20 +6,25 @@ side, and one linear objective.  A :class:`BiObjectiveModel` shares one
 constraint set between a minimized and a maximized objective and is
 scalarized by the bargaining layer.
 
-:func:`read_rows` reads a model's row dicts in one pass into arrays of each
-entry's row, column and value and of each row's sense and right-hand side;
-the simplex's standard form, the branch-and-bound's exclusivity pairs and the
-block split read a model's rows through it.
+:func:`read_model` reads a model in one pass into arrays: each column's
+bounds, binary flag and block, the objective's columns and values, each
+entry's row, column and value and each row's sense and right-hand side.  The
+simplex, the branch-and-bound and the block split read a model through it.
 :func:`split_blocks` labels each row from the blocks of its entries' columns
 with array operations and gives each block as index arrays of its columns,
-rows and entries, with the rows that link two blocks; :func:`linking_rows`
-finds those rows alone.
+rows and entries, with the rows that link two blocks.
+
+No code edits a ``Variable`` or ``Constraint`` of a model it was given:
+the solvers only append rows, and the frontier sets the right-hand side of
+the one row it adds itself.  So :func:`with_objective` shares them with its
+source and copies only the two lists, to which a caller may append, and the
+objective.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping
 
@@ -67,6 +72,9 @@ class LinearModel:
     constraints: list[Constraint]
     objective: dict[int, float]
     sense: str = MIN
+    # each variable family's columns as a (T,) or (T, K) index array, for the
+    # models that coopt.models builds (coopt.models.family_values)
+    families: dict[str, np.ndarray] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.sense not in (MIN, MAX):
@@ -92,21 +100,11 @@ class LinearModel:
         return [j for j, v in enumerate(self.variables) if v.binary]
 
 
-def clone(model: LinearModel) -> LinearModel:
-    """Copy a model so rows/bounds/objective can be edited independently."""
-    return LinearModel(
-        variables=[replace(v) for v in model.variables],
-        constraints=[Constraint(dict(c.coeffs), c.sense, c.rhs, c.name) for c in model.constraints],
-        objective=dict(model.objective),
-        sense=model.sense,
-    )
-
-
 def with_objective(model: LinearModel, coeffs: Mapping[int, float], sense: str) -> LinearModel:
-    out = clone(model)
-    out.objective = dict(coeffs)
-    out.sense = sense
-    return out
+    """``model`` with another objective; it shares the Variable and Constraint objects."""
+    return LinearModel(
+        list(model.variables), list(model.constraints), dict(coeffs), sense, model.families
+    )
 
 
 def add_constraint(
@@ -116,15 +114,24 @@ def add_constraint(
 
 
 @dataclass
-class RowArrays:
-    """A model's rows as arrays, read in one pass (:func:`read_rows`).
+class ModelArrays:
+    """A model as arrays, read in one pass (:func:`read_model`).
 
-    Entry ``k`` is the coefficient ``val[k]`` of column ``col[k]`` in row
-    ``row[k]``.  The entries run in row order, each row's in the order of its
-    ``coeffs``, explicit zeros included; ``count``, ``sense`` and ``rhs`` hold
-    each row's number of entries, sense and right-hand side.
+    Column ``j`` has the bounds ``lb[j]`` and ``ub[j]``, the binary flag
+    ``binary[j]`` and the block ``block[j]``.  The objective is ``obj_val``
+    on the columns ``obj_col``, in the order of its dict.  Entry ``k`` is the
+    coefficient ``val[k]`` of column ``col[k]`` in row ``row[k]``.  The
+    entries run in row order, each row's in the order of its ``coeffs``,
+    explicit zeros included; ``count``, ``sense`` and ``rhs`` hold each row's
+    number of entries, sense and right-hand side.
     """
 
+    lb: np.ndarray
+    ub: np.ndarray
+    binary: np.ndarray
+    block: np.ndarray
+    obj_col: np.ndarray
+    obj_val: np.ndarray
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
@@ -133,12 +140,20 @@ class RowArrays:
     rhs: np.ndarray
 
 
-def read_rows(model: LinearModel) -> RowArrays:
-    """The rows of ``model`` as :class:`RowArrays`."""
+def read_model(model: LinearModel) -> ModelArrays:
+    """The columns, objective and rows of ``model`` as :class:`ModelArrays`."""
+    variables, n = model.variables, model.n
     cons, m = model.constraints, model.m
+    objective = model.objective
     count = np.fromiter(map(len, (con.coeffs for con in cons)), np.intp, m)
     total = int(count.sum())
-    return RowArrays(
+    return ModelArrays(
+        np.fromiter((v.lb for v in variables), float, n),
+        np.fromiter((v.ub for v in variables), float, n),
+        np.fromiter((v.binary for v in variables), bool, n),
+        np.fromiter((v.block for v in variables), np.intp, n),
+        np.fromiter(objective, np.intp, len(objective)),
+        np.fromiter(objective.values(), float, len(objective)),
         np.repeat(np.arange(m), count),
         np.fromiter(chain.from_iterable(con.coeffs for con in cons), np.intp, total),
         np.fromiter(chain.from_iterable(con.coeffs.values() for con in cons), float, total),
@@ -151,7 +166,7 @@ def read_rows(model: LinearModel) -> RowArrays:
 @dataclass
 class Block:
     """One block of a model: the full model's index of each of its columns and
-    of each of its rows, and the place in the model's :class:`RowArrays` of
+    of each of its rows, and the place in the model's :class:`ModelArrays` of
     each of its rows' entries, all in the full model's order."""
 
     label: int
@@ -160,42 +175,26 @@ class Block:
     entries: np.ndarray
 
 
-def _row_blocks(model: LinearModel, rows: RowArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each column's block (its ``Variable.block``), each row's block (that of
-    its first entry's column, -1 for a row without entries), and whether each
-    row links two blocks: has an entry on a column of another block."""
-    col_block = np.fromiter((v.block for v in model.variables), np.intp, model.n)
-    entry_block = col_block[rows.col]
-    row_block = np.full(model.m, -1, dtype=np.intp)
-    filled = rows.count > 0
-    row_block[filled] = entry_block[(np.cumsum(rows.count) - rows.count)[filled]]
-    other = entry_block != row_block[rows.row]
-    links = np.bincount(rows.row[other], minlength=model.m) > 0
-    return col_block, row_block, links
+def split_blocks(arrays: ModelArrays) -> tuple[list[Block], list[int]]:
+    """The blocks of a model, read as ``arrays`` (:func:`read_model`), by
+    rising label, and the rows that link two blocks.
 
-
-def linking_rows(model: LinearModel) -> list[int]:
-    """The rows of ``model`` that link two blocks, as :func:`split_blocks` finds them."""
-    return np.flatnonzero(_row_blocks(model, read_rows(model))[2]).tolist()
-
-
-def split_blocks(
-    model: LinearModel, rows: RowArrays | None = None
-) -> tuple[list[Block], list[int]]:
-    """The blocks of ``model`` by rising label, and the rows that link two blocks.
-
-    ``rows`` is ``model``'s :func:`read_rows`, read here when not given.  A
-    column's block is its ``Variable.block``, and a row's block is the one
-    block all its columns share (-1 for a row without columns).  Each label
-    is found with array operations on the entries' columns; a block holds the
-    columns and rows of its label and its rows' entries, as index arrays.
+    A column's block is its ``Variable.block``, a row's block is that of its
+    first entry's column (-1 for a row without entries), and a row links two
+    blocks when another of its entries' columns lies in another block.  Each
+    label is found with array operations on the entries' columns; a block
+    holds the columns and rows of its label and its rows' entries, as index
+    arrays.
     """
-    if rows is None:
-        rows = read_rows(model)
-    col_block, row_block, links = _row_blocks(model, rows)
-    own = ~links
-    entry_own = own[rows.row]
-    entry_block = row_block[rows.row]
+    col_block, m = arrays.block, arrays.count.size
+    entry_block = col_block[arrays.col]
+    row_block = np.full(m, -1, dtype=np.intp)
+    filled = arrays.count > 0
+    row_block[filled] = entry_block[(np.cumsum(arrays.count) - arrays.count)[filled]]
+    other = entry_block != row_block[arrays.row]
+    own = np.bincount(arrays.row[other], minlength=m) == 0
+    entry_own = own[arrays.row]
+    entry_block = row_block[arrays.row]
     labels = sorted(set(col_block.tolist()) | set(row_block[own].tolist()))
     blocks = [
         Block(
@@ -206,7 +205,7 @@ def split_blocks(
         )
         for b in labels
     ]
-    return blocks, np.flatnonzero(links).tolist()
+    return blocks, np.flatnonzero(~own).tolist()
 
 
 def objective_value(coeffs: Mapping[int, float], x) -> float:

@@ -17,9 +17,11 @@ shares with them, and add the lease's own ``level_cap``, ``level_floor`` and
 puts the floor on the sum of the two operators' levels, as a row.
 
 A hub column is named ``family[t]`` and a compartment column
-``family[t,k]``.  :func:`family_values` is the only reader of those names:
-it gives each family's values in a solution as one array, so a report reads
-a family whole and never spells a column name.
+``family[t,k]``.  The builder records each family's columns as it creates
+them, a ``(T,)`` or ``(T, K)`` index array on ``LinearModel.families``, and
+:func:`family_values` gives each family's values in a solution as one
+array, so a report reads a family whole and neither spells nor parses a
+column name.
 
 Each column is labelled with its block as it is created: compartment ``k``'s
 columns, the leased ones included, carry block ``k`` and the hub's columns
@@ -93,8 +95,9 @@ def _build(
     probs: ReserveProbabilities | None = None,
     joint: JointTerms | None = None,
     mode: str = AS_WRITTEN,
-) -> tuple[list[Variable], list[Constraint], dict[int, float], dict[int, float]]:
-    """Variables, rows, hub cost and storage profit of the blocks supplied.
+) -> tuple[list[Variable], list[Constraint], dict[int, float], dict[int, float], dict]:
+    """Variables, rows, hub cost, storage profit and family layout
+    (``LinearModel.families``) of the blocks supplied.
 
     The hub block needs ``hub`` and ``demand``, the storage block ``bss`` and
     ``probs``, and the leased space ``joint`` on top of both.  Columns come
@@ -231,14 +234,20 @@ def _build(
                     served[to_ev[t, k]] = 1.0
             row(f"commit_split[{t}]", coeffs, EQ, 0.0)
             row(f"demand_balance[{t}]", served, EQ, demand.ev_load[t])
-    return variables, rows, cost, profit
+
+    families = {}
+    for family, cols in x.items():
+        j = np.fromiter(cols.values(), np.intp, len(cols))
+        # a compartment family is created compartment-major, so (K, T) transposed
+        families[family] = j.reshape(-1, T).T if isinstance(next(iter(cols)), tuple) else j
+    return variables, rows, cost, profit, families
 
 
 def build_p1(hub: HubSpec, prices: PriceProfiles, demand: DemandProfile) -> LinearModel:
     """Hub procurement LP: split the day-ahead commitment between charging and
     resale, top up from real time, meet demand each hour."""
-    variables, rows, cost, _ = _build(prices, hub=hub, demand=demand)
-    return LinearModel(variables, rows, cost, MIN)
+    variables, rows, cost, _, families = _build(prices, hub=hub, demand=demand)
+    return LinearModel(variables, rows, cost, MIN, families)
 
 
 def build_p2(
@@ -251,8 +260,10 @@ def build_p2(
     hour; bids are capped by the mode rates, deployment follows in expectation,
     and the objective is capacity plus deployment revenue net of charging and
     wear costs."""
-    variables, rows, _, profit = _build(prices, bss=bss, probs=probs, mode=deployment_revenue)
-    return LinearModel(variables, rows, profit, MAX)
+    variables, rows, _, profit, families = _build(
+        prices, bss=bss, probs=probs, mode=deployment_revenue
+    )
+    return LinearModel(variables, rows, profit, MAX, families)
 
 
 def build_p3(
@@ -272,10 +283,10 @@ def build_p3(
     pays the wear rate times ``1 + lease_markup`` per discharged kWh; the
     storage side books the markup share as income.
     """
-    variables, rows, cost, profit = _build(
+    variables, rows, cost, profit, families = _build(
         prices, hub=hub, demand=demand, bss=bss, probs=probs, joint=joint, mode=deployment_revenue
     )
-    return BiObjectiveModel(LinearModel(variables, rows, {}, MIN), cost, profit)
+    return BiObjectiveModel(LinearModel(variables, rows, {}, MIN, families), cost, profit)
 
 
 def family_values(model: LinearModel, x) -> dict[str, np.ndarray]:
@@ -284,16 +295,7 @@ def family_values(model: LinearModel, x) -> dict[str, np.ndarray]:
 
     A hub family's values are a ``(T,)`` array and a compartment family's a
     ``(T, K)`` array, indexed as the family's column names ``family[t]`` and
-    ``family[t,k]`` are.  This is the only reader of those names.
+    ``family[t,k]`` are, read through ``model.families``.
     """
     x = np.asarray(x, dtype=float)
-    entries: dict[str, list[tuple[int, ...]]] = {}
-    for j, v in enumerate(model.variables):
-        family, _, label = v.name.rstrip("]").partition("[")
-        entries.setdefault(family, []).append((j, *map(int, label.split(","))))
-    out = {}
-    for family, rows in entries.items():
-        j, *key = np.array(rows).T
-        out[family] = np.zeros(np.max(key, axis=1) + 1)
-        out[family][tuple(key)] = x[j]
-    return out
+    return {family: x[cols] for family, cols in model.families.items()}

@@ -97,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import GE, LE, MAX, MIN, LinearModel, read_rows
+from .linear import GE, LE, MAX, MIN, LinearModel, ModelArrays, read_model
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -178,26 +178,25 @@ class StandardForm:
         return np.bincount(self.col, weights=y[self.row] * self.val, minlength=len(self.ptr) - 1)
 
 
-def standard_form(model: LinearModel) -> StandardForm:
-    """The column-sparse equality form of ``model``; exact zero coefficients are dropped."""
-    ns, m = model.n, model.m
-    rows = read_rows(model)
-    kept = rows.val != 0.0
+def standard_form(arrays: ModelArrays) -> StandardForm:
+    """The column-sparse equality form of a model read as ``arrays``
+    (:func:`~coopt.linear.read_model`); exact zero coefficients are dropped."""
+    ns, m = arrays.lb.size, arrays.count.size
+    kept = arrays.val != 0.0
     slacks = np.arange(m)
-    row = np.concatenate([rows.row[kept], slacks])
-    col = np.concatenate([rows.col[kept], ns + slacks])
-    val = np.concatenate([rows.val[kept], np.ones(m)])
+    row = np.concatenate([arrays.row[kept], slacks])
+    col = np.concatenate([arrays.col[kept], ns + slacks])
+    val = np.concatenate([arrays.val[kept], np.ones(m)])
     order = np.lexsort((row, col))
     row, col, val = row[order], col[order], val[order]
     ptr = np.zeros(ns + m + 1, dtype=np.intp)
     np.cumsum(np.bincount(col, minlength=ns + m), out=ptr[1:])
 
-    b = rows.rhs
-    slack_lb = np.where(rows.sense == GE, -math.inf, 0.0)
-    slack_ub = np.where(rows.sense == LE, math.inf, 0.0)
-    lb = np.concatenate([np.array([v.lb for v in model.variables], dtype=float), slack_lb])
-    ub = np.concatenate([np.array([v.ub for v in model.variables], dtype=float), slack_ub])
-    return StandardForm(col, row, val, ptr, b, lb, ub)
+    slack_lb = np.where(arrays.sense == GE, -math.inf, 0.0)
+    slack_ub = np.where(arrays.sense == LE, math.inf, 0.0)
+    lb = np.concatenate([arrays.lb, slack_lb])
+    ub = np.concatenate([arrays.ub, slack_ub])
+    return StandardForm(col, row, val, ptr, arrays.rhs, lb, ub)
 
 
 def _repair_status(stat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -369,7 +368,7 @@ class SimplexSolver:
     """Reusable solver bound to one model structure.
 
     Bounds may be overridden per solve, which is what branch-and-bound relies
-    on; the constraint matrix and right-hand sides are fixed at construction.
+    on; the rest is read from the model once, at construction, into ``arrays``.
     """
 
     def __init__(self, model: LinearModel):
@@ -383,13 +382,13 @@ class SimplexSolver:
         self.refactors = 0  # inverses computed, over every solve
         self.repairs = 0  # warm starts served by repairing a kept factorization
 
-        self.sf = standard_form(model)
+        self.arrays = arrays = read_model(model)
+        self.sf = standard_form(arrays)
 
         sign = 1.0 if model.sense == MIN else -1.0
-        cost = np.zeros(self.nsm)
-        for j, cval in model.objective.items():
-            cost[j] = sign * cval
-        self.cost = cost
+        self.cost = np.zeros(self.nsm)
+        # on the objective's columns only: -1.0 times another column's 0.0 would be -0.0
+        self.cost[arrays.obj_col] = sign * arrays.obj_val
 
     # -- per-solve state ---------------------------------------------------
 

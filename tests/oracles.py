@@ -34,7 +34,7 @@ from coopt.linear import (
     Constraint,
     LinearModel,
     add_constraint,
-    clone,
+    read_model,
     with_objective,
 )
 from coopt.models import AS_WRITTEN, marginal_degradation_rate
@@ -207,7 +207,7 @@ def with_slacks(sf: StandardForm, x) -> np.ndarray:
 
 def constraint_violation(model: LinearModel, x) -> float:
     """Largest row/bound violation of an assignment (0 when feasible)."""
-    sf = standard_form(model)
+    sf = standard_form(read_model(model))
     values = with_slacks(sf, x)
     return float(np.max(np.maximum(sf.lb - values, values - sf.ub), initial=0.0))
 
@@ -238,7 +238,7 @@ def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport
         raise ValueError(f"certificates need an optimal solution, got {sol.status!r}")
     ns, m = model.n, model.m
     sign = 1.0 if model.sense == MIN else -1.0
-    sf = standard_form(model)
+    sf = standard_form(read_model(model))
     c = np.zeros(ns + m)
     for j, cval in model.objective.items():
         c[j] = sign * cval
@@ -390,7 +390,7 @@ def verify_axioms(
             pareto = probe_sol.objective >= nbs.f_a - tol
 
     scaled = BiObjectiveModel(
-        clone(p3.base), dict(p3.obj_a), {j: rescale * c for j, c in p3.obj_b.items()}
+        p3.base, dict(p3.obj_a), {j: rescale * c for j, c in p3.obj_b.items()}
     )
     scaled_d = DisagreementPoints(d.d1, rescale * d.d2)
     scaled_result = solve_nbs(scaled, scaled_d, gap=gap)
@@ -419,11 +419,13 @@ def maximize_b(p3: BiObjectiveModel) -> LinearModel:
 
 
 def fix_variables(model: LinearModel, names) -> None:
-    """Pin the named variables to zero by collapsing their bounds."""
+    """Pin the named variables to zero by collapsing their bounds; the
+    ``Variable`` objects are replaced, not edited, since copies of a model
+    share them (``with_objective``)."""
     layout = var_layout(model)
     for name in names:
-        var = model.variables[layout[name]]
-        var.lb = var.ub = 0.0
+        j = layout[name]
+        model.variables[j] = replace(model.variables[j], lb=0.0, ub=0.0)
 
 
 LEASE_VAR_PREFIXES = ("lease_da_in", "lease_rt_in", "lease_to_ev", "lease_to_rt", "stored_hub")
@@ -638,6 +640,23 @@ def dict_split_blocks(model: LinearModel) -> tuple[list[DictBlock], list[int]]:
         )
         blocks.append(DictBlock(b, sub, own))
     return blocks, linking
+
+
+def dict_family_values(model: LinearModel, x) -> dict[str, np.ndarray]:
+    """The values in ``x`` of each variable family of a built model, found by
+    parsing every column name ``family[t]`` or ``family[t,k]``: a ``(T,)`` or
+    ``(T, K)`` array per family, in the order the families first appear."""
+    x = np.asarray(x, dtype=float)
+    entries: dict[str, list[tuple[int, ...]]] = {}
+    for j, v in enumerate(model.variables):
+        family, _, label = v.name.rstrip("]").partition("[")
+        entries.setdefault(family, []).append((j, *map(int, label.split(","))))
+    out = {}
+    for family, rows in entries.items():
+        j, *key = np.array(rows).T
+        out[family] = np.zeros(np.max(key, axis=1) + 1)
+        out[family][tuple(key)] = x[j]
+    return out
 
 
 def dict_exclusivity_pairs(model: LinearModel) -> dict[int, list[int]]:

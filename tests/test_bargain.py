@@ -37,6 +37,7 @@ from coopt.linear import (
     Variable,
     add_constraint,
     objective_value,
+    read_model,
     split_blocks,
     with_objective,
 )
@@ -623,13 +624,30 @@ def _edit_term_order(model, cols, rows):
 def test_a_block_that_differs_from_its_copy_is_solved_on_its_own(edit, solves, monkeypatch):
     scn = tiny_scenario(T=3, K=2, seed=4)  # two equal compartments
     model = build_p2(scn.bss, scn.prices, scn.probabilities)
-    second = split_blocks(model)[0][1]
+    second = split_blocks(read_model(model))[0][1]
     if edit is not None:
         edit(model, second.cols.tolist(), second.rows.tolist())
     calls = record_solves(monkeypatch)
     sol = bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET)
     assert len(calls) == solves
     assert sol.status == OPTIMAL_WITHIN_GAP
+
+
+def test_solves_leave_the_joint_model_as_built():
+    # the Nash tree appends tangent rows and the frontier sets its floor row's rhs, each
+    # on a copy that shares P3's Variable and Constraint objects but not its lists
+    scn = tiny_scenario(T=3, K=2)
+    built = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
+    nbs = solve_study(scn, "nbs")
+    assert len(nbs.bargain.cuts) > len(bargain.START_SLOPES)  # the tree added rows
+    frontier = solve_study(scn, "frontier", grid_points=3)
+    assert frontier.frontier  # the sweep set its floor
+    for bundle in (nbs, frontier):
+        base = bundle.p3.base
+        assert base.m == built.base.m
+        assert [(con.rhs, con.coeffs) for con in base.constraints] == [
+            (con.rhs, con.coeffs) for con in built.base.constraints
+        ]
 
 
 def test_a_row_linking_two_blocks_is_refused():

@@ -12,7 +12,7 @@ from coopt.bnb import (
     fractionality,
     solve_milp,
 )
-from coopt.linear import GE, LE, MAX, MIN, Constraint, LinearModel, Variable
+from coopt.linear import GE, LE, MAX, MIN, Constraint, LinearModel, Variable, read_model
 from coopt.simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -158,7 +158,7 @@ def test_exclusivity_pairs_detected():
         Constraint({0: 1.0, 2: 1.0}, LE, 4.0),
     ]
     model = LinearModel(variables, cons, {2: 1.0}, MAX)
-    pairs = exclusivity_pairs(model)
+    pairs = exclusivity_pairs(read_model(model))
     assert pairs == {0: [1], 1: [0]}
 
 

@@ -17,7 +17,7 @@ from coopt.linear import (
     LinearModel,
     Variable,
     objective_value,
-    read_rows,
+    read_model,
     split_blocks,
     with_objective,
 )
@@ -28,6 +28,7 @@ from coopt.models import (
     build_p2,
     build_p3,
     degradation_cost,
+    family_values,
     marginal_degradation_rate,
 )
 from coopt.scenario import (
@@ -45,6 +46,7 @@ from oracles import (
     LEASE_VAR_PREFIXES,
     constraint_violation,
     dict_exclusivity_pairs,
+    dict_family_values,
     dict_split_blocks,
     enumerate_binaries,
     fix_variables,
@@ -243,7 +245,7 @@ def test_blocks_are_the_compartments_and_the_hub():
     p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
     p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
     for model, labels in ((p2, [0, 1]), (p3.base, [-1, 0, 1])):
-        blocks, linking = split_blocks(model)
+        blocks, linking = split_blocks(read_model(model))
         assert [block.label for block in blocks] == labels
         kept = []
         for block in blocks:
@@ -300,8 +302,13 @@ def test_array_split_is_the_dict_split(name, monkeypatch):
     # as the row-by-row split; each block's model is that split's sub-model, on the
     # full model's own Variable objects
     model = split_models(name, monkeypatch)
-    rows = read_rows(model)
-    blocks, linking = split_blocks(model, rows)
+    arrays = read_model(model)
+    # the columns and the objective as the Variable objects and the dict hold them
+    for attr in ("lb", "ub", "binary", "block"):
+        assert getattr(arrays, attr).tolist() == [getattr(v, attr) for v in model.variables]
+    assert arrays.obj_col.tolist() == list(model.objective)
+    assert arrays.obj_val.tolist() == list(model.objective.values())
+    blocks, linking = split_blocks(arrays)
     expected, expected_linking = dict_split_blocks(model)
     assert linking == expected_linking
     assert [block.label for block in blocks] == [block.label for block in expected]
@@ -310,12 +317,12 @@ def test_array_split_is_the_dict_split(name, monkeypatch):
     for block, old in zip(blocks, expected):
         assert block.cols.tolist() == old.cols
         assert block.rows.tolist() == [row_of[con.name] for con in old.model.constraints]
-        entries = zip(*(a[block.entries].tolist() for a in (rows.row, rows.col, rows.val)))
+        entries = zip(*(a[block.entries].tolist() for a in (arrays.row, arrays.col, arrays.val)))
         assert list(entries) == [
             (row_of[con.name], old.cols[jj], c)
             for con in old.model.constraints for jj, c in con.coeffs.items()
         ]
-        sub = bargain._block_model(model, rows, block)
+        sub = bargain._block_model(model, arrays, block)
         assert all(v is model.variables[j] for v, j in zip(sub.variables, old.cols))
         assert sub.variables == old.model.variables
         assert [(list(con.coeffs.items()), con.sense, con.rhs, con.name)
@@ -325,7 +332,24 @@ def test_array_split_is_the_dict_split(name, monkeypatch):
         ]
         assert sub.objective == old.model.objective
         assert sub.sense == old.model.sense
-    assert exclusivity_pairs(model) == dict_exclusivity_pairs(model)
+    assert exclusivity_pairs(arrays) == dict_exclusivity_pairs(model)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_family_values_read_the_names_layout(K):
+    # the layout recorded at build time gives what parsing every column name gives: the
+    # same families in the same order, each of the same shape, (T, K) not its transpose
+    scn = tiny_scenario(T=3, K=K, seed=1)
+    p1 = build_p1(scn.hub, scn.prices, scn.demand)
+    p2 = build_p2(scn.bss, scn.prices, scn.probabilities)
+    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
+    for model in (p1, p2, p3.base):
+        x = np.arange(model.n, dtype=float)  # each column's value is its index
+        got, expected = family_values(model, x), dict_family_values(model, x)
+        assert list(got) == list(expected)
+        for family, values in expected.items():
+            assert got[family].shape == values.shape
+            assert np.array_equal(got[family], values)
 
 
 def test_a_row_without_columns_is_in_block_minus_one():
@@ -334,7 +358,7 @@ def test_a_row_without_columns_is_in_block_minus_one():
         [Constraint({0: 1.0, 1: 1.0}, LE, 1.0, "both"), Constraint({}, LE, 0.0, "empty")],
         {0: 1.0},
     )
-    blocks, linking = split_blocks(model)
+    blocks, linking = split_blocks(read_model(model))
     assert linking == []
     assert [(b.label, b.cols.tolist(), b.rows.tolist()) for b in blocks] == [
         (-1, [], [1]), (0, [0, 1], [0])
@@ -353,7 +377,7 @@ def test_the_first_linking_row_is_named():
         {0: 1.0, 1: 1.0},
         MAX,
     )
-    assert split_blocks(model)[1] == dict_split_blocks(model)[1] == [1, 2]
+    assert split_blocks(read_model(model))[1] == dict_split_blocks(model)[1] == [1, 2]
     with pytest.raises(ValueError, match="row first_link links two blocks"):
         bargain._solve_by_block(model, 1e-4, 10)
 

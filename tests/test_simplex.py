@@ -7,7 +7,7 @@ import pytest
 
 from coopt import simplex
 from coopt.io import load_scenario
-from coopt.linear import EQ, GE, LE, MAX, MIN, Constraint, LinearModel, Variable
+from coopt.linear import EQ, GE, LE, MAX, MIN, Constraint, LinearModel, Variable, read_model
 from coopt.models import build_p2
 from coopt.simplex import (
     _AT_LB,
@@ -692,7 +692,7 @@ def test_standard_form_layout():
         [Constraint({2: 2.0, 0: 1.0}, LE, 4.0), Constraint({1: -1.0, 0: 0.0}, GE, 1.0)],
         {},
     )
-    sf = standard_form(model)
+    sf = standard_form(read_model(model))
     assert sf.col.tolist() == [0, 1, 2, 3, 4]  # the explicit zero is dropped
     assert sf.row.tolist() == [0, 1, 0, 0, 1]
     assert sf.val.tolist() == [1.0, -1.0, 2.0, 1.0, 1.0]
