@@ -54,12 +54,15 @@ and a branch-and-bound on P3 runs only when it does not.
 
 P3 holds P1's and P2's columns and rows, so the disagreement solves' root
 bases together are a basis of P3.  :func:`solve_study` carries them onto P3
-once, and the TCM root, the Nash model's first root LP and every polish's
-first LP start from that one basis, each mapped by name onto its own model's
-extra rows and columns.  Each priced compartment's root starts from its own
-columns' and rows' share of it, P2's root of that compartment with the lease
-columns and rows added; the priced hub has lost the linking rows, so its
-share is no basis, and it starts cold.  A block of P2, or a priced one, with
+once, and the TCM root, the Nash model's first root LP and the first
+polish's first LP start from that one basis, each mapped by name onto its
+own model's extra rows and columns.  Every polish solves the same gain
+model with other binaries pinned and another weight, so each later polish
+starts from the basis the one before it ended on.  Each priced
+compartment's root starts from its own columns' and rows' share of the
+carried basis, P2's root of that compartment with the lease columns and
+rows added; the priced hub has lost the linking rows, so its share is no
+basis, and it starts cold.  A block of P2, or a priced one, with
 no such share starts from the root basis of the block solved just before it
 when the two have the same pattern (:func:`_solve_by_block`).  So P1's root
 and the first compartment's of P2 start cold, and so do the frontier's
@@ -344,29 +347,31 @@ def _point_from(
 
 
 def _priced(
-    model: LinearModel,
+    lp: SimplexSolver,
     root: LpSolution,
     gap: float,
     node_budget: int,
     warm: WarmStart | None = None,
 ) -> tuple[MilpSolution, float]:
-    """The Lagrangian relaxation of ``model`` at the duals pi of ``root``, its
-    optimal LP solution: the rows that link two blocks are dropped and priced
-    into the objective, which becomes c - pi A, and :func:`_solve_by_block`
-    solves the rest.  Returns that solve and pi b plus its bound, which bounds
-    ``model``'s optimum for duals of the right sign for their rows' senses, as
-    an LP optimum's are, also when a block ran out of nodes (Geoffrion 1974).
+    """The Lagrangian relaxation of ``lp``'s model at the duals pi of ``root``,
+    its optimal LP solution: the rows that link two blocks, found in the
+    arrays ``lp`` read, are dropped and priced into the objective, which
+    becomes c - pi A, and :func:`_solve_by_block` solves the rest.  Returns
+    that solve and pi b plus its bound, which bounds the model's optimum for
+    duals of the right sign for their rows' senses, as an LP optimum's are,
+    also when a block ran out of nodes (Geoffrion 1974).
 
-    ``gap`` is relative to ``model``'s objective, near the LP optimum z, while
+    ``gap`` is relative to the model's objective, near the LP optimum z, while
     the blocks' objectives sum to near z - pi b, which can be far larger; so
     the blocks run at ``gap`` max(1, |z|) / max(1, |z - pi b|), a slack on
     their sum of ``gap`` max(1, |z|).
 
-    Each block's root LP starts from its slice of ``warm``, a basis of
-    ``model``, when that slice is a basis of the block
+    Each block's root LP starts from its slice of ``warm``, a basis of the
+    model, when that slice is a basis of the block
     (:func:`_solve_by_block`).
     """
-    linking = split_blocks(read_model(model))[1]
+    model = lp.model
+    linking = split_blocks(lp.arrays)[1]
     objective = dict(model.objective)
     constant = 0.0
     for i in linking:
@@ -421,7 +426,7 @@ def solve_tcm(
     root = lp.solve(warm=warm)
     hint, nodes = None, 0
     if root.status == OPTIMAL:
-        priced, bound = _priced(model, root, gap / 4, node_budget, warm)
+        priced, bound = _priced(lp, root, gap / 4, node_budget, warm)
         if priced.status == INFEASIBLE:  # each block's rows are rows of P3
             raise InfeasibleError("total-cost model: model is infeasible")
         nodes = priced.nodes
@@ -568,8 +573,11 @@ def _chord_best(p3, d, a: ParetoPoint, b: ParetoPoint) -> ParetoPoint:
     return _point_from(p3, (1.0 - s) * a.assignment + s * b.assignment, d)
 
 
-def _polish(p3, d, start: ParetoPoint, warm: WarmStart | None) -> ParetoPoint:
-    """The Nash bargain over the joint set with the binaries of ``start`` pinned.
+def _polish(
+    p3, d, start: ParetoPoint, warm: WarmStart | None
+) -> tuple[ParetoPoint, WarmStart | None]:
+    """The Nash bargain over the joint set with the binaries of ``start`` pinned,
+    and the basis of the last LP solved, ``warm`` when none was.
 
     Each round maximizes beta * tau1 + tau2 at the best point's own ratio
     beta = tau2 / tau1, the normal of the product's level curve there.  No
@@ -605,7 +613,7 @@ def _polish(p3, d, start: ParetoPoint, warm: WarmStart | None) -> ParetoPoint:
         if moved.product <= best.product:
             break
         best = moved
-    return best
+    return best, warm
 
 
 def solve_nbs(
@@ -620,12 +628,14 @@ def solve_nbs(
     tangent cuts on gamma^2 <= tau1 tau2, cut at the root LP and then added
     inside one branch-and-bound on :func:`_nash_model`, with a bound on the
     product (module docstring).  ``warm``, a basis of ``p3.base``, is where
-    the TCM root, the first root LP and every polish's first LP start."""
+    the TCM root, the first root LP and the first polish's first LP start;
+    each later polish starts from the basis the one before it ended on."""
     tcm = solve_tcm(p3, d, gap, node_budget=node_budget, warm=warm)
     slopes = list(START_SLOPES)
     model = _nash_model(p3, d, slopes)
     n, gamma = p3.base.n, model.n - 1
-    # the polish LPs' gain model is P3 with two rows appended
+    # every polish solves the gain model, P3 with two rows appended, so each
+    # starts from the basis the one before it ended on
     polish_warm = None if warm is None else warm.grown(p3.base.m + 2)
     visited: list[ParetoPoint] = []
     cap = len(slopes) + MAX_CUTS  # on the root's cuts, then on the tree's
@@ -647,7 +657,8 @@ def solve_nbs(
         return [_tangent_cut(d, gamma, t)]
 
     def separate(x: np.ndarray) -> tuple[np.ndarray, float, list[Constraint]]:
-        point = _polish(p3, d, _point_from(p3, x[:n], d), polish_warm)
+        nonlocal polish_warm
+        point, polish_warm = _polish(p3, d, _point_from(p3, x[:n], d), polish_warm)
         visited.append(point)
         true_gamma = math.sqrt(max(point.product, 0.0))
         x = np.append(point.assignment, (point.f_a, point.f_b, true_gamma))

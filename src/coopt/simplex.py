@@ -16,7 +16,10 @@ and ``(w - e_r) / w_r`` in ``U``, one eta matrix of the product form of the
 inverse (Dantzig & Orchard-Hays 1954) multiplied out: ``O(k m)`` work, with
 no m-wide row rewritten.  Every product with the inverse applies ``B0`` and
 then the low-rank correction.  Every ``REFACTOR_EVERY`` updates the simplex
-loops build a fresh base.
+loops build a fresh base.  A warm start inherits the age of the kept
+factorization it starts from, so a long budget lets the nodes of a tree run
+on few bases; at 100 updates the terms, ``2 m REFACTOR_EVERY`` floats, reach
+one base's ``m^2`` at m = 200.
 
 A refactorization reads the basis from the nonzeros of its columns and
 peels its singletons (Hellerman & Rarick 1971): rounds of column singletons
@@ -27,14 +30,19 @@ singletons of the first round, with the structural columns that have one
 nonzero (Suhl & Suhl 1990); the inverse's column on each of their rows is
 a unit column, filled in without substitution.
 
-The solver keeps the factorizations of its last ``KEPT_FACTORIZATIONS``
-optimal bases, each as its base, a copy of its terms and its age, and drops
-the least recently used.  A warm start whose basis is kept starts from that
-base and those terms; the base itself is shared, never copied.  Otherwise
-it repairs the kept factorization that needs the fewest updates, its age
-plus the number of warm-basis columns it lacks: each lacking column is
-swapped in by one update, leaving at the dropped position where the
-entering column is largest.  A repair that would use more than half of
+The solver keeps the factorizations of its recent optimal bases, each as
+its base, a copy of its terms and its age, capped by bytes rather than by
+count: the most recently used entries stay while their distinct bases, a
+base that several entries share counted once, and every entry's terms fit
+in ``KEPT_FACTORIZATIONS`` bases' worth, ``8 m^2`` bytes each, and the most
+recent entry always stays.  So the nodes of a dive that update one base
+keep many entries, each at the cost of its terms, while entries on as many
+fresh bases keep ``KEPT_FACTORIZATIONS`` at most.  A warm start whose basis
+is kept starts from that base and those terms; the base itself is shared,
+never copied.  Otherwise it repairs the kept factorization that needs the
+fewest updates, its age plus the number of warm-basis columns it lacks:
+each lacking column is swapped in by one update, leaving at the dropped
+position where the entering column is largest.  A repair that would use more than half of
 ``REFACTOR_EVERY``, so leaving the node less than half its update budget,
 or that meets a pivot below ``REPAIR_PIVOT_TOL`` of the column's largest
 entry builds a fresh inverse instead.
@@ -109,7 +117,7 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-8
 DUAL_TOL = 1e-7  # a reduced cost of the wrong sign beyond this, or within this of zero, is shifted
 PIV_TOL = 1e-9
-REFACTOR_EVERY = 50
+REFACTOR_EVERY = 100
 KEPT_FACTORIZATIONS = 4
 REPAIR_PIVOT_TOL = 1e-7
 STALL_LIMIT = 500
@@ -553,12 +561,21 @@ class SimplexSolver:
         return _peeled_inverse(self.sf.row[nz], owner, self.sf.val[nz], self.m)
 
     def _keep(self) -> None:
+        """Keep the current factorization as the most recent, then drop the
+        least recent ones past ``KEPT_FACTORIZATIONS`` bases' worth of bytes."""
         key = self.basis.tobytes()
         self._kept.pop(key, None)
-        if len(self._kept) >= KEPT_FACTORIZATIONS:
-            self._kept.popitem(last=False)
         k = self.pivots_since_refactor
         self._kept[key] = (self.basis.copy(), self.B0, self.U[:, :k].copy(), self.V[:k].copy(), k)
+        room, bases, fits = KEPT_FACTORIZATIONS * self.B0.nbytes, set(), 0
+        for _, b0, u, v, _ in reversed(self._kept.values()):
+            room -= u.nbytes + v.nbytes + (0 if id(b0) in bases else b0.nbytes)
+            bases.add(id(b0))  # a base that several entries share counts once
+            if room < 0 and fits:  # the most recent entry always stays
+                break
+            fits += 1
+        while len(self._kept) > fits:
+            self._kept.popitem(last=False)
 
     def _set_statuses(self, stat: np.ndarray) -> None:
         """Take every column's status, repaired onto the solve's bounds, and the

@@ -351,6 +351,42 @@ def best_enumerated_product(p3, d, floors):
     return best
 
 
+def test_each_polish_starts_from_the_basis_the_one_before_ended_on(monkeypatch):
+    # every polish solves the gain model: the first starts from the carried
+    # disagreement basis, and the next from the first one's final basis, which
+    # reaches the same point in fewer iterations
+    real_polish, real_solve = bargain._polish, SimplexSolver.solve
+    polishes, solves = [], []
+
+    def polish(p3, d, start, warm):
+        begin = len(solves)
+        point, end = real_polish(p3, d, start, warm)
+        polishes.append((start, warm, point, end, solves[begin:]))
+        return point, end
+
+    def solve(self, **kwargs):
+        sol = real_solve(self, **kwargs)
+        solves.append((self, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(bargain, "_polish", polish)
+    monkeypatch.setattr(SimplexSolver, "solve", solve)
+    bundle = solve_study(build_scenario(K=1), "nbs")
+    (_, carried, _, end, first_lps), (start, warm, point, _, second_lps) = polishes[:2]
+    assert carried is not None and first_lps and second_lps
+    assert end is first_lps[-1][2].warm
+    assert not np.array_equal(end.basis, carried.basis)
+    lp, kwargs, sol = second_lps[0]
+    assert warm is end and kwargs["warm"] is end
+    again = SimplexSolver(lp.model).solve(lb=kwargs["lb"], ub=kwargs["ub"], warm=carried)
+    assert sol.iterations < again.iterations
+    assert sol.objective == pytest.approx(again.objective, rel=bargain.POLISH_TOL)
+    from_carried, _ = real_polish(bundle.p3, bundle.d, start, carried)
+    for field in ("f_a", "f_b", "product"):
+        value = getattr(point, field)
+        assert abs(value - getattr(from_carried, field)) <= bargain.POLISH_TOL * max(1.0, abs(value))
+
+
 def test_bound_stays_valid_when_the_cut_tree_runs_out_of_nodes(monkeypatch):
     p3, d = gains_toy()
     trees = []
@@ -672,8 +708,9 @@ def test_priced_bound_lies_between_the_total_cost_optimum_and_the_lp_bound(scena
     else:
         scn = load_scenario(SCENARIOS / f"{scenario}.scenario")
     model = tcm_model(scn)
-    root = SimplexSolver(model).solve()
-    priced, bound = bargain._priced(model, root, DEFAULT_GAP / 4, budget)
+    lp = SimplexSolver(model)
+    root = lp.solve()
+    priced, bound = bargain._priced(lp, root, DEFAULT_GAP / 4, budget)
     optimum = highs_objective(model)
     assert bound >= optimum - 1e-9 * max(1.0, abs(optimum))
     assert bound <= root.objective + 1e-9 * max(1.0, abs(root.objective))

@@ -36,6 +36,7 @@ GAP = 5e-4
 TCM_MEDIAN_K2 = 872.5135  # HiGHS; the TCM MILP maximizes its negation
 TCM_MEDIAN = -3030.0467  # HiGHS
 NBS_K1 = 19936.615  # HiGHS's Nash product on presets.build_scenario(K=1), perfbench/references.json
+NBS_MEDIAN_K2 = 75468.967  # HiGHS's Nash product on median_k2, rounded to 5e-4
 
 
 def within_gap(value, reference):
@@ -85,6 +86,15 @@ def test_preset_k1_nash_bargain(monkeypatch):
     result = solve_study(presets.build_scenario(K=1), "nbs").bargain
     assert len(cut_models) == 1
     assert within_gap(result.nbs.product, NBS_K1)
+    assert result.bound >= result.nbs.product
+
+
+def test_median_k2_nash_bargain_brackets_the_optimum(median_k2):
+    # the Nash tree stops at its node budget here, so its bound is what it proved:
+    # it must lie above the optimum, and the product below it, up to the rounding
+    result = solve_study(median_k2, "nbs").bargain
+    assert result.bound >= NBS_MEDIAN_K2 - 5e-4
+    assert result.nbs.product <= NBS_MEDIAN_K2 + 5e-4
     assert result.bound >= result.nbs.product
 
 

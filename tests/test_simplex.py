@@ -1018,8 +1018,10 @@ def test_repaired_inverse_matches_dense_inverse():
 
 
 def test_product_form_tracks_pivots_and_kept_bases_share_their_base():
+    # on 400 rows the update terms, 2 m REFACTOR_EVERY floats, are half a base, so a
+    # peak below one base's bytes still means that no m x m array was copied
     rng = np.random.default_rng(29)
-    solver = SimplexSolver(random_sparse_model(rng, 260, 200, density=0.02))
+    solver = SimplexSolver(random_sparse_model(rng, 520, 400, density=0.01))
     m = solver.m
     solver.basis = solver.ns + np.arange(m)  # the slack basis
     assert solver._factor_basis()
@@ -1060,33 +1062,97 @@ def test_product_form_tracks_pivots_and_kept_bases_share_their_base():
     assert solver.B0 is base and not base.flags.writeable
     ref = np.linalg.inv(basis_matrix(solver))
     assert np.max(np.abs(inverse(solver) - ref)) <= 1e-10 * np.max(np.abs(ref))
-    # neither copies an m x m array: the terms take 2 m REFACTOR_EVERY floats
+    # neither copies an m x m array
     assert max(hit_peak, repair_peak) < base.nbytes
 
 
+def kept_bytes(solver):
+    """The bytes of the kept factorizations: each distinct base once, and every entry's terms."""
+    bases = {id(b0): b0.nbytes for _, b0, *_ in solver._kept.values()}
+    return sum(bases.values()) + sum(u.nbytes + v.nbytes for _, _, u, v, _ in solver._kept.values())
+
+
+def assert_kept_within_bytes(solver):
+    """The most recent entry stays; any more fit in KEPT_FACTORIZATIONS bases' bytes."""
+    assert solver._kept
+    assert len(solver._kept) == 1 or kept_bytes(solver) <= KEPT_FACTORIZATIONS * 8 * solver.m**2
+
+
+def pin_one(rng, model):
+    """The model's bounds with one random variable pinned to a random integer."""
+    lb = np.array([v.lb for v in model.variables])
+    ub = np.array([v.ub for v in model.variables])
+    j = int(rng.integers(0, model.n))
+    lb[j] = ub[j] = float(rng.integers(-1, 5))
+    return lb, ub
+
+
 def test_kept_factorizations_are_bounded():
+    # on 20 rows a base is the bytes of 10 updates' terms, so few entries fit
     rng = np.random.default_rng(3)
     model = random_sparse_model(rng, 30, 20, density=0.2)
     solver = SimplexSolver(model)
     root = solver.solve()
-    lb0 = np.array([v.lb for v in model.variables])
-    ub0 = np.array([v.ub for v in model.variables])
     distinct = set()
     for _ in range(40):
-        lb, ub = lb0.copy(), ub0.copy()
-        j = int(rng.integers(0, model.n))
-        lb[j] = ub[j] = float(rng.integers(-1, 5))
+        lb, ub = pin_one(rng, model)
         sol = solver.solve(lb=lb, ub=ub, warm=root.warm if rng.random() < 0.5 else None)
         if sol.status == OPTIMAL:
             distinct.add(sol.warm.basis.tobytes())
-        assert len(solver._kept) <= KEPT_FACTORIZATIONS
-    assert len(distinct) > KEPT_FACTORIZATIONS
-    assert len(solver._kept) == KEPT_FACTORIZATIONS
+        assert_kept_within_bytes(solver)
+    assert len(distinct) > len(solver._kept)
 
 
-def plunge(solver, model, warm):
+def test_kept_factorizations_that_share_a_base_outnumber_the_count():
+    # every solve warm-starts from the root's basis, which the first one factors and
+    # the rest find kept: their entries share its base, and each adds only its terms
+    rng = np.random.default_rng(3)
+    model = random_sparse_model(rng, 130, 100, density=0.05)
+    root = SimplexSolver(model).solve()
+    solver = SimplexSolver(model)
+    for _ in range(40):
+        lb, ub = pin_one(rng, model)
+        solver.solve(lb=lb, ub=ub, warm=root.warm)
+        assert_kept_within_bytes(solver)
+    assert len({id(b0) for _, b0, *_ in solver._kept.values()}) < len(solver._kept)
+    assert len(solver._kept) > KEPT_FACTORIZATIONS
+
+
+def test_kept_factorizations_drop_the_least_recent_past_the_byte_cap():
+    m = 16
+    solver = SimplexSolver(random_sparse_model(np.random.default_rng(0), 24, m, density=0.3))
+    slacks, named = np.arange(solver.ns, solver.nsm), {}
+
+    def keep(i, age, fresh):
+        """Keep basis ``i``, ``age`` updates past the base or past a new one; the kept
+        bases, least recent first."""
+        if fresh:
+            solver._set_inverse(np.eye(m))
+        solver.basis = np.roll(slacks, i)
+        named[solver.basis.tobytes()] = i
+        solver.pivots_since_refactor = age
+        solver._keep()
+        return [named[key] for key in solver._kept]
+
+    # a base is 8 m^2 bytes and 2 updates' terms a quarter of that: one base and 12
+    # entries fill four bases' bytes, and the 13th drops the least recent
+    solver._set_inverse(np.eye(m))
+    for i in range(12):
+        assert len(keep(i, 2, fresh=False)) == i + 1
+    assert keep(12, 2, fresh=False) == list(range(1, 13))
+    # four bases of their own fill them too
+    solver._kept.clear()
+    for i in range(4):
+        assert len(keep(i, 0, fresh=True)) == i + 1
+    assert keep(4, 0, fresh=True) == [1, 2, 3, 4]
+    # the most recent entry stays even past the bytes on its own
+    assert keep(5, REFACTOR_EVERY, fresh=True) == [5]
+
+
+def plunge(solver, model, warm, until=lambda: False):
     """Pin one more variable per level, each level warm-started from the one above,
-    as a depth-first branch-and-bound dive does; returns each level's bounds and warm start."""
+    as a depth-first branch-and-bound dive does, until ``until()`` holds after a
+    level; returns each level's bounds and warm start."""
     lb = np.array([v.lb for v in model.variables])
     ub = np.array([v.ub for v in model.variables])
     levels = []
@@ -1097,6 +1163,8 @@ def plunge(solver, model, warm):
         if sol.status == OPTIMAL:
             levels.append((ub, warm))
             ub, warm = pinned, sol.warm
+        if until():
+            break
     return levels
 
 
@@ -1105,8 +1173,11 @@ def test_evicted_warm_basis_is_repaired():
     model = random_sparse_model(rng, 30, 20, density=0.2)
     solver = SimplexSolver(model)
     root = solver.solve()
-    plunge(solver, model, root.warm)
-    assert root.warm.basis.tobytes() not in solver._kept
+    # dive until the byte cap drops the root's entry: on 20 rows one entry's terms
+    # can fill it, so a whole dive leaves only its last level, out of repair reach
+    key = root.warm.basis.tobytes()
+    plunge(solver, model, root.warm, until=lambda: key not in solver._kept)
+    assert key not in solver._kept
     root_set = set(root.warm.basis.tolist())
     assert all(set(basis.tolist()) != root_set for basis, *_ in solver._kept.values())
     # some kept factorization is within the repair budget: its age plus the
