@@ -54,11 +54,13 @@ and a branch-and-bound on P3 runs only when it does not.
 
 P3 holds P1's and P2's columns and rows, so the disagreement solves' root
 bases together are a basis of P3.  :func:`solve_study` carries them onto P3
-once, and the TCM root, the Nash model's first root LP and the first
-polish's first LP start from that one basis, each mapped by name onto its
-own model's extra rows and columns.  Every polish solves the same gain
-model with other binaries pinned and another weight, so each later polish
-starts from the basis the one before it ended on.  Each priced
+once, as the status of each of P3's columns, and the TCM root, the Nash
+model's first root LP and the first polish's first LP start from those
+statuses: the Nash model takes them by name, with its extra columns and
+rows, and the gain model, P3 with two rows appended, as they are, the
+simplex making the two rows' slacks basic.  Every polish solves the same
+gain model with other binaries pinned and another weight, so each later
+polish starts from the statuses the one before it ended on.  Each priced
 compartment's root starts from its own columns' and rows' share of the
 carried basis, P2's root of that compartment with the lease columns and
 rows added; the priced hub has lost the linking rows, so its share is no
@@ -106,7 +108,7 @@ from .linear import (
 )
 from .models import AS_WRITTEN, build_p1, build_p2, build_p3
 from .scenario import ScenarioInputs
-from .simplex import OPTIMAL, LpSolution, SimplexSolver, WarmStart, carry_basis
+from .simplex import OPTIMAL, LpSolution, SimplexSolver, carry_basis
 
 DEFAULT_GRID_POINTS = 41
 CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point; the Nash tree gets twice that
@@ -226,7 +228,7 @@ def _solve_by_block(
     model: LinearModel,
     gap: float,
     node_budget: int,
-    start: tuple[LinearModel, WarmStart] | None = None,
+    start: tuple[LinearModel, np.ndarray] | None = None,
 ) -> MilpSolution:
     """``model``, a MILP none of whose rows links two blocks, as one MILP per
     block (:func:`~coopt.linear.split_blocks`), each distinct block solved once.
@@ -241,18 +243,18 @@ def _solve_by_block(
     terms in another order; such blocks are solved apart.
 
     The block solves share ``node_budget``.  The incumbent, and each block's
-    root basis, which together are a basis of ``model``, are scattered back
-    by index into ``model``'s columns and rows.  The objective and bound are
-    the sums over the blocks, and the gap and status are those of the sums.
-    Each block meets ``gap`` on its own objective, which the sums can miss
-    when a block's objective is below 1 in absolute value or the blocks'
-    objectives differ in sign; the blocks are then solved once more, each to
-    a gap at which their sums meet ``gap``.  An infeasible block makes
-    ``model`` infeasible, and a block without an incumbent leaves it without
-    one.
+    root statuses, which together are those of a basis of ``model``, are
+    scattered back by index into ``model``'s columns and rows.  The
+    objective and bound are the sums over the blocks, and the gap and status
+    are those of the sums.  Each block meets ``gap`` on its own objective,
+    which the sums can miss when a block's objective is below 1 in absolute
+    value or the blocks' objectives differ in sign; the blocks are then
+    solved once more, each to a gap at which their sums meet ``gap``.  An
+    infeasible block makes ``model`` infeasible, and a block without an
+    incumbent leaves it without one.
 
     Each block's root LP starts from the statuses of its columns and rows in
-    ``start``, a basis of a model that shares them, matched by name
+    ``start``, a model that shares them and its statuses, matched by name
     (:func:`~coopt.simplex.carry_basis`), when they hold as many basic
     entries as the block has rows.  A block whose pattern, its key without
     the values (bounds, objective, coefficients and right-hand sides), is
@@ -298,7 +300,7 @@ def _solve_by_block(
         for key, block_model in distinct.items():
             warm, hint = carried[key], hints.get(key)
             if last is not None and last[0] == key[0]:  # the same pattern
-                warm = warm or sols[last].root
+                warm = sols[last].root if warm is None else warm
                 hint = hints.get(key, sols[last].incumbent)
             sol = solve_milp(
                 block_model, block_gap, max(0, node_budget - nodes), incumbent_hint=hint,
@@ -324,13 +326,9 @@ def _solve_by_block(
 
     root = None
     if all(sol.root is not None for sol in per_block):
-        vstat = np.empty(n + model.m, dtype=np.int8)
-        basis = []
+        root = np.empty(n + model.m, dtype=np.int8)
         for block, sol in zip(blocks, per_block):
-            place = np.concatenate([block.cols, n + block.rows])  # its columns' and slacks'
-            vstat[place] = sol.root.vstat
-            basis.append(place[sol.root.basis])
-        root = WarmStart(np.sort(np.concatenate(basis)), vstat)
+            root[np.concatenate([block.cols, n + block.rows])] = sol.root  # columns, slacks
     if not found:
         return MilpSolution(BUDGET_EXHAUSTED, None, math.nan, bound, math.inf, nodes, root)
     x = np.empty(n)
@@ -351,7 +349,7 @@ def _priced(
     root: LpSolution,
     gap: float,
     node_budget: int,
-    warm: WarmStart | None = None,
+    warm: np.ndarray | None = None,
 ) -> tuple[MilpSolution, float]:
     """The Lagrangian relaxation of ``lp``'s model at the duals pi of ``root``,
     its optimal LP solution: the rows that link two blocks, found in the
@@ -366,8 +364,8 @@ def _priced(
     the blocks run at ``gap`` max(1, |z|) / max(1, |z - pi b|), a slack on
     their sum of ``gap`` max(1, |z|).
 
-    Each block's root LP starts from its slice of ``warm``, a basis of the
-    model, when that slice is a basis of the block
+    Each block's root LP starts from its slice of ``warm``, the statuses of
+    the model's columns, when that slice is a basis of the block
     (:func:`_solve_by_block`).
     """
     model = lp.model
@@ -404,12 +402,12 @@ def solve_tcm(
     gap: float = DEFAULT_GAP,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    warm: WarmStart | None = None,
+    warm: np.ndarray | None = None,
 ) -> ParetoPoint:
     """Minimize combined cost (hub cost minus storage profit) over the joint set,
     as the maximum of its negation, the weighted sum at weight 1.
 
-    The root LP starts from ``warm``, a basis of ``p3.base``.  Its duals on
+    The root LP starts from ``warm``, statuses of ``p3.base``.  Its duals on
     the rows that link the hub to the compartments price the lease flows
     (:func:`_priced`): the hub and each distinct compartment are then solved
     once, to a quarter of the gap, each compartment's root LP from its share
@@ -574,10 +572,10 @@ def _chord_best(p3, d, a: ParetoPoint, b: ParetoPoint) -> ParetoPoint:
 
 
 def _polish(
-    p3, d, start: ParetoPoint, warm: WarmStart | None
-) -> tuple[ParetoPoint, WarmStart | None]:
+    p3, d, start: ParetoPoint, warm: np.ndarray | None
+) -> tuple[ParetoPoint, np.ndarray | None]:
     """The Nash bargain over the joint set with the binaries of ``start`` pinned,
-    and the basis of the last LP solved, ``warm`` when none was.
+    and the statuses the last LP solved ended on, ``warm`` when none was.
 
     Each round maximizes beta * tau1 + tau2 at the best point's own ratio
     beta = tau2 / tau1, the normal of the product's level curve there.  No
@@ -587,8 +585,9 @@ def _polish(
     start, where one gain is zero, is returned as it is: the tree's
     candidate is a vertex optimal for its pinned binaries, and at a corner only
     one cut binds, so the weighted sum at that cut's t^2 cannot gain.  The
-    first LP starts from ``warm``, a basis of the gain model, and each later
-    one from the LP before it.
+    first LP starts from ``warm``, the statuses of the gain model's columns
+    or of P3's, whose two missing rows start with their slacks basic, and
+    each later one from the LP before it.
     """
     best, last = start, None
     for _ in range(POLISH_ROUNDS):
@@ -622,21 +621,19 @@ def solve_nbs(
     gap: float = DEFAULT_GAP,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    warm: WarmStart | None = None,
+    warm: np.ndarray | None = None,
 ) -> BargainResult:
     """Maximize the Nash product (d1 - f_a)(f_b - d2) over the joint set by
     tangent cuts on gamma^2 <= tau1 tau2, cut at the root LP and then added
     inside one branch-and-bound on :func:`_nash_model`, with a bound on the
-    product (module docstring).  ``warm``, a basis of ``p3.base``, is where
-    the TCM root, the first root LP and the first polish's first LP start;
-    each later polish starts from the basis the one before it ended on."""
+    product (module docstring).  ``warm``, the statuses of ``p3.base``'s
+    columns, is where the TCM root, the first root LP and the first
+    polish's first LP start; each later polish starts from the statuses the
+    one before it ended on."""
     tcm = solve_tcm(p3, d, gap, node_budget=node_budget, warm=warm)
     slopes = list(START_SLOPES)
     model = _nash_model(p3, d, slopes)
     n, gamma = p3.base.n, model.n - 1
-    # every polish solves the gain model, P3 with two rows appended, so each
-    # starts from the basis the one before it ended on
-    polish_warm = None if warm is None else warm.grown(p3.base.m + 2)
     visited: list[ParetoPoint] = []
     cap = len(slopes) + MAX_CUTS  # on the root's cuts, then on the tree's
 
@@ -657,8 +654,8 @@ def solve_nbs(
         return [_tangent_cut(d, gamma, t)]
 
     def separate(x: np.ndarray) -> tuple[np.ndarray, float, list[Constraint]]:
-        nonlocal polish_warm
-        point, polish_warm = _polish(p3, d, _point_from(p3, x[:n], d), polish_warm)
+        nonlocal warm  # each polish starts where the one before it ended
+        point, warm = _polish(p3, d, _point_from(p3, x[:n], d), warm)
         visited.append(point)
         true_gamma = math.sqrt(max(point.product, 0.0))
         x = np.append(point.assignment, (point.f_a, point.f_b, true_gamma))
@@ -677,8 +674,7 @@ def solve_nbs(
         rows = tangent(point)
         if not rows:
             break
-        model.constraints += rows
-        start = start.grown(model.m)
+        model.constraints += rows  # the next solve makes their slacks basic
     cap = len(slopes) + MAX_CUTS
 
     sol = solve_milp(

@@ -38,7 +38,6 @@ from .simplex import (
     SINGULAR,
     UNBOUNDED,
     SimplexSolver,
-    WarmStart,
 )
 
 OPTIMAL_WITHIN_GAP = "optimal-within-gap"
@@ -62,7 +61,7 @@ class MilpSolution:
     bound: float
     gap: float
     nodes: int
-    root: WarmStart | None = None  # the root LP's final basis
+    root: np.ndarray | None = None  # the root LP's final statuses, a warm start
 
 
 class SolverError(RuntimeError):
@@ -102,7 +101,7 @@ class _Node:
     seq: int
     lb: np.ndarray = None
     ub: np.ndarray = None
-    warm: WarmStart | None = None
+    warm: np.ndarray | None = None
     depth: int = 0
     branched: int = -1  # position in the binaries of the one the parent branched on
     up: int = 0  # 1 when the branch fixed it to one, 0 when to zero
@@ -141,7 +140,7 @@ def solve_milp(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     incumbent_hint: np.ndarray | None = None,
-    warm: WarmStart | None = None,
+    warm: np.ndarray | None = None,
     separate: Callable[[np.ndarray], tuple[np.ndarray, float, list[Constraint]]] | None = None,
 ) -> MilpSolution:
     """Best-bound branch-and-bound with pseudo-cost branching and reduced-cost
@@ -156,8 +155,9 @@ def solve_milp(
 
     ``incumbent_hint`` seeds the search with a known-good binary pattern (for
     example the solution of a neighbouring sweep point); its binaries are fixed
-    and the LP re-solved, so a stale hint only costs one LP.  ``warm`` is a
-    basis the root LP starts from; the solution returns the root's final one.
+    and the LP re-solved, so a stale hint only costs one LP.  ``warm`` holds
+    the statuses the root LP starts from (:meth:`SimplexSolver.solve`); the
+    solution returns the root's final ones, on the model as the root had it.
 
     ``separate`` makes ``model`` an outer approximation refined inside the one
     tree (Quesada & Grossmann 1992): ``model`` must over-estimate the true
@@ -168,12 +168,12 @@ def solve_milp(
     true value and the rows that cut the candidate off.  The true point
     becomes the incumbent when it is the better, so pruning against it stays
     valid.  The rows are appended to ``model``, in place, and the search goes
-    on over the grown model: a stored basis gets their slacks as basic when
-    it is next used, and a node whose LP point they cut off, the candidate's
-    own or the point a completion was rounded from, is solved again before it
-    is closed or branched on, keyed by its old LP value.  A node LP candidate
-    that cuts nothing off closes its node at its LP value, which joins the
-    floor of pruned nodes.
+    on over the grown model: statuses kept from before the rows start a
+    later LP with the rows' slacks basic, and a node whose LP point they cut
+    off, the candidate's own or the point a completion was rounded from, is
+    solved again before it is closed or branched on, keyed by its old LP
+    value.  A node LP candidate that cuts nothing off closes its node at its
+    LP value, which joins the floor of pruned nodes.
     """
     if gap_target <= 0:
         raise ValueError(f"gap_target must be > 0, got {gap_target}")
@@ -206,9 +206,6 @@ def solve_milp(
     def slack() -> float:
         return gap_target * max(1.0, abs(incumbent_z)) if incumbent_x is not None else 0.0
 
-    def grown(warm: WarmStart | None) -> WarmStart | None:
-        return None if warm is None else warm.grown(solver.m)
-
     def accept(x: np.ndarray, z: float) -> list[Constraint]:
         """Take the integral candidate ``x`` of value ``z`` (minimization
         orientation); returns the rows ``separate`` added to the model."""
@@ -226,7 +223,7 @@ def solve_milp(
 
     def completion(values, warm) -> list[Constraint]:
         cand = _fix_binaries_and_solve(
-            solver, binaries, partners, lb0, ub0, values, grown(warm), tried_roundings
+            solver, binaries, partners, lb0, ub0, values, warm, tried_roundings
         )
         margin = 1e-12 if separate is None else slack()
         if cand is not None and sign * cand[0] < incumbent_z - margin:
@@ -261,7 +258,7 @@ def solve_milp(
         nodes += 1
 
         lp = solver  # the node's solver, also after a completion grows the model
-        sol = lp.solve(lb=node.lb, ub=node.ub, warm=grown(node.warm))
+        sol = lp.solve(lb=node.lb, ub=node.ub, warm=node.warm)
         if sol.status in _LP_FAILED:
             # the subtree is unexplored; its parent's bound keeps the bound valid
             pruned_floor = min(pruned_floor, node.key)
@@ -316,14 +313,13 @@ def solve_milp(
 
         best_bound = max(best_bound, open_bound())
 
-    root_warm = grown(root.warm)  # a basis of the model as it ends
     if incumbent_x is None:
         # without an incumbent, a finite floor can only come from an unsolved node
         if (nodes >= node_budget and (stack or heap)) or pruned_floor < math.inf:
             return MilpSolution(
-                BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes, root_warm
+                BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes, root.warm
             )
-        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes, root_warm)
+        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes, root.warm)
 
     best_bound = max(best_bound, open_bound())
     gap = _relative_gap(incumbent_z, best_bound)
@@ -332,7 +328,7 @@ def solve_milp(
     for j in binaries:
         incumbent_x[j] = round(incumbent_x[j])
     return MilpSolution(
-        status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes, root_warm
+        status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes, root.warm
     )
 
 

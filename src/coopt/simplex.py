@@ -31,26 +31,32 @@ nonzero (Suhl & Suhl 1990); the inverse's column on each of their rows is
 a unit column, filled in without substitution.
 
 The solver keeps the factorizations of its recent optimal bases, each as
-its base, a copy of its terms and its age, capped by bytes rather than by
-count: the most recently used entries stay while their distinct bases, a
-base that several entries share counted once, and every entry's terms fit
-in ``KEPT_FACTORIZATIONS`` bases' worth, ``8 m^2`` bytes each, and the most
-recent entry always stays.  So the nodes of a dive that update one base
-keep many entries, each at the cost of its terms, while entries on as many
-fresh bases keep ``KEPT_FACTORIZATIONS`` at most.  A warm start whose basis
-is kept starts from that base and those terms; the base itself is shared,
-never copied.  Otherwise it repairs the kept factorization that needs the
-fewest updates, its age plus the number of warm-basis columns it lacks:
-each lacking column is swapped in by one update, leaving at the dropped
-position where the entering column is largest.  A repair that would use more than half of
-``REFACTOR_EVERY``, so leaving the node less than half its update budget,
-or that meets a pivot below ``REPAIR_PIVOT_TOL`` of the column's largest
-entry builds a fresh inverse instead.
+its basis in its row order, its base and a copy of its terms, as many as
+its age, keyed by its set of basic columns.  They are capped by bytes
+rather than by count: the most recently used entries stay while their
+distinct bases, a base that several entries share counted once, and every
+entry's terms fit in ``KEPT_FACTORIZATIONS`` bases' worth, ``8 m^2`` bytes
+each, and the most recent entry always stays.  So the nodes of a dive that
+update one base keep many entries, each at the cost of its terms, while
+entries on as many fresh bases keep ``KEPT_FACTORIZATIONS`` at most.  A
+warm start whose set of basic columns is kept takes that entry's row order
+and starts from its base and terms; the base itself is shared, never
+copied.  Otherwise it repairs the kept factorization that needs the fewest
+updates, its age plus the number of warm-basis columns it lacks: each
+lacking column is swapped in by one update, leaving at the dropped position
+where the entering column is largest.  A repair that would use more than
+half of ``REFACTOR_EVERY``, so leaving the node less than half its update
+budget, or that meets a pivot below ``REPAIR_PIVOT_TOL`` of the column's
+largest entry builds a fresh inverse instead.
 
 Every solve runs one way from a basis and its inverse, and there are no
-artificial columns.  A warm start takes a caller-supplied basis; a cold
-start takes the slack basis, whose inverse is the identity, with every
-structural column at a finite bound.  A basis that is primal feasible goes
+artificial columns.  A warm start is the status of each of the ``n + m``
+columns (``LpSolution.warm``), and its basis is the basic columns, in
+column order until a kept factorization gives them its row order.
+Statuses shorter than ``n + m`` are those of the model before rows were
+appended to it: the appended rows' slacks are basic.  A cold start takes
+the slack basis, whose inverse is the identity, with every structural
+column at a finite bound.  A basis that is primal feasible goes
 straight to the primal simplex.  Otherwise the cost of each nonbasic column
 whose reduced cost has the wrong sign is shifted so that this reduced cost
 is ``DUAL_TOL (1 + |c_j|)`` of the right sign (zero for a free column), and
@@ -126,36 +132,18 @@ _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
 
 
 @dataclass
-class WarmStart:
-    """A basis and the status of each of the ``n + m`` columns, to start a later solve from."""
-
-    basis: np.ndarray
-    vstat: np.ndarray
-
-    def grown(self, m: int) -> "WarmStart":
-        """This basis on its model with rows appended up to ``m`` rows, their
-        slacks basic.  The slacks follow the columns, so no index moves."""
-        k = m - self.basis.size
-        if k == 0:
-            return self
-        end = self.vstat.size
-        return WarmStart(
-            np.concatenate([self.basis, np.arange(end, end + k)]),
-            np.concatenate([self.vstat, np.full(k, _BASIC, dtype=self.vstat.dtype)]),
-        )
-
-
-@dataclass
 class LpSolution:
     """One solve's result.  ``iterations`` counts the pivots and bound flips of
-    both attempts when a failed warm start was followed by a cold start."""
+    both attempts when a failed warm start was followed by a cold start.
+    ``warm`` is the status of each of the ``n + m`` columns, the start of a
+    later solve."""
 
     status: str
     primal: np.ndarray | None
     dual: np.ndarray | None
     objective: float
     iterations: int
-    warm: WarmStart | None = None
+    warm: np.ndarray | None = None
 
 
 @dataclass
@@ -221,10 +209,11 @@ def _repair_status(stat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarr
     return out
 
 
-def carry_basis(model: LinearModel, *sources: tuple[LinearModel, WarmStart]) -> WarmStart | None:
-    """A warm start for ``model`` from the bases of models that share columns
-    and rows with it, matched by name (names are unique within each model):
-    models whose columns and rows it holds, or one that holds its own.
+def carry_basis(model: LinearModel, *sources: tuple[LinearModel, np.ndarray]) -> np.ndarray | None:
+    """A warm start for ``model``, the status of each of its columns, from the
+    statuses of models that share columns and rows with it, matched by name
+    (names are unique within each model): models whose columns and rows it
+    holds, or one that holds its own.
 
     Each column that a source has takes the source column's status, and each
     row that a source has takes the status of the source row's slack.  The
@@ -236,8 +225,8 @@ def carry_basis(model: LinearModel, *sources: tuple[LinearModel, WarmStart]) -> 
     ns, m = model.n, model.m
     col_at = {v.name: j for j, v in enumerate(model.variables)}
     row_at = {con.name: ns + i for i, con in enumerate(model.constraints)}
-    vstat = np.full(ns + m, _AT_LB, dtype=np.int8)
-    vstat[ns:] = _BASIC
+    stat = np.full(ns + m, _AT_LB, dtype=np.int8)
+    stat[ns:] = _BASIC
     for source, warm in sources:
         at = np.array(
             [col_at.get(v.name, -1) for v in source.variables]
@@ -245,11 +234,8 @@ def carry_basis(model: LinearModel, *sources: tuple[LinearModel, WarmStart]) -> 
             dtype=np.intp,
         )  # each source column's and row's place in ``model``, -1 where it has none
         shared = at >= 0
-        vstat[at[shared]] = warm.vstat[shared]
-    basis = np.flatnonzero(vstat == _BASIC)
-    if basis.size != m:
-        return None
-    return WarmStart(basis, vstat)
+        stat[at[shared]] = warm[shared]
+    return stat if np.count_nonzero(stat == _BASIC) == m else None
 
 
 def _peeled_inverse(kr: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> np.ndarray | None:
@@ -385,7 +371,7 @@ class SimplexSolver:
         self.ns = ns
         self.m = m
         self.nsm = ns + m
-        # basis bytes -> (basis, B0, U, V, age), least recently used first
+        # sorted basis bytes -> (basis, B0, U, V), least recently used first
         self._kept: OrderedDict[bytes, tuple] = OrderedDict()
         self.refactors = 0  # inverses computed, over every solve
         self.repairs = 0  # warm starts served by repairing a kept factorization
@@ -400,7 +386,7 @@ class SimplexSolver:
 
     # -- per-solve state ---------------------------------------------------
 
-    def solve(self, *, lb=None, ub=None, warm: WarmStart | None = None) -> LpSolution:
+    def solve(self, *, lb=None, ub=None, warm: np.ndarray | None = None) -> LpSolution:
         self.iterations = 0
         self.lb = self.sf.lb.copy()
         self.ub = self.sf.ub.copy()
@@ -437,7 +423,7 @@ class SimplexSolver:
         dual = y if self.model.sense == MIN else -y
         z_internal = float(self.cost @ self.x)
         objective = z_internal * (1.0 if self.model.sense == MIN else -1.0)
-        warm = WarmStart(self.basis.copy(), self.stat.copy())
+        warm = self.stat.copy()
         return LpSolution(OPTIMAL, self.x[: self.ns].copy(), dual.copy(), objective, self.iterations, warm)
 
     # -- linear algebra helpers --------------------------------------------
@@ -504,12 +490,15 @@ class SimplexSolver:
             self.V[:k] = v
 
     def _factor_warm_basis(self) -> bool:
-        """Inverse of a warm basis: kept, repaired from a kept one, or fresh."""
+        """Inverse of a warm basis, its columns sorted: kept, in the kept
+        entry's row order, repaired from a kept one, or fresh."""
         key = self.basis.tobytes()
         kept = self._kept.get(key)
         if kept is not None:
             self._kept.move_to_end(key)
-            self._set_inverse(*kept[1:4])
+            basis, *inverse = kept
+            self.basis = basis.copy()
+            self._set_inverse(*inverse)
             return True
         return self._repair() or self._factor_basis()
 
@@ -523,14 +512,14 @@ class SimplexSolver:
         wanted = np.zeros(self.nsm, dtype=bool)
         wanted[target] = True
         best, best_cost = None, REFACTOR_EVERY // 2 + 1
-        for key, (basis, *_, age) in reversed(self._kept.items()):
-            cost = age + int(np.count_nonzero(~wanted[basis]))
+        for key, (basis, _, u, _) in reversed(self._kept.items()):
+            cost = u.shape[1] + int(np.count_nonzero(~wanted[basis]))
             if cost < best_cost:
                 best, best_cost = key, cost
         if best is None:
             return False
         self._kept.move_to_end(best)
-        basis, b0, u, v, _ = self._kept[best]
+        basis, b0, u, v = self._kept[best]
         basis = basis.copy()
         self._set_inverse(b0, u, v)
         present = np.zeros(self.nsm, dtype=bool)
@@ -563,12 +552,12 @@ class SimplexSolver:
     def _keep(self) -> None:
         """Keep the current factorization as the most recent, then drop the
         least recent ones past ``KEPT_FACTORIZATIONS`` bases' worth of bytes."""
-        key = self.basis.tobytes()
+        key = np.sort(self.basis).tobytes()
         self._kept.pop(key, None)
         k = self.pivots_since_refactor
-        self._kept[key] = (self.basis.copy(), self.B0, self.U[:, :k].copy(), self.V[:k].copy(), k)
+        self._kept[key] = (self.basis.copy(), self.B0, self.U[:, :k].copy(), self.V[:k].copy())
         room, bases, fits = KEPT_FACTORIZATIONS * self.B0.nbytes, set(), 0
-        for _, b0, u, v, _ in reversed(self._kept.values()):
+        for _, b0, u, v in reversed(self._kept.values()):
             room -= u.nbytes + v.nbytes + (0 if id(b0) in bases else b0.nbytes)
             bases.add(id(b0))  # a base that several entries share counts once
             if room < 0 and fits:  # the most recent entry always stays
@@ -636,13 +625,17 @@ class SimplexSolver:
         self._set_inverse(np.eye(self.m))
         return self._from_basis()
 
-    def _try_warm(self, warm: WarmStart) -> str | None:
-        if len(warm.basis) != self.m or len(warm.vstat) != self.nsm:
+    def _try_warm(self, stat: np.ndarray) -> str | None:
+        """Solve from the statuses ``stat``, None when they are no basis.
+        Statuses shorter than ``n + m`` are those of the model before rows
+        were appended, whose slacks are basic."""
+        if stat.size > self.nsm:
             return None
-        if np.count_nonzero(warm.vstat == _BASIC) != self.m:
+        stat = np.concatenate([stat, np.full(self.nsm - stat.size, _BASIC, dtype=np.int8)])
+        self.basis = np.flatnonzero(stat == _BASIC)
+        if self.basis.size != self.m:
             return None
-        self.basis = warm.basis.copy()
-        self._set_statuses(warm.vstat)
+        self._set_statuses(stat)
         if not self._factor_warm_basis():
             return None
         return self._from_basis()

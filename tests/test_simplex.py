@@ -203,7 +203,7 @@ def test_cold_start_after_an_unusable_warm_basis_passes_a_small_dual_pivot(monke
 
     monkeypatch.setattr(SimplexSolver, "_cold_start", cold_start)
     vstat = np.array([_AT_LB, _BASIC, _BASIC, _AT_LB], dtype=np.int8)
-    sol = SimplexSolver(model).solve(warm=simplex.WarmStart(np.array([1, 2]), vstat))
+    sol = SimplexSolver(model).solve(warm=vstat)
     assert cold_starts == [0]
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(0.9999, abs=1e-9)
@@ -432,7 +432,7 @@ def test_dual_simplex_recomputes_a_drifted_row_before_calling_it_infeasible(monk
             drifted.append(True)
 
     monkeypatch.setattr(SimplexSolver, "_recompute_x", recompute_x)
-    sol = solver.solve(warm=simplex.WarmStart(np.array([0, 1]), vstat))
+    sol = solver.solve(warm=vstat)
     assert drifted
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-2.0, abs=1e-12)
@@ -456,14 +456,15 @@ def test_carried_basis_holds_each_source_status_by_name():
         {2: 1.0, 1: 2.0},
     )
     carried = simplex.carry_basis(target, (source, warm))
-    assert carried.vstat[[2, 1]].tolist() == warm.vstat[[0, 1]].tolist()
-    assert carried.vstat[[3, 5]].tolist() == warm.vstat[[3, 2]].tolist()
-    assert carried.vstat[0] == _AT_LB and carried.vstat[4] == _BASIC
-    assert np.count_nonzero(carried.vstat == _BASIC) == target.m
-    assert carried.basis.tolist() == np.flatnonzero(carried.vstat == _BASIC).tolist()
-    sol = SimplexSolver(target).solve(warm=carried)
+    assert carried[[2, 1]].tolist() == warm[[0, 1]].tolist()
+    assert carried[[3, 5]].tolist() == warm[[3, 2]].tolist()
+    assert carried[0] == _AT_LB and carried[4] == _BASIC
+    assert np.count_nonzero(carried == _BASIC) == target.m
+    solver = SimplexSolver(target)
+    sol = solver.solve(warm=carried)
     assert sol.status == OPTIMAL
     assert sol.iterations == 0
+    assert sorted(solver.basis.tolist()) == np.flatnonzero(carried == _BASIC).tolist()
     # two sources that each make their own column basic on one shared row
     a = lp([Variable("a", 0.0, 4.0)], [Constraint({0: 1.0}, GE, 1.0, "row")], {0: 1.0})
     b = lp([Variable("b", 0.0, 4.0)], [Constraint({0: 1.0}, GE, 1.0, "row")], {0: 1.0})
@@ -473,7 +474,7 @@ def test_carried_basis_holds_each_source_status_by_name():
         {0: 1.0},
     )
     starts = [(m, SimplexSolver(m).solve().warm) for m in (a, b)]
-    assert [w.basis.tolist() for _, w in starts] == [[0], [0]]
+    assert [np.flatnonzero(w == _BASIC).tolist() for _, w in starts] == [[0], [0]]
     assert simplex.carry_basis(both, *starts) is None
 
 
@@ -657,6 +658,85 @@ def test_warm_start_infeasible_child():
     ub = np.array([0.0, 0.0])
     child = solver.solve(ub=ub, warm=first.warm)
     assert child.status == INFEASIBLE
+
+
+def test_statuses_from_before_rows_were_appended_start_warm_with_their_slacks_basic(
+    monkeypatch,
+):
+    # the optimum has x2 = 4; one appended row cuts it off and one does not bind
+    model = random_sparse_model(np.random.default_rng(3), 30, 20, density=0.2)
+    first = SimplexSolver(model).solve()
+    assert first.status == OPTIMAL and first.primal[2] == 4.0
+    model.constraints += [
+        Constraint({2: 1.0}, LE, 3.0, "cut"),
+        Constraint({0: 1.0, 2: 1.0}, LE, 10.0, "loose"),
+    ]
+    cold = SimplexSolver(model).solve()
+    assert cold.status == OPTIMAL
+    real_from_basis, real_cold_start = SimplexSolver._from_basis, SimplexSolver._cold_start
+    starts, cold_starts = [], []
+
+    def from_basis(self):
+        starts.append((self.basis.copy(), self.stat.copy()))
+        return real_from_basis(self)
+
+    def cold_start(self):
+        cold_starts.append(self.iterations)
+        return real_cold_start(self)
+
+    monkeypatch.setattr(SimplexSolver, "_from_basis", from_basis)
+    monkeypatch.setattr(SimplexSolver, "_cold_start", cold_start)
+    solver = SimplexSolver(model)
+    sol = solver.solve(warm=first.warm)
+    assert not cold_starts
+    ((basis, stat),) = starts
+    appended = np.arange(first.warm.size, solver.nsm)
+    assert appended.tolist() == [solver.nsm - 2, solver.nsm - 1]
+    assert np.array_equal(stat[: first.warm.size], first.warm)
+    assert np.all(stat[appended] == _BASIC) and set(appended) <= set(basis.tolist())
+    assert sol.status == OPTIMAL and sol.iterations > 0
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-9)
+
+    # statuses longer than the model's columns, or with too few or too many basic
+    # columns, are no basis of it: the solve starts cold
+    fewer = first.warm.copy()
+    fewer[np.flatnonzero(fewer == _BASIC)[0]] = _AT_LB
+    more = sol.warm.copy()
+    more[np.flatnonzero(more != _BASIC)[0]] = _BASIC
+    for stat in (np.append(sol.warm, _AT_LB), fewer, more):
+        starts.clear()
+        cold_starts.clear()
+        again = solver.solve(warm=stat)
+        assert cold_starts == [0] and len(starts) == 1
+        assert again.status == OPTIMAL
+        assert again.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-9)
+
+
+def test_a_kept_basis_handed_over_in_column_order_reuses_its_entry():
+    # the solve keeps its optimal basis in the row order its pivots left; carried
+    # by name, the same columns come back sorted and find that entry, in that order
+    model = random_sparse_model(np.random.default_rng(3), 30, 20, density=0.2)
+    for i, con in enumerate(model.constraints):
+        con.name = f"row{i}"
+    solver = SimplexSolver(model)
+    first = solver.solve()
+    assert first.status == OPTIMAL
+    kept = solver.basis.copy()
+    assert not np.array_equal(kept, np.sort(kept))
+    carried = simplex.carry_basis(model, (model, first.warm))
+    refactors, repairs = solver.refactors, solver.repairs
+    again = solver.solve(warm=carried)
+    assert (solver.refactors, solver.repairs) == (refactors, repairs)
+    assert again.iterations == 0 and np.array_equal(solver.basis, kept)
+    assert again.objective == first.objective
+    # a child pinned off the optimum starts from that entry too
+    ub = np.array([v.ub for v in model.variables])
+    ub[2] = 3.0
+    child = solver.solve(ub=ub, warm=carried)
+    assert (solver.refactors, solver.repairs) == (refactors, repairs)
+    cold = SimplexSolver(model).solve(ub=ub)
+    assert child.status == cold.status == OPTIMAL and child.iterations > 0
+    assert child.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-9)
 
 
 # -- sparse kernels against dense references ---------------------------------
@@ -1045,15 +1125,18 @@ def test_product_form_tracks_pivots_and_kept_bases_share_their_base():
 
     tracemalloc.start()
     try:
-        solver.basis = kept.copy()
-        assert solver._factor_warm_basis()  # a kept hit
+        solver.basis = np.sort(kept)  # as a warm start hands it over
+        assert solver._factor_warm_basis()  # a kept hit, in the kept row order
         hit_peak = tracemalloc.get_traced_memory()[1]
+        assert np.array_equal(solver.basis, kept)
         assert solver.B0 is base and solver.pivots_since_refactor == age
         assert np.array_equal(inverse(solver), expect)
 
         tracemalloc.reset_peak()
         q = int(np.setdiff1d(filled, kept)[0])
-        solver.basis[int(np.argmax(np.abs(solver._ftran(q))))] = q
+        swapped = kept.copy()
+        swapped[int(np.argmax(np.abs(solver._ftran(q))))] = q
+        solver.basis = np.sort(swapped)
         assert solver._factor_warm_basis()  # one swap from the kept basis
         repair_peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1069,7 +1152,7 @@ def test_product_form_tracks_pivots_and_kept_bases_share_their_base():
 def kept_bytes(solver):
     """The bytes of the kept factorizations: each distinct base once, and every entry's terms."""
     bases = {id(b0): b0.nbytes for _, b0, *_ in solver._kept.values()}
-    return sum(bases.values()) + sum(u.nbytes + v.nbytes for _, _, u, v, _ in solver._kept.values())
+    return sum(bases.values()) + sum(u.nbytes + v.nbytes for _, _, u, v in solver._kept.values())
 
 
 def assert_kept_within_bytes(solver):
@@ -1098,7 +1181,7 @@ def test_kept_factorizations_are_bounded():
         lb, ub = pin_one(rng, model)
         sol = solver.solve(lb=lb, ub=ub, warm=root.warm if rng.random() < 0.5 else None)
         if sol.status == OPTIMAL:
-            distinct.add(sol.warm.basis.tobytes())
+            distinct.add(np.flatnonzero(sol.warm == _BASIC).tobytes())
         assert_kept_within_bytes(solver)
     assert len(distinct) > len(solver._kept)
 
@@ -1124,12 +1207,14 @@ def test_kept_factorizations_drop_the_least_recent_past_the_byte_cap():
     slacks, named = np.arange(solver.ns, solver.nsm), {}
 
     def keep(i, age, fresh):
-        """Keep basis ``i``, ``age`` updates past the base or past a new one; the kept
-        bases, least recent first."""
+        """Keep basis ``i``, the slack basis with column ``i`` in place of a slack,
+        ``age`` updates past the base or past a new one; the kept bases, least
+        recent first."""
         if fresh:
             solver._set_inverse(np.eye(m))
         solver.basis = np.roll(slacks, i)
-        named[solver.basis.tobytes()] = i
+        solver.basis[0] = i
+        named[np.sort(solver.basis).tobytes()] = i
         solver.pivots_since_refactor = age
         solver._keep()
         return [named[key] for key in solver._kept]
@@ -1175,14 +1260,16 @@ def test_evicted_warm_basis_is_repaired():
     root = solver.solve()
     # dive until the byte cap drops the root's entry: on 20 rows one entry's terms
     # can fill it, so a whole dive leaves only its last level, out of repair reach
-    key = root.warm.basis.tobytes()
+    key = np.flatnonzero(root.warm == _BASIC).tobytes()
     plunge(solver, model, root.warm, until=lambda: key not in solver._kept)
     assert key not in solver._kept
-    root_set = set(root.warm.basis.tolist())
+    root_set = set(np.flatnonzero(root.warm == _BASIC).tolist())
     assert all(set(basis.tolist()) != root_set for basis, *_ in solver._kept.values())
     # some kept factorization is within the repair budget: its age plus the
     # root columns it lacks leaves at least half of REFACTOR_EVERY
-    costs = [age + len(root_set - set(basis.tolist())) for basis, *_, age in solver._kept.values()]
+    costs = [
+        u.shape[1] + len(root_set - set(basis.tolist())) for basis, _, u, _ in solver._kept.values()
+    ]
     assert min(costs) <= REFACTOR_EVERY // 2
 
     sibling = np.array([v.ub for v in model.variables])
@@ -1238,7 +1325,9 @@ def test_age_triggered_refactor_builds_a_fresh_inverse(monkeypatch):
     def refactor(self):
         wanted = np.zeros(self.nsm, dtype=bool)
         wanted[self.basis] = True
-        costs = [age + np.count_nonzero(~wanted[basis]) for basis, *_, age in self._kept.values()]
+        costs = [
+            u.shape[1] + np.count_nonzero(~wanted[basis]) for basis, _, u, _ in self._kept.values()
+        ]
         before = (self.refactors, self.repairs)
         done = real_refactor(self)
         reachable = min(costs, default=math.inf) <= simplex.REFACTOR_EVERY // 2
