@@ -106,9 +106,9 @@ from .linear import (
     split_blocks,
     with_objective,
 )
-from .models import AS_WRITTEN, build_p1, build_p2, build_p3
+from .models import build_p1, build_p2, build_p3
 from .scenario import ScenarioInputs
-from .simplex import OPTIMAL, LpSolution, SimplexSolver, carry_basis
+from .simplex import _BASIC, OPTIMAL, LpSolution, SimplexSolver, carry_basis
 
 DEFAULT_GRID_POINTS = 41
 CELL_NODE_BUDGET = 1500  # nodes per frontier sweep point; the Nash tree gets twice that
@@ -228,7 +228,7 @@ def _solve_by_block(
     model: LinearModel,
     gap: float,
     node_budget: int,
-    start: tuple[LinearModel, np.ndarray] | None = None,
+    warm: np.ndarray | None = None,
 ) -> MilpSolution:
     """``model``, a MILP none of whose rows links two blocks, as one MILP per
     block (:func:`~coopt.linear.split_blocks`), each distinct block solved once.
@@ -254,13 +254,13 @@ def _solve_by_block(
     incumbent leaves it without one.
 
     Each block's root LP starts from the statuses of its columns and rows in
-    ``start``, a model that shares them and its statuses, matched by name
-    (:func:`~coopt.simplex.carry_basis`), when they hold as many basic
-    entries as the block has rows.  A block whose pattern, its key without
-    the values (bounds, objective, coefficients and right-hand sides), is
-    that of the block solved just before it has that block's incumbent as its
-    first solve's seed and, without such a slice, that block's root basis as
-    its root start.  Any other block starts cold.
+    ``warm``, statuses of ``model``, gathered by the index the roots are
+    scattered by, when they hold as many basic entries as the block has rows.
+    A block whose pattern, its key without the values (bounds, objective,
+    coefficients and right-hand sides), is that of the block solved just
+    before it has that block's incumbent as its first solve's seed and,
+    without such a slice, that block's root basis as its root start.  Any
+    other block starts cold.
 
     Besides P2, it solves the total-cost model with the rows linking the hub
     to the compartments priced out (:func:`_priced`); there the sums' bound
@@ -273,7 +273,7 @@ def _solve_by_block(
     n = model.n
     cost = np.zeros(n)
     cost[arrays.obj_col] = arrays.obj_val
-    keys, distinct = [], {}
+    keys, distinct, carried = [], {}, {}
     for block in blocks:
         cols, own, entries = block.cols, block.rows, block.entries
         pattern = (
@@ -289,22 +289,21 @@ def _solve_by_block(
         keys.append(key)
         if key not in distinct:
             distinct[key] = _block_model(model, arrays, block)
-    carried = {
-        key: None if start is None else carry_basis(block, start)
-        for key, block in distinct.items()
-    }
+            share = None if warm is None else warm[np.concatenate([cols, n + own])]
+            basic = share is not None and np.count_nonzero(share == _BASIC) == own.size
+            carried[key] = share if basic else None
     nodes = 0
     block_gap, hints = gap, {}
     for _ in range(2):
         sols, last = {}, None
         for key, block_model in distinct.items():
-            warm, hint = carried[key], hints.get(key)
+            start, hint = carried[key], hints.get(key)
             if last is not None and last[0] == key[0]:  # the same pattern
-                warm = sols[last].root if warm is None else warm
+                start = sols[last].root if start is None else start
                 hint = hints.get(key, sols[last].incumbent)
             sol = solve_milp(
                 block_model, block_gap, max(0, node_budget - nodes), incumbent_hint=hint,
-                warm=warm,
+                warm=start,
             )
             nodes += sol.nodes
             if sol.status == INFEASIBLE:
@@ -365,8 +364,8 @@ def _priced(
     their sum of ``gap`` max(1, |z|).
 
     Each block's root LP starts from its slice of ``warm``, the statuses of
-    the model's columns, when that slice is a basis of the block
-    (:func:`_solve_by_block`).
+    the model's columns and rows, less the dropped rows', when that slice is
+    a basis of the block (:func:`_solve_by_block`).
     """
     model = lp.model
     linking = split_blocks(lp.arrays)[1]
@@ -383,7 +382,7 @@ def _priced(
     z = root.objective
     sol = _solve_by_block(
         priced, gap * max(1.0, abs(z)) / max(1.0, abs(z - constant)), node_budget,
-        None if warm is None else (model, warm),
+        None if warm is None else np.delete(warm, lp.ns + np.asarray(linking, dtype=np.intp)),
     )
     return sol, constant + sol.bound
 
@@ -710,7 +709,6 @@ def solve_study(
     scn: ScenarioInputs,
     goal: str,
     *,
-    deployment_revenue: str = AS_WRITTEN,
     gap: float = DEFAULT_GAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -735,7 +733,7 @@ def solve_study(
         bundle.p1_model = build_p1(scn.hub, scn.prices, scn.demand)
         bundle.p1 = _require_solved(solve_milp(bundle.p1_model, gap, node_budget), "hub model")
     if goal != "p1":
-        bundle.p2_model = build_p2(scn.bss, scn.prices, scn.probabilities, deployment_revenue)
+        bundle.p2_model = build_p2(scn.bss, scn.prices, scn.probabilities)
         bundle.p2 = _require_solved(
             _solve_by_block(bundle.p2_model, gap, node_budget), "storage model"
         )
@@ -743,7 +741,7 @@ def solve_study(
         return bundle
 
     p3 = bundle.p3 = build_p3(
-        scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint, deployment_revenue
+        scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint
     )
     d = bundle.d = DisagreementPoints(bundle.p1.objective, bundle.p2.objective)
     if goal == "frontier":  # its cells start cold

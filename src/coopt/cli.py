@@ -55,7 +55,6 @@ from .io import (
     write_frontier,
     write_history,
 )
-from .models import AS_WRITTEN, DEPLOYMENT_REVENUE_MODES
 from .presets import (
     PRESET_HUB,
     study_histories,
@@ -104,7 +103,6 @@ FLAGS = {
         ),
         lambda v: v >= 1, "be >= 1",
     ),
-    "--deployment-revenue": Flag(dict(choices=DEPLOYMENT_REVENUE_MODES, default=AS_WRITTEN)),
     "--grid-points": Flag(
         dict(type=int, default=DEFAULT_GRID_POINTS, help="storage floors the frontier samples"),
         lambda v: v >= 2, "be >= 2",
@@ -128,7 +126,7 @@ def _not_certified(what: str, missed, args) -> str:
 
 def _solve_options(args) -> dict:
     """The solve flags, as keywords of ``solve_study`` and of the two studies."""
-    return {key: getattr(args, key) for key in ("deployment_revenue", "gap", "node_budget")}
+    return {key: getattr(args, key) for key in ("gap", "node_budget")}
 
 
 def _report(bundle, args, *lines) -> int:
@@ -270,7 +268,7 @@ def _run_anova(args) -> int:
     return EXIT_OK
 
 
-_SOLVE = ("--scenario", "--out", "--gap", "--node-budget", "--deployment-revenue")
+_SOLVE = ("--scenario", "--out", "--gap", "--node-budget")
 _STUDY = _SOLVE + ("--seed", "--days", "--workers")
 _HISTORY = ("--out", "--seed", "--days")
 

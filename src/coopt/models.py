@@ -31,9 +31,9 @@ the hub's block alone and P2 one block per compartment with no row between
 two of them.  P3's rows all lie in one block, except ``commit_split`` and
 ``demand_balance``, which sum the lease flows over the compartments.
 
-Deployment revenue supports two conventions: ``"as-written"`` prices the
-(already probability-scaled) deployed quantity by probability times the RT
-price again, while ``"single-scaled"`` prices it by the RT price once.
+Each hour's expected deployment, already the deployment probability times
+the bid, earns the deployment probability times the real-time price, less
+the compartment's wear rate.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ from .scenario import (
     check_horizon,
 )
 
-AS_WRITTEN = "as-written"
-SINGLE_SCALED = "single-scaled"
-DEPLOYMENT_REVENUE_MODES = (AS_WRITTEN, SINGLE_SCALED)
-
 
 def degradation_cost(spec: CompartmentSpec, throughput_kwh: float) -> float:
     """Wear cost of cycling ``throughput_kwh`` through one compartment."""
@@ -94,7 +90,6 @@ def _build(
     bss: BssSpec | None = None,
     probs: ReserveProbabilities | None = None,
     joint: JointTerms | None = None,
-    mode: str = AS_WRITTEN,
 ) -> tuple[list[Variable], list[Constraint], dict[int, float], dict[int, float], dict]:
     """Variables, rows, hub cost, storage profit and family layout
     (``LinearModel.families``) of the blocks supplied.
@@ -106,10 +101,6 @@ def _build(
     """
     T = prices.horizon
     check_horizon(T, probabilities=probs, demand=demand, hub=hub)
-    if bss is not None and mode not in DEPLOYMENT_REVENUE_MODES:
-        raise ValueError(
-            f"deployment_revenue must be one of {DEPLOYMENT_REVENUE_MODES}, got {mode!r}"
-        )
 
     variables: list[Variable] = []
     rows: list[Constraint] = []
@@ -164,10 +155,8 @@ def _build(
                 row(f"deploy_dn_link[{t},{k}]", dn_link, EQ, 0.0)
                 profit[bid_up[tk]] = prices.lambda_up[t] * probs.acc_up[t]
                 profit[bid_dn[tk]] = prices.lambda_dn[t] * probs.acc_dn[t]
-                dep_scale_up = probs.dep_up[t] if mode == AS_WRITTEN else 1.0
-                dep_scale_dn = probs.dep_dn[t] if mode == AS_WRITTEN else 1.0
-                profit[deploy_up[tk]] = prices.lambda_rt[t] * dep_scale_up - rate
-                profit[deploy_dn[tk]] = prices.lambda_rt[t] * dep_scale_dn - rate
+                profit[deploy_up[tk]] = prices.lambda_rt[t] * probs.dep_up[t] - rate
+                profit[deploy_dn[tk]] = prices.lambda_rt[t] * probs.dep_dn[t] - rate
                 profit[rt_buy[tk]] = -prices.lambda_rt[t]
 
     if joint is not None:
@@ -250,19 +239,12 @@ def build_p1(hub: HubSpec, prices: PriceProfiles, demand: DemandProfile) -> Line
     return LinearModel(variables, rows, cost, MIN, families)
 
 
-def build_p2(
-    bss: BssSpec,
-    prices: PriceProfiles,
-    probs: ReserveProbabilities,
-    deployment_revenue: str = AS_WRITTEN,
-) -> LinearModel:
+def build_p2(bss: BssSpec, prices: PriceProfiles, probs: ReserveProbabilities) -> LinearModel:
     """Reserve-market MILP: each compartment charges, discharges, or idles each
     hour; bids are capped by the mode rates, deployment follows in expectation,
     and the objective is capacity plus deployment revenue net of charging and
     wear costs."""
-    variables, rows, _, profit, families = _build(
-        prices, bss=bss, probs=probs, mode=deployment_revenue
-    )
+    variables, rows, _, profit, families = _build(prices, bss=bss, probs=probs)
     return LinearModel(variables, rows, profit, MAX, families)
 
 
@@ -273,7 +255,6 @@ def build_p3(
     probs: ReserveProbabilities,
     demand: DemandProfile,
     joint: JointTerms,
-    deployment_revenue: str = AS_WRITTEN,
 ) -> BiObjectiveModel:
     """Joint-operation bi-objective MILP over one shared feasible set.
 
@@ -284,7 +265,7 @@ def build_p3(
     storage side books the markup share as income.
     """
     variables, rows, cost, profit, families = _build(
-        prices, hub=hub, demand=demand, bss=bss, probs=probs, joint=joint, mode=deployment_revenue
+        prices, hub=hub, demand=demand, bss=bss, probs=probs, joint=joint
     )
     return BiObjectiveModel(LinearModel(variables, rows, {}, MIN, families), cost, profit)
 

@@ -20,7 +20,6 @@ from .bargain import (
     InfeasibleError,
     solve_study,
 )
-from .models import AS_WRITTEN
 from .scenario import ScenarioInputs, with_profiles
 from .simulate import percentile_profiles
 
@@ -332,7 +331,6 @@ def sweep_grid(
     template: ScenarioInputs,
     factors,
     *,
-    deployment_revenue: str = AS_WRITTEN,
     gap: float = DEFAULT_GAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
@@ -350,7 +348,7 @@ def sweep_grid(
         raise ValueError("the sweep needs exactly 3 factors of 3 levels each")
     template.require_joint()
 
-    settings = dict(deployment_revenue=deployment_revenue, gap=gap, node_budget=node_budget)
+    settings = dict(gap=gap, node_budget=node_budget)
     cells = list(itertools.product(range(3), repeat=3))
     jobs = [
         (
@@ -375,7 +373,6 @@ def factorial_profit_study(
     template: ScenarioInputs,
     factors,
     *,
-    deployment_revenue: str = AS_WRITTEN,
     gap: float = DEFAULT_GAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
@@ -388,7 +385,7 @@ def factorial_profit_study(
     storage profit alone is 0, stops the study with the same error, naming
     the run."""
     design = fractional_factorial_design(factors)
-    settings = dict(deployment_revenue=deployment_revenue, gap=gap, node_budget=node_budget)
+    settings = dict(gap=gap, node_budget=node_budget)
     jobs = [
         (with_profiles(template, assignment), _storage_profit_increase, settings)
         for assignment in design.runs()

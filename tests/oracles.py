@@ -37,7 +37,7 @@ from coopt.linear import (
     read_model,
     with_objective,
 )
-from coopt.models import AS_WRITTEN, marginal_degradation_rate
+from coopt.models import marginal_degradation_rate
 from coopt.simplex import (
     INFEASIBLE,
     OPT_TOL,
@@ -472,7 +472,6 @@ def objective_breakdown(
     bss=None,
     probs=None,
     joint=None,
-    deployment_revenue: str = AS_WRITTEN,
 ) -> ObjectiveBreakdown:
     """Recompute every named money component from raw variable values.
 
@@ -507,10 +506,8 @@ def objective_breakdown(
             for t in range(T):
                 out.r_cap += prices.lambda_up[t] * probs.acc_up[t] * val(f"bid_up[{t},{k}]")
                 out.r_cap += prices.lambda_dn[t] * probs.acc_dn[t] * val(f"bid_dn[{t},{k}]")
-                up_scale = probs.dep_up[t] if deployment_revenue == AS_WRITTEN else 1.0
-                dn_scale = probs.dep_dn[t] if deployment_revenue == AS_WRITTEN else 1.0
-                out.r_dep += prices.lambda_rt[t] * up_scale * val(f"deploy_up[{t},{k}]")
-                out.r_dep += prices.lambda_rt[t] * dn_scale * val(f"deploy_dn[{t},{k}]")
+                out.r_dep += prices.lambda_rt[t] * probs.dep_up[t] * val(f"deploy_up[{t},{k}]")
+                out.r_dep += prices.lambda_rt[t] * probs.dep_dn[t] * val(f"deploy_dn[{t},{k}]")
                 out.c_phi += prices.lambda_rt[t] * val(f"rt_buy[{t},{k}]")
                 out.c_deg += rate * (val(f"deploy_up[{t},{k}]") + val(f"deploy_dn[{t},{k}]"))
     if joint is not None:

@@ -589,7 +589,7 @@ def test_a_block_starts_from_its_slice_of_a_carried_basis_or_cold(monkeypatch):
     stat = root.copy()
     stat[first] = _AT_LB
     calls = record_solves(monkeypatch)
-    bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET, (model, stat))
+    bargain._solve_by_block(model, DEFAULT_GAP, DEFAULT_NODE_BUDGET, stat)
     (_, _, first_kwargs), (other, _, kwargs) = calls
     assert first_kwargs["warm"] is None
     assert kwargs["warm"].tolist() == carry_basis(other, (model, root)).tolist()

@@ -26,7 +26,6 @@ from coopt.io import (
     save_scenario,
 )
 from coopt.linear import MAX
-from coopt.models import SINGLE_SCALED
 from coopt.presets import build_scenario, synthetic_market_history
 
 from conftest import tiny_scenario
@@ -126,30 +125,6 @@ def test_nbs_command_prints_the_solve_study_result(tmp_path, capsys):
     nbs = solve_study(load_scenario(path), "nbs", grid_points=2).bargain.nbs
     assert f"nbs hub cost: {nbs.f_a!r}" in printed
     assert f"nash product: {nbs.product!r}" in printed
-
-
-class StorageModelBuilt(Exception):
-    """Stops a command once the storage model's build has been seen."""
-
-
-@pytest.mark.parametrize("command", ["sweep", "anova"])
-def test_study_commands_honour_deployment_revenue(tmp_path, monkeypatch, command):
-    seen = []
-
-    def record_mode(bss, prices, probs, deployment_revenue):
-        seen.append(deployment_revenue)
-        raise StorageModelBuilt
-
-    monkeypatch.setattr(bargain, "build_p2", record_mode)
-    with pytest.raises(StorageModelBuilt):
-        main([
-            command,
-            "--scenario", str(SCENARIOS / "median_k2.scenario"),
-            "--deployment-revenue", SINGLE_SCALED,
-            "--days", "3",
-            "--out", str(tmp_path),
-        ])
-    assert seen == [SINGLE_SCALED]
 
 
 @pytest.mark.parametrize(
@@ -271,7 +246,7 @@ def test_generate_demand_draws_neither_prices_nor_market(tmp_path, monkeypatch):
     assert written == RECORDED_OUTPUTS[argv]
 
 
-SOLVE_FLAGS = {"--scenario", "--out", "--gap", "--node-budget", "--deployment-revenue"}
+SOLVE_FLAGS = {"--scenario", "--out", "--gap", "--node-budget"}
 STUDY_FLAGS = SOLVE_FLAGS | {"--seed", "--days", "--workers"}
 HISTORY_FLAGS = {"--out", "--seed", "--days"}
 # the flags each command reads; the benchmark's command lines also pass

@@ -22,8 +22,6 @@ from coopt.linear import (
     with_objective,
 )
 from coopt.models import (
-    AS_WRITTEN,
-    SINGLE_SCALED,
     build_p1,
     build_p2,
     build_p3,
@@ -199,20 +197,6 @@ def test_p2_two_hours_matches_enumeration():
     exact = enumerate_binaries(model)
     milp = solve_milp(model, gap_target=1e-9)
     assert milp.objective == pytest.approx(exact.objective, rel=1e-9, abs=1e-9)
-
-
-def test_p2_deployment_revenue_modes_differ():
-    scn = tiny_scenario(T=2, K=1, seed=5)
-    written = solve_milp(build_p2(scn.bss, scn.prices, scn.probabilities, AS_WRITTEN), 1e-9)
-    single = solve_milp(build_p2(scn.bss, scn.prices, scn.probabilities, SINGLE_SCALED), 1e-9)
-    # single-scaled pays deployments at full RT price, so it cannot be worse
-    assert single.objective >= written.objective - 1e-9
-
-
-def test_p2_rejects_bad_mode():
-    scn = tiny_scenario(T=1, K=1)
-    with pytest.raises(ValueError):
-        build_p2(scn.bss, scn.prices, scn.probabilities, "other")
 
 
 # ---------------------------------------------------------------- model shape

@@ -10,7 +10,6 @@ from scipy import stats as scipy_stats
 
 from coopt import bargain, sensitivity
 from coopt.bnb import BUDGET_EXHAUSTED, MilpSolution, SolverError
-from coopt.models import AS_WRITTEN, SINGLE_SCALED
 from coopt.scenario import with_profiles
 from coopt.sensitivity import (
     ANOVA_FIELDS,
@@ -286,35 +285,6 @@ def test_studies_give_the_same_responses_from_a_worker_pool():
     ]
     serial, pooled = (factorial_profit_study(scn, factors, workers=w)[1] for w in (1, 2))
     assert np.array_equal(serial, pooled, equal_nan=True)
-
-
-class StorageModelBuilt(Exception):
-    """Stops a study once the storage model's build has been seen."""
-
-
-def test_studies_pass_deployment_revenue_to_the_storage_model(monkeypatch):
-    seen = []
-
-    def record_mode(bss, prices, probs, deployment_revenue=AS_WRITTEN):
-        seen.append(deployment_revenue)
-        raise StorageModelBuilt
-
-    monkeypatch.setattr(bargain, "build_p2", record_mode)
-    scn = tiny_scenario(T=2, K=1)
-    with pytest.raises(StorageModelBuilt):
-        sweep_grid(scn, same_levels(scn), deployment_revenue=SINGLE_SCALED)
-    series = {
-        "lambda_up": scn.prices.lambda_up,
-        "lambda_dn": scn.prices.lambda_dn,
-        "acc_up": scn.probabilities.acc_up,
-        "acc_dn": scn.probabilities.acc_dn,
-        "dep_up": scn.probabilities.dep_up,
-        "dep_dn": scn.probabilities.dep_dn,
-    }
-    factors = [FactorSpec(name, (values, values)) for name, values in series.items()]
-    with pytest.raises(StorageModelBuilt):
-        factorial_profit_study(scn, factors, deployment_revenue=SINGLE_SCALED)
-    assert seen == [SINGLE_SCALED, SINGLE_SCALED]
 
 
 def test_zero_disagreement_value_is_a_failed_cell(monkeypatch):
