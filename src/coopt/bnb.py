@@ -18,6 +18,29 @@ the reported bound stays valid.  A rounding heuristic, run at shallow nodes
 and on every sixteenth node, fixes the relaxation's binaries to their
 nearest integer and re-solves, which on storage models yields a feasible
 incumbent at almost every node.
+
+Before the first node, rounds of Gomory mixed-integer cuts (Gomory 1960;
+Balas, Ceria, Cornuéjols & Natraj 1996) tighten the root LP.  Each round
+takes one cut from each row of the root's optimal basis whose basic column
+is a binary with a fractional value, reading the row ``rho_r [A I]`` of the
+tableau from the simplex's inverse.  Each nonbasic column is measured from
+the bound it sits at, the binaries by the integer formula and every other
+column and slack by the continuous one, and the cut is written back over
+the model's columns by replacing each slack ``s_i`` with ``b_i - A_i x``.
+Following Cook, Dash, Fukasawa & Goycoolea (2009), the fractional part is
+the basic column's value, a coefficient tiny against the cut's largest is
+dropped only by loosening the right-hand side by its largest effect over
+the column's bounds (one at the level of the products' rounding is taken
+as zero), and a cut whose coefficients span too wide a range, or that
+barely cuts the LP point, is dropped.  The round's rows are
+appended and the root re-solved warm, their slacks basic.  The rounds stop
+at ``CUT_ROUNDS``, when a round moves the root objective by less than
+``CUT_MIN_GAIN`` of it, when a round yields no cut or when the root turns
+integral; a root that is integral from the start runs none.  The tree then
+keeps the cuts that the last root LP holds tight: a cut whose slack there
+is beyond ``FEAS_TOL`` is dropped, and the root's basis, less that row and
+its basic slack, stays optimal.  On six compartments the Nash tree so runs
+on 140 of 228 cuts, in 80% of the memory.
 """
 
 from __future__ import annotations
@@ -31,6 +54,9 @@ import numpy as np
 
 from .linear import GE, LE, MAX, MIN, Constraint, LinearModel, ModelArrays, objective_value
 from .simplex import (
+    _AT_UB,
+    _BASIC,
+    _FREE,
     FEAS_TOL,
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -48,6 +74,27 @@ DEFAULT_NODE_BUDGET = 200_000
 
 INT_TOL = 1e-6
 PSEUDO_COST_EPS = 1e-6  # floor of each direction's estimate in a branching score
+# Gomory mixed-integer root cuts (module docstring)
+# a cap on the rows and the re-solves: on median_k2's Nash model and compartments the
+# fifth round moves the root bound by 4% to 9% of what the five move in all
+CUT_ROUNDS = 5
+# a cut divides by f0 and 1 - f0, so a basic value nearer an integer than this gives
+# coefficients up to 1000 times the tableau's, where rounding in the row starts to matter
+CUT_F0 = 1e-3
+# a round that moves the root objective by less, a fifth of DEFAULT_GAP, is the last one:
+# its move is small against the gap the search closes
+CUT_MIN_GAIN = 1e-4
+# a coefficient below CUT_TINY times the cut's largest is dropped, the right-hand side
+# loosened by its largest effect; one below CUT_ZERO times it is the rounding of the
+# products that made it (on the Nash models, exact zeros came out at 1e-21 to 1e-15 of
+# the largest, on columns without an upper bound, which no loosening can drop) and is
+# zero: its term stays below FEAS_TOL for column values up to 1e5, beyond any here
+CUT_TINY = 1e-9
+CUT_ZERO = 1e-12
+CUT_DYN = 1e6  # a wider range of coefficients makes the cut's row ill-conditioned in the LP
+# a cut must cut the LP point by this, relative to its right-hand side, with its largest
+# coefficient scaled to one: ten times the simplex's feasibility tolerance
+CUT_VIOLATION = 1e-6
 # a node LP has failed only when the cold start that solve() runs after a failed warm start
 # stopped without an answer too
 _LP_FAILED = (SINGULAR, ITERATION_LIMIT)
@@ -61,7 +108,9 @@ class MilpSolution:
     bound: float
     gap: float
     nodes: int
-    root: np.ndarray | None = None  # the root LP's final statuses, a warm start
+    root: np.ndarray | None = None  # the first root LP's final statuses, a warm start
+    # the root LP objective before the first cut round and after each one
+    root_bounds: tuple[float, ...] = ()
 
 
 class SolverError(RuntimeError):
@@ -153,11 +202,21 @@ def solve_milp(
     simplex's dense products differently and so take another path, to
     another node count and possibly another incumbent.
 
+    The root LP is cut by rounds of Gomory mixed-integer cuts (module
+    docstring) unless its binaries are integral; the solution's
+    ``root_bounds`` holds the root objective before the first round and
+    after each one.  A round whose LP is infeasible proves the model
+    infeasible, and a round whose LP stops without an answer is dropped.
+    The cuts the last root LP holds with slack are dropped before the
+    first node.  Without ``separate`` the cuts go to a copy of the model's
+    row list, so ``model`` is left as it was passed.
+
     ``incumbent_hint`` seeds the search with a known-good binary pattern (for
     example the solution of a neighbouring sweep point); its binaries are fixed
     and the LP re-solved, so a stale hint only costs one LP.  ``warm`` holds
     the statuses the root LP starts from (:meth:`SimplexSolver.solve`); the
-    solution returns the root's final ones, on the model as the root had it.
+    solution returns the first root LP's final ones, before any cut, on the
+    model as it was passed.
 
     ``separate`` makes ``model`` an outer approximation refined inside the one
     tree (Quesada & Grossmann 1992): ``model`` must over-estimate the true
@@ -167,13 +226,14 @@ def solve_milp(
     slack goes to ``separate``, which returns the candidate's true point, its
     true value and the rows that cut the candidate off.  The true point
     becomes the incumbent when it is the better, so pruning against it stays
-    valid.  The rows are appended to ``model``, in place, and the search goes
-    on over the grown model: statuses kept from before the rows start a
-    later LP with the rows' slacks basic, and a node whose LP point they cut
-    off, the candidate's own or the point a completion was rounded from, is
-    solved again before it is closed or branched on, keyed by its old LP
-    value.  A node LP candidate that cuts nothing off closes its node at its
-    LP value, which joins the floor of pruned nodes.
+    valid.  The rows are appended to ``model``, in place, as the root's cuts
+    are, and the search goes on over the grown model: statuses kept from
+    before the rows start a later LP with the rows' slacks basic, and a node
+    whose LP point they cut off, the candidate's own or the point a
+    completion was rounded from, is solved again before it is closed or
+    branched on, keyed by its old LP value.  A node LP candidate that cuts
+    nothing off closes its node at its LP value, which joins the floor of
+    pruned nodes.
     """
     if gap_target <= 0:
         raise ValueError(f"gap_target must be > 0, got {gap_target}")
@@ -191,14 +251,54 @@ def solve_milp(
         raise SolverError("relaxation is unbounded; binary models must be bounded")
     if root.status in _LP_FAILED:
         raise SolverError(f"simplex stopped on the root relaxation: {root.status}")
+    first = root.warm
+    bounds = [root.objective]
     if not binaries.size and separate is None:
         return MilpSolution(
-            OPTIMAL_WITHIN_GAP, root.primal, root.objective, root.objective, 0.0, 1, root.warm
+            OPTIMAL_WITHIN_GAP, root.primal, root.objective, root.objective, 0.0, 1, first,
+            tuple(bounds),
         )
+
+    for _ in range(CUT_ROUNDS):
+        if fractionality(root.primal[binaries]).max(initial=0.0) <= INT_TOL:
+            break
+        rows = _gmi_rows(solver, arrays.binary)
+        if not rows:
+            break
+        if separate is None and len(bounds) == 1:  # the caller's model stays as it was passed
+            model = LinearModel(
+                model.variables, list(model.constraints), model.objective, model.sense
+            )
+        model.constraints += rows
+        cut = SimplexSolver(model)
+        sol = cut.solve(lb=lb0, ub=ub0, warm=root.warm)
+        if sol.status == INFEASIBLE:  # the cuts hold at every integral point
+            return MilpSolution(
+                INFEASIBLE, None, math.nan, math.nan, math.inf, 1, first, tuple(bounds)
+            )
+        if sol.status != OPTIMAL:  # the search goes on without this round's rows
+            del model.constraints[-len(rows):]
+            break
+        solver, root = cut, sol
+        z, before = sign * sol.objective, sign * bounds[-1]
+        bounds.append(sign * max(z, before))  # rows only raise the minimum, up to rounding
+        if z - before < CUT_MIN_GAIN * max(1.0, abs(before)):
+            break
+
+    if len(bounds) > 1:
+        # the cuts the root LP holds with slack go; its basis stays optimal without them
+        ns, cut_rows = solver.ns, np.arange(first.size - solver.ns, solver.m)
+        loose = cut_rows[solver.x[ns + cut_rows] < -FEAS_TOL]
+        if loose.size:
+            kept = np.ones(solver.m, dtype=bool)
+            kept[loose] = False
+            model.constraints[:] = [con for con, keep in zip(model.constraints, kept) if keep]
+            solver = SimplexSolver(model)
+            root = replace(root, warm=np.delete(root.warm, ns + loose))
 
     incumbent_x = None
     incumbent_z = math.inf  # internal minimization orientation
-    best_bound = sign * root.objective
+    best_bound = sign * bounds[-1]
     pruned_floor = math.inf  # least bound of nodes pruned by tolerance or left unsolved
     tried_roundings: set[bytes] = set()
     pseudo = _PseudoCosts(binaries.size)
@@ -236,7 +336,7 @@ def solve_milp(
     heap: list[_Node] = []
     stack: list[_Node] = []
     seq = 0
-    stack.append(_Node(sign * root.objective, seq, lb0, ub0, root.warm, 0))
+    stack.append(_Node(best_bound, seq, lb0, ub0, root.warm, 0))
     nodes = 0
 
     def open_bound() -> float:
@@ -317,9 +417,12 @@ def solve_milp(
         # without an incumbent, a finite floor can only come from an unsolved node
         if (nodes >= node_budget and (stack or heap)) or pruned_floor < math.inf:
             return MilpSolution(
-                BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes, root.warm
+                BUDGET_EXHAUSTED, None, math.nan, sign * best_bound, math.inf, nodes, first,
+                tuple(bounds),
             )
-        return MilpSolution(INFEASIBLE, None, math.nan, math.nan, math.inf, nodes, root.warm)
+        return MilpSolution(
+            INFEASIBLE, None, math.nan, math.nan, math.inf, nodes, first, tuple(bounds)
+        )
 
     best_bound = max(best_bound, open_bound())
     gap = _relative_gap(incumbent_z, best_bound)
@@ -328,8 +431,86 @@ def solve_milp(
     for j in binaries:
         incumbent_x[j] = round(incumbent_x[j])
     return MilpSolution(
-        status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes, root.warm
+        status, incumbent_x, sign * incumbent_z, sign * best_bound, gap, nodes, first,
+        tuple(bounds),
     )
+
+
+def _gmi_rows(solver: SimplexSolver, binary: np.ndarray) -> list[Constraint]:
+    """One Gomory mixed-integer cut from each row of the optimal basis that
+    ``solver`` has just solved to whose basic column is a binary with a
+    fractional part in [CUT_F0, 1 - CUT_F0], over the model's columns, less
+    the cuts the safety rules drop (module docstring); ``binary`` flags the
+    model's binary columns.
+
+    Row ``r`` of the tableau reads ``x_B + sum_j a_j t_j = x_B*``, with
+    ``t_j`` each nonbasic column's distance from the bound it sits at and
+    ``x_B*`` the basic column's value, whose fractional part is ``f0``.
+    Fixed columns have ``t_j = 0`` and are left out, and a free nonbasic
+    column in the row leaves the row without a cut.  With ``f_j`` the
+    fractional part of ``a_j``, the cut is ``sum_j g_j t_j >= 1``, where
+    ``g_j`` is ``f_j / f0`` or ``(1 - f_j) / (1 - f0)``, the smaller, for a
+    binary at an integral bound, whose ``t_j`` is integral, and ``a_j / f0``
+    or ``-a_j / (1 - f0)`` by the sign of ``a_j`` for any other column.
+
+    The cut is written less the row over ``f0``, ``sum_j a_j t_j / f0 =
+    (x_B* - x_B) / f0``: each ``g_j`` becomes ``g_j - a_j / f0``, zero for
+    a continuous column with ``a_j >= 0``, and ``x_B`` gets ``-1 / f0``.
+    The same cut over the model's rows, it leaves no coefficient as the
+    difference of two nearly equal terms; the rounding of the tableau row
+    still leaves some at 1e-21 to 1e-15 of the largest, which
+    ``CUT_ZERO`` takes as zeros.
+    """
+    ns, sf, stat, basis = solver.ns, solver.sf, solver.stat, solver.basis
+    lb, ub, x = solver.lb, solver.ub, solver.x
+    moves = (stat != _BASIC) & (lb < ub)
+    free = moves & (stat == _FREE)
+    bounded = moves & ~free
+    upper = stat == _AT_UB
+    sigma = np.where(upper, -1.0, 1.0)  # t_j = sigma_j (x_j - at_j)
+    at = np.where(bounded, np.where(upper, ub, lb), 0.0)
+    is_binary = np.zeros(solver.nsm, dtype=bool)
+    is_binary[:ns] = binary
+    integer = is_binary & (np.floor(at) == at)
+    f0s = x[basis] - np.floor(x[basis])
+    rows = []
+    for r in np.flatnonzero(is_binary[basis] & (f0s >= CUT_F0) & (f0s <= 1.0 - CUT_F0)):
+        alpha = solver._alpha_row(int(r))[1]
+        if alpha[free].any():
+            continue
+        f0 = f0s[r]
+        a = np.where(bounded, sigma * alpha, 0.0)
+        f = a - np.floor(a)
+        g = np.where(
+            integer,
+            np.where(f <= f0, f / f0, (1.0 - f) / (1.0 - f0)),
+            np.where(a >= 0.0, a / f0, -a / (1.0 - f0)),
+        )
+        pi = sigma * (g - a / f0)  # the cut less the row over f0, over all n + m columns
+        pi[basis[r]] = -1.0 / f0
+        slack = pi[ns:]  # s = b - A x
+        coef = pi[:ns] - sf.rmatvec(slack)[:ns]
+        rhs = 1.0 - x[basis[r]] / f0 + float(pi @ at) - float(slack @ sf.b)
+        size = np.abs(coef)
+        big = size.max(initial=0.0)
+        coef[size < CUT_ZERO * big] = 0.0
+        tiny = (coef != 0.0) & (size < CUT_TINY * big)
+        effect = np.maximum(coef[tiny] * lb[:ns][tiny], coef[tiny] * ub[:ns][tiny])
+        if not np.isfinite(effect).all():
+            continue
+        rhs -= float(effect.sum())
+        coef[tiny] = 0.0
+        keep = np.flatnonzero(coef)
+        size = np.abs(coef[keep])
+        if not keep.size or size.max() > CUT_DYN * size.min():
+            continue
+        scale = float(size.max())
+        coef, rhs = coef / scale, rhs / scale
+        if rhs - float(coef @ x[:ns]) < CUT_VIOLATION * max(1.0, abs(rhs)):
+            continue
+        name = f"gmi[{solver.m + len(rows)}]"
+        rows.append(Constraint(dict(zip(keep.tolist(), coef[keep].tolist())), GE, rhs, name))
+    return rows
 
 
 def _cut_off(rows: list[Constraint], x: np.ndarray) -> bool:

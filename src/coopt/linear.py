@@ -16,9 +16,11 @@ rows and entries, with the rows that link two blocks.
 
 No code edits a ``Variable`` or ``Constraint`` of a model it was given:
 the solvers only append rows, and the frontier sets the right-hand side of
-the one row it adds itself.  So :func:`with_objective` shares them with its
-source and copies only the two lists, to which a caller may append, and the
-objective.
+the one row it adds itself.  :func:`~coopt.bnb.solve_milp` appends its root
+cuts to its own copy of the row list, so a model it was given keeps its
+rows; only with ``separate`` do its rows, the cuts among them, go to the
+model itself.  So :func:`with_objective` shares them with its source and
+copies only the two lists, to which a caller may append, and the objective.
 """
 
 from __future__ import annotations

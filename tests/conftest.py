@@ -1,8 +1,11 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
+from coopt import bnb
 from coopt.scenario import (
     BssSpec,
     CompartmentSpec,
@@ -13,6 +16,21 @@ from coopt.scenario import (
     ReserveProbabilities,
     ScenarioInputs,
 )
+
+
+@pytest.fixture
+def gmi_cuts(monkeypatch):
+    """The list of every row that the root cut rounds of ``solve_milp`` make, in order."""
+    made = []
+    real = bnb._gmi_rows
+
+    def recording(*args):
+        rows = real(*args)
+        made.extend(rows)
+        return rows
+
+    monkeypatch.setattr(bnb, "_gmi_rows", recording)
+    return made
 
 
 def compartment(

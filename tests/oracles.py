@@ -277,6 +277,11 @@ def check_certificates(model: LinearModel, sol: LpSolution) -> CertificateReport
 
 def highs_objective(model: LinearModel, relax: bool = False) -> float:
     """The optimum from HiGHS (``scipy.optimize.milp``), of the LP relaxation when ``relax``."""
+    return highs_solution(model, relax)[0]
+
+
+def highs_solution(model: LinearModel, relax: bool = False) -> tuple[float, np.ndarray]:
+    """The optimum and an optimal point from HiGHS, of the LP relaxation when ``relax``."""
     sign = 1.0 if model.sense == MIN else -1.0
     c = np.zeros(model.n)
     for j, v in model.objective.items():
@@ -297,7 +302,7 @@ def highs_objective(model: LinearModel, relax: bool = False) -> float:
     )
     if res.status != 0:
         raise SolverError(f"HiGHS: {res.message}")
-    return sign * res.fun
+    return sign * res.fun, res.x
 
 
 def enumerate_binaries(model: LinearModel, limit: int = 20) -> MilpSolution:

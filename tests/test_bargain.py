@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopt import bargain
+from coopt import bargain, bnb
 from coopt.bargain import (
     START_SLOPES,
     BargainResult,
@@ -523,8 +523,10 @@ def test_scattered_block_roots_are_an_optimal_basis_of_the_storage_model():
 
 
 @pytest.mark.parametrize("budget", [1, 2])
-def test_a_block_out_of_the_shared_budget_exhausts_the_storage_model(budget):
-    # the first block takes one node and leaves the second with one or none
+def test_a_block_out_of_the_shared_budget_exhausts_the_storage_model(budget, monkeypatch):
+    # the first block takes one node and leaves the second with one or none; the
+    # root cuts close each block at its root, so they are left out
+    monkeypatch.setattr(bnb, "CUT_ROUNDS", 0)
     model = three_compartments()
     sol = bargain._solve_by_block(model, DEFAULT_GAP, budget)
     assert sol.status == BUDGET_EXHAUSTED

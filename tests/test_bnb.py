@@ -14,6 +14,7 @@ from coopt.bnb import (
 )
 from coopt.linear import GE, LE, MAX, MIN, Constraint, LinearModel, Variable, read_model
 from coopt.simplex import (
+    FEAS_TOL,
     INFEASIBLE,
     ITERATION_LIMIT,
     SINGULAR,
@@ -162,7 +163,9 @@ def test_exclusivity_pairs_detected():
     assert pairs == {0: [1], 1: [0]}
 
 
-def test_budget_exhaustion_reports_valid_bound():
+def test_budget_exhaustion_reports_valid_bound(monkeypatch):
+    # the root cuts close every one of these models at its root, so the search runs
+    # out of nodes only without them; the bound must bracket the optimum either way
     rng = np.random.default_rng(11)
     found = False
     for _ in range(60):
@@ -170,12 +173,14 @@ def test_budget_exhaustion_reports_valid_bound():
         exact = enumerate_binaries(model)
         if exact.status != OPTIMAL_WITHIN_GAP:
             continue
-        milp = solve_milp(model, gap_target=1e-12, node_budget=2)
         sign = 1.0 if model.sense == MIN else -1.0
-        # bound must still bracket the true optimum
-        assert sign * milp.bound <= sign * exact.objective + 1e-6
-        if milp.status == BUDGET_EXHAUSTED:
-            found = True
+        for rounds in (0, bnb.CUT_ROUNDS):
+            monkeypatch.setattr(bnb, "CUT_ROUNDS", rounds)
+            milp = solve_milp(model, gap_target=1e-12, node_budget=2)
+            # bound must still bracket the true optimum
+            assert sign * milp.bound <= sign * exact.objective + 1e-6
+            if milp.status == BUDGET_EXHAUSTED:
+                found = True
     assert found
 
 
@@ -196,6 +201,7 @@ def test_failed_node_lp_keeps_bound_valid(monkeypatch, failure):
             return super().solve(lb=lb, ub=ub, warm=warm)
 
     monkeypatch.setattr(bnb, "SimplexSolver", FailsWithX1Fixed)
+    monkeypatch.setattr(bnb, "CUT_ROUNDS", 0)  # a cut x0 + x1 <= 1 closes the root
     milp = solve_milp(model, gap_target=1e-9)
     assert milp.objective == pytest.approx(-2.0)  # the only solvable pattern
     assert milp.bound <= -3.0 + 1e-9  # the unsolved subtree stays in the bound
@@ -227,12 +233,16 @@ def test_hinted_budget_runs_keep_a_valid_bound(monkeypatch):
         if exact.status != OPTIMAL_WITHIN_GAP:
             continue
         sign = 1.0 if model.sense == MIN else -1.0
-        for budget in (1, 2, 3, 4):
-            for gap in (1e-9, 0.25):
-                milp = solve_milp(model, gap, budget, incumbent_hint=exact.incumbent)
-                assert sign * milp.bound <= sign * exact.objective + 1e-6
-                checked += 1
-    assert checked > 200
+        # the root cuts close these models before any node branches, so fixing runs
+        # only without them
+        for rounds in (0, bnb.CUT_ROUNDS):
+            monkeypatch.setattr(bnb, "CUT_ROUNDS", rounds)
+            for budget in (1, 2, 3, 4):
+                for gap in (1e-9, 0.25):
+                    milp = solve_milp(model, gap, budget, incumbent_hint=exact.incumbent)
+                    assert sign * milp.bound <= sign * exact.objective + 1e-6
+                    checked += 1
+    assert checked > 400
     assert any(fired)
 
 
@@ -260,6 +270,7 @@ def test_reduced_cost_fixing_pins_bounds_and_keeps_its_floor(monkeypatch):
             return super().solve(lb=lb, ub=ub, warm=warm)
 
     monkeypatch.setattr(bnb, "SimplexSolver", Spy)
+    monkeypatch.setattr(bnb, "CUT_ROUNDS", 0)  # the root cuts leave no node to branch
     # the hint k = j = a = 1 costs -23; with the 5% gap the cutoff is -24.15, which
     # z + d_j = -24 reaches, so j stays at 0 and the optimum leaves the tree
     milp = solve_milp(model, 0.05, incumbent_hint=np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
@@ -350,3 +361,80 @@ def test_separated_bound_stays_valid_at_a_node_budget(seed, sense, cap):
         assert sign * milp.bound <= sign * exact.objective + 1e-9
         if milp.incumbent is not None:
             assert sign * milp.objective >= sign * exact.objective - 1e-9
+
+
+def test_gmi_cuts_hold_at_every_integral_point(gmi_cuts):
+    # each cut's left-hand side, minimized over the LP of every binary pattern, is at
+    # least its right-hand side: no integral point of the model is cut off
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(1000):
+        model = random_milp(rng)
+        rows = list(model.constraints)
+        gmi_cuts.clear()
+        solve_milp(model, gap_target=1e-9)
+        assert model.constraints == rows  # the cuts went to a copy of the row list
+        for cut in gmi_cuts:
+            least = enumerate_binaries(LinearModel(model.variables, rows, cut.coeffs, MIN))
+            if least.status == OPTIMAL_WITHIN_GAP:
+                assert least.objective >= cut.rhs - FEAS_TOL * max(1.0, abs(cut.rhs))
+                checked += 1
+    assert checked > 80
+
+
+def test_root_bounds_tighten_round_by_round():
+    model = knapsack_model()
+    relaxed = LinearModel(
+        [Variable(v.name, v.lb, v.ub) for v in model.variables],
+        model.constraints, model.objective, model.sense,
+    )
+    milp = solve_milp(model, gap_target=1e-9)
+    # the uncut root LP's objective, then one per round, each at most the one before
+    # it in this maximization and at least the optimum
+    assert milp.root_bounds[0] == pytest.approx(SimplexSolver(relaxed).solve().objective)
+    assert len(milp.root_bounds) > 1
+    assert all(b <= a for a, b in zip(milp.root_bounds, milp.root_bounds[1:]))
+    assert milp.root_bounds[-1] >= milp.objective - 1e-9
+    # min x + 2 y over x + y >= 1: the root LP is integral, and no round runs
+    integral = LinearModel(
+        [Variable("x", 0.0, 1.0, binary=True), Variable("y", 0.0, 1.0, binary=True)],
+        [Constraint({0: 1.0, 1: 1.0}, GE, 1.0)],
+        {0: 1.0, 1: 2.0},
+        MIN,
+    )
+    assert solve_milp(integral).root_bounds == (1.0,)
+
+
+def test_a_cut_round_whose_lp_fails_is_dropped(monkeypatch):
+    # every LP on the model with the round's rows stops singular: the search goes on
+    # over the model as it was passed, from the uncut root
+    model = knapsack_model()
+    m = model.m
+
+    class FailsWithCuts(SimplexSolver):
+        def solve(self, *, lb=None, ub=None, warm=None):
+            if self.m > m:
+                return LpSolution(SINGULAR, None, None, math.nan, 0)
+            return super().solve(lb=lb, ub=ub, warm=warm)
+
+    monkeypatch.setattr(bnb, "SimplexSolver", FailsWithCuts)
+    milp = solve_milp(model, gap_target=1e-9)
+    assert milp.status == OPTIMAL_WITHIN_GAP
+    assert milp.objective == pytest.approx(enumerate_binaries(model).objective, abs=1e-9)
+    assert len(milp.root_bounds) == 1
+    assert model.m == m
+
+
+def test_a_cut_round_whose_lp_is_infeasible_proves_the_model_infeasible():
+    # 2 x + 2 y >= 1 and 10 x + 10 y <= 7: the LP holds x + y in [0.5, 0.7], where no
+    # pair of binaries lies
+    model = LinearModel(
+        [Variable("x", 0.0, 1.0, binary=True), Variable("y", 0.0, 1.0, binary=True)],
+        [Constraint({0: 2.0, 1: 2.0}, GE, 1.0), Constraint({0: 10.0, 1: 10.0}, LE, 7.0)],
+        {0: 1.0, 1: 2.0},
+        MIN,
+    )
+    assert enumerate_binaries(model).status == INFEASIBLE
+    milp = solve_milp(model)
+    assert milp.status == INFEASIBLE
+    assert milp.nodes == 1 and len(milp.root_bounds) == 1

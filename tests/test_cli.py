@@ -39,7 +39,7 @@ def test_exhausted_node_budget_in_p3_command_exits_4(tmp_path, capsys):
     code = main([
         "solve-p3-tcm",
         "--scenario", str(SCENARIOS / "median_k2.scenario"),
-        "--node-budget", "40",
+        "--node-budget", "2",  # with the root cuts, 4 nodes certify it
         "--out", str(tmp_path),
     ])
     assert code == EXIT_BUDGET_EXHAUSTED
@@ -159,7 +159,7 @@ def test_nbs_command_says_on_stderr_when_its_bound_misses_the_gap(
     # the Nash tree gets 2 * CELL_NODE_BUDGET nodes; this scenario's needs more than 2
     monkeypatch.setattr(bargain, "CELL_NODE_BUDGET", cell_budget)
     path = tmp_path / "tiny.scenario"
-    save_scenario(tiny_scenario(T=4, K=2, seed=1), path)
+    save_scenario(tiny_scenario(T=4, K=2, seed=4), path)
     code = main(["solve-p3-nbs", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     out, err = capsys.readouterr()
@@ -177,7 +177,7 @@ def test_nbs_command_says_on_stderr_when_its_bound_misses_the_gap(
 def test_study_commands_name_each_uncertified_cell_on_stderr(tmp_path, capsys, monkeypatch, command):
     # the Nash tree gets 2 * CELL_NODE_BUDGET nodes; this scenario's needs more than 2
     monkeypatch.setattr(bargain, "CELL_NODE_BUDGET", 1)
-    scn = tiny_scenario(T=4, K=2, seed=1)
+    scn = tiny_scenario(T=4, K=2, seed=4)
     # one day of history at the scenario's own series, so every cell is the scenario itself
     series = {**asdict(scn.prices), **asdict(scn.probabilities), **asdict(scn.demand)}
     histories = {name: np.array([values]) for name, values in series.items()}

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from coopt import bargain, presets
+from coopt import bargain, bnb, presets
 from coopt.bargain import (
     START_SLOPES,
     DisagreementPoints,
@@ -21,15 +21,15 @@ from coopt.bargain import (
     solve_study,
     solve_tcm,
 )
-from coopt.bnb import BUDGET_EXHAUSTED, OPTIMAL_WITHIN_GAP, solve_milp
+from coopt.bnb import BUDGET_EXHAUSTED, DEFAULT_NODE_BUDGET, OPTIMAL_WITHIN_GAP, solve_milp
 from coopt.io import load_scenario
 from coopt.linear import GE, MAX, MIN, add_constraint, with_objective
 from coopt.models import build_p1, build_p2, build_p3
 from coopt.scenario import with_profiles
-from coopt.simplex import OPTIMAL, SimplexSolver
+from coopt.simplex import FEAS_TOL, OPTIMAL, SimplexSolver
 from coopt.simulate import percentile_profiles
 
-from oracles import highs_objective, var_layout
+from oracles import highs_objective, highs_solution, var_layout
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GAP = 5e-4
@@ -89,13 +89,48 @@ def test_preset_k1_nash_bargain(monkeypatch):
     assert result.bound >= result.nbs.product
 
 
-def test_median_k2_nash_bargain_brackets_the_optimum(median_k2):
-    # the Nash tree stops at its node budget here, so its bound is what it proved:
-    # it must lie above the optimum, and the product below it, up to the rounding
+def test_median_k2_nash_bargain_is_certified_at_the_optimum(median_k2):
+    # the root cuts close the Nash tree within its node budget: the product is the
+    # optimum and the bound lies above it, up to the reference's rounding
     result = solve_study(median_k2, "nbs").bargain
+    assert result.gap <= GAP
+    assert NBS_MEDIAN_K2 - 5e-4 <= result.nbs.product <= NBS_MEDIAN_K2 + 5e-4
     assert result.bound >= NBS_MEDIAN_K2 - 5e-4
-    assert result.nbs.product <= NBS_MEDIAN_K2 + 5e-4
     assert result.bound >= result.nbs.product
+
+
+def test_median_k2_priced_compartment_closes_in_few_nodes(median_k2, monkeypatch, gmi_cuts):
+    # each compartment of the weighted model at beta = 0.125, priced at its root LP's
+    # duals as solve_tcm prices the total-cost model; its root LP lies 9.8% above the
+    # optimum, which took about 1,400 nodes to close before the root cuts.  HiGHS's
+    # optimal point of the compartment satisfies every cut its root rounds made
+    scn = median_k2
+    p3 = build_p3(scn.hub, scn.bss, scn.prices, scn.probabilities, scn.demand, scn.joint)
+    lp = SimplexSolver(with_objective(p3.base, _weighted(p3, 0.125), MAX))
+    real_solve = bargain.solve_milp
+    compartments = []
+
+    def recording(model, *args, **kwargs):
+        gmi_cuts.clear()
+        sol = real_solve(model, *args, **kwargs)
+        if model.variables[0].name.startswith("charging["):
+            compartments.append((model, sol, list(gmi_cuts)))
+        return sol
+
+    monkeypatch.setattr(bargain, "solve_milp", recording)
+    priced, _ = bargain._priced(lp, lp.solve(), GAP / 4, DEFAULT_NODE_BUDGET)
+    assert priced.status == OPTIMAL_WITHIN_GAP
+    assert compartments
+    for model, sol, cuts in compartments:
+        assert sol.status == OPTIMAL_WITHIN_GAP and sol.nodes <= 100
+        assert_cuts_hold(cuts, highs_solution(model)[1])
+
+
+def assert_cuts_hold(cuts, x):
+    """Every cut holds at ``x`` within the simplex's feasibility tolerance."""
+    for cut in cuts:
+        lhs = sum(c * x[j] for j, c in cut.coeffs.items())
+        assert lhs >= cut.rhs - FEAS_TOL * max(1.0, abs(cut.rhs)), cut.name
 
 
 def tcm_milp(scn):
@@ -104,13 +139,26 @@ def tcm_milp(scn):
 
 
 @pytest.mark.parametrize("budget", [20, 100])
-def test_median_k2_total_cost_bound_at_a_node_budget(median_k2, budget):
-    sol = solve_milp(tcm_milp(median_k2), GAP, budget)
-    assert sol.status == BUDGET_EXHAUSTED
-    # a maximization: the incumbent lies below the optimum and the bound above it,
-    # up to the reference's rounding
-    assert sol.objective <= -TCM_MEDIAN_K2 + 1e-4
-    assert sol.bound >= -TCM_MEDIAN_K2 - 1e-4
+def test_median_k2_total_cost_bound_at_a_node_budget(median_k2, budget, monkeypatch):
+    # the root cuts close this model at its root; the tree runs out of nodes without
+    # them (it needs 212) and, at 20 nodes, after one round of them (it needs 60)
+    for rounds in range(2 if budget == 20 else 1):
+        monkeypatch.setattr(bnb, "CUT_ROUNDS", rounds)
+        sol = solve_milp(tcm_milp(median_k2), GAP, budget)
+        assert sol.status == BUDGET_EXHAUSTED
+        # a maximization: the incumbent lies below the optimum and the bound above it,
+        # up to the reference's rounding
+        assert sol.objective <= -TCM_MEDIAN_K2 + 1e-4
+        assert sol.bound >= -TCM_MEDIAN_K2 - 1e-4
+
+
+def test_median_k2_total_cost_cuts_hold_at_the_highs_optimum(median_k2, gmi_cuts):
+    model = tcm_milp(median_k2)
+    optimum, x = highs_solution(model)
+    assert optimum == pytest.approx(-TCM_MEDIAN_K2, abs=1e-4)
+    sol = solve_milp(model, GAP)
+    assert len(gmi_cuts) > 20 and len(sol.root_bounds) > 2
+    assert_cuts_hold(gmi_cuts, x)
 
 
 def test_median_k2_total_cost_search_repeats(median_k2):
